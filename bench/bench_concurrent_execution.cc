@@ -15,6 +15,7 @@
 #include "engine/sequential_engine.h"
 #include "lang/analyzer.h"
 #include "match/query_matcher.h"
+#include "rete/network.h"
 
 namespace prodb {
 namespace {
@@ -139,6 +140,60 @@ BENCHMARK(BM_ConcurrentContended)
     ->Arg(1)
     ->Arg(4)
     ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The Select step alone: drain `pending` instantiations of a rule whose
+// RHS only retracts its own tuple, so a firing is Take + one Rete delete.
+// The pending sets run well past the 128 a serving `fire` cycle holds;
+// FIFO and recency select through the recency index and should cost the
+// same per firing at every size, priority and random walk the set.
+void BM_SequentialSelection(benchmark::State& state) {
+  const int pending = static_cast<int>(state.range(0));
+  const auto strategy = static_cast<StrategyKind>(state.range(1));
+  constexpr char kDrain[] = R"(
+(literalize Work id)
+(p drain (Work ^id <x>) --> (remove 1))
+)";
+  double run_us = 0;
+  size_t firings = 0;
+  for (auto _ : state) {
+    Catalog catalog;
+    std::vector<Rule> rules;
+    Check(LoadProgram(kDrain, &catalog, &rules));
+    ReteNetwork matcher(&catalog);
+    for (const Rule& r : rules) Check(matcher.AddRule(r));
+    SequentialEngineOptions opts;
+    opts.strategy = strategy;
+    SequentialEngine engine(&catalog, &matcher, opts);
+    for (int i = 0; i < pending; ++i) {
+      Check(engine.Insert("Work", Tuple{Value(i)}));
+    }
+    const auto start = std::chrono::steady_clock::now();
+    EngineRunResult result;
+    Check(engine.Run(&result));
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    if (result.firings != static_cast<size_t>(pending)) std::abort();
+    state.SetIterationTime(elapsed.count());
+    run_us += elapsed.count() * 1e6;
+    firings += result.firings;
+  }
+  state.SetLabel(StrategyName(strategy));
+  state.counters["pending"] = static_cast<double>(pending);
+  state.counters["us_per_firing"] = run_us / static_cast<double>(firings);
+}
+
+BENCHMARK(BM_SequentialSelection)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (StrategyKind kind :
+           {StrategyKind::kFifo, StrategyKind::kRecency,
+            StrategyKind::kPriority, StrategyKind::kRandom}) {
+        for (int pending : {64, 256, 1024, 4096}) {
+          b->Args({pending, static_cast<int>(kind)});
+        }
+      }
+    })
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -202,7 +202,7 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
 }
 
 Status ConcurrentEngine::Worker(ConcurrentRunResult* result) {
-  auto chooser =
+  ConflictSet::Chooser chooser =
       MakeStrategy(options_.strategy, &matcher_->rules(), options_.seed);
   Rng backoff(options_.seed ^ 0x9e3779b97f4a7c15ULL);
   for (;;) {

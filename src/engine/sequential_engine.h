@@ -66,7 +66,7 @@ class SequentialEngine {
   WorkingMemory wm_;
   Matcher* matcher_;
   SequentialEngineOptions options_;
-  std::function<int(const std::vector<Instantiation>&)> chooser_;
+  ConflictSet::Chooser chooser_;
   FunctionRegistry functions_;
   std::vector<std::string> firing_log_;
 };

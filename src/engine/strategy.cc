@@ -1,5 +1,6 @@
 #include "engine/strategy.h"
 
+#include <iterator>
 #include <memory>
 
 #include "common/rng.h"
@@ -16,57 +17,41 @@ const char* StrategyName(StrategyKind kind) {
   return "?";
 }
 
-std::function<int(const std::vector<Instantiation>&)> MakeStrategy(
-    StrategyKind kind, const std::vector<Rule>* rules, uint64_t seed) {
+ConflictSet::Chooser MakeStrategy(StrategyKind kind,
+                                  const std::vector<Rule>* rules,
+                                  uint64_t seed) {
+  using View = ConflictSet::View;
   switch (kind) {
     case StrategyKind::kFifo:
-      return [](const std::vector<Instantiation>& items) {
-        int best = 0;
-        for (size_t i = 1; i < items.size(); ++i) {
-          if (items[i].recency <
-              items[static_cast<size_t>(best)].recency) {
-            best = static_cast<int>(i);
-          }
-        }
-        return items.empty() ? -1 : best;
-      };
+      return [](const View& view) { return view.Oldest(); };
     case StrategyKind::kRecency:
-      return [](const std::vector<Instantiation>& items) {
-        int best = 0;
-        for (size_t i = 1; i < items.size(); ++i) {
-          if (items[i].recency >
-              items[static_cast<size_t>(best)].recency) {
-            best = static_cast<int>(i);
-          }
-        }
-        return items.empty() ? -1 : best;
-      };
+      return [](const View& view) { return view.Newest(); };
     case StrategyKind::kPriority:
-      return [rules](const std::vector<Instantiation>& items) {
-        if (items.empty()) return -1;
-        int best = 0;
+      return [rules](const View& view) {
         auto prio = [&](const Instantiation& inst) {
           return (*rules)[static_cast<size_t>(inst.rule_index)].priority;
         };
-        for (size_t i = 1; i < items.size(); ++i) {
-          const Instantiation& a = items[i];
-          const Instantiation& b = items[static_cast<size_t>(best)];
+        auto best = view.begin();
+        for (auto it = view.begin(); it != view.end(); ++it) {
+          const Instantiation& a = it->second;
+          const Instantiation& b = best->second;
           if (prio(a) > prio(b) ||
               (prio(a) == prio(b) && a.recency > b.recency)) {
-            best = static_cast<int>(i);
+            best = it;
           }
         }
         return best;
       };
     case StrategyKind::kRandom: {
       auto rng = std::make_shared<Rng>(seed);
-      return [rng](const std::vector<Instantiation>& items) {
-        if (items.empty()) return -1;
-        return static_cast<int>(rng->Uniform(items.size()));
+      return [rng](const View& view) {
+        if (view.empty()) return view.end();
+        return std::next(view.begin(),
+                         static_cast<ptrdiff_t>(rng->Uniform(view.size())));
       };
     }
   }
-  return [](const std::vector<Instantiation>&) { return -1; };
+  return [](const View& view) { return view.end(); };
 }
 
 }  // namespace prodb

@@ -1,7 +1,6 @@
 #ifndef PRODB_ENGINE_STRATEGY_H_
 #define PRODB_ENGINE_STRATEGY_H_
 
-#include <functional>
 #include <vector>
 
 #include "lang/rule.h"
@@ -24,8 +23,12 @@ const char* StrategyName(StrategyKind kind);
 
 /// Builds a chooser usable with ConflictSet::Take. `rules` backs the
 /// priority strategy; `seed` feeds the random strategy (deterministic).
-std::function<int(const std::vector<Instantiation>&)> MakeStrategy(
-    StrategyKind kind, const std::vector<Rule>* rules, uint64_t seed = 42);
+/// Cost per selection over n pending members: FIFO and recency are
+/// O(log n) recency-index lookups; priority walks all n members; random
+/// walks to the k-th member in key order (O(k)). None copies a member.
+ConflictSet::Chooser MakeStrategy(StrategyKind kind,
+                                  const std::vector<Rule>* rules,
+                                  uint64_t seed = 42);
 
 }  // namespace prodb
 

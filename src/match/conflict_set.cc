@@ -1,7 +1,5 @@
 #include "match/conflict_set.h"
 
-#include <functional>
-
 namespace prodb {
 
 constexpr TupleId Instantiation::kNoTuple;
@@ -28,15 +26,28 @@ void ConflictSet::SetDeltaListener(DeltaListener listener) {
   listener_ = std::move(listener);
 }
 
-bool ConflictSet::Add(Instantiation inst) {
-  std::lock_guard<std::mutex> lock(mu_);
+bool ConflictSet::InsertLocked(Instantiation inst) {
   std::string key = inst.Key();
-  if (items_.count(key)) return false;
+  auto hint = items_.lower_bound(key);
+  if (hint != items_.end() && hint->first == key) return false;
   inst.recency = next_recency_++;
-  auto [it, inserted] = items_.emplace(std::move(key), std::move(inst));
+  auto it = items_.emplace_hint(hint, std::move(key), std::move(inst));
+  // Stamps only grow, so the new member is always the index's last.
+  by_recency_.emplace_hint(by_recency_.end(), it->second.recency, it);
   ++total_added_;
   NotifyLocked(/*added=*/true, it->first, &it->second);
   return true;
+}
+
+ConflictSet::Items::node_type ConflictSet::ExtractLocked(
+    Items::const_iterator it) {
+  by_recency_.erase(it->second.recency);
+  return items_.extract(it);
+}
+
+bool ConflictSet::Add(Instantiation inst) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return InsertLocked(std::move(inst));
 }
 
 bool ConflictSet::Remove(const Instantiation& inst) {
@@ -47,59 +58,24 @@ void ConflictSet::ApplyOps(ConflictOpBuffer* buf) {
   std::lock_guard<std::mutex> lock(mu_);
   for (ConflictOpBuffer::Op& op : buf->ops_) {
     if (op.add) {
-      std::string key = op.inst.Key();
-      if (items_.count(key)) continue;
-      op.inst.recency = next_recency_++;
-      auto [it, inserted] = items_.emplace(std::move(key), std::move(op.inst));
-      ++total_added_;
-      NotifyLocked(/*added=*/true, it->first, &it->second);
-    } else {
-      if (items_.erase(op.key) > 0) {
-        NotifyLocked(/*added=*/false, op.key, nullptr);
-      }
+      InsertLocked(std::move(op.inst));
+      continue;
     }
+    auto it = items_.find(op.key);
+    if (it == items_.end()) continue;
+    NotifyLocked(/*added=*/false, op.key, nullptr);
+    ExtractLocked(it);
   }
   buf->clear();
 }
 
 bool ConflictSet::RemoveByKey(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (items_.erase(key) == 0) return false;
+  auto it = items_.find(key);
+  if (it == items_.end()) return false;
   NotifyLocked(/*added=*/false, key, nullptr);
+  ExtractLocked(it);
   return true;
-}
-
-size_t ConflictSet::RemoveReferencing(TupleId id,
-                                      const std::vector<size_t>& positions) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t removed = 0;
-  for (auto it = items_.begin(); it != items_.end();) {
-    bool hit = false;
-    const Instantiation& inst = it->second;
-    if (positions.empty()) {
-      for (const TupleId& tid : inst.tuple_ids) {
-        if (tid == id) {
-          hit = true;
-          break;
-        }
-      }
-    } else {
-      for (size_t p : positions) {
-        if (p < inst.tuple_ids.size() && inst.tuple_ids[p] == id) {
-          hit = true;
-          break;
-        }
-      }
-    }
-    if (hit) {
-      NotifyLocked(/*added=*/false, it->first, nullptr);
-      it = items_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
 }
 
 size_t ConflictSet::RemoveIf(
@@ -109,7 +85,7 @@ size_t ConflictSet::RemoveIf(
   for (auto it = items_.begin(); it != items_.end();) {
     if (pred(it->second)) {
       NotifyLocked(/*added=*/false, it->first, nullptr);
-      it = items_.erase(it);
+      ExtractLocked(it++);
       ++removed;
     } else {
       ++it;
@@ -141,23 +117,30 @@ std::vector<Instantiation> ConflictSet::Snapshot() const {
   return out;
 }
 
-bool ConflictSet::Take(
-    const std::function<int(const std::vector<Instantiation>&)>& chooser,
-    Instantiation* out) {
+std::vector<uint64_t> ConflictSet::CountByRule(size_t num_rules) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<uint64_t> counts(num_rules, 0);
+  for (const auto& [key, inst] : items_) {
+    if (inst.rule_index >= 0 &&
+        static_cast<size_t>(inst.rule_index) < num_rules) {
+      ++counts[static_cast<size_t>(inst.rule_index)];
+    }
+  }
+  return counts;
+}
+
+bool ConflictSet::Take(const Chooser& chooser, Instantiation* out) {
   std::lock_guard<std::mutex> lock(mu_);
   if (items_.empty()) return false;
-  std::vector<Instantiation> snapshot;
-  snapshot.reserve(items_.size());
-  for (const auto& [key, inst] : items_) snapshot.push_back(inst);
-  int idx = chooser(snapshot);
-  if (idx < 0 || idx >= static_cast<int>(snapshot.size())) return false;
-  *out = std::move(snapshot[static_cast<size_t>(idx)]);
-  items_.erase(out->Key());
+  View::const_iterator pick = chooser(View(&items_, &by_recency_));
+  if (pick == items_.end()) return false;
+  *out = std::move(ExtractLocked(pick).mapped());
   return true;
 }
 
 void ConflictSet::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  by_recency_.clear();
   items_.clear();
 }
 

@@ -61,11 +61,50 @@ class ConflictOpBuffer {
 };
 
 /// The conflict set: satisfied instantiations keyed for O(log n) dedup
-/// and removal. All matchers maintain one of these; the execution engine
-/// drains it. Thread-safe (concurrent execution mutates it from worker
-/// threads during maintenance).
+/// and removal, plus a recency index so the Select step reaches the
+/// oldest and newest members in O(log n) without copying the set. All
+/// matchers maintain one of these; the execution engine drains it.
+/// Thread-safe (concurrent execution mutates it from worker threads
+/// during maintenance).
 class ConflictSet {
+  using Items = std::map<std::string, Instantiation>;
+  using ByRecency = std::map<uint64_t, Items::const_iterator>;
+
  public:
+  /// A read-only view of the live members, handed to a Chooser while
+  /// Take holds the set's mutex. Nothing is copied; the view and its
+  /// iterators are valid only during that call.
+  class View {
+   public:
+    using const_iterator = Items::const_iterator;
+
+    size_t size() const { return items_->size(); }
+    bool empty() const { return items_->empty(); }
+    /// Members in key order (the order Snapshot() returns them in).
+    const_iterator begin() const { return items_->begin(); }
+    const_iterator end() const { return items_->end(); }
+    /// The member with the lowest / highest recency stamp; end() when
+    /// the set is empty.
+    const_iterator Oldest() const {
+      return by_recency_->empty() ? end() : by_recency_->begin()->second;
+    }
+    const_iterator Newest() const {
+      return by_recency_->empty() ? end() : by_recency_->rbegin()->second;
+    }
+
+   private:
+    friend class ConflictSet;
+    View(const Items* items, const ByRecency* by_recency)
+        : items_(items), by_recency_(by_recency) {}
+
+    const Items* items_;
+    const ByRecency* by_recency_;
+  };
+
+  /// Picks the member Take removes, or returns the view's end() to
+  /// decline. Must not call back into the ConflictSet.
+  using Chooser = std::function<View::const_iterator(const View&)>;
+
   /// Observes conflict-set maintenance: called once per effective add
   /// (`inst` non-null) and per effective remove (`inst` null; removes are
   /// identified by key). Invoked with the set's mutex held — the listener
@@ -94,12 +133,6 @@ class ConflictSet {
   /// (dedup, recency stamping, total_added accounting). Clears `buf`.
   void ApplyOps(ConflictOpBuffer* buf);
 
-  /// Removes every instantiation of rule `rule_index` that references
-  /// tuple `id` of relation handled by the caller. The caller supplies
-  /// which CE positions could reference the tuple via `positions`
-  /// (pass empty to check all positions). Returns the number removed.
-  size_t RemoveReferencing(TupleId id, const std::vector<size_t>& positions);
-
   /// Removes every instantiation for which `pred` returns true; returns
   /// the number removed. Used on WM deletions (tuple ids are unique only
   /// within a relation, so callers match on rule/CE position too).
@@ -109,16 +142,18 @@ class ConflictSet {
   bool empty() const;
   size_t size() const;
 
-  /// Snapshot of current members (copies; the set may change under a
-  /// concurrent engine).
+  /// Snapshot of current members in key order (copies; the set may
+  /// change under a concurrent engine).
   std::vector<Instantiation> Snapshot() const;
 
-  /// Removes and returns an arbitrary member chosen by `chooser`, which
-  /// receives the snapshot and returns an index (or -1 to decline).
-  /// Returns false when the set is empty or the chooser declines.
-  bool Take(const std::function<int(const std::vector<Instantiation>&)>&
-                chooser,
-            Instantiation* out);
+  /// Live members per rule index in [0, num_rules), counted in place;
+  /// members of other rule indexes are not counted.
+  std::vector<uint64_t> CountByRule(size_t num_rules) const;
+
+  /// Removes the member `chooser` picks from a view of the live set and
+  /// moves it into `*out`. Returns false when the set is empty (the
+  /// chooser is not called) or the chooser declines.
+  bool Take(const Chooser& chooser, Instantiation* out);
 
   void Clear();
 
@@ -132,8 +167,18 @@ class ConflictSet {
     if (listener_) listener_(added, key, inst);
   }
 
+  /// The one insert path: dedups on Key(), stamps recency, indexes the
+  /// member, counts and notifies. Caller holds mu_.
+  bool InsertLocked(Instantiation inst);
+
+  /// The one erase path: unindexes `it` and removes it from the set,
+  /// returning its node (so Take can move the member out). Caller holds
+  /// mu_.
+  Items::node_type ExtractLocked(Items::const_iterator it);
+
   mutable std::mutex mu_;
-  std::map<std::string, Instantiation> items_;
+  Items items_;
+  ByRecency by_recency_;  // recency stamp -> member; in step with items_
   uint64_t next_recency_ = 1;
   uint64_t total_added_ = 0;
   DeltaListener listener_;

@@ -945,13 +945,7 @@ Status ReteNetwork::ReplanAll() {
   // Estimator accounting: compare each rule's live instantiation count
   // against the fresh estimate (same stats either way, so the sample
   // measures the estimator, not plan staleness).
-  std::vector<uint64_t> actual(rules_.size(), 0);
-  for (const Instantiation& inst : conflict_set_.Snapshot()) {
-    if (inst.rule_index >= 0 &&
-        static_cast<size_t>(inst.rule_index) < actual.size()) {
-      ++actual[static_cast<size_t>(inst.rule_index)];
-    }
-  }
+  std::vector<uint64_t> actual = conflict_set_.CountByRule(rules_.size());
   bool changed = false;
   std::vector<JoinPlan> next;
   next.reserve(rules_.size());

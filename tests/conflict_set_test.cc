@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
+#include "common/rng.h"
+#include "engine/strategy.h"
+
 namespace prodb {
 namespace {
 
@@ -62,18 +68,176 @@ TEST(ConflictSetTest, TakeWithChooser) {
   cs.Add(Make(0, {1}));
   cs.Add(Make(1, {2}));
   Instantiation out;
-  // Chooser picks the second element of the snapshot.
-  ASSERT_TRUE(cs.Take([](const std::vector<Instantiation>&) { return 1; },
-                      &out));
+  // Chooser picks the second member in key order.
+  ASSERT_TRUE(cs.Take(
+      [](const ConflictSet::View& view) { return std::next(view.begin()); },
+      &out));
+  EXPECT_EQ(out.rule_name, "R1");
   EXPECT_EQ(cs.size(), 1u);
   // Declining chooser takes nothing.
-  EXPECT_FALSE(cs.Take([](const std::vector<Instantiation>&) { return -1; },
-                       &out));
+  EXPECT_FALSE(cs.Take(
+      [](const ConflictSet::View& view) { return view.end(); }, &out));
   EXPECT_EQ(cs.size(), 1u);
-  // Empty set.
+  // Empty set: the chooser is never asked.
   cs.Clear();
-  EXPECT_FALSE(cs.Take([](const std::vector<Instantiation>&) { return 0; },
-                       &out));
+  bool asked = false;
+  EXPECT_FALSE(cs.Take(
+      [&](const ConflictSet::View& view) {
+        asked = true;
+        return view.begin();
+      },
+      &out));
+  EXPECT_FALSE(asked);
+}
+
+// The selection logic strategies had when a chooser received a copy of
+// the members in key order and returned an index: the reference the
+// non-copying choosers must agree with, pick for pick.
+int ReferencePick(StrategyKind kind, const std::vector<Instantiation>& items,
+                  const std::vector<Rule>& rules, Rng* rng) {
+  if (items.empty()) return -1;
+  if (kind == StrategyKind::kRandom) {
+    return static_cast<int>(rng->Uniform(items.size()));
+  }
+  auto prio = [&](const Instantiation& inst) {
+    return rules[static_cast<size_t>(inst.rule_index)].priority;
+  };
+  size_t best = 0;
+  for (size_t i = 1; i < items.size(); ++i) {
+    const Instantiation& a = items[i];
+    const Instantiation& b = items[best];
+    bool better = false;
+    switch (kind) {
+      case StrategyKind::kFifo: better = a.recency < b.recency; break;
+      case StrategyKind::kRecency: better = a.recency > b.recency; break;
+      case StrategyKind::kPriority:
+        better = prio(a) > prio(b) ||
+                 (prio(a) == prio(b) && a.recency > b.recency);
+        break;
+      case StrategyKind::kRandom: break;
+    }
+    if (better) best = i;
+  }
+  return static_cast<int>(best);
+}
+
+constexpr int kRandomRules = 5;
+
+Instantiation RandomInst(Rng* rng) {
+  std::vector<uint32_t> pages(1 + rng->Uniform(2));
+  for (uint32_t& p : pages) p = static_cast<uint32_t>(rng->Uniform(12));
+  return Make(static_cast<int>(rng->Uniform(kRandomRules)), pages);
+}
+
+// A member's key half the time, a random (possibly absent) key otherwise.
+std::string RandomKey(const ConflictSet& cs, Rng* rng) {
+  std::vector<Instantiation> members = cs.Snapshot();
+  if (!members.empty() && rng->Chance(0.5)) {
+    return members[rng->Uniform(members.size())].Key();
+  }
+  return RandomInst(rng).Key();
+}
+
+// The view's recency ends are the min/max-recency members, its key-order
+// walk is Snapshot()'s order, and CountByRule agrees with the members.
+void ExpectIndexesInStep(ConflictSet& cs) {
+  const std::vector<Instantiation> members = cs.Snapshot();
+  std::vector<std::string> member_keys;
+  std::vector<uint64_t> per_rule(kRandomRules, 0);
+  for (const Instantiation& inst : members) {
+    member_keys.push_back(inst.Key());
+    ++per_rule[static_cast<size_t>(inst.rule_index)];
+  }
+  EXPECT_EQ(cs.CountByRule(kRandomRules), per_rule);
+
+  auto by_recency = [](const Instantiation& a, const Instantiation& b) {
+    return a.recency < b.recency;
+  };
+  bool viewed = false;
+  Instantiation unused;
+  EXPECT_FALSE(cs.Take(
+      [&](const ConflictSet::View& view) {
+        viewed = true;
+        EXPECT_EQ(view.size(), members.size());
+        std::vector<std::string> keys;
+        for (const auto& [key, inst] : view) keys.push_back(key);
+        EXPECT_EQ(keys, member_keys);
+        auto [lo, hi] = std::minmax_element(members.begin(), members.end(),
+                                            by_recency);
+        EXPECT_EQ(view.Oldest()->first, lo->Key());
+        EXPECT_EQ(view.Oldest()->second.recency, lo->recency);
+        EXPECT_EQ(view.Newest()->first, hi->Key());
+        EXPECT_EQ(view.Newest()->second.recency, hi->recency);
+        return view.end();
+      },
+      &unused));
+  EXPECT_EQ(viewed, !members.empty());
+}
+
+// A seeded mix of every mutation, with each strategy's Take checked
+// against the copying reference and the recency index checked after
+// every operation.
+TEST(ConflictSetTest, StrategiesMatchCopyingReference) {
+  std::vector<Rule> rules(kRandomRules);
+  for (size_t r = 0; r < rules.size(); ++r) {
+    rules[r].priority = static_cast<int>(r % 3);  // ties across rules
+  }
+  for (StrategyKind kind :
+       {StrategyKind::kFifo, StrategyKind::kRecency, StrategyKind::kPriority,
+        StrategyKind::kRandom}) {
+    SCOPED_TRACE(StrategyName(kind));
+    constexpr uint64_t kSeed = 7;
+    ConflictSet cs;
+    ConflictSet::Chooser chooser = MakeStrategy(kind, &rules, kSeed);
+    Rng reference_rng(kSeed);
+    Rng ops(1234);
+    size_t taken = 0, max_size = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const uint64_t dice = ops.Uniform(100);
+      if (dice < 40) {
+        cs.Add(RandomInst(&ops));
+      } else if (dice < 50) {
+        ConflictOpBuffer buf;
+        for (int k = 0; k < 6; ++k) {
+          if (ops.Chance(0.6)) {
+            buf.Add(RandomInst(&ops));
+          } else {
+            buf.RemoveByKey(RandomKey(cs, &ops));
+          }
+        }
+        cs.ApplyOps(&buf);
+      } else if (dice < 58) {
+        cs.RemoveByKey(RandomKey(cs, &ops));
+      } else if (dice < 63) {
+        const int rule = static_cast<int>(ops.Uniform(kRandomRules));
+        const uint32_t page = static_cast<uint32_t>(ops.Uniform(12));
+        cs.RemoveIf([&](const Instantiation& inst) {
+          return inst.rule_index == rule && inst.tuple_ids[0].page_id == page;
+        });
+      } else if (dice < 99) {
+        const std::vector<Instantiation> members = cs.Snapshot();
+        const int want = ReferencePick(kind, members, rules, &reference_rng);
+        Instantiation got;
+        ASSERT_EQ(cs.Take(chooser, &got), want >= 0) << "step " << step;
+        if (want >= 0) {
+          const Instantiation& expected = members[static_cast<size_t>(want)];
+          ASSERT_EQ(got.Key(), expected.Key()) << "step " << step;
+          EXPECT_EQ(got.recency, expected.recency);
+          EXPECT_EQ(got.rule_name, expected.rule_name);
+          EXPECT_EQ(got.tuples, expected.tuples);
+          EXPECT_FALSE(cs.Contains(expected.Key()));
+          EXPECT_EQ(cs.size(), members.size() - 1);
+          ++taken;
+        }
+      } else {
+        cs.Clear();
+      }
+      max_size = std::max(max_size, cs.size());
+      ExpectIndexesInStep(cs);
+    }
+    EXPECT_GT(taken, 500u);
+    EXPECT_GT(max_size, 20u);
+  }
 }
 
 TEST(ConflictSetTest, NegatedPositionsInKey) {

@@ -235,6 +235,53 @@ TEST(ServerCrashTest, KillUnderLoadKeepsAckedPrefix) {
   std::filesystem::remove(rules);
 }
 
+// A stop signal must only ever be consumed by main's sigwait. Every other
+// thread — the accept threads and the session threads they spawn — has
+// to block SIGINT and SIGTERM, or a signal the kernel routes to one of
+// them while main is outside sigwait kills the process without Stop().
+TEST(ServerCrashTest, StopSignalsBlockedOffMainThread) {
+  const std::string sock = TempPath("prodb_signal_sock_");
+  std::filesystem::remove(sock);
+  ServerProc server = Spawn({"--unix=" + sock, "--tcp_port=0"});
+  ASSERT_GT(server.pid, 0);
+  RuleClient client;
+  ASSERT_TRUE(ConnectWithRetry(&client, sock).ok());
+  ASSERT_TRUE(client.Ping().ok());  // this session's thread is serving
+
+  const uint64_t kStopSignals =
+      (uint64_t{1} << (SIGINT - 1)) | (uint64_t{1} << (SIGTERM - 1));
+  const std::string main_tid = std::to_string(server.pid);
+  size_t threads = 0;
+  for (const auto& task : std::filesystem::directory_iterator(
+           "/proc/" + main_tid + "/task")) {
+    const std::string tid = task.path().filename().string();
+    if (tid == main_tid) continue;
+    std::ifstream status(task.path() / "status");
+    std::string line;
+    while (std::getline(status, line) && line.rfind("SigBlk:", 0) != 0) {
+    }
+    ASSERT_EQ(line.rfind("SigBlk:", 0), 0u) << "thread " << tid;
+    const uint64_t blocked = std::stoull(line.substr(7), nullptr, 16);
+    EXPECT_EQ(blocked & kStopSignals, kStopSignals)
+        << "thread " << tid << " " << line;
+    ++threads;
+  }
+  EXPECT_GE(threads, 3u);  // tcp + unix accept threads, one session
+
+  ASSERT_EQ(::kill(server.pid, SIGTERM), 0);
+  int status = 0;
+  pid_t waited = 0;
+  for (int i = 0; i < 400 && waited == 0; ++i) {
+    waited = ::waitpid(server.pid, &status, WNOHANG);
+    if (waited == 0) std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  ASSERT_EQ(waited, server.pid) << "no exit within 10 s of SIGTERM";
+  server.pid = -1;
+  ASSERT_TRUE(WIFEXITED(status)) << "wait status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::filesystem::remove(sock);
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace prodb

@@ -117,6 +117,16 @@ int main(int argc, char** argv) {
     opts.preload = ss.str();
   }
 
+  // Block the stop signals before Start() spawns any thread: threads
+  // inherit the mask, so the only way SIGINT/SIGTERM is consumed is the
+  // sigwait below, and a signal can never land on (and kill the process
+  // through) an accept or session thread.
+  sigset_t set;
+  sigemptyset(&set);
+  sigaddset(&set, SIGINT);
+  sigaddset(&set, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+
   const std::string unix_path = opts.unix_path;
   prodb::net::RuleServer server(std::move(opts));
   prodb::Status st = server.Start();
@@ -129,11 +139,6 @@ int main(int argc, char** argv) {
               unix_path.c_str());
   std::fflush(stdout);
 
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGINT);
-  sigaddset(&set, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &set, nullptr);
   int sig = 0;
   sigwait(&set, &sig);
   server.Stop();
