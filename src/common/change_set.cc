@@ -7,9 +7,13 @@ size_t ChangeSet::AddModify(const std::string& relation, TupleId old_id,
                             TupleId new_id) {
   size_t del = AddDelete(relation, old_id, old_tuple);
   size_t ins = AddInsert(relation, new_tuple, new_id);
+  LinkModify(del, ins);
+  return ins;
+}
+
+void ChangeSet::LinkModify(size_t del, size_t ins) {
   deltas_[del].modify_partner = static_cast<int32_t>(ins);
   deltas_[ins].modify_partner = static_cast<int32_t>(del);
-  return ins;
 }
 
 ChangeSet ChangeSet::Inverse() const {

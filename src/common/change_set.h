@@ -45,18 +45,17 @@ class ChangeSet {
 
   /// Records an insertion. `id` may be kUnassigned when the tuple has not
   /// been applied to its relation yet; Apply fills it in.
-  size_t AddInsert(std::string relation, const Tuple& tuple,
+  size_t AddInsert(std::string relation, Tuple tuple,
                    TupleId id = Delta::kUnassigned) {
     deltas_.push_back(
-        Delta{DeltaKind::kInsert, std::move(relation), id, tuple});
+        Delta{DeltaKind::kInsert, std::move(relation), id, std::move(tuple)});
     return deltas_.size() - 1;
   }
 
   /// Records a deletion of an existing tuple.
-  size_t AddDelete(std::string relation, TupleId id,
-                   const Tuple& tuple = Tuple()) {
+  size_t AddDelete(std::string relation, TupleId id, Tuple tuple = Tuple()) {
     deltas_.push_back(
-        Delta{DeltaKind::kDelete, std::move(relation), id, tuple});
+        Delta{DeltaKind::kDelete, std::move(relation), id, std::move(tuple)});
     return deltas_.size() - 1;
   }
 
@@ -67,9 +66,14 @@ class ChangeSet {
                    const Tuple& old_tuple, const Tuple& new_tuple,
                    TupleId new_id = Delta::kUnassigned);
 
+  /// Cross-links the delete at `del` and the insert at `ins` as the two
+  /// halves of one modify (for a delete recorded before its insert was
+  /// known to land).
+  void LinkModify(size_t del, size_t ins);
+
   /// The compensating set: same deltas with kinds flipped, in reverse
   /// order. Applying a set and then its inverse restores the original
-  /// relation contents *and ids* (deadlock compensation, §5): the insert
+  /// relation contents *and ids* (Transaction::Rollback, §5): the insert
   /// that undoes a delete carries the deleted tuple's original id so it
   /// can be restored via Relation::Restore — any matcher state recorded
   /// before the aborted transaction still references that id.

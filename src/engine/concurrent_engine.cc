@@ -23,55 +23,11 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
   *stale = false;
   const Rule& rule =
       matcher_->rules()[static_cast<size_t>(inst.rule_index)];
+  // Relations are mutated eagerly (under write locks) and every write
+  // lands in the transaction's ChangeSet; the matcher sees nothing until
+  // the commit point. Any failure before it aborts through the one
+  // compensation, TxnManager::Abort.
   auto txn = txn_manager_.Begin();
-
-  // The transaction's whole ∆ins/∆del, built up as the RHS executes.
-  // Relations are mutated eagerly (under write locks); the matcher sees
-  // nothing until the single OnBatch at the commit point.
-  ChangeSet delta;
-
-  // Compensate-and-release on abort. The matcher was never told about
-  // this transaction's changes (maintenance is deferred to the commit
-  // point), so compensation is purely relational: apply the inverse
-  // ChangeSet, then release the locks. Undone deletes go through Restore
-  // so tuples come back under their original ids — conflict-set entries
-  // recorded before this transaction still reference those ids, and a
-  // value-only re-insert would strand them on ids that no longer exist.
-  // Compensation is best-effort: one failed step (e.g. an I/O error on a
-  // paged relation) must not abandon the remaining steps, and the locks
-  // are released no matter what — a transaction that can neither commit
-  // nor fully compensate must not also wedge every other transaction.
-  auto abort_with = [&](Status st) -> Status {
-    ChangeSet inverse = delta.Inverse();
-    Status comp_error;
-    {
-      // Compensation records stay attributed to the aborting transaction
-      // so restart recovery skips them together with the forward records
-      // (no commit record will ever exist for this id).
-      WalTxnScope wal_scope(txn->id());
-      for (size_t i = 0; i < inverse.size(); ++i) {
-        Delta& d = inverse[i];
-        Relation* rel = wm_.catalog()->Get(d.relation);
-        Status s = rel == nullptr
-                       ? Status::NotFound("relation " + d.relation)
-                       : (d.is_insert() ? rel->Restore(d.id, d.tuple)
-                                        : rel->Delete(d.id));
-        if (!s.ok() && comp_error.ok()) comp_error = s;
-      }
-    }
-    if (LogManager* wal = wm_.catalog()->wal()) {
-      LogRecord rec;
-      rec.type = LogRecordType::kAbort;
-      rec.txn_id = txn->id();
-      wal->Append(rec);
-      // Compensation restored pre-transaction state; the dirtied pages
-      // may reach disk again.
-      wm_.catalog()->buffer_pool()->ReleaseTxnPages(txn->id());
-    }
-    txn_manager_.lock_manager()->ReleaseAll(txn->id());
-    if (!comp_error.ok()) return comp_error;
-    return st;
-  };
 
   // 1. Read locks: tuple-level for positive CEs, relation-level for
   //    negated CEs (negative dependence must block inserters, §5.2).
@@ -80,7 +36,7 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
     Status st = cond.negated
                     ? txn->ReadLockRelation(cond.relation)
                     : txn->ReadLock(cond.relation, inst.tuple_ids[ce]);
-    if (!st.ok()) return abort_with(st);
+    if (!st.ok()) return txn_manager_.Abort(txn.get(), st);
   }
 
   // 2. Validate against current WM: tuples must still exist unchanged,
@@ -90,7 +46,7 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
     Relation* rel = wm_.catalog()->Get(cond.relation);
     if (rel == nullptr) {
       *stale = true;
-      return abort_with(Status::OK());
+      return txn_manager_.Abort(txn.get());
     }
     if (cond.negated) {
       bool exists = false;
@@ -101,56 +57,50 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
         }
         return Status::OK();
       });
-      if (!st.ok()) return abort_with(st);
+      if (!st.ok()) return txn_manager_.Abort(txn.get(), st);
       if (exists) {
         *stale = true;
-        return abort_with(Status::OK());
+        return txn_manager_.Abort(txn.get());
       }
     } else {
       Tuple t;
       Status st = rel->Get(inst.tuple_ids[ce], &t);
       if (!st.ok() || t != inst.tuples[ce]) {
         *stale = true;
-        return abort_with(Status::OK());
+        return txn_manager_.Abort(txn.get());
       }
     }
   }
 
-  // 3. RHS actions under write locks, recorded into the ChangeSet.
+  // 3. RHS actions under write locks.
   std::vector<TupleId> current = inst.tuple_ids;
   std::vector<Tuple> current_tuples = inst.tuples;
   bool halt_requested = false;
   for (const CompiledAction& action : rule.actions) {
+    Status st;
     switch (action.kind) {
       case ActionKind::kMake: {
-        Tuple t = BuildMakeTuple(action, inst.binding);
         TupleId id;
-        Status st = txn->Insert(action.target, t, &id);
-        if (!st.ok()) return abort_with(st);
-        delta.AddInsert(action.target, t, id);
+        st = txn->Insert(action.target, BuildMakeTuple(action, inst.binding),
+                         &id);
         break;
       }
       case ActionKind::kRemove: {
         size_t ce = static_cast<size_t>(action.ce_index);
-        const std::string& cls = rule.lhs.conditions[ce].relation;
-        Status st = txn->Delete(cls, current[ce]);
-        if (!st.ok()) return abort_with(st);
-        delta.AddDelete(cls, current[ce], current_tuples[ce]);
+        st = txn->Delete(rule.lhs.conditions[ce].relation, current[ce]);
         break;
       }
       case ActionKind::kModify: {
         size_t ce = static_cast<size_t>(action.ce_index);
-        const std::string& cls = rule.lhs.conditions[ce].relation;
         Tuple next =
             BuildModifyTuple(action, current_tuples[ce], inst.binding);
-        Status st = txn->Delete(cls, current[ce]);
-        if (!st.ok()) return abort_with(st);
         TupleId id;
-        st = txn->Insert(cls, next, &id);
-        if (!st.ok()) return abort_with(st);
-        delta.AddModify(cls, current[ce], current_tuples[ce], next, id);
-        current[ce] = id;
-        current_tuples[ce] = std::move(next);
+        st = txn->Update(rule.lhs.conditions[ce].relation, current[ce], next,
+                         &id);
+        if (st.ok()) {
+          current[ce] = id;
+          current_tuples[ce] = std::move(next);
+        }
         break;
       }
       case ActionKind::kHalt:
@@ -161,37 +111,21 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
         for (const CompiledValue& cv : action.args) {
           args.push_back(cv.Resolve(inst.binding));
         }
-        Status st = functions_.Invoke(action.target, args);
-        if (!st.ok()) return abort_with(st);
+        st = functions_.Invoke(action.target, args);
         break;
       }
     }
+    if (!st.ok()) return txn_manager_.Abort(txn.get(), st);
   }
 
-  // 4. Maintenance, then commit: the matcher receives the transaction's
-  //    whole ∆ in one OnBatch *before* locks release — the paper's rule
-  //    that "a production should not commit its RHS actions and release
-  //    its locks until the triggered maintenance process updates the
+  // 4. The commit point: the matcher receives the transaction's whole ∆
+  //    in one OnBatch *before* locks release — the paper's rule that "a
+  //    production should not commit its RHS actions and release its
+  //    locks until the triggered maintenance process updates the
   //    affected COND relations as well" (§5.2), made structural.
-  if (!delta.empty()) {
-    Status st = matcher_->OnBatch(delta);
-    if (!st.ok()) {
-      // Maintenance failed mid-batch: matcher state cannot be unwound
-      // cleanly, so surface the error (relations keep the committed ∆).
-      // The page holds must still drop or the pool wedges permanently.
-      if (wm_.catalog()->wal() != nullptr) {
-        wm_.catalog()->buffer_pool()->ReleaseTxnPages(txn->id());
-      }
-      txn_manager_.lock_manager()->ReleaseAll(txn->id());
-      return st;
-    }
-  }
-  {
-    // Commit point: force the log through our commit record. On failure
-    // the transaction is still active — compensate like any other abort.
-    Status st = txn_manager_.Commit(txn.get());
-    if (!st.ok()) return abort_with(st);
-  }
+  PRODB_RETURN_IF_ERROR(txn_manager_.Commit(
+      txn.get(),
+      [this](const ChangeSet& delta) { return matcher_->OnBatch(delta); }));
   {
     std::lock_guard<std::mutex> lock(mu_);
     commit_log_.push_back(inst.rule_name);

@@ -18,9 +18,6 @@ struct ConcurrentEngineOptions {
   StrategyKind strategy = StrategyKind::kFifo;
   uint64_t seed = 42;
   size_t max_firings = 1u << 20;
-  /// Retries before an instantiation repeatedly chosen as deadlock
-  /// victim is parked back for another worker.
-  size_t max_retries = 64;
 };
 
 struct ConcurrentRunResult {
@@ -39,19 +36,21 @@ struct ConcurrentRunResult {
 ///   2. validate the instantiation against current WM (a concurrently
 ///      committed transaction may have deleted or changed its tuples —
 ///      the ∆del of §5.2); stale instantiations are discarded;
-///   3. execute the RHS under write locks, buffering the transaction's
-///      whole ∆ins/∆del into a ChangeSet (relations mutate eagerly, the
+///   3. execute the RHS under write locks; the Transaction records its
+///      whole ∆ins/∆del in its ChangeSet (relations mutate eagerly, the
 ///      matcher sees nothing yet);
-///   4. hand the ChangeSet to the matcher in one OnBatch, then commit and
-///      release locks — the paper's rule that "a production should not
-///      commit its RHS actions and release its locks until the triggered
-///      maintenance process updates the affected COND relations as well"
-///      is structural: maintenance sits between the last RHS action and
-///      the commit point, and sees the entire ∆ at once;
-///   5. on deadlock (Status::Deadlock from the lock manager), apply the
-///      *inverse* ChangeSet to the relations (the matcher was never
-///      notified, so compensation is purely relational), release, and
-///      retry the instantiation.
+///   4. finalize through TxnManager::Commit, the one commit point: the
+///      matcher gets the ChangeSet in one OnBatch, then the commit record
+///      is forced and locks release — the paper's rule that "a production
+///      should not commit its RHS actions and release its locks until the
+///      triggered maintenance process updates the affected COND relations
+///      as well" is structural: maintenance sits between the last RHS
+///      action and the commit point, and sees the entire ∆ at once;
+///   5. on deadlock (Status::Deadlock from the lock manager), abort
+///      through TxnManager::Abort — Transaction::Rollback applies the
+///      inverse ChangeSet to the relations (the matcher was never
+///      notified, so compensation is purely relational) — and retry the
+///      instantiation.
 ///
 /// The resulting schedule is serializable by strict 2PL; tests verify
 /// that the committed firing sequence replayed serially reproduces the

@@ -51,8 +51,8 @@ class WorkingMemory {
   /// Applies an externally built ChangeSet: every delta is applied to its
   /// relation (inserts get their assigned ids written back into *cs,
   /// deletes get the old tuple value filled in), then the matcher is
-  /// notified once via OnBatch. Used for bulk loads and for deadlock
-  /// compensation (apply the inverse ChangeSet, §5).
+  /// notified once via OnBatch. Used for bulk loads; applying an
+  /// Inverse() restores deleted tuples under their original ids.
   Status Apply(ChangeSet* cs);
 
   /// Enables sharded batch application: Apply() partitions a multi-delta
@@ -72,8 +72,7 @@ class WorkingMemory {
   Status ConfigureSharding(const ShardingOptions& options);
 
   bool in_batch() const { return in_batch_; }
-  /// Deltas buffered since BeginBatch (engines inspect this to build
-  /// compensation sets).
+  /// Deltas buffered since BeginBatch, not yet seen by the matcher.
   const ChangeSet& pending() const { return pending_; }
 
   Catalog* catalog() const { return catalog_; }

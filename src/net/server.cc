@@ -191,85 +191,40 @@ void RuleServer::SessionLoop(Session* session) {
 
 Status RuleServer::ApplyBatchOnce(const WireBatch& batch,
                                   WireBatchAck* ack) {
-  ConcurrentEngine& engine = system_->concurrent_engine();
-  Catalog& catalog = system_->catalog();
-  auto txn = engine.txn_manager().Begin();
-  ChangeSet delta;
+  TxnManager& txns = system_->concurrent_engine().txn_manager();
+  auto txn = txns.Begin();
   std::vector<TupleId> insert_ids;
 
-  // Mirrors ConcurrentEngine::RunInstantiation's compensation: the
-  // matcher has not been told about this batch yet, so abort is purely
-  // relational — inverse ChangeSet with Restore (original ids), abort
-  // record under the transaction's WAL scope, drop page holds, release
-  // locks.
-  auto abort_with = [&](Status st) -> Status {
-    ChangeSet inverse = delta.Inverse();
-    Status comp_error;
-    {
-      WalTxnScope wal_scope(txn->id());
-      for (size_t i = 0; i < inverse.size(); ++i) {
-        Delta& d = inverse[i];
-        Relation* rel = catalog.Get(d.relation);
-        Status s = rel == nullptr
-                       ? Status::NotFound("relation " + d.relation)
-                       : (d.is_insert() ? rel->Restore(d.id, d.tuple)
-                                        : rel->Delete(d.id));
-        if (!s.ok() && comp_error.ok()) comp_error = s;
-      }
-    }
-    if (LogManager* wal = catalog.wal()) {
-      LogRecord rec;
-      rec.type = LogRecordType::kAbort;
-      rec.txn_id = txn->id();
-      wal->Append(rec);
-      catalog.buffer_pool()->ReleaseTxnPages(txn->id());
-    }
-    engine.txn_manager().lock_manager()->ReleaseAll(txn->id());
-    if (!comp_error.ok()) return comp_error;
-    return st;
-  };
-
-  // RHS verbs under 2PL write locks, building the batch's whole ∆.
+  // RHS verbs under 2PL write locks; the transaction records the batch's
+  // whole ∆. Any failure aborts through the one compensation.
   for (const WireOp& op : batch.ops) {
+    Status st;
+    TupleId id;
     switch (op.kind) {
-      case kOpMake: {
-        TupleId id;
-        Status st = txn->Insert(op.cls, op.tuple, &id);
-        if (!st.ok()) return abort_with(st);
-        delta.AddInsert(op.cls, op.tuple, id);
-        insert_ids.push_back(id);
-        break;
-      }
-      case kOpRemove: {
-        Tuple old;
-        Status st = txn->Read(op.cls, op.id, &old);
-        if (st.ok()) st = txn->Delete(op.cls, op.id);
-        if (!st.ok()) return abort_with(st);
-        delta.AddDelete(op.cls, op.id, old);
-        break;
-      }
-      case kOpModify: {
-        Tuple old;
-        Status st = txn->Read(op.cls, op.id, &old);
-        if (st.ok()) st = txn->Delete(op.cls, op.id);
-        if (!st.ok()) return abort_with(st);
-        TupleId id;
+      case kOpMake:
         st = txn->Insert(op.cls, op.tuple, &id);
-        if (!st.ok()) return abort_with(st);
-        delta.AddModify(op.cls, op.id, old, op.tuple, id);
-        insert_ids.push_back(id);
         break;
-      }
+      case kOpRemove:
+        st = txn->Delete(op.cls, op.id);
+        break;
+      case kOpModify:
+        st = txn->Update(op.cls, op.id, op.tuple, &id);
+        break;
       default:
-        return abort_with(
-            Status::InvalidArgument("unknown batch op kind"));
+        st = Status::InvalidArgument("unknown batch op kind");
+        break;
     }
+    if (!st.ok()) return txns.Abort(txn.get(), st);
+    if (op.kind != kOpRemove) insert_ids.push_back(id);
   }
 
-  // Maintenance under the server's maintenance mutex: the delta-listener
-  // bracket must capture exactly this batch's conflict-set mutations,
-  // and no other session (or a kRun drain) may interleave an OnBatch.
-  {
+  // The commit point. Maintenance runs under the server's maintenance
+  // mutex: the delta-listener bracket must capture exactly this batch's
+  // conflict-set mutations, and no other session (or a kRun drain) may
+  // interleave an OnBatch. The commit force runs after the mutex is
+  // released, so concurrently acking sessions share one log force (group
+  // commit). On an error the ack is discarded (HandleBatch).
+  PRODB_RETURN_IF_ERROR(txns.Commit(txn.get(), [&](const ChangeSet& delta) {
     std::lock_guard<std::mutex> lock(maintenance_mu_);
     ConflictSet& cs = system_->conflict_set();
     cs.SetDeltaListener([&](bool added, const std::string& key,
@@ -280,37 +235,13 @@ Status RuleServer::ApplyBatchOnce(const WireBatch& batch,
       if (inst != nullptr) cd.rule = inst->rule_name;
       ack->conflict.push_back(std::move(cd));
     });
-    Status st =
-        delta.empty() ? Status::OK() : system_->matcher().OnBatch(delta);
+    Status st = system_->matcher().OnBatch(delta);
     cs.SetDeltaListener(nullptr);
-    if (!st.ok()) {
-      // Matcher state cannot be unwound cleanly (same contract as the
-      // engine's maintenance-failure path): drop page holds and locks,
-      // surface the error.
-      ack->conflict.clear();
-      if (catalog.wal() != nullptr) {
-        catalog.buffer_pool()->ReleaseTxnPages(txn->id());
-      }
-      engine.txn_manager().lock_manager()->ReleaseAll(txn->id());
-      return st;
-    }
-  }
-
-  // Commit point — outside the maintenance mutex so concurrently acking
-  // sessions share one log force (group commit). On failure the
-  // transaction is still active: compensate like any abort. The matcher
-  // has seen the batch by then, so a commit-force failure after
-  // maintenance surfaces as an error ack with the engine-visible state
-  // ahead of the relations — the same torn contract the engine has; the
-  // client must treat a non-ack as "unknown, reconcile via kDump".
-  Status st = engine.txn_manager().Commit(txn.get());
-  if (!st.ok()) {
-    ack->conflict.clear();
-    return abort_with(st);
-  }
+    return st;
+  }));
 
   ack->txn_id = txn->id();
-  if (LogManager* wal = catalog.wal()) {
+  if (LogManager* wal = system_->catalog().wal()) {
     ack->durable = true;
     ack->durable_lsn = wal->flushed_lsn();
   }

@@ -53,15 +53,17 @@ struct ServerStats {
 /// connections, one session thread per connection.
 ///
 /// Each session maps onto the concurrent engine's transaction machinery:
-/// a kBatch becomes one transaction (2PL write locks, undo-logged
-/// mutations), its ChangeSet reaches the matcher in a single OnBatch
-/// under the server's maintenance mutex (so the conflict-set delta
-/// captured for the ack is exactly this batch's), and the positive ack
-/// is sent only after TxnManager::Commit has forced the WAL through the
-/// commit record — group commit: one force covers every concurrently
-/// acking session. A deadlock victim is compensated exactly the way the
-/// engine compensates (inverse ChangeSet via Relation::Restore under the
-/// transaction's WAL scope) and retried.
+/// a kBatch becomes one transaction (2PL write locks, every mutation
+/// recorded in the transaction's ChangeSet), finalized through the same
+/// commit point the engine uses, TxnManager::Commit: the ChangeSet
+/// reaches the matcher in a single OnBatch under the server's
+/// maintenance mutex (so the conflict-set delta captured for the ack is
+/// exactly this batch's), and the positive ack is sent only after the
+/// WAL is forced through the commit record — group commit: one force
+/// covers every concurrently acking session. A failed batch (a deadlock
+/// victim included) aborts through TxnManager::Abort, whose rollback
+/// restores deleted tuples under their original ids; deadlock victims
+/// are retried.
 class RuleServer {
  public:
   explicit RuleServer(RuleServerOptions options);

@@ -1,7 +1,5 @@
 #include "txn/transaction.h"
 
-#include <map>
-
 namespace prodb {
 
 Status Transaction::ReadLock(const std::string& rel, TupleId id) {
@@ -33,11 +31,9 @@ Status Transaction::Insert(const std::string& rel, const Tuple& t,
   // recovery redoes them only if our commit record made it to disk.
   WalTxnScope wal_scope(id_);
   PRODB_RETURN_IF_ERROR(r->Insert(t, id));
+  changes_.AddInsert(rel, t, *id);
   // Lock the new tuple so no reader observes it before we commit.
-  PRODB_RETURN_IF_ERROR(
-      locks_->Acquire(id_, ResourceId::Tup(rel, *id), LockMode::kX));
-  changes_.push_back(Change{rel, /*inserted=*/true, *id, t});
-  return Status::OK();
+  return locks_->Acquire(id_, ResourceId::Tup(rel, *id), LockMode::kX);
 }
 
 Status Transaction::Delete(const std::string& rel, TupleId id) {
@@ -48,16 +44,20 @@ Status Transaction::Delete(const std::string& rel, TupleId id) {
   Tuple old;
   PRODB_RETURN_IF_ERROR(r->Get(id, &old));
   PRODB_RETURN_IF_ERROR(r->Delete(id));
-  changes_.push_back(Change{rel, /*inserted=*/false, id, std::move(old)});
+  changes_.AddDelete(rel, id, std::move(old));
   return Status::OK();
 }
 
 Status Transaction::Update(const std::string& rel, TupleId id, const Tuple& t,
                            TupleId* new_id) {
   // §3.1 / §5: a modification is a deletion followed by an insertion, and
-  // the maintenance algorithms see it exactly that way.
+  // the maintenance algorithms see it exactly that way. If the insert
+  // fails, the recorded delete stays unpaired and Rollback restores it.
   PRODB_RETURN_IF_ERROR(Delete(rel, id));
-  return Insert(rel, t, new_id);
+  const size_t del = changes_.size() - 1;
+  PRODB_RETURN_IF_ERROR(Insert(rel, t, new_id));
+  changes_.LinkModify(del, changes_.size() - 1);
+  return Status::OK();
 }
 
 Status Transaction::Read(const std::string& rel, TupleId id, Tuple* out) {
@@ -68,38 +68,28 @@ Status Transaction::Read(const std::string& rel, TupleId id, Tuple* out) {
 }
 
 Status Transaction::Rollback() {
-  // Undoing a deletion re-inserts the tuple under a fresh id; if the
-  // transaction later deleted that same (already re-identified) tuple,
-  // the corresponding insert-undo must chase the remapping.
-  //
   // Undo is best-effort: a step that fails (an I/O error from a paged
   // relation, a tuple removed behind the transaction's back) must not
   // strand the remaining entries — bailing out mid-loop leaves WM
   // half-rolled-back with the undo log still claiming the changes are
   // live. Every entry is attempted; the transaction always reaches
   // kAborted; the returned Status reports what could not be undone.
-  std::map<std::pair<std::string, TupleId>, TupleId> remap;
+  //
+  // Undone deletes come back through Restore, under their original ids:
+  // conflict-set entries recorded before this transaction still reference
+  // those ids, and a value-only re-insert would strand them.
+  //
   // Undo records stay attributed to this (loser) transaction: restart
-  // recovery skips them along with the forward records, and no-steal
-  // keeps both off disk until the abort completes.
+  // recovery skips them along with the forward records.
   WalTxnScope wal_scope(id_);
   Status first_error;
   size_t failed = 0;
-  for (auto it = changes_.rbegin(); it != changes_.rend(); ++it) {
-    Relation* r = catalog_->Get(it->relation);
-    Status st;
-    if (r == nullptr) {
-      st = Status::NotFound("relation " + it->relation);
-    } else if (it->inserted) {
-      TupleId target = it->id;
-      auto rit = remap.find({it->relation, it->id});
-      if (rit != remap.end()) target = rit->second;
-      st = r->Delete(target);
-    } else {
-      TupleId id;
-      st = r->Insert(it->tuple, &id);
-      if (st.ok()) remap[{it->relation, it->id}] = id;
-    }
+  for (const Delta& d : changes_.Inverse()) {
+    Relation* r = catalog_->Get(d.relation);
+    Status st = r == nullptr
+                    ? Status::NotFound("relation " + d.relation)
+                    : (d.is_insert() ? r->Restore(d.id, d.tuple)
+                                     : r->Delete(d.id));
     if (!st.ok()) {
       ++failed;
       if (first_error.ok()) first_error = st;
@@ -128,6 +118,35 @@ std::unique_ptr<Transaction> TxnManager::Begin() {
                                        locks_);
 }
 
+Status TxnManager::Commit(Transaction* txn, const MaintainFn& maintain) {
+  if (!txn->changes().empty()) {
+    Status st = maintain(txn->changes());
+    if (!st.ok()) {
+      // Maintenance failed mid-batch: matcher state cannot be unwound
+      // cleanly, so surface the error (relations keep the ∆; with no end
+      // record, restart undoes it as a loser). The page holds and locks
+      // must still drop or the pool and the lock table wedge.
+      Release(txn);
+      return st;
+    }
+  }
+  Status st = Commit(txn);
+  if (st.ok()) return st;
+  // The commit force failed after maintenance. Unwind in the order
+  // WorkingMemory::Apply applies: relations first, since matchers
+  // evaluate inserts against current WM; then the matcher, with the
+  // inverse ∆; only then the abort record and the lock release, so no
+  // other transaction sees the gap.
+  ChangeSet inverse = txn->changes().Inverse();
+  Status undone = txn->Rollback();
+  if (!inverse.empty()) {
+    Status unmaintained = maintain(inverse);
+    if (undone.ok()) undone = unmaintained;
+  }
+  EndAborted(txn);
+  return undone.ok() ? st : undone;
+}
+
 Status TxnManager::Commit(Transaction* txn) {
   if (LogManager* wal = catalog_->wal()) {
     // Force the log through the commit record: group commit — this one
@@ -139,28 +158,37 @@ Status TxnManager::Commit(Transaction* txn) {
     rec.type = LogRecordType::kCommit;
     rec.txn_id = txn->id();
     PRODB_RETURN_IF_ERROR(wal->FlushTo(wal->Append(rec)));
-    // Durable now: the pages this transaction dirtied may be stolen.
-    catalog_->buffer_pool()->ReleaseTxnPages(txn->id());
   }
   txn->MarkCommitted();
-  locks_->ReleaseAll(txn->id());
+  // Durable now: the pages this transaction dirtied may be stolen.
+  Release(txn);
   return Status::OK();
 }
 
-Status TxnManager::Abort(Transaction* txn) {
-  Status st = txn->Rollback();
+Status TxnManager::Abort(Transaction* txn, Status cause) {
+  Status undone = txn->Rollback();
+  EndAborted(txn);
+  return undone.ok() ? cause : undone;
+}
+
+void TxnManager::EndAborted(Transaction* txn) {
   if (LogManager* wal = catalog_->wal()) {
     // The abort record is hygiene (absence of a commit already dooms the
-    // transaction at restart); no flush needed. The undo above restored
+    // transaction at restart); no flush needed. The undo restored
     // pre-transaction state, so the pages may reach disk again.
     LogRecord rec;
     rec.type = LogRecordType::kAbort;
     rec.txn_id = txn->id();
     wal->Append(rec);
+  }
+  Release(txn);
+}
+
+void TxnManager::Release(Transaction* txn) {
+  if (catalog_->wal() != nullptr) {
     catalog_->buffer_pool()->ReleaseTxnPages(txn->id());
   }
   locks_->ReleaseAll(txn->id());
-  return st;
 }
 
 }  // namespace prodb

@@ -3,11 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
+#include "common/change_set.h"
 #include "common/status.h"
 #include "common/tuple.h"
 #include "db/catalog.h"
@@ -17,14 +18,16 @@ namespace prodb {
 
 enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 
-/// A transaction: lock scope + undo log over catalog relations.
+/// A transaction: lock scope + one ChangeSet over catalog relations.
 ///
 /// §5 treats every selected production (matching pattern plus the WM
 /// tuples it selects) as a transaction. The RHS actions run through
 /// Transaction::{Insert,Delete,Update} so that (a) writes take X locks
-/// first, (b) an abort can undo them, and (c) the engine can defer lock
-/// release until COND maintenance has finished (strict 2PL with the
-/// paper's "commit after maintenance" rule).
+/// first, (b) each write lands in changes() — the transaction's whole
+/// ∆ins/∆del, which is both its undo log and the ∆ COND maintenance sees
+/// at the commit point — and (c) lock release waits until that
+/// maintenance has finished (strict 2PL with the paper's "commit after
+/// maintenance" rule, TxnManager::Commit).
 class Transaction {
  public:
   Transaction(uint64_t id, Catalog* catalog, LockManager* locks)
@@ -43,8 +46,12 @@ class Transaction {
   /// Relation IX lock, needed before inserting new tuples.
   Status WriteIntent(const std::string& rel);
 
-  /// --- Logged mutations -------------------------------------------------
-  /// Each takes the required lock, applies the change, and records undo.
+  /// --- Recorded mutations -----------------------------------------------
+  /// Each takes the required lock, applies the change, and records it in
+  /// changes() the moment it lands. Delete records the old tuple it reads
+  /// under its X lock. Update is Delete then Insert (§3.1): the delete
+  /// half is recorded before the insert is tried, and the two are linked
+  /// as a modify pair once the insert lands.
   Status Insert(const std::string& rel, const Tuple& t, TupleId* id);
   Status Delete(const std::string& rel, TupleId id);
   Status Update(const std::string& rel, TupleId id, const Tuple& t,
@@ -53,28 +60,26 @@ class Transaction {
   /// Reads a tuple under a read lock.
   Status Read(const std::string& rel, TupleId id, Tuple* out);
 
-  /// Marks committed; the owner (TxnManager / engine) releases locks.
+  /// Marks committed; TxnManager releases the locks.
   void MarkCommitted() { state_ = TxnState::kCommitted; }
 
-  /// Rolls back every logged mutation in reverse order and marks aborted.
+  /// The one compensation: applies changes().Inverse() to the relations,
+  /// undone deletes through Relation::Restore so tuples keep their
+  /// original ids. Best-effort: every step is attempted, the first error
+  /// (or "rollback incomplete: N of M") is returned, and the transaction
+  /// always ends kAborted with changes() cleared.
   Status Rollback();
 
-  /// Changed (relation, tuple, inserted?) triples, in application order —
-  /// consumed by the engine to drive COND maintenance before commit.
-  struct Change {
-    std::string relation;
-    bool inserted;  // false = deleted
-    TupleId id;
-    Tuple tuple;
-  };
-  const std::vector<Change>& changes() const { return changes_; }
+  /// The mutations that have landed, in application order: the undo log
+  /// Rollback inverts, and the ∆ TxnManager::Commit hands to maintenance.
+  const ChangeSet& changes() const { return changes_; }
 
  private:
   uint64_t id_;
   Catalog* catalog_;
   LockManager* locks_;
   TxnState state_ = TxnState::kActive;
-  std::vector<Change> changes_;
+  ChangeSet changes_;
 };
 
 /// Issues transaction ids and finalizes commit/abort.
@@ -85,20 +90,43 @@ class TxnManager {
 
   std::unique_ptr<Transaction> Begin();
 
-  /// Commit: force the WAL through a commit record (when the catalog has
-  /// one), mark committed and release locks. The caller must have
-  /// finished all maintenance before calling (the §5.2 commit point).
-  /// On a log-flush failure the transaction is left active with locks
-  /// held; the caller should abort it.
+  /// COND maintenance over a transaction's ∆ (e.g. Matcher::OnBatch).
+  using MaintainFn = std::function<Status(const ChangeSet&)>;
+
+  /// The §5.2 commit point: runs `maintain` on the whole of
+  /// txn->changes() (skipped when empty), then forces the commit record.
+  ///   - maintenance fails: the error is returned with the page holds and
+  ///     locks dropped and no end record written (restart treats the
+  ///     transaction as a loser; live relations keep the ∆);
+  ///   - the commit force fails: the relations are compensated first
+  ///     (Rollback), then the inverse ∆ goes through `maintain`, then the
+  ///     abort record is written and the locks released — matcher and
+  ///     relations return to their pre-transaction state while the locks
+  ///     still hide the gap. The first compensation error, else the
+  ///     commit error, is returned.
+  Status Commit(Transaction* txn, const MaintainFn& maintain);
+
+  /// Commit with no maintenance: force the WAL through a commit record
+  /// (when the catalog has one), mark committed and release locks. On a
+  /// log-flush failure the transaction is left active with locks held;
+  /// the caller should abort it.
   Status Commit(Transaction* txn);
 
-  /// Abort: undo, mark aborted, release locks.
-  Status Abort(Transaction* txn);
+  /// Abort: Rollback, write the abort record, release locks. Returns the
+  /// rollback error when compensation failed, else `cause` — so a caller
+  /// aborting because of a deadlock gets Status::Deadlock back only when
+  /// the retry would start from a fully compensated state.
+  Status Abort(Transaction* txn, Status cause = Status::OK());
 
-  LockManager* lock_manager() { return locks_; }
   uint64_t started() const { return next_id_.load(); }
 
  private:
+  /// Appends the abort record (when the catalog logs) and releases.
+  void EndAborted(Transaction* txn);
+  /// Drops the transaction's page holds (when the catalog logs) and
+  /// releases its locks.
+  void Release(Transaction* txn);
+
   Catalog* catalog_;
   LockManager* locks_;
   std::atomic<uint64_t> next_id_{1};

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -24,6 +25,9 @@
 
 #include "common/rng.h"
 #include "engine/sequential_engine.h"
+#include "lang/analyzer.h"
+#include "match/query_matcher.h"
+#include "matcher_test_util.h"
 #include "rete/network.h"
 #include "storage/fault_disk.h"
 #include "storage/page_layout.h"
@@ -134,11 +138,11 @@ void RunScript(Catalog* catalog, LockManager* locks, ScriptResult* out,
       continue;
     }
     if (!note(tm.Commit(txn.get()))) return;
-    for (const Transaction::Change& c : txn->changes()) {
-      if (c.inserted) {
-        model[c.id] = c.tuple;
+    for (const Delta& d : txn->changes()) {
+      if (d.is_insert()) {
+        model[d.id] = d.tuple;
       } else {
-        model.erase(c.id);
+        model.erase(d.id);
       }
     }
     out->commit_ids.push_back(txn->id());
@@ -610,6 +614,109 @@ TEST(CrashRecoveryTest, CheckpointsBoundLogAndRestartWork) {
       Relation::OpenPaged(CrashSchema(), rcat.buffer_pool(), head, &rel)
           .ok());
   EXPECT_EQ(rel->Count(), 8u);
+}
+
+// --- Commit-force failure after maintenance ------------------------------
+
+// The commit point runs COND maintenance before it forces the commit
+// record (§5.2), so when the force fails the matcher has already seen the
+// ∆. The commit point must compensate the relations, feed the inverse ∆
+// back through maintenance, and only then write the abort record and
+// release the locks: relations (ids included) and the conflict set end
+// exactly as they were before the transaction.
+void CheckCommitForceFailureUnwinds(
+    const std::function<std::unique_ptr<Matcher>(Catalog*)>& make_matcher) {
+  FaultInjectingDiskManager fault(std::make_unique<MemoryDiskManager>());
+  CatalogOptions copts = WalCatalogOptions(&fault, /*auto_flush=*/false);
+  copts.buffer_pool_frames = 64;  // no eviction: the unwind needs no I/O
+  Catalog catalog(copts);
+  std::vector<Rule> rules;
+  ASSERT_TRUE(LoadProgram(R"(
+(literalize Item k v)
+(literalize Want k)
+(p fill (Want ^k <k>) (Item ^k <k> ^v <v>) --> (remove 1))
+)",
+                          &catalog, &rules)
+                  .ok());
+  std::unique_ptr<Matcher> matcher = make_matcher(&catalog);
+  for (const Rule& r : rules) ASSERT_TRUE(matcher->AddRule(r).ok());
+  WorkingMemory wm(&catalog, matcher.get());
+  std::vector<TupleId> items, wants;
+  for (int64_t k = 0; k < 4; ++k) {
+    TupleId id;
+    ASSERT_TRUE(wm.Insert("Item", Tuple{Value(k), Value(10 * k)}, &id).ok());
+    items.push_back(id);
+    ASSERT_TRUE(wm.Insert("Want", Tuple{Value(k)}, &id).ok());
+    wants.push_back(id);
+  }
+  TupleId unmatched;  // a Want with no Item yet
+  ASSERT_TRUE(wm.Insert("Want", Tuple{Value(int64_t{5})}, &unmatched).ok());
+  auto contents = [&](const std::string& cls) {
+    std::map<TupleId, Tuple> out;
+    EXPECT_TRUE(catalog.Get(cls)
+                    ->Scan([&](TupleId id, const Tuple& t) {
+                      out[id] = t;
+                      return Status::OK();
+                    })
+                    .ok());
+    return out;
+  };
+  const std::multiset<std::string> cs_before = CanonicalConflictSet(*matcher);
+  const std::map<TupleId, Tuple> items_before = contents("Item");
+  const std::map<TupleId, Tuple> wants_before = contents("Want");
+  ASSERT_EQ(cs_before.size(), 4u);
+
+  LockManager locks;
+  TxnManager tm(&catalog, &locks);
+  auto txn = tm.Begin();
+  TupleId id;
+  ASSERT_TRUE(txn->Insert("Want", Tuple{Value(int64_t{9})}, &id).ok());
+  ASSERT_TRUE(
+      txn->Insert("Item", Tuple{Value(int64_t{9}), Value(int64_t{90})}, &id)
+          .ok());
+  ASSERT_TRUE(txn->Delete("Want", wants[0]).ok());
+  ASSERT_TRUE(txn->Update("Item", items[1],
+                          Tuple{Value(int64_t{7}), Value(int64_t{70})}, &id)
+                  .ok());
+  // An Item for the unmatched Want, then that Want's removal: the inverse
+  // restores the Want while the Item still exists until the relations are
+  // compensated, so a matcher that reads WM pins the relations-first order.
+  ASSERT_TRUE(
+      txn->Insert("Item", Tuple{Value(int64_t{5}), Value(int64_t{50})}, &id)
+          .ok());
+  ASSERT_TRUE(txn->Delete("Want", unmatched).ok());
+
+  std::vector<std::multiset<std::string>> after_each;
+  fault.FailAtOp(0, /*sticky=*/true);
+  Status st = tm.Commit(txn.get(), [&](const ChangeSet& delta) {
+    Status s = matcher->OnBatch(delta);
+    after_each.push_back(CanonicalConflictSet(*matcher));
+    return s;
+  });
+  EXPECT_EQ(st.code(), Status::Code::kIOError) << st.ToString();
+  // Maintenance ran twice: the ∆ (which changed the conflict set), then
+  // its inverse.
+  ASSERT_EQ(after_each.size(), 2u);
+  EXPECT_NE(after_each[0], cs_before);
+  EXPECT_EQ(txn->state(), TxnState::kAborted);
+  EXPECT_EQ(CanonicalConflictSet(*matcher), cs_before);
+  EXPECT_EQ(contents("Item"), items_before);
+  EXPECT_EQ(contents("Want"), wants_before);
+  EXPECT_EQ(locks.LockedResourceCount(), 0u);
+  fault.Disarm();
+}
+
+TEST(CrashRecoveryTest, CommitForceFailureUnwindsMatcherAndRelations) {
+  {
+    SCOPED_TRACE("rete");
+    CheckCommitForceFailureUnwinds(
+        [](Catalog* c) { return std::make_unique<ReteNetwork>(c); });
+  }
+  {
+    SCOPED_TRACE("query");
+    CheckCommitForceFailureUnwinds(
+        [](Catalog* c) { return std::make_unique<QueryMatcher>(c); });
+  }
 }
 
 // --- Crash during recovery -----------------------------------------------

@@ -153,6 +153,67 @@ TEST(ServerTest, LoadBatchRunDump) {
   server.Stop();
 }
 
+// A batch that fails after one of its writes landed must leave the
+// served state exactly as it was: the delete half of a modify whose
+// insert fails (wrong arity), or a remove followed by a remove of a
+// missing tuple, is compensated with the tuple back under its original
+// id, and the conflict set still holds its instantiation.
+TEST(ServerTest, FailedBatchRestoresTupleUnderOriginalId) {
+  RuleServer server(TcpOptions());
+  ASSERT_TRUE(server.Start().ok());
+  RuleClient client;
+  ASSERT_TRUE(client.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+  ASSERT_TRUE(client.Load(Program(1)).ok());
+  WireBatch make;
+  make.ops.push_back(Make("C0", 7, 1));
+  WireBatchAck ack;
+  ASSERT_TRUE(client.Apply(make, &ack).ok());
+  ASSERT_EQ(ack.insert_ids.size(), 1u);
+  const TupleId id = ack.insert_ids[0];
+  const Tuple original{Value(int64_t{7}), Value(int64_t{1})};
+
+  // The class holds `count` tuples, one of them `original` under `id`.
+  auto expect_original_kept = [&](size_t count) {
+    WireDumpReply dump;
+    ASSERT_TRUE(client.DumpClass("C0", &dump).ok());
+    EXPECT_EQ(dump.tuples.size(), count);
+    bool found = false;
+    for (const auto& [tid, t] : dump.tuples) {
+      if (tid != id) continue;
+      found = true;
+      EXPECT_EQ(t, original);
+    }
+    EXPECT_TRUE(found) << "tuple " << id.ToString() << " lost";
+  };
+
+  WireBatch modify;
+  WireOp op;
+  op.kind = kOpModify;
+  op.cls = "C0";
+  op.id = id;
+  op.tuple = Tuple{Value(int64_t{8})};  // C0 has two attributes
+  modify.ops.push_back(op);
+  WireBatchAck failed;
+  EXPECT_FALSE(client.Apply(modify, &failed).ok());
+  expect_original_kept(1);
+  EXPECT_EQ(server.system().conflict_set().size(), 1u);
+  WireRunResult run;
+  ASSERT_TRUE(client.Run(/*concurrent=*/false, &run).ok());
+  EXPECT_EQ(run.firings, 1u);
+
+  WireBatch removes;
+  WireOp rm;
+  rm.kind = kOpRemove;
+  rm.cls = "C0";
+  rm.id = id;
+  removes.ops.push_back(rm);
+  rm.id = TupleId{9999, 0};
+  removes.ops.push_back(rm);
+  EXPECT_FALSE(client.Apply(removes, &failed).ok());
+  expect_original_kept(2);  // plus the tuple r0 made
+  server.Stop();
+}
+
 TEST(ServerTest, ConcurrentRunOverWire) {
   RuleServer server(TcpOptions());
   ASSERT_TRUE(server.Start().ok());

@@ -56,6 +56,33 @@ TEST_F(TransactionTest, AbortRestoresDelete) {
                  return Status::OK();
                }).ok());
   EXPECT_TRUE(found);
+  // Compensation keeps the tuple's identity, not just its value: matcher
+  // state recorded before the transaction still references this id.
+  Tuple back;
+  Status got = rel_->Get(id, &back);
+  ASSERT_TRUE(got.ok()) << got.ToString();
+  EXPECT_EQ(back, (Tuple{Value(7), Value("keep")}));
+}
+
+TEST_F(TransactionTest, AbortAfterFailedUpdateInsertRestoresOriginal) {
+  TupleId id;
+  ASSERT_TRUE(rel_->Insert(Tuple{Value(7), Value("keep")}, &id).ok());
+  auto txn = txn_manager_->Begin();
+  TupleId nid;
+  // The delete half lands; the insert half fails on arity. The recorded
+  // delete stays unpaired, and abort must still restore it.
+  EXPECT_TRUE(txn->Update("T", id, Tuple{Value(8)}, &nid).IsInvalidArgument());
+  ASSERT_EQ(txn->changes().size(), 1u);
+  EXPECT_TRUE(txn->changes()[0].is_delete());
+  EXPECT_FALSE(txn->changes()[0].is_modify_half());
+  EXPECT_EQ(rel_->Count(), 0u);
+  ASSERT_TRUE(txn_manager_->Abort(txn.get()).ok());
+  EXPECT_EQ(rel_->Count(), 1u);
+  Tuple back;
+  Status got = rel_->Get(id, &back);
+  ASSERT_TRUE(got.ok()) << got.ToString();
+  EXPECT_EQ(back, (Tuple{Value(7), Value("keep")}));
+  EXPECT_EQ(locks_.LockedResourceCount(), 0u);
 }
 
 TEST_F(TransactionTest, UpdateIsDeleteTheInsert) {
@@ -64,9 +91,15 @@ TEST_F(TransactionTest, UpdateIsDeleteTheInsert) {
   auto txn = txn_manager_->Begin();
   TupleId nid;
   ASSERT_TRUE(txn->Update("T", id, Tuple{Value(1), Value("new")}, &nid).ok());
-  EXPECT_EQ(txn->changes().size(), 2u);
-  EXPECT_FALSE(txn->changes()[0].inserted);
-  EXPECT_TRUE(txn->changes()[1].inserted);
+  const ChangeSet& changes = txn->changes();
+  ASSERT_EQ(changes.size(), 2u);
+  EXPECT_TRUE(changes[0].is_delete());
+  EXPECT_TRUE(changes[0].is_modify_half());
+  EXPECT_EQ(changes[0].id, id);
+  EXPECT_EQ(changes[0].tuple, (Tuple{Value(1), Value("old")}));
+  EXPECT_TRUE(changes[1].is_insert());
+  EXPECT_TRUE(changes[1].is_modify_half());
+  EXPECT_EQ(changes[1].id, nid);
   ASSERT_TRUE(txn_manager_->Commit(txn.get()).ok());
   Tuple out;
   ASSERT_TRUE(rel_->Get(nid, &out).ok());
