@@ -26,12 +26,11 @@ WorkloadSpec ReteSpec() {
   return spec;
 }
 
-void RunRete(benchmark::State& state, bool dbms_backed, bool paged) {
-  ReteOptions opts;
-  opts.dbms_backed = dbms_backed;
-  opts.memory_storage = paged ? StorageKind::kPaged : StorageKind::kMemory;
+void RunRete(benchmark::State& state, const std::string& spec_name,
+             StorageKind memory_storage) {
+  const MatcherSpec spec = bench::ParseSpec(spec_name);
   auto setup = bench::MakeSetup(ReteSpec(), [&](Catalog* c) {
-    return std::make_unique<ReteNetwork>(c, opts);
+    return MakeMatcher(spec, c, memory_storage);
   });
   bench::Preload(*setup, 64, 3);
   auto* rete = static_cast<ReteNetwork*>(setup->matcher.get());
@@ -60,13 +59,13 @@ void RunRete(benchmark::State& state, bool dbms_backed, bool paged) {
 }
 
 void BM_Rete_InMemory(benchmark::State& state) {
-  RunRete(state, false, false);
+  RunRete(state, "rete", StorageKind::kMemory);
 }
 void BM_Rete_Relations(benchmark::State& state) {
-  RunRete(state, true, false);
+  RunRete(state, "rete-dbms", StorageKind::kMemory);
 }
 void BM_Rete_RelationsPaged(benchmark::State& state) {
-  RunRete(state, true, true);
+  RunRete(state, "rete-dbms", StorageKind::kPaged);
 }
 
 BENCHMARK(BM_Rete_InMemory);
@@ -79,10 +78,8 @@ void BM_Rete_MemoryGrowth(benchmark::State& state) {
   const size_t volume = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    ReteOptions opts;
-    opts.dbms_backed = true;
-    auto setup = bench::MakeSetup(ReteSpec(), [&](Catalog* c) {
-      return std::make_unique<ReteNetwork>(c, opts);
+    auto setup = bench::MakeSetup(ReteSpec(), [](Catalog* c) {
+      return bench::MakeMatcherByName("rete-dbms", c);
     });
     state.ResumeTiming();
     Rng rng(9);

@@ -5,13 +5,14 @@
 //    beta-prefix sharing in the Rete compiler ([SELL86]/[SELL88]).
 //  * "the Rete Network implements only one possible way of processing a
 //    set of conditions ... Database technology provides more efficient
-//    ways of generating access plans" — the executor's most-selective-
-//    first reordering versus fixed LHS order.
+//    ways of generating access plans" — the cost-based planner's join
+//    order (src/plan) versus fixed LHS order.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "db/executor.h"
+#include "plan/planner.h"
 
 namespace prodb {
 namespace {
@@ -66,7 +67,8 @@ BENCHMARK(BM_Rete_Shared)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Rete_Unshared)->Arg(16)->Arg(64)->Arg(256);
 
 // Plan reordering: a query whose LHS order is pessimal (unselective CE
-// first). The reordering evaluator starts from the constant-bound CE.
+// first). The planned order, chosen by JoinPlanner from catalog
+// statistics, starts from the constant-bound CE.
 void RunReorder(benchmark::State& state, bool reorder) {
   Catalog catalog;
   Relation* rel;
@@ -113,12 +115,21 @@ void RunReorder(benchmark::State& state, bool reorder) {
   q.conditions = {big, small};
   q.num_vars = 1;
 
-  ExecutorOptions opts;
-  opts.reorder = reorder;
-  Executor exec(&catalog, opts);
+  CatalogStats stats;
+  stats.Register("Big", catalog.Get("Big"));
+  stats.Register("Small", catalog.Get("Small"));
+  PlannerOptions po;
+  po.enable = true;
+  const JoinPlan plan = JoinPlanner(&stats, po).Plan(q);
+  if (reorder && !plan.planned) {
+    bench::Abort(Status::Internal("planner kept the LHS order"), "plan");
+  }
+
+  Executor exec(&catalog);
   for (auto _ : state) {
     std::vector<QueryMatch> matches;
-    bench::Abort(exec.Evaluate(q, &matches), "evaluate");
+    bench::Abort(exec.Evaluate(q, &matches, reorder ? &plan.order : nullptr),
+                 "evaluate");
     benchmark::DoNotOptimize(matches.size());
   }
 }

@@ -26,7 +26,6 @@
 namespace prodb {
 namespace {
 
-constexpr size_t kShards = 8;
 // Churn deltas per timed iteration. Sized so one batch's per-shard slice
 // is a few hundred µs at 8 threads — enough to amortize the pool's
 // dispatch + latch overhead; engine-realistic RHS-sized batches are far
@@ -46,15 +45,6 @@ WorkloadSpec StarSpec(size_t wmes) {
       std::max<size_t>(32, wmes / 512));
   spec.seed = 13;
   return spec;
-}
-
-ShardingOptions Sharding(size_t threads,
-                         std::vector<std::string> hot = {}) {
-  ShardingOptions so;
-  so.num_shards = kShards;
-  so.threads = threads;
-  so.hot_classes = std::move(hot);
-  return so;
 }
 
 /// Bulk load `wmes` tuples (spread over the classes) through batched
@@ -138,36 +128,21 @@ void Churn(benchmark::State& state, bench::Setup& setup, size_t skew_class) {
   }
 }
 
-void RunSweep(benchmark::State& state, const std::string& matcher_kind,
+/// `spec_name` names the matcher; the sweep sets its thread count (the
+/// pattern matcher's propagation pool, the sharded matchers' shard pool)
+/// and, under skew, declares the skewed class hot.
+void RunSweep(benchmark::State& state, const std::string& spec_name,
               size_t wmes, size_t threads, bool skew) {
-  auto setup = bench::MakeSetup(StarSpec(wmes), [&](Catalog* c)
-                                    -> std::unique_ptr<Matcher> {
-    if (matcher_kind == "rete-shard") {
-      ReteOptions opts;
-      opts.sharding =
-          Sharding(threads, skew ? std::vector<std::string>{"C0"}
-                                 : std::vector<std::string>{});
-      return std::make_unique<ReteNetwork>(c, opts);
-    }
-    if (matcher_kind == "rete") {
-      return std::make_unique<ReteNetwork>(c);
-    }
-    if (matcher_kind == "query-shard") {
-      return std::make_unique<QueryMatcher>(c, ExecutorOptions{},
-                                            Sharding(threads));
-    }
-    if (matcher_kind == "query") {
-      return std::make_unique<QueryMatcher>(c);
-    }
-    // pattern: per-class COND propagation on its own pool.
-    PatternMatcherOptions po;
-    po.propagation_threads = threads;
-    return std::make_unique<PatternMatcher>(c, po);
+  MatcherSpec spec = bench::ParseSpec(spec_name);
+  spec.sharding.threads = threads;
+  if (skew) spec.sharding.hot_classes = {"C0"};
+  auto setup = bench::MakeSetup(StarSpec(wmes), [&](Catalog* c) {
+    return MakeMatcher(spec, c);
   });
+  // The pattern matcher's fan-out is per COND class, not per WM shard.
   Status sharding_st = setup->wm->ConfigureSharding(
-      matcher_kind == "rete-shard" || matcher_kind == "query-shard"
-          ? Sharding(threads)
-          : ShardingOptions{});
+      spec.kind == MatcherKind::kPattern ? ShardingOptions{}
+                                         : spec.sharding);
   (void)sharding_st;
   PreloadBatched(*setup, wmes, 3);
   Churn(state, *setup,
@@ -178,7 +153,7 @@ void RunSweep(benchmark::State& state, const std::string& matcher_kind,
 
 // --- Sharded Rete: the headline sweep ---------------------------------
 void BM_ShardScalingRete(benchmark::State& state) {
-  RunSweep(state, "rete-shard", static_cast<size_t>(state.range(0)),
+  RunSweep(state, "rete-shard8", static_cast<size_t>(state.range(0)),
            static_cast<size_t>(state.range(1)), /*skew=*/false);
 }
 BENCHMARK(BM_ShardScalingRete)
@@ -204,7 +179,7 @@ BENCHMARK(BM_SerialRete)
 // Skewed churn (every delta on class C0, declared hot): head-tuple hash
 // partitioning spreads one class's deltas across all shards.
 void BM_HotSkewRete(benchmark::State& state) {
-  RunSweep(state, "rete-shard", 100000,
+  RunSweep(state, "rete-shard8", 100000,
            static_cast<size_t>(state.range(0)), /*skew=*/true);
 }
 BENCHMARK(BM_HotSkewRete)
@@ -215,7 +190,7 @@ BENCHMARK(BM_HotSkewRete)
 
 // --- Sharded query matcher --------------------------------------------
 void BM_ShardScalingQuery(benchmark::State& state) {
-  RunSweep(state, "query-shard", 100000,
+  RunSweep(state, "query-shard8", 100000,
            static_cast<size_t>(state.range(0)), /*skew=*/false);
 }
 BENCHMARK(BM_ShardScalingQuery)
@@ -233,7 +208,7 @@ BENCHMARK(BM_SerialQuery)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // --- Pattern matcher (its §4.2.3 per-class fan-out) -------------------
 void BM_ShardScalingPattern(benchmark::State& state) {
-  RunSweep(state, "pattern", 100000,
+  RunSweep(state, "pattern-shard8", 100000,
            static_cast<size_t>(state.range(0)), /*skew=*/false);
 }
 BENCHMARK(BM_ShardScalingPattern)

@@ -2,9 +2,9 @@
 #define PRODB_BENCH_BENCH_UTIL_H_
 
 #include <memory>
-#include <thread>
 
 #include "common/rng.h"
+#include "core/matcher_spec.h"
 #include "engine/working_memory.h"
 #include "match/pattern_matcher.h"
 #include "match/query_matcher.h"
@@ -50,125 +50,18 @@ std::unique_ptr<Setup> MakeSetup(WorkloadSpec spec,
   return setup;
 }
 
-/// Default sharding configuration for the "-shard" matcher family:
-/// 8 shards, pool sized to the hardware (`threads` overrides when > 0).
-inline ShardingOptions DefaultSharding(size_t threads = 0) {
-  ShardingOptions so;
-  so.num_shards = 8;
-  so.threads = threads != 0 ? threads
-                            : static_cast<size_t>(
-                                  std::thread::hardware_concurrency());
-  if (so.threads == 0) so.threads = so.num_shards;
-  return so;
+/// Parses a matcher spec name (src/core/matcher_spec.h: the four
+/// architectures, "-scan" / "-nodisc" ablations, "-plan", "-shard<N>");
+/// aborts on a name the parser rejects.
+inline MatcherSpec ParseSpec(const std::string& name) {
+  MatcherSpec spec;
+  Abort(MatcherSpec::Parse(name, &spec), "matcher spec");
+  return spec;
 }
 
-/// The four architectures by name, plus three ablation families:
-///  * "-scan": all indexing forced off — join-key token memories,
-///    auto-declared WM hash indexes, AND constant-test discrimination —
-///    the full linear-walk baseline for the indexing benchmarks.
-///  * "-nodisc": only the constant-test discrimination index off (other
-///    indexing at defaults), isolating the dispatch-tier contribution.
-///  * "-shard": partitioned multi-core match (DefaultSharding), the
-///    parallel OnBatch fan-out at defaults otherwise.
-///  * "-plan": cost-based join planning on (src/plan) — beta chains /
-///    evaluation orders chosen from catalog statistics, drift-triggered
-///    re-plans at defaults otherwise.
 inline std::unique_ptr<Matcher> MakeMatcherByName(const std::string& name,
                                                   Catalog* catalog) {
-  if (name == "query") return std::make_unique<QueryMatcher>(catalog);
-  if (name == "pattern") return std::make_unique<PatternMatcher>(catalog);
-  if (name == "rete") return std::make_unique<ReteNetwork>(catalog);
-  if (name == "rete-dbms") {
-    ReteOptions opts;
-    opts.dbms_backed = true;
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "query-scan") {
-    ExecutorOptions eo;
-    eo.use_indexes = false;
-    eo.declare_rule_indexes = false;
-    eo.discriminate_dispatch = false;
-    return std::make_unique<QueryMatcher>(catalog, eo);
-  }
-  if (name == "pattern-scan") {
-    PatternMatcherOptions po;
-    po.declare_wm_indexes = false;
-    po.discriminate_dispatch = false;
-    return std::make_unique<PatternMatcher>(catalog, po);
-  }
-  if (name == "rete-scan") {
-    ReteOptions opts;
-    opts.index_memories = false;
-    opts.discriminate_alpha = false;
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "rete-dbms-scan") {
-    ReteOptions opts;
-    opts.dbms_backed = true;
-    opts.index_memories = false;
-    opts.discriminate_alpha = false;
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "query-nodisc") {
-    ExecutorOptions eo;
-    eo.discriminate_dispatch = false;
-    return std::make_unique<QueryMatcher>(catalog, eo);
-  }
-  if (name == "pattern-nodisc") {
-    PatternMatcherOptions po;
-    po.discriminate_dispatch = false;
-    return std::make_unique<PatternMatcher>(catalog, po);
-  }
-  if (name == "rete-nodisc") {
-    ReteOptions opts;
-    opts.discriminate_alpha = false;
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "rete-dbms-nodisc") {
-    ReteOptions opts;
-    opts.dbms_backed = true;
-    opts.discriminate_alpha = false;
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "rete-shard") {
-    ReteOptions opts;
-    opts.sharding = DefaultSharding();
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "rete-dbms-shard") {
-    ReteOptions opts;
-    opts.dbms_backed = true;
-    opts.sharding = DefaultSharding();
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "query-shard") {
-    return std::make_unique<QueryMatcher>(catalog, ExecutorOptions{},
-                                          DefaultSharding());
-  }
-  if (name == "pattern-shard") {
-    PatternMatcherOptions po;
-    po.propagation_threads = DefaultSharding().threads;
-    return std::make_unique<PatternMatcher>(catalog, po);
-  }
-  if (name == "rete-plan") {
-    ReteOptions opts;
-    opts.planner.enable = true;
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "rete-dbms-plan") {
-    ReteOptions opts;
-    opts.dbms_backed = true;
-    opts.planner.enable = true;
-    return std::make_unique<ReteNetwork>(catalog, opts);
-  }
-  if (name == "query-plan") {
-    PlannerOptions po;
-    po.enable = true;
-    return std::make_unique<QueryMatcher>(catalog, ExecutorOptions{},
-                                          ShardingOptions{}, po);
-  }
-  std::fprintf(stderr, "unknown matcher %s\n", name.c_str());
-  std::abort();
+  return MakeMatcher(ParseSpec(name), catalog);
 }
 
 /// Preloads `n` random tuples per class.

@@ -1,0 +1,69 @@
+#ifndef PRODB_CORE_MATCHER_SPEC_H_
+#define PRODB_CORE_MATCHER_SPEC_H_
+
+#include <cstddef>
+#include <memory>
+#include <string>
+
+#include "db/catalog.h"
+#include "match/matcher.h"
+#include "match/sharding.h"
+#include "plan/planner.h"
+
+namespace prodb {
+
+/// Which matching architecture backs the system (see README table).
+enum class MatcherKind {
+  kRete,         // in-memory Rete network (§3.1)
+  kReteDbms,     // Rete with LEFT/RIGHT memories as relations (§3.2)
+  kQuery,        // re-evaluation / simplified algorithm (§4.1)
+  kPattern,      // matching patterns in COND relations (§4.2)
+};
+
+/// Upper bound on the threads one configuration may ask for: the shard
+/// count of a matcher spec and prodb_server's --workers.
+inline constexpr size_t kMaxThreads = 256;
+
+/// One matcher configuration: an architecture plus the cross-
+/// architecture ablations the experiments and the equivalence suite
+/// compare. Named by a string `arch ( "-" mod )*`:
+///
+///   arch  rete | rete-dbms | query | pattern
+///   mod   scan      join-key / WM indexes and constant-test
+///                   discrimination off (the linear-walk baseline)
+///         nodisc    constant-test discrimination off
+///         plan      cost-based join planning (planner.enable)
+///         shard<N>  N working-memory shards, one thread per shard,
+///                   2 <= N <= kMaxThreads
+///
+/// Each mod appears at most once; scan and nodisc exclude each other.
+/// Examples: "rete-dbms-scan", "query-plan-shard8". Settings the grammar
+/// does not name (a thread count other than one per shard, hot classes,
+/// the planner's thresholds) are set on the parsed value.
+struct MatcherSpec {
+  MatcherKind kind = MatcherKind::kRete;
+  bool indexes = true;
+  bool discriminate = true;
+  ShardingOptions sharding;
+  PlannerOptions planner;
+
+  /// Parses `name`; InvalidArgument naming the bad token otherwise.
+  static Status Parse(const std::string& name, MatcherSpec* out);
+  /// Canonical name: arch, then scan or nodisc, then plan, then
+  /// shard<N>. Parse(Name()) reproduces every field the grammar sets.
+  std::string Name() const;
+
+  bool operator==(const MatcherSpec&) const = default;
+};
+
+/// Builds the matcher `spec` names over `catalog` — the only place a
+/// configuration becomes ReteOptions / ExecutorOptions /
+/// PatternMatcherOptions. `aux_storage` backs the auxiliary relations
+/// (rete-dbms LEFT/RIGHT memories, pattern COND relations).
+std::unique_ptr<Matcher> MakeMatcher(
+    const MatcherSpec& spec, Catalog* catalog,
+    StorageKind aux_storage = StorageKind::kMemory);
+
+}  // namespace prodb
+
+#endif  // PRODB_CORE_MATCHER_SPEC_H_

@@ -1,9 +1,5 @@
 #include "core/production_system.h"
 
-#include "match/pattern_matcher.h"
-#include "match/query_matcher.h"
-#include "rete/network.h"
-
 namespace prodb {
 
 ProductionSystem::ProductionSystem(ProductionSystemOptions options)
@@ -18,44 +14,11 @@ ProductionSystem::ProductionSystem(ProductionSystemOptions options)
   copts.durable_directory = options_.durable_directory;
   catalog_ = std::make_unique<Catalog>(copts);
 
-  switch (options_.matcher) {
-    case MatcherKind::kRete: {
-      ReteOptions ropts;
-      ropts.sharding = options_.sharding;
-      ropts.planner = options_.planner;
-      matcher_ = std::make_unique<ReteNetwork>(catalog_.get(), ropts);
-      break;
-    }
-    case MatcherKind::kReteDbms: {
-      ReteOptions ropts;
-      ropts.dbms_backed = true;
-      ropts.memory_storage = options_.wm_storage;
-      ropts.sharding = options_.sharding;
-      ropts.planner = options_.planner;
-      matcher_ = std::make_unique<ReteNetwork>(catalog_.get(), ropts);
-      break;
-    }
-    case MatcherKind::kQuery:
-      matcher_ = std::make_unique<QueryMatcher>(catalog_.get(),
-                                                ExecutorOptions{},
-                                                options_.sharding,
-                                                options_.planner);
-      break;
-    case MatcherKind::kPattern: {
-      PatternMatcherOptions popts;
-      popts.propagation_threads = options_.propagation_threads;
-      // The pattern matcher's per-class COND propagation is already the
-      // sharded fan-out (§4.2.3); the sharding option just sizes it.
-      if (options_.sharding.enabled() && popts.propagation_threads <= 1) {
-        popts.propagation_threads = options_.sharding.threads == 0
-                                        ? options_.sharding.num_shards
-                                        : options_.sharding.threads;
-      }
-      popts.cond_storage = options_.wm_storage;
-      matcher_ = std::make_unique<PatternMatcher>(catalog_.get(), popts);
-      break;
-    }
-  }
+  MatcherSpec spec;
+  spec.kind = options_.matcher;
+  spec.sharding = options_.sharding;
+  spec.planner = options_.planner;
+  matcher_ = MakeMatcher(spec, catalog_.get(), options_.wm_storage);
 
   SequentialEngineOptions sopts;
   sopts.strategy = options_.strategy;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/matcher_spec.h"
 #include "engine/concurrent_engine.h"
 #include "engine/sequential_engine.h"
 #include "lang/analyzer.h"
@@ -14,14 +15,6 @@
 #include "txn/lock_manager.h"
 
 namespace prodb {
-
-/// Which matching architecture backs the system (see README table).
-enum class MatcherKind {
-  kRete,         // in-memory Rete network (§3.1)
-  kReteDbms,     // Rete with LEFT/RIGHT memories as relations (§3.2)
-  kQuery,        // re-evaluation / simplified algorithm (§4.1)
-  kPattern,      // matching patterns in COND relations (§4.2)
-};
 
 /// Top-level configuration.
 struct ProductionSystemOptions {
@@ -46,8 +39,6 @@ struct ProductionSystemOptions {
   /// re-loading the same rules file and calling ReseedMatcher(). The
   /// serving layer's restart story.
   bool durable_directory = false;
-  /// Threads for parallel pattern propagation (kPattern only).
-  size_t propagation_threads = 0;
   /// Partitioned multi-core match: shard working memory by class (and by
   /// tuple hash within declared hot classes) and run delta propagation
   /// across shards on a thread pool — the Rete sub-networks, the query

@@ -78,66 +78,15 @@ struct Executor::Partial {
   std::vector<DeferredTest> deferred;
 };
 
-std::vector<size_t> Executor::PlanOrder(const ConjunctiveQuery& query,
-                                        int skip_idx) const {
+std::vector<size_t> Executor::LhsOrder(const ConjunctiveQuery& query,
+                                        int skip_idx) {
   std::vector<size_t> positives;
   for (size_t i = 0; i < query.conditions.size(); ++i) {
     if (!query.conditions[i].negated && static_cast<int>(i) != skip_idx) {
       positives.push_back(i);
     }
   }
-  if (!options_.reorder) return positives;
-
-  // Greedy most-selective-first: prefer conditions with more constant
-  // tests (stronger filters) and more variables already bound by the
-  // conditions placed so far — the "optimal plans" freedom of §4.1.2.
-  // Non-equality uses of a still-unbound variable force a condition to
-  // wait for its binder.
-  std::vector<bool> bound(static_cast<size_t>(query.num_vars), false);
-  if (skip_idx >= 0) {
-    for (const VarUse& u : query.conditions[static_cast<size_t>(skip_idx)].var_uses) {
-      if (u.op == CompareOp::kEq) bound[static_cast<size_t>(u.var)] = true;
-    }
-  }
-  std::vector<size_t> order;
-  std::vector<bool> used(query.conditions.size(), false);
-  while (order.size() < positives.size()) {
-    int best = -1;
-    long best_score = -1;
-    for (size_t i : positives) {
-      if (used[i]) continue;
-      const ConditionSpec& c = query.conditions[i];
-      bool eligible = true;
-      long score = static_cast<long>(c.constant_tests.size()) * 10;
-      for (const VarUse& u : c.var_uses) {
-        if (bound[static_cast<size_t>(u.var)]) {
-          score += 25;  // joins on bound vars narrow the search
-        } else if (u.op != CompareOp::kEq) {
-          eligible = false;
-          break;
-        }
-      }
-      if (!eligible) continue;
-      if (score > best_score) {
-        best_score = score;
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) {
-      // Dependency cycle among non-eq uses; fall back to LHS order for
-      // the remainder.
-      for (size_t i : positives) {
-        if (!used[i]) order.push_back(i);
-      }
-      break;
-    }
-    used[static_cast<size_t>(best)] = true;
-    order.push_back(static_cast<size_t>(best));
-    for (const VarUse& u : query.conditions[static_cast<size_t>(best)].var_uses) {
-      if (u.op == CompareOp::kEq) bound[static_cast<size_t>(u.var)] = true;
-    }
-  }
-  return order;
+  return positives;
 }
 
 Status Executor::ExtendPositive(const ConditionSpec& cond, size_t cond_idx,
@@ -313,7 +262,7 @@ Status Executor::EvaluateBound(const ConjunctiveQuery& query,
   init.tuples.assign(n, Tuple());
 
   std::vector<Partial> partials{std::move(init)};
-  for (size_t idx : PlanOrder(query, -1)) {
+  for (size_t idx : LhsOrder(query, -1)) {
     PRODB_RETURN_IF_ERROR(
         ExtendPositive(query.conditions[idx], idx, &partials));
     if (partials.empty()) return Status::OK();
@@ -362,7 +311,7 @@ Status Executor::EvaluateSeeded(const ConjunctiveQuery& query,
     skip = static_cast<int>(seed_idx);
   }
 
-  // A planner-supplied order overrides PlanOrder; deferred tests settle
+  // A planner-supplied order overrides LhsOrder; deferred tests settle
   // ordered comparisons whose binder the plan placed later, so any
   // positive-CE permutation evaluates to the same match set.
   std::vector<size_t> order;
@@ -375,7 +324,7 @@ Status Executor::EvaluateSeeded(const ConjunctiveQuery& query,
       }
     }
   } else {
-    order = PlanOrder(query, skip);
+    order = LhsOrder(query, skip);
   }
 
   std::vector<Partial> partials{std::move(init)};

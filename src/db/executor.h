@@ -14,19 +14,14 @@ struct MatcherStats;
 
 /// Tuning knobs for conjunctive-query evaluation.
 struct ExecutorOptions {
-  /// Probe hash/B+-tree indexes for bound equality attributes.
+  /// Probe hash/B+-tree indexes for bound equality attributes; the
+  /// matchers driving this executor also declare hash indexes at rule
+  /// registration on the WM attributes appearing in equality tests of
+  /// rule LHSs, so seeded re-evaluation and negated-CE checks probe
+  /// instead of scanning (§4.1.2's "indexing can be used to efficiently
+  /// identify the tuples"). Off preserves an index-free baseline for the
+  /// ablation benchmarks.
   bool use_indexes = true;
-  /// Let matchers declare hash indexes at rule registration on the WM
-  /// attributes appearing in equality tests of rule LHSs, so seeded
-  /// re-evaluation and negated-CE checks probe instead of scanning
-  /// (§4.1.2's "indexing can be used to efficiently identify the tuples").
-  /// Off preserves an index-free baseline for the ablation benchmarks.
-  bool declare_rule_indexes = true;
-  /// Reorder positive conditions most-selective-first instead of LHS
-  /// order. The paper argues this flexibility is an advantage of the DBMS
-  /// approach over the Rete network's fixed plan (§3.2, §4.1.2); the
-  /// ablation benchmark compares both settings.
-  bool reorder = false;
   /// Consumed by the matchers driving this executor (not the executor
   /// itself): route per-delta rule dispatch through the constant-test
   /// discrimination index instead of walking every condition element
@@ -61,7 +56,7 @@ class Executor {
   /// All matches of `query` against current WM contents. When
   /// `forced_order` is non-null it fixes the positive-condition
   /// evaluation order (a planner-chosen sequence of positive CE indices;
-  /// must cover every positive CE exactly once) instead of PlanOrder.
+  /// must cover every positive CE exactly once) instead of LhsOrder.
   Status Evaluate(const ConjunctiveQuery& query, std::vector<QueryMatch>* out,
                   const std::vector<size_t>* forced_order = nullptr) const;
 
@@ -120,9 +115,10 @@ class Executor {
   Status FilterNegative(const ConditionSpec& cond,
                         std::vector<Partial>* partials) const;
 
-  /// Evaluation order of positive condition indices.
-  std::vector<size_t> PlanOrder(const ConjunctiveQuery& query,
-                                int skip_idx) const;
+  /// Positive condition indices in LHS order, minus `skip_idx` (the
+  /// order when no planner-chosen `forced_order` is given).
+  static std::vector<size_t> LhsOrder(const ConjunctiveQuery& query,
+                                       int skip_idx);
 
   Catalog* catalog_;
   ExecutorOptions options_;

@@ -196,6 +196,11 @@ Status ConcurrentEngine::Worker(ConcurrentRunResult* result) {
 
 Status ConcurrentEngine::Run(ConcurrentRunResult* result) {
   *result = ConcurrentRunResult{};
+  if (options_.workers == 0) {
+    // No worker would ever take an instantiation: report it rather than
+    // return a successful run that fired nothing.
+    return Status::InvalidArgument("concurrent engine needs >= 1 worker");
+  }
   halted_.store(false);
   firings_.store(0);
   active_workers_.store(0);

@@ -113,7 +113,6 @@ class Matcher {
   virtual size_t AuxiliaryFootprintBytes() const = 0;
 
   virtual const MatcherStats& stats() const = 0;
-  virtual std::string name() const = 0;
 
   /// Per-shard counters for matchers running partitioned match (empty
   /// for serial matchers / serial configurations). Index = shard.

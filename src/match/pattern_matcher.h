@@ -83,7 +83,6 @@ class PatternMatcher : public Matcher {
   ConflictSet& conflict_set() override { return conflict_set_; }
   size_t AuxiliaryFootprintBytes() const override;
   const MatcherStats& stats() const override { return stats_; }
-  std::string name() const override { return "pattern"; }
   const std::vector<Rule>& rules() const override { return rules_; }
 
   /// Number of matching-pattern rows currently stored for class `cls`

@@ -8,8 +8,7 @@ namespace prodb {
 
 Status QueryMatcher::AddRule(const Rule& rule) {
   int rule_index = static_cast<int>(rules_.size());
-  const bool declare = executor_.options().use_indexes &&
-                       executor_.options().declare_rule_indexes;
+  const bool declare = executor_.options().use_indexes;
   for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
     const ConditionSpec& c = rule.lhs.conditions[ce];
     Relation* rel = catalog_->Get(c.relation);

@@ -36,7 +36,7 @@ class QueryMatcher : public Matcher {
   /// `planner` (when enabled) plans each rule's join sequence from
   /// catalog statistics at AddRule time and re-plans when cardinalities
   /// drift past planner.replan_drift; off, evaluation order is exactly
-  /// the historical PlanOrder path.
+  /// the LHS order.
   explicit QueryMatcher(Catalog* catalog, ExecutorOptions exec_options = {},
                         ShardingOptions sharding = {},
                         PlannerOptions planner = {})
@@ -69,10 +69,6 @@ class QueryMatcher : public Matcher {
   ConflictSet& conflict_set() override { return conflict_set_; }
   size_t AuxiliaryFootprintBytes() const override;
   const MatcherStats& stats() const override { return stats_; }
-  std::string name() const override {
-    std::string base = sharding_.enabled() ? "query-shard" : "query";
-    return planner_.options().enable ? base + "-plan" : base;
-  }
 
   /// Current per-rule plans (read-only snapshot; tests/benchmarks).
   std::shared_ptr<const std::vector<JoinPlan>> plans() const {

@@ -22,14 +22,13 @@ struct ShardingOptions {
   size_t num_shards = 0;
   /// ThreadPool workers driving the shards. 0 means one per shard.
   size_t threads = 0;
-  /// Spread `hot_classes` across shards by tuple-id hash (instead of
-  /// pinning each class to one shard). Off pins every class.
-  bool hash_hot_classes = true;
   /// Classes whose churn dominates the workload — the ones worth
-  /// splitting finer than class granularity.
+  /// splitting finer than class granularity: each is spread across
+  /// shards by tuple-id hash instead of pinned to one shard.
   std::vector<std::string> hot_classes;
 
   bool enabled() const { return num_shards > 1; }
+  bool operator==(const ShardingOptions&) const = default;
 };
 
 /// Per-shard match counters (satellite view next to the global
@@ -76,12 +75,11 @@ class ShardMap {
   ShardMap() = default;
   explicit ShardMap(const ShardingOptions& options)
       : num_shards_(options.num_shards < 2 ? 1 : options.num_shards),
-        hash_hot_(options.hash_hot_classes),
         hot_(options.hot_classes.begin(), options.hot_classes.end()) {}
 
   size_t num_shards() const { return num_shards_; }
   bool IsHot(const std::string& cls) const {
-    return hash_hot_ && num_shards_ > 1 && hot_.count(cls) > 0;
+    return num_shards_ > 1 && hot_.count(cls) > 0;
   }
   size_t ShardOfClass(const std::string& cls) const {
     return static_cast<size_t>(HashName(cls) % num_shards_);
@@ -98,7 +96,6 @@ class ShardMap {
 
  private:
   size_t num_shards_ = 1;
-  bool hash_hot_ = true;
   std::unordered_set<std::string> hot_;
 };
 

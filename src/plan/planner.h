@@ -27,6 +27,8 @@ struct PlannerOptions {
   double min_card = 2.0;
   /// Exhaustive left-deep DP below this many positive CEs; greedy above.
   size_t dp_max_conditions = 9;
+
+  bool operator==(const PlannerOptions&) const = default;
 };
 
 /// One rule's planned join order and the estimates it was derived from.

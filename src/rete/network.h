@@ -113,11 +113,6 @@ class ReteNetwork : public Matcher {
   ConflictSet& conflict_set() override { return conflict_set_; }
   size_t AuxiliaryFootprintBytes() const override;
   const MatcherStats& stats() const override { return stats_; }
-  std::string name() const override {
-    std::string base = options_.dbms_backed ? "rete-dbms" : "rete";
-    if (options_.planner.enable) base += "-plan";
-    return options_.sharding.enabled() ? base + "-shard" : base;
-  }
   const std::vector<Rule>& rules() const override { return rules_; }
   std::vector<ShardStats> ShardStatsSnapshot() const override;
 

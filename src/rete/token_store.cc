@@ -70,17 +70,6 @@ Status MemoryTokenStore::Add(const ReteToken& token) {
   return Status::OK();
 }
 
-Status MemoryTokenStore::RemoveByTuple(size_t pos, TupleId id,
-                                       std::vector<ReteToken>* removed) {
-  for (size_t i = tokens_.size(); i-- > 0;) {
-    if (pos < tokens_[i].ids.size() && tokens_[i].ids[pos] == id) {
-      if (removed != nullptr) removed->push_back(tokens_[i]);
-      EraseAt(i);
-    }
-  }
-  return Status::OK();
-}
-
 Status MemoryTokenStore::RemoveExact(const ReteToken& token, bool* found) {
   *found = false;
   std::string key;
@@ -243,25 +232,6 @@ ReteToken RelationTokenStore::Decode(const Tuple& row) const {
 Status RelationTokenStore::Add(const ReteToken& token) {
   TupleId id;
   return rel_->Insert(Encode(token), &id);
-}
-
-Status RelationTokenStore::RemoveByTuple(size_t pos, TupleId id,
-                                         std::vector<ReteToken>* removed) {
-  // Find rows whose position `pos` carries the tuple id, then delete.
-  std::vector<TupleId> victims;
-  const size_t page_col = pos * 2;
-  PRODB_RETURN_IF_ERROR(rel_->Scan([&](TupleId row_id, const Tuple& row) {
-    if (static_cast<uint32_t>(row[page_col].as_int()) == id.page_id &&
-        static_cast<uint32_t>(row[page_col + 1].as_int()) == id.slot_id) {
-      victims.push_back(row_id);
-      if (removed != nullptr) removed->push_back(Decode(row));
-    }
-    return Status::OK();
-  }));
-  for (TupleId v : victims) {
-    PRODB_RETURN_IF_ERROR(rel_->Delete(v));
-  }
-  return Status::OK();
 }
 
 Status RelationTokenStore::RemoveExact(const ReteToken& token, bool* found) {

@@ -38,12 +38,6 @@ class TokenStore {
 
   virtual Status Add(const ReteToken& token) = 0;
 
-  /// Removes the token whose CE position `pos` carries tuple `id`.
-  /// Multiple tokens can reference the same tuple; all are removed and
-  /// reported to `removed` (may be null).
-  virtual Status RemoveByTuple(size_t pos, TupleId id,
-                               std::vector<ReteToken>* removed) = 0;
-
   /// Removes one token with exactly `token`'s tuple-id combination.
   /// Returns OK whether or not a match existed; *found reports it.
   virtual Status RemoveExact(const ReteToken& token, bool* found) = 0;
@@ -86,8 +80,6 @@ class MemoryTokenStore : public TokenStore {
       : key_cols_(std::move(key_cols)) {}
 
   Status Add(const ReteToken& token) override;
-  Status RemoveByTuple(size_t pos, TupleId id,
-                       std::vector<ReteToken>* removed) override;
   Status RemoveExact(const ReteToken& token, bool* found) override;
   Status Scan(
       const std::function<Status(const ReteToken&)>& fn) const override;
@@ -146,8 +138,6 @@ class RelationTokenStore : public TokenStore {
                        std::vector<TokenKeyCol> key_cols = {});
 
   Status Add(const ReteToken& token) override;
-  Status RemoveByTuple(size_t pos, TupleId id,
-                       std::vector<ReteToken>* removed) override;
   Status RemoveExact(const ReteToken& token, bool* found) override;
   Status Scan(
       const std::function<Status(const ReteToken&)>& fn) const override;

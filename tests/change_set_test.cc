@@ -34,7 +34,6 @@ class RecordingMatcher : public Matcher {
   ConflictSet& conflict_set() override { return conflict_set_; }
   size_t AuxiliaryFootprintBytes() const override { return 0; }
   const MatcherStats& stats() const override { return stats_; }
-  std::string name() const override { return "recording"; }
   const std::vector<Rule>& rules() const override { return rules_; }
 
   std::vector<std::string> events;

@@ -5,8 +5,6 @@
 #include <map>
 
 #include "engine/sequential_engine.h"
-#include "match/pattern_matcher.h"
-#include "match/query_matcher.h"
 #include "matcher_test_util.h"
 #include "workload/generator.h"
 
@@ -33,12 +31,7 @@ std::map<std::string, std::multiset<std::string>> DbFingerprint(
 class ConcurrentEngineTest : public ::testing::Test {
  protected:
   void Load(const std::string& source, ConcurrentEngineOptions opts = {}) {
-    ASSERT_TRUE(harness_
-                    .Init(source,
-                          [](Catalog* c) {
-                            return std::make_unique<QueryMatcher>(c);
-                          })
-                    .ok());
+    ASSERT_TRUE(harness_.Init(source, "query").ok());
     engine_ = std::make_unique<ConcurrentEngine>(
         harness_.catalog.get(), harness_.matcher.get(), &locks_, opts);
   }
@@ -66,6 +59,23 @@ TEST_F(ConcurrentEngineTest, DrainsIndependentInstantiations) {
   EXPECT_EQ(harness_.catalog->Get("Done")->Count(), 64u);
   EXPECT_EQ(engine_->commit_log().size(), 64u);
   EXPECT_EQ(locks_.LockedResourceCount(), 0u);
+}
+
+TEST_F(ConcurrentEngineTest, ZeroWorkersIsRejected) {
+  // No worker would fire anything; a silent OK with 0 firings would hide
+  // the misconfiguration (a server started with --workers=0).
+  ConcurrentEngineOptions opts;
+  opts.workers = 0;
+  Load(R"(
+(literalize Job id)
+(p done (Job ^id <x>) --> (remove 1))
+)",
+       opts);
+  ASSERT_TRUE(engine_->Insert("Job", Tuple{Value(1)}).ok());
+  ConcurrentRunResult result;
+  EXPECT_TRUE(engine_->Run(&result).IsInvalidArgument());
+  EXPECT_EQ(result.firings, 0u);
+  EXPECT_EQ(harness_.catalog->Get("Job")->Count(), 1u);
 }
 
 TEST_F(ConcurrentEngineTest, ConflictingRulesStaySerializable) {
@@ -123,12 +133,7 @@ TEST_F(ConcurrentEngineTest, CommitLogReplaysSerially) {
 
   // Serial replay.
   MatcherHarness serial;
-  ASSERT_TRUE(serial
-                  .Init(program,
-                        [](Catalog* c) {
-                          return std::make_unique<QueryMatcher>(c);
-                        })
-                  .ok());
+  ASSERT_TRUE(serial.Init(program, "query").ok());
   SequentialEngine seq(serial.catalog.get(), serial.matcher.get());
   for (const Tuple& t : initial) {
     ASSERT_TRUE(seq.Insert("Queue", t).ok());
@@ -175,11 +180,7 @@ TEST_F(ConcurrentEngineTest, WorkerSweepMatchesSequentialOutcome) {
 )";
   for (size_t workers : {1u, 2u, 8u}) {
     MatcherHarness h;
-    ASSERT_TRUE(h.Init(program,
-                       [](Catalog* c) {
-                         return std::make_unique<QueryMatcher>(c);
-                       })
-                    .ok());
+    ASSERT_TRUE(h.Init(program, "query").ok());
     LockManager locks;
     ConcurrentEngineOptions opts;
     opts.workers = workers;
@@ -202,9 +203,7 @@ TEST_F(ConcurrentEngineTest, PatternMatcherUnderConcurrency) {
 (literalize Done id)
 (p consume (Work ^id <x>) --> (remove 1) (make Done ^id <x>))
 )",
-                     [](Catalog* c) {
-                       return std::make_unique<PatternMatcher>(c);
-                     })
+                     "pattern")
                   .ok());
   LockManager locks;
   ConcurrentEngineOptions opts;

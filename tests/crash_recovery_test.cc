@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -26,7 +25,6 @@
 #include "common/rng.h"
 #include "engine/sequential_engine.h"
 #include "lang/analyzer.h"
-#include "match/query_matcher.h"
 #include "matcher_test_util.h"
 #include "rete/network.h"
 #include "storage/fault_disk.h"
@@ -624,8 +622,7 @@ TEST(CrashRecoveryTest, CheckpointsBoundLogAndRestartWork) {
 // back through maintenance, and only then write the abort record and
 // release the locks: relations (ids included) and the conflict set end
 // exactly as they were before the transaction.
-void CheckCommitForceFailureUnwinds(
-    const std::function<std::unique_ptr<Matcher>(Catalog*)>& make_matcher) {
+void CheckCommitForceFailureUnwinds(const std::string& matcher_spec) {
   FaultInjectingDiskManager fault(std::make_unique<MemoryDiskManager>());
   CatalogOptions copts = WalCatalogOptions(&fault, /*auto_flush=*/false);
   copts.buffer_pool_frames = 64;  // no eviction: the unwind needs no I/O
@@ -638,7 +635,7 @@ void CheckCommitForceFailureUnwinds(
 )",
                           &catalog, &rules)
                   .ok());
-  std::unique_ptr<Matcher> matcher = make_matcher(&catalog);
+  std::unique_ptr<Matcher> matcher = MakeNamedMatcher(matcher_spec, &catalog);
   for (const Rule& r : rules) ASSERT_TRUE(matcher->AddRule(r).ok());
   WorkingMemory wm(&catalog, matcher.get());
   std::vector<TupleId> items, wants;
@@ -709,13 +706,11 @@ void CheckCommitForceFailureUnwinds(
 TEST(CrashRecoveryTest, CommitForceFailureUnwindsMatcherAndRelations) {
   {
     SCOPED_TRACE("rete");
-    CheckCommitForceFailureUnwinds(
-        [](Catalog* c) { return std::make_unique<ReteNetwork>(c); });
+    CheckCommitForceFailureUnwinds("rete");
   }
   {
     SCOPED_TRACE("query");
-    CheckCommitForceFailureUnwinds(
-        [](Catalog* c) { return std::make_unique<QueryMatcher>(c); });
+    CheckCommitForceFailureUnwinds("query");
   }
 }
 

@@ -5,8 +5,6 @@
 
 #include "engine/concurrent_engine.h"
 #include "engine/sequential_engine.h"
-#include "match/pattern_matcher.h"
-#include "match/query_matcher.h"
 #include "matcher_test_util.h"
 
 namespace prodb {
@@ -25,9 +23,7 @@ TEST(EngineStressTest, OppositeLockOrdersResolveViaDeadlockHandling) {
 (p ab (A ^id <i> ^n <x>) (B ^id <i> ^n <y>) --> (remove 1) (remove 2))
 (p ba (B ^id <i> ^n <x>) (A ^id <i> ^n <y>) --> (remove 1) (remove 2))
 )",
-                     [](Catalog* c) {
-                       return std::make_unique<QueryMatcher>(c);
-                     })
+                     "query")
                   .ok());
   LockManager locks;
   ConcurrentEngineOptions opts;
@@ -55,9 +51,7 @@ TEST(EngineStressTest, LongModifyChainsTerminate) {
 (literalize Item id stage)
 (p advance (Item ^id <i> ^stage { >= 0 < 8 }) --> (modify 1 ^stage 8))
 )",
-                       [](Catalog* c) {
-                         return std::make_unique<QueryMatcher>(c);
-                       })
+                       "query")
                     .ok());
     LockManager locks;
     ConcurrentEngineOptions opts;
@@ -92,9 +86,7 @@ TEST(EngineStressTest, CascadingMakesUnderConcurrency) {
 (p one (S1 ^id <x>) --> (remove 1) (make S2 ^id <x>))
 (p two (S2 ^id <x>) --> (remove 1) (make S3 ^id <x>))
 )",
-                     [](Catalog* c) {
-                       return std::make_unique<PatternMatcher>(c);
-                     })
+                     "pattern")
                   .ok());
   LockManager locks;
   ConcurrentEngineOptions opts;
@@ -118,9 +110,7 @@ TEST(EngineStressTest, SequentialRandomStrategyIsDeterministicPerSeed) {
 (literalize E v)
 (p a (E ^v <x>) --> (remove 1))
 )",
-                       [](Catalog* c) {
-                         return std::make_unique<QueryMatcher>(c);
-                       })
+                       "query")
                     .ok());
     SequentialEngineOptions opts;
     opts.strategy = StrategyKind::kRandom;

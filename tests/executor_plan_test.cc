@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "db/executor.h"
+#include "plan/planner.h"
 
 namespace prodb {
 namespace {
@@ -51,23 +52,36 @@ class ExecutorPlanTest : public ::testing::Test {
     return q;
   }
 
+  // The cost-based planner's join order for `q` over the fixture's
+  // current contents — passed to the executor as `forced_order`.
+  std::vector<size_t> PlannedOrder(const ConjunctiveQuery& q) {
+    CatalogStats stats;
+    for (const ConditionSpec& c : q.conditions) {
+      stats.Register(c.relation, catalog_.Get(c.relation));
+    }
+    PlannerOptions po;
+    po.enable = true;
+    return JoinPlanner(&stats, po).Plan(q).order;
+  }
+
   Catalog catalog_;
 };
 
 TEST_F(ExecutorPlanTest, ReorderEqualsFixedOrderResults) {
-  ExecutorOptions fixed, reordering;
-  reordering.reorder = true;
-  Executor a(&catalog_, fixed), b(&catalog_, reordering);
+  const std::vector<size_t> planned = PlannedOrder(PessimalOrderQuery());
+  ASSERT_EQ(planned, (std::vector<size_t>{1, 0}));  // Small first
+  Executor exec(&catalog_);
   std::vector<QueryMatch> ma, mb;
-  ASSERT_TRUE(a.Evaluate(PessimalOrderQuery(), &ma).ok());
-  ASSERT_TRUE(b.Evaluate(PessimalOrderQuery(), &mb).ok());
+  ASSERT_TRUE(exec.Evaluate(PessimalOrderQuery(), &ma).ok());
+  ASSERT_TRUE(exec.Evaluate(PessimalOrderQuery(), &mb, &planned).ok());
   EXPECT_EQ(ma.size(), mb.size());
   EXPECT_EQ(ma.size(), 25u);  // 5 small keys × 5 Big tuples per key
 }
 
 TEST_F(ExecutorPlanTest, ReorderRespectsNonEqBinderDependencies) {
-  // CE0 tests v < <m> where <m> is bound by CE1; reorder must keep CE1
-  // (the binder) before CE0 even though CE0 has "more" constant tests.
+  // CE0 tests v < <m> where <m> is bound by CE1; a planned order must
+  // keep CE1 (the binder) before CE0 even though CE0 has "more" constant
+  // tests.
   ConjunctiveQuery q;
   ConditionSpec tested;
   tested.relation = "Big";
@@ -81,13 +95,14 @@ TEST_F(ExecutorPlanTest, ReorderRespectsNonEqBinderDependencies) {
   q.conditions = {tested, binder};
   q.num_vars = 1;
 
-  // In LHS order the non-eq test defers until the binder arrives; with
-  // reordering the binder is forced first. Both must agree.
-  ExecutorOptions fixed, reordering;
-  reordering.reorder = true;
+  // In LHS order the non-eq test defers until the binder arrives; the
+  // planned order puts the binder first. Both must agree.
+  const std::vector<size_t> planned = PlannedOrder(q);
+  ASSERT_EQ(planned, (std::vector<size_t>{1, 0}));
+  Executor exec(&catalog_);
   std::vector<QueryMatch> ma, mb;
-  ASSERT_TRUE(Executor(&catalog_, fixed).Evaluate(q, &ma).ok());
-  ASSERT_TRUE(Executor(&catalog_, reordering).Evaluate(q, &mb).ok());
+  ASSERT_TRUE(exec.Evaluate(q, &ma).ok());
+  ASSERT_TRUE(exec.Evaluate(q, &mb, &planned).ok());
   EXPECT_EQ(ma.size(), mb.size());
   EXPECT_GT(ma.size(), 0u);
 }
@@ -97,16 +112,14 @@ TEST_F(ExecutorPlanTest, SeededPlusReorderAgree) {
   std::vector<std::pair<TupleId, Tuple>> rows;
   ASSERT_TRUE(small->Select(Selection{}, &rows).ok());
   ASSERT_FALSE(rows.empty());
-  ExecutorOptions reordering;
-  reordering.reorder = true;
-  Executor fixed(&catalog_), opt(&catalog_, reordering);
+  const std::vector<size_t> planned = PlannedOrder(PessimalOrderQuery());
+  Executor exec(&catalog_);
   std::vector<QueryMatch> ma, mb;
-  ASSERT_TRUE(fixed
-                  .EvaluateSeeded(PessimalOrderQuery(), 1, rows[0].first,
+  ASSERT_TRUE(exec.EvaluateSeeded(PessimalOrderQuery(), 1, rows[0].first,
                                   rows[0].second, &ma)
                   .ok());
-  ASSERT_TRUE(opt.EvaluateSeeded(PessimalOrderQuery(), 1, rows[0].first,
-                                 rows[0].second, &mb)
+  ASSERT_TRUE(exec.EvaluateSeeded(PessimalOrderQuery(), 1, rows[0].first,
+                                  rows[0].second, &mb, &planned)
                   .ok());
   EXPECT_EQ(ma.size(), mb.size());
   EXPECT_EQ(ma.size(), 5u);

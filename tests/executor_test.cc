@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "plan/planner.h"
+
 namespace prodb {
 namespace {
 
@@ -181,13 +183,19 @@ TEST_F(ExecutorTest, ReorderProducesSameMatches) {
     AddEmp("E" + std::to_string(i), 100 + i, i % 4, "Sam");
   }
   AddDept(2, "Toy", 1);
-  Executor plain(&catalog_);
-  ExecutorOptions opts;
-  opts.reorder = true;
-  Executor reordering(&catalog_, opts);
+  // The cost-based planner's order, passed to Evaluate as forced_order.
+  CatalogStats stats;
+  stats.Register("Emp", catalog_.Get("Emp"));
+  stats.Register("Dept", catalog_.Get("Dept"));
+  PlannerOptions po;
+  po.enable = true;
+  const std::vector<size_t> planned =
+      JoinPlanner(&stats, po).Plan(ToyFloorOneQuery()).order;
+  ASSERT_EQ(planned, (std::vector<size_t>{1, 0}));  // Dept first
+  Executor exec(&catalog_);
   std::vector<QueryMatch> a, b;
-  ASSERT_TRUE(plain.Evaluate(ToyFloorOneQuery(), &a).ok());
-  ASSERT_TRUE(reordering.Evaluate(ToyFloorOneQuery(), &b).ok());
+  ASSERT_TRUE(exec.Evaluate(ToyFloorOneQuery(), &a).ok());
+  ASSERT_TRUE(exec.Evaluate(ToyFloorOneQuery(), &b, &planned).ok());
   ASSERT_EQ(a.size(), b.size());
   // Same tuple-id combinations regardless of plan.
   auto key = [](const QueryMatch& m) {

@@ -9,9 +9,7 @@
 
 #include "engine/concurrent_engine.h"
 #include "engine/sequential_engine.h"
-#include "match/pattern_matcher.h"
-#include "match/query_matcher.h"
-#include "rete/network.h"
+#include "matcher_test_util.h"
 #include "workload/generator.h"
 
 namespace prodb {
@@ -48,14 +46,8 @@ std::map<std::string, std::multiset<std::string>> RunOne(
   Catalog catalog;
   EXPECT_TRUE(gen.CreateClasses(&catalog).ok());
   std::vector<Rule> rules = gen.GenerateRules();
-  std::unique_ptr<Matcher> matcher;
-  if (config.matcher == "query") {
-    matcher = std::make_unique<QueryMatcher>(&catalog);
-  } else if (config.matcher == "pattern") {
-    matcher = std::make_unique<PatternMatcher>(&catalog);
-  } else {
-    matcher = std::make_unique<ReteNetwork>(&catalog);
-  }
+  std::unique_ptr<Matcher> matcher =
+      MakeNamedMatcher(config.matcher, &catalog);
   for (const Rule& r : rules) {
     EXPECT_TRUE(matcher->AddRule(r).ok());
   }
@@ -180,14 +172,7 @@ TEST(IntegrationFixture, PaperProgramsAgreeAcrossMatchers) {
   for (const char* name : {"query", "pattern", "rete"}) {
     Catalog catalog;
     ASSERT_TRUE(gen.CreateClasses(&catalog).ok());
-    std::unique_ptr<Matcher> matcher;
-    if (std::string(name) == "query") {
-      matcher = std::make_unique<QueryMatcher>(&catalog);
-    } else if (std::string(name) == "pattern") {
-      matcher = std::make_unique<PatternMatcher>(&catalog);
-    } else {
-      matcher = std::make_unique<ReteNetwork>(&catalog);
-    }
+    std::unique_ptr<Matcher> matcher = MakeNamedMatcher(name, &catalog);
     for (const Rule& r : rules) ASSERT_TRUE(matcher->AddRule(r).ok());
     WorkingMemory wm(&catalog, matcher.get());
     Rng rng(1);

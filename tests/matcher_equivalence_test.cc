@@ -6,11 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/rng.h"
-#include "match/pattern_matcher.h"
-#include "match/query_matcher.h"
+#include "core/matcher_spec.h"
 #include "matcher_test_util.h"
-#include "rete/network.h"
 #include "workload/generator.h"
 #include "workload/paper_examples.h"
 
@@ -22,194 +22,65 @@ struct MatcherCase {
   std::function<std::unique_ptr<Matcher>(Catalog*)> factory;
 };
 
-// 4 shards on 2 worker threads — small enough to keep the suite quick,
-// uneven enough (threads != shards) to exercise work stealing of whole
-// shards. With `hot`, every class name the test programs use is
-// hash-partitioned by tuple id.
-ShardingOptions TestSharding(bool hot = false) {
-  ShardingOptions so;
-  so.num_shards = 4;
-  so.threads = 2;
+// Every configuration the suite compares, by matcher spec name. The
+// defaults run fully indexed; the "-scan" half forces all indexing off
+// (join-key probes, declared WM indexes, constant-test discrimination),
+// so agreement between the two proves every probe path is a pure filter
+// — same conflict sets, fewer tuples visited. "-nodisc" turns off only
+// the discrimination tier, pinning any divergence on candidate dispatch
+// (candidates must be a superset of the CEs/alphas whose constant tests
+// pass). Sharded variants must agree with the serial oracle per tuple
+// (the serial multi-shard walk) and batched (the parallel fan-out +
+// ordered merge). "-plan" changes only the join *sequence*, so the
+// conflict set must stay byte-identical to the syntactic baseline —
+// including across the drift-triggered replans the suite's aggressive
+// threshold forces mid-trace (Rete rebuilds and reseeds its join
+// network; the query matcher swaps plan snapshots); the serial and
+// 8-shard variants cover both commit paths. Each name appears once,
+// except "rete-shard4", whose second entry is the hot variant.
+const char* const kMatcherSpecs[] = {
+    "query",           "pattern",          "rete",
+    "rete-dbms",       "query-scan",       "pattern-scan",
+    "rete-scan",       "rete-dbms-scan",   "query-nodisc",
+    "pattern-nodisc",  "rete-nodisc",      "rete-dbms-nodisc",
+    "query-shard4",    "pattern-shard4",   "rete-shard4",
+    "rete-shard4",     "rete-dbms-shard4", "query-plan",
+    "rete-plan",       "rete-dbms-plan",   "query-plan-shard8",
+    "rete-plan-shard8",
+};
+constexpr size_t kHotVariant = 15;
+
+// The suite's test-only settings on top of a parsed spec. 4 shards run
+// on 2 worker threads — small enough to keep the suite quick, uneven
+// enough (threads != shards) to exercise work stealing of whole shards;
+// 8 shards keep one thread each, the wide end of the planner x sharding
+// matrix. The hot variant hash-partitions every class name the test
+// programs use by tuple id, exercising replicated rules behind head-
+// tuple partition filters (unknown names in the list are inert). An
+// aggressive drift threshold makes the short traces cross it, so the
+// replan machinery runs mid-trace instead of only at registration.
+MatcherSpec TestSpec(const char* name, bool hot) {
+  MatcherSpec spec;
+  EXPECT_TRUE(MatcherSpec::Parse(name, &spec).ok()) << name;
+  if (spec.sharding.num_shards == 4) spec.sharding.threads = 2;
   if (hot) {
-    so.hot_classes = {"A",    "B",    "C",          "Emp", "Dept",
-                      "Order", "Assignment", "C0",  "C1",  "C2"};
+    spec.sharding.hot_classes = {"A",    "B",     "C",          "Emp",
+                                 "Dept", "Order", "Assignment", "C0",
+                                 "C1",   "C2"};
   }
-  return so;
-}
-
-// 8 shards on 8 threads: the wide end of the planner x sharding matrix
-// (the serial -plan variants are the 1-thread end).
-ShardingOptions WideSharding() {
-  ShardingOptions so;
-  so.num_shards = 8;
-  so.threads = 8;
-  return so;
-}
-
-// Aggressive drift threshold so the short test traces cross it and the
-// replan machinery (Rete rebuild + reseed, query-matcher plan swap) runs
-// mid-trace instead of only at registration.
-PlannerOptions TestPlanner() {
-  PlannerOptions po;
-  po.enable = true;
-  po.replan_drift = 2.0;
-  return po;
+  if (spec.planner.enable) spec.planner.replan_drift = 2.0;
+  return spec;
 }
 
 std::vector<MatcherCase> AllMatchers() {
-  return {
-      {"query",
-       [](Catalog* c) { return std::make_unique<QueryMatcher>(c); }},
-      {"pattern",
-       [](Catalog* c) { return std::make_unique<PatternMatcher>(c); }},
-      {"rete",
-       [](Catalog* c) { return std::make_unique<ReteNetwork>(c); }},
-      {"rete-dbms",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.dbms_backed = true;
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      // The same architectures with all indexing forced off (join-key
-      // probes, declared WM indexes, constant-test discrimination). The
-      // defaults above run fully indexed, so agreement between the two
-      // halves of this list proves every probe path is a pure filter —
-      // same conflict sets, fewer tuples visited.
-      {"query-scan",
-       [](Catalog* c) {
-         ExecutorOptions eo;
-         eo.use_indexes = false;
-         eo.declare_rule_indexes = false;
-         eo.discriminate_dispatch = false;
-         return std::make_unique<QueryMatcher>(c, eo);
-       }},
-      {"pattern-scan",
-       [](Catalog* c) {
-         PatternMatcherOptions po;
-         po.declare_wm_indexes = false;
-         po.discriminate_dispatch = false;
-         return std::make_unique<PatternMatcher>(c, po);
-       }},
-      {"rete-scan",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.index_memories = false;
-         opts.discriminate_alpha = false;
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      {"rete-dbms-scan",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.dbms_backed = true;
-         opts.index_memories = false;
-         opts.discriminate_alpha = false;
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      // Discrimination-only ablation: everything else at defaults, so a
-      // divergence here pins any bug on the candidate-dispatch tier
-      // specifically (candidates must be a superset of the CEs/alphas
-      // whose constant tests pass).
-      {"query-nodisc",
-       [](Catalog* c) {
-         ExecutorOptions eo;
-         eo.discriminate_dispatch = false;
-         return std::make_unique<QueryMatcher>(c, eo);
-       }},
-      {"pattern-nodisc",
-       [](Catalog* c) {
-         PatternMatcherOptions po;
-         po.discriminate_dispatch = false;
-         return std::make_unique<PatternMatcher>(c, po);
-       }},
-      {"rete-nodisc",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.discriminate_alpha = false;
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      {"rete-dbms-nodisc",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.dbms_backed = true;
-         opts.discriminate_alpha = false;
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      // Sharded ablation: partitioned multi-core match must agree with
-      // the serial oracle on every trace — per-tuple (the serial
-      // multi-shard walk) and batched (the parallel fan-out + ordered
-      // merge) alike. The "-hot" variant hash-partitions every class the
-      // test programs use, exercising replicated rules behind head-tuple
-      // partition filters; unknown names in the hot list are inert.
-      {"query-shard",
-       [](Catalog* c) {
-         return std::make_unique<QueryMatcher>(c, ExecutorOptions{},
-                                               TestSharding());
-       }},
-      {"pattern-shard",
-       [](Catalog* c) {
-         PatternMatcherOptions po;
-         po.propagation_threads = 2;
-         return std::make_unique<PatternMatcher>(c, po);
-       }},
-      {"rete-shard",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.sharding = TestSharding();
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      {"rete-shard-hot",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.sharding = TestSharding(/*hot=*/true);
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      {"rete-dbms-shard",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.dbms_backed = true;
-         opts.sharding = TestSharding();
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      // Cost-based join planning ablation: a planned order changes only
-      // the join *sequence*, so the conflict set must stay byte-identical
-      // to the syntactic baseline — including across the drift-triggered
-      // replans the aggressive threshold forces mid-trace (Rete rebuilds
-      // and reseeds its join network; the query matcher swaps plan
-      // snapshots). Serial (1-thread) and 8-shard/8-thread variants
-      // cover both commit paths.
-      {"query-plan",
-       [](Catalog* c) {
-         return std::make_unique<QueryMatcher>(c, ExecutorOptions{},
-                                               ShardingOptions{},
-                                               TestPlanner());
-       }},
-      {"rete-plan",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.planner = TestPlanner();
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      {"rete-dbms-plan",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.dbms_backed = true;
-         opts.planner = TestPlanner();
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-      {"query-plan-shard8",
-       [](Catalog* c) {
-         return std::make_unique<QueryMatcher>(c, ExecutorOptions{},
-                                               WideSharding(),
-                                               TestPlanner());
-       }},
-      {"rete-plan-shard8",
-       [](Catalog* c) {
-         ReteOptions opts;
-         opts.sharding = WideSharding();
-         opts.planner = TestPlanner();
-         return std::make_unique<ReteNetwork>(c, opts);
-       }},
-  };
+  std::vector<MatcherCase> cases;
+  for (size_t i = 0; i < std::size(kMatcherSpecs); ++i) {
+    const bool hot = i == kHotVariant;
+    const MatcherSpec spec = TestSpec(kMatcherSpecs[i], hot);
+    cases.push_back({std::string(kMatcherSpecs[i]) + (hot ? " (hot)" : ""),
+                     [spec](Catalog* c) { return MakeMatcher(spec, c); }});
+  }
+  return cases;
 }
 
 // Replays one insert/delete trace against every matcher and compares the

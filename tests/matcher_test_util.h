@@ -3,15 +3,36 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
 
+#include "core/matcher_spec.h"
 #include "engine/working_memory.h"
 #include "lang/analyzer.h"
 #include "match/matcher.h"
 
 namespace prodb {
+
+/// The matcher a spec name (core/matcher_spec.h) names over `catalog`;
+/// a name the parser rejects fails the calling test.
+inline std::unique_ptr<Matcher> MakeNamedMatcher(const std::string& name,
+                                                 Catalog* catalog) {
+  MatcherSpec spec;
+  Status st = MatcherSpec::Parse(name, &spec);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return MakeMatcher(spec, catalog);
+}
+
+/// gtest parameter name for a suite parameterized over matcher spec
+/// names: the name with '-' spelled '_' ("rete_dbms").
+inline std::string SpecParamName(
+    const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
 
 /// Canonical view of a conflict set for cross-matcher comparison: the set
 /// of (rule name, matched tuple *values* per positive CE). Tuple ids are
@@ -49,6 +70,12 @@ struct MatcherHarness {
     }
     wm = std::make_unique<WorkingMemory>(catalog.get(), matcher.get());
     return Status::OK();
+  }
+
+  /// As above, with the matcher a spec name names.
+  Status Init(const std::string& source, const std::string& spec_name) {
+    return Init(source,
+                [&](Catalog* c) { return MakeNamedMatcher(spec_name, c); });
   }
 };
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "engine/sequential_engine.h"
-#include "match/pattern_matcher.h"
 #include "match/query_matcher.h"
 #include "matcher_test_util.h"
 #include "rete/network.h"
@@ -27,8 +26,7 @@ void ExpectPoolBalanced(Catalog* catalog) {
 // Runs the same random trace against a memory catalog and a paged
 // catalog (tiny buffer pool: eviction guaranteed); conflict sets must
 // stay identical step by step.
-void RunPagedVsMemory(
-    const std::function<std::unique_ptr<Matcher>(Catalog*)>& factory) {
+void RunPagedVsMemory(const std::string& matcher_spec) {
   WorkloadSpec spec;
   spec.num_classes = 3;
   spec.attrs_per_class = 4;
@@ -51,7 +49,7 @@ void RunPagedVsMemory(
     copts.buffer_pool_frames = 8;  // tiny: force eviction traffic
     side.catalog = std::make_unique<Catalog>(copts);
     EXPECT_TRUE(gen.CreateClasses(side.catalog.get(), kind).ok());
-    side.matcher = factory(side.catalog.get());
+    side.matcher = MakeNamedMatcher(matcher_spec, side.catalog.get());
     for (const Rule& r : rules) {
       EXPECT_TRUE(side.matcher->AddRule(r).ok());
     }
@@ -87,18 +85,15 @@ void RunPagedVsMemory(
 }
 
 TEST(PagedSystemTest, QueryMatcherPagedEqualsMemory) {
-  RunPagedVsMemory(
-      [](Catalog* c) { return std::make_unique<QueryMatcher>(c); });
+  RunPagedVsMemory("query");
 }
 
 TEST(PagedSystemTest, PatternMatcherPagedEqualsMemory) {
-  RunPagedVsMemory(
-      [](Catalog* c) { return std::make_unique<PatternMatcher>(c); });
+  RunPagedVsMemory("pattern");
 }
 
 TEST(PagedSystemTest, ReteMatcherPagedEqualsMemory) {
-  RunPagedVsMemory(
-      [](Catalog* c) { return std::make_unique<ReteNetwork>(c); });
+  RunPagedVsMemory("rete");
 }
 
 TEST(PagedSystemTest, DbmsRetePagedMemoriesEndToEnd) {

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "match/pattern_matcher.h"
-#include "match/query_matcher.h"
 #include "matcher_test_util.h"
 
 namespace prodb {
@@ -114,12 +113,7 @@ TEST_F(PatternEdgeTest, RandomChurnAgainstOracleWithDuplicates) {
 )";
   Load(program);
   MatcherHarness oracle;
-  ASSERT_TRUE(oracle
-                  .Init(program,
-                        [](Catalog* c) {
-                          return std::make_unique<QueryMatcher>(c);
-                        })
-                  .ok());
+  ASSERT_TRUE(oracle.Init(program, "query").ok());
   Rng rng(77);
   std::vector<std::pair<std::string, std::pair<TupleId, TupleId>>> live;
   for (int step = 0; step < 400; ++step) {

@@ -2,17 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include "matcher_test_util.h"
 #include "workload/paper_examples.h"
 
 namespace prodb {
 namespace {
 
 // The facade must behave identically over every matcher kind.
-class ProductionSystemTest : public ::testing::TestWithParam<MatcherKind> {
+class ProductionSystemTest : public ::testing::TestWithParam<std::string> {
  protected:
   ProductionSystemOptions Opts() {
+    MatcherSpec spec;
+    EXPECT_TRUE(MatcherSpec::Parse(GetParam(), &spec).ok());
     ProductionSystemOptions opts;
-    opts.matcher = GetParam();
+    opts.matcher = spec.kind;
     return opts;
   }
 };
@@ -101,18 +104,9 @@ TEST_P(ProductionSystemTest, BadProgramReportsError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Matchers, ProductionSystemTest,
-                         ::testing::Values(MatcherKind::kRete,
-                                           MatcherKind::kReteDbms,
-                                           MatcherKind::kQuery,
-                                           MatcherKind::kPattern),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case MatcherKind::kRete: return "Rete";
-                             case MatcherKind::kReteDbms: return "ReteDbms";
-                             case MatcherKind::kQuery: return "Query";
-                             default: return "Pattern";
-                           }
-                         });
+                         ::testing::Values("rete", "rete-dbms", "query",
+                                           "pattern"),
+                         SpecParamName);
 
 TEST(ProductionSystemPaged, WorksOnSecondaryStorage) {
   ProductionSystemOptions opts;

@@ -2,40 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include "match/pattern_matcher.h"
-#include "match/query_matcher.h"
 #include "matcher_test_util.h"
-#include "rete/network.h"
 #include "workload/paper_examples.h"
 
 namespace prodb {
 namespace {
 
 // The engine must behave identically over any matcher; parameterize.
-enum class MatcherKind { kQuery, kPattern, kRete };
-
-std::unique_ptr<Matcher> MakeMatcher(MatcherKind kind, Catalog* catalog) {
-  switch (kind) {
-    case MatcherKind::kQuery:
-      return std::make_unique<QueryMatcher>(catalog);
-    case MatcherKind::kPattern:
-      return std::make_unique<PatternMatcher>(catalog);
-    case MatcherKind::kRete:
-      return std::make_unique<ReteNetwork>(catalog);
-  }
-  return nullptr;
-}
-
-class SequentialEngineTest : public ::testing::TestWithParam<MatcherKind> {
+class SequentialEngineTest : public ::testing::TestWithParam<std::string> {
  protected:
   void Load(const std::string& source,
             SequentialEngineOptions opts = {}) {
-    ASSERT_TRUE(harness_
-                    .Init(source,
-                          [this](Catalog* c) {
-                            return MakeMatcher(GetParam(), c);
-                          })
-                    .ok());
+    ASSERT_TRUE(harness_.Init(source, GetParam()).ok());
     engine_ = std::make_unique<SequentialEngine>(
         harness_.catalog.get(), harness_.matcher.get(), opts);
   }
@@ -230,16 +208,8 @@ TEST_P(SequentialEngineTest, MaxFiringsBoundsRunaway) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Matchers, SequentialEngineTest,
-                         ::testing::Values(MatcherKind::kQuery,
-                                           MatcherKind::kPattern,
-                                           MatcherKind::kRete),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case MatcherKind::kQuery: return "Query";
-                             case MatcherKind::kPattern: return "Pattern";
-                             default: return "Rete";
-                           }
-                         });
+                         ::testing::Values("query", "pattern", "rete"),
+                         SpecParamName);
 
 TEST(StrategyTest, PriorityOrdersFirings) {
   MatcherHarness h;
@@ -248,9 +218,7 @@ TEST(StrategyTest, PriorityOrdersFirings) {
 (p low  (E ^v 1) --> (remove 1))
 (p high (E ^v 2) --> (remove 1))
 )",
-                     [](Catalog* c) {
-                       return std::make_unique<QueryMatcher>(c);
-                     })
+                     "query")
                   .ok());
   // Give `high` a larger priority: it must fire first although `low`'s
   // instantiation is older.
@@ -273,9 +241,7 @@ TEST(StrategyTest, FifoVsRecencyOrder) {
 (literalize E v)
 (p r (E ^v <x>) --> (remove 1))
 )",
-                       [](Catalog* c) {
-                         return std::make_unique<QueryMatcher>(c);
-                       })
+                       "query")
                     .ok());
     SequentialEngineOptions opts;
     opts.strategy = kind;

@@ -5,6 +5,7 @@
 // the same database -> every acked tuple must be back, and the reseeded
 // conflict set must fire exactly the instantiations those tuples imply.
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -57,7 +58,8 @@ std::string TempPath(const std::string& stem) {
       .string();
 }
 
-ServerProc Spawn(const std::vector<std::string>& args) {
+// Starts the server; with `out_fd` >= 0 its stdout and stderr go there.
+ServerProc Spawn(const std::vector<std::string>& args, int out_fd = -1) {
   std::vector<std::string> argv_strings = args;
   argv_strings.insert(argv_strings.begin(), PRODB_SERVER_BIN);
   std::vector<char*> argv;
@@ -66,10 +68,32 @@ ServerProc Spawn(const std::vector<std::string>& args) {
   ServerProc proc;
   proc.pid = ::fork();
   if (proc.pid == 0) {
+    if (out_fd >= 0) {
+      ::dup2(out_fd, STDOUT_FILENO);
+      ::dup2(out_fd, STDERR_FILENO);
+    }
     ::execv(PRODB_SERVER_BIN, argv.data());
     _exit(127);
   }
   return proc;
+}
+
+// Runs the server with stdout and stderr sent to `log` until it exits,
+// for at most 5 s. Returns the exit status, or -1 when it was still
+// running (it is then killed) or died by a signal.
+int RunToExit(const std::vector<std::string>& args, const std::string& log) {
+  const int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  ServerProc proc = Spawn(args, fd);
+  ::close(fd);
+  int status = 0;
+  for (int i = 0; i < 200; ++i) {
+    if (::waitpid(proc.pid, &status, WNOHANG) == proc.pid) {
+      proc.pid = -1;
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  return -1;
 }
 
 Status ConnectWithRetry(RuleClient* client, const std::string& path) {
@@ -280,6 +304,47 @@ TEST(ServerCrashTest, StopSignalsBlockedOffMainThread) {
   ASSERT_TRUE(WIFEXITED(status)) << "wait status " << status;
   EXPECT_EQ(WEXITSTATUS(status), 0);
   std::filesystem::remove(sock);
+}
+
+// A malformed flag must stop the server before it serves anything: the
+// usage text and exit status 2, never a LISTENING line. Numeric flags
+// parse the whole value in base 10 and in range; the matcher spec goes
+// through MatcherSpec::Parse, and the server accepts no ablation mods.
+TEST(ServerCrashTest, MalformedFlagsExitWithUsage) {
+  const std::string sock = TempPath("prodb_flags_sock_");
+  const std::string db = TempPath("prodb_flags_db_");
+  const std::vector<std::vector<std::string>> bad = {
+      {"--workers=0"}, {"--workers=abc"}, {"--workers=-1"},
+      {"--workers=2x"}, {"--workers=257"},
+      {"--tcp_port=70000"}, {"--tcp_port=abc"}, {"--tcp_port=-1"},
+      {"--db=" + db, "--frames=0"}, {"--frames=abc"},
+      // The removed flags: the spec's -shard<N> replaces them.
+      {"--shards=abc"}, {"--shards=4"}, {"--shard_threads=2"},
+      {"--matcher=bogus"}, {"--matcher=rete-shard0"},
+      {"--matcher=rete-shard257"}, {"--matcher=rete-shardx"},
+      {"--matcher=rete-scan"}, {"--matcher=query-nodisc"},
+  };
+  const std::string log = TempPath("prodb_flags_log_");
+  for (const std::vector<std::string>& flags : bad) {
+    std::filesystem::remove(sock);
+    std::filesystem::remove(db);
+    std::vector<std::string> args = {"--unix=" + sock};
+    args.insert(args.end(), flags.begin(), flags.end());
+    EXPECT_EQ(RunToExit(args, log), 2) << flags.back();
+    std::ifstream in(log);
+    const std::string output(std::istreambuf_iterator<char>(in), {});
+    EXPECT_EQ(output.find("LISTENING"), std::string::npos) << flags.back();
+  }
+  // A spec the server accepts, with the --planner alias beside it.
+  std::filesystem::remove(sock);
+  ServerProc server = Spawn({"--unix=" + sock, "--workers=2",
+                             "--matcher=rete-plan-shard2", "--planner"});
+  RuleClient client;
+  EXPECT_TRUE(ConnectWithRetry(&client, sock).ok());
+  server.Kill();
+  for (const std::string& path : {sock, db, log}) {
+    std::filesystem::remove(path);
+  }
 }
 
 }  // namespace

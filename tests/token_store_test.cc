@@ -55,16 +55,6 @@ TEST_P(TokenStoreTest, AddScanRoundTrip) {
   EXPECT_EQ(seen, 1u);
 }
 
-TEST_P(TokenStoreTest, RemoveByTupleRemovesAllReferencing) {
-  ASSERT_TRUE(store_->Add(MakeToken({{0, 1}, {1, 2}}, 3)).ok());
-  ASSERT_TRUE(store_->Add(MakeToken({{0, 1}, {1, 3}}, 3)).ok());
-  ASSERT_TRUE(store_->Add(MakeToken({{0, 4}, {1, 2}}, 3)).ok());
-  std::vector<ReteToken> removed;
-  ASSERT_TRUE(store_->RemoveByTuple(0, TupleId{1, 0}, &removed).ok());
-  EXPECT_EQ(removed.size(), 2u);
-  EXPECT_EQ(store_->size(), 1u);
-}
-
 TEST_P(TokenStoreTest, RemoveExactMatchesFullCombination) {
   ASSERT_TRUE(store_->Add(MakeToken({{0, 1}, {1, 2}}, 3)).ok());
   ASSERT_TRUE(store_->Add(MakeToken({{0, 1}, {1, 3}}, 3)).ok());
@@ -199,16 +189,6 @@ TEST_P(KeyedTokenStoreTest, RandomizedChurnCrossCheck) {
       t.tuples[1] = Tuple{Value(val(rng)), Value(val(rng))};
       ASSERT_TRUE(store_->Add(t).ok());
       live.push_back(std::move(t));
-    } else if (rng() % 4 == 0) {
-      // Remove every token referencing one tuple id at position 0.
-      size_t pick = rng() % live.size();
-      TupleId victim = live[pick].ids[0];
-      ASSERT_TRUE(store_->RemoveByTuple(0, victim, nullptr).ok());
-      live.erase(std::remove_if(live.begin(), live.end(),
-                                [&](const ReteToken& t) {
-                                  return t.ids[0] == victim;
-                                }),
-                 live.end());
     } else {
       size_t pick = rng() % live.size();
       bool found = false;

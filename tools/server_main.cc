@@ -1,17 +1,19 @@
 // prodb_server — the rule-engine server binary.
 //
-//   prodb_server --tcp_port=0 --db=/tmp/wm.db --wal --durable \
-//                --rules=program.ops --matcher=rete
+//   prodb_server --tcp_port=0 --db=/tmp/wm.db --wal --durable
+//                --rules=program.ops --matcher=rete-plan-shard4
 //
 // Prints one "LISTENING tcp=<port> unix=<path>" line on stdout once the
 // listeners are open (test harnesses and the bench driver parse it),
 // then serves until SIGINT/SIGTERM. --tcp_port=0 binds an ephemeral
-// port; the printed line carries the resolved one.
+// port; the printed line carries the resolved one. A malformed flag
+// prints the usage text and exits 2.
 
 #include <signal.h>
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -32,15 +34,23 @@ bool ParseBoolFlag(const char* arg, const char* name) {
   return std::string(arg) == std::string("--") + name;
 }
 
+// The whole of `s`, base 10, within [lo, hi].
+bool ParseCount(const std::string& s, size_t lo, size_t hi, size_t* out) {
+  const char* last = s.data() + s.size();
+  auto [end, ec] = std::from_chars(s.data(), last, *out);
+  return ec == std::errc() && end == last && *out >= lo && *out <= hi;
+}
+
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--tcp_port=N] [--tcp_host=H] [--unix=PATH]\n"
+      "usage: %s [--tcp_port=0..65535] [--tcp_host=H] [--unix=PATH]\n"
       "          [--db=PATH] [--open_existing] [--wal] [--durable]\n"
-      "          [--rules=FILE] [--matcher=rete|rete-dbms|query|pattern]\n"
-      "          [--shards=N] [--shard_threads=N] [--planner]\n"
-      "          [--workers=N] [--frames=N] [--no_load]\n",
-      argv0);
+      "          [--rules=FILE] [--matcher=SPEC] [--planner]\n"
+      "          [--workers=1..%zu] [--frames=N>=1] [--no_load]\n"
+      "  SPEC = ARCH[-plan][-shard<N>], ARCH = rete|rete-dbms|query|pattern,\n"
+      "  2 <= N <= %zu; --planner is an alias for -plan\n",
+      argv0, prodb::kMaxThreads, prodb::kMaxThreads);
   return 2;
 }
 
@@ -48,13 +58,17 @@ int Usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   prodb::net::RuleServerOptions opts;
+  prodb::MatcherSpec spec;
+  spec.kind = opts.system.matcher;
+  bool planner = false;
   std::string rules_path;
   std::string v;
-  size_t shards = 0, shard_threads = 0;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (ParseFlag(a, "tcp_port", &v)) {
-      opts.tcp_port = std::atoi(v.c_str());
+      size_t port = 0;
+      if (!ParseCount(v, 0, 65535, &port)) return Usage(argv[0]);
+      opts.tcp_port = static_cast<int>(port);
     } else if (ParseFlag(a, "tcp_host", &v)) {
       opts.tcp_host = v;
     } else if (ParseFlag(a, "unix", &v)) {
@@ -72,39 +86,32 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(a, "rules", &v)) {
       rules_path = v;
     } else if (ParseFlag(a, "matcher", &v)) {
-      if (v == "rete") {
-        opts.system.matcher = prodb::MatcherKind::kRete;
-      } else if (v == "rete-dbms") {
-        opts.system.matcher = prodb::MatcherKind::kReteDbms;
-      } else if (v == "query") {
-        opts.system.matcher = prodb::MatcherKind::kQuery;
-      } else if (v == "pattern") {
-        opts.system.matcher = prodb::MatcherKind::kPattern;
-      } else {
+      // The server's options carry no ablation switches: scan and nodisc
+      // are experiment configurations, not deployments.
+      if (!prodb::MatcherSpec::Parse(v, &spec).ok() || !spec.indexes ||
+          !spec.discriminate) {
         return Usage(argv[0]);
       }
-    } else if (ParseFlag(a, "shards", &v)) {
-      shards = static_cast<size_t>(std::atoi(v.c_str()));
-    } else if (ParseFlag(a, "shard_threads", &v)) {
-      shard_threads = static_cast<size_t>(std::atoi(v.c_str()));
     } else if (ParseBoolFlag(a, "planner")) {
-      opts.system.planner.enable = true;
+      planner = true;
     } else if (ParseFlag(a, "workers", &v)) {
-      opts.system.workers = static_cast<size_t>(std::atoi(v.c_str()));
+      if (!ParseCount(v, 1, prodb::kMaxThreads, &opts.system.workers)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(a, "frames", &v)) {
-      opts.system.buffer_pool_frames =
-          static_cast<size_t>(std::atoi(v.c_str()));
+      if (!ParseCount(v, 1, SIZE_MAX, &opts.system.buffer_pool_frames)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseBoolFlag(a, "no_load")) {
       opts.allow_load = false;
     } else {
       return Usage(argv[0]);
     }
   }
-  if (shards > 0) {
-    opts.system.sharding.num_shards = shards;
-    opts.system.sharding.threads =
-        shard_threads > 0 ? shard_threads : shards;
-  }
+  if (planner) spec.planner.enable = true;
+  opts.system.matcher = spec.kind;
+  opts.system.sharding = spec.sharding;
+  opts.system.planner = spec.planner;
   if (!rules_path.empty()) {
     std::ifstream in(rules_path);
     if (!in) {
