@@ -55,6 +55,7 @@ void RunSharing(benchmark::State& state, bool share) {
   state.counters["rules"] = static_cast<double>(rules);
   state.counters["alpha_nodes"] = static_cast<double>(topo.alpha_nodes);
   state.counters["beta_nodes"] = static_cast<double>(topo.beta_nodes);
+  state.counters["right_memories"] = static_cast<double>(topo.right_memories);
   state.counters["tokens"] = static_cast<double>(rete->TokenCount());
   state.counters["aux_bytes"] =
       static_cast<double>(rete->AuxiliaryFootprintBytes());

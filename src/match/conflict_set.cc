@@ -4,7 +4,10 @@ namespace prodb {
 
 constexpr TupleId Instantiation::kNoTuple;
 
-std::string Instantiation::Key() const {
+std::string Instantiation::Key() const { return KeyOf(rule_index, tuple_ids); }
+
+std::string Instantiation::KeyOf(int rule_index,
+                                 const std::vector<TupleId>& tuple_ids) {
   std::string key = std::to_string(rule_index);
   for (const TupleId& id : tuple_ids) {
     key += "|" + std::to_string(id.page_id) + "." + std::to_string(id.slot_id);

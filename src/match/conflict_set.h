@@ -29,6 +29,10 @@ struct Instantiation {
   /// Identity of an instantiation: rule + exact tuple combination.
   /// Bindings are derived, so they do not participate.
   std::string Key() const;
+  /// The Key() of rule `rule_index` over per-CE `tuple_ids`, for callers
+  /// that retract by key without building the instantiation.
+  static std::string KeyOf(int rule_index,
+                           const std::vector<TupleId>& tuple_ids);
   std::string ToString() const;
 };
 

@@ -4,21 +4,42 @@
 #include <chrono>
 #include <map>
 #include <set>
+#include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "db/executor.h"
-#include "rete/join_keys.h"
 
 namespace prodb {
 
 namespace {
 
-/// Widens a token's position vectors so index `pos` is addressable.
-void EnsureWidth(ReteToken* token, size_t pos) {
-  if (token->ids.size() <= pos) {
-    token->ids.resize(pos + 1, ReteToken::kNoTuple);
-    token->tuples.resize(pos + 1, Tuple());
+/// For each variable with an equality occurrence in `cond`, the attribute
+/// of its first kEq occurrence — the occurrence that binds the variable
+/// under OPS5 first-occurrence semantics (later occurrences test).
+std::map<int, int> FirstEqAttrByVar(const ConditionSpec& cond) {
+  std::map<int, int> first_eq_attr;
+  for (const VarUse& u : cond.var_uses) {
+    if (u.op != CompareOp::kEq) continue;
+    first_eq_attr.emplace(u.var, u.attr);
   }
+  return first_eq_attr;
+}
+
+/// Hash of a token's tuple ids (keys of negated-node match counts).
+struct TupleIdsHash {
+  size_t operator()(const std::vector<TupleId>& ids) const {
+    uint64_t h = 0;
+    for (const TupleId& id : ids) h = h * 0x9e3779b97f4a7c15ull + HashId(id);
+    return static_cast<size_t>(h);
+  }
+};
+
+std::vector<TupleId> IdsOf(TokenView token) {
+  std::vector<TupleId> ids;
+  ids.reserve(token.size());
+  for (const TokenSlot& s : token) ids.push_back(s.id);
+  return ids;
 }
 
 }  // namespace
@@ -36,7 +57,11 @@ struct ReteNetwork::AlphaNode {
     int right;
   };
   std::vector<AttrPair> pairs;
+  // Deepest level first, registration order among equal levels — the
+  // order an activation joins them in (kept sorted as nodes are hooked).
   std::vector<JoinNode*> successors;
+  // The distinct RIGHT memories of `successors`.
+  std::vector<RightMemory*> memories;
 
   bool Matches(const Tuple& t) const {
     for (const ConstantTest& c : tests) {
@@ -69,12 +94,35 @@ struct ReteNetwork::AlphaNode {
   }
 };
 
+/// The RIGHT memory of one or more two-input nodes: single WMEs that
+/// passed an alpha node and the CE's own tests, keyed on the nodes' join
+/// attributes. Nodes reading the same alpha node with the same condition
+/// and key attributes share one (DESIGN.md, "RIGHT-memory sharing").
+struct ReteNetwork::RightMemory {
+  std::unique_ptr<TokenStore> store;
+  // Admission test: the CE's own constant and intra-CE variable tests.
+  ConditionSpec cond;
+  int num_vars = 0;
+  // Scratch of the current alpha activation: the activations that
+  // entered or left the store, in delta order.
+  std::vector<RightActivation> effective;
+};
+
 /// Two-input node. `level` 0 is the head of a chain (no LEFT memory —
 /// its single input feeds successors directly); negated nodes
 /// additionally keep per-left-token match counts. A node may have
 /// several children (chain-prefix sharing) and may terminate one or
 /// more productions.
 struct ReteNetwork::JoinNode {
+  /// A join test compiled from a variable occurrence bound at an earlier
+  /// level: right_tuple[attr] op token[level].tuple[bound_attr] must hold.
+  struct Test {
+    int attr;
+    CompareOp op;
+    size_t level;
+    int bound_attr;
+  };
+
   int rule = -1;  // rule whose compilation created the node (structure
                   // is identical for every rule sharing it)
   size_t level = 0;
@@ -88,16 +136,34 @@ struct ReteNetwork::JoinNode {
   uint32_t part_mod = 1;
   uint32_t part_idx = 0;
   std::unique_ptr<TokenStore> left;
-  std::unique_ptr<TokenStore> right;
+  RightMemory* right = nullptr;  // owned by the shard; possibly shared
   // Equality-join key schema, fixed at compile time (parallel vectors):
-  // the LEFT token value at left_key[i] must equal the right tuple value
-  // at right_key[i].attr for a pair to join. Empty when the node has no
-  // equality join test (or indexing is off) — memories are scanned.
+  // the LEFT token value at left_key[i] must equal the right tuple's
+  // attribute right_attrs[i] for a pair to join. Empty when the node has
+  // no equality join test (or indexing is off) — memories are scanned.
   std::vector<TokenKeyCol> left_key;
-  std::vector<TokenKeyCol> right_key;  // pos == level for every entry
-  std::unordered_map<std::string, int> neg_counts;
+  std::vector<int> right_attrs;
+  // Every test the CE's variables make against earlier levels; a pair
+  // joins iff all hold. `never` marks a CE whose first occurrence of an
+  // unbound variable is not an equality, which OPS5 cannot satisfy.
+  std::vector<Test> tests;
+  bool never = false;
+  std::unordered_map<std::vector<TupleId>, int, TupleIdsHash> neg_counts;
   std::vector<JoinNode*> children;
   std::vector<int> productions;  // rule indices satisfied at this node
+
+  /// True when the stored token `left` and WM tuple `right` join here.
+  bool Joins(TokenView left, const Tuple& right) const {
+    if (never) return false;
+    for (const Test& t : tests) {
+      if (!EvalCompare(right[static_cast<size_t>(t.attr)], t.op,
+                       (*left[t.level].tuple)[static_cast<size_t>(
+                           t.bound_attr)])) {
+        return false;
+      }
+    }
+    return true;
+  }
 };
 
 /// One working-memory partition's sub-network: its own alpha nodes and
@@ -123,6 +189,12 @@ struct ReteNetwork::Shard {
   std::unordered_map<std::string, AlphaNode*> alpha_index;
   // Beta sharing: join-chain prefix signature -> last node of the chain.
   std::unordered_map<std::string, JoinNode*> beta_index;
+  // RIGHT memories, each once, and the sharing index over them: (alpha
+  // node, CE text, right key attributes) -> memory.
+  std::vector<std::unique_ptr<RightMemory>> right_memories;
+  std::map<std::tuple<const AlphaNode*, std::string, std::vector<int>>,
+           RightMemory*>
+      right_index;
   // Conflict-set ops recorded while `buffered` (parallel batches); the
   // barrier replays them into the one ConflictSet in shard order.
   ConflictOpBuffer ops;
@@ -173,6 +245,11 @@ Status ReteNetwork::AddRule(const Rule& rule) {
                               c.relation);
     }
     cat_stats_.Register(c.relation, rel);
+  }
+  if (rule.lhs.conditions.size() >= 2) {
+    for (const ConditionSpec& c : rule.lhs.conditions) {
+      memory_classes_.insert(c.relation);
+    }
   }
   rules_.push_back(rule);
   plans_.push_back(planner_.Plan(rule.lhs));
@@ -247,52 +324,77 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
   const size_t n = rule.lhs.conditions.size();
 
   auto make_store = [&](const std::string& kind, size_t level,
-                        const std::vector<size_t>& arities,
+                        std::vector<size_t> arities,
                         const std::vector<TokenKeyCol>& key_cols,
                         std::unique_ptr<TokenStore>* out) -> Status {
     if (!options_.dbms_backed) {
-      *out = std::make_unique<MemoryTokenStore>(key_cols);
+      *out = std::make_unique<MemoryTokenStore>(arities.size(), key_cols);
       return Status::OK();
     }
     std::unique_ptr<RelationTokenStore> store;
     std::string name = kind + std::to_string(store_counter_++) + "-" +
                        rule.name + "-L" + std::to_string(level);
     PRODB_RETURN_IF_ERROR(RelationTokenStore::Create(
-        catalog_, name, arities, options_.memory_storage, &store, key_cols));
+        catalog_, name, std::move(arities), options_.memory_storage, &store,
+        key_cols));
     *out = std::move(store);
     return Status::OK();
   };
 
   // Per-CE binding attributes (var -> first kEq occurrence), shared by
-  // the alpha intra-CE pair builder and the join-key schema below.
+  // the alpha intra-CE pair builder and the join compilation below.
   std::vector<std::map<int, int>> binder(n);
   for (size_t i = 0; i < n; ++i) {
     binder[i] = FirstEqAttrByVar(rule.lhs.conditions[i]);
   }
 
-  // Equality-join key schema of the node at join-order level `k` covering
-  // CE `ce`: one column pair per variable that has an equality occurrence
-  // in `ce` and is bound by an earlier positive CE of the chain. Key
-  // positions are join-order *levels* (tokens are level-indexed), so the
-  // schema — like the whole chain — is independent of textual CE slots.
-  // The probe is a necessary condition — TupleConsistent still runs on
-  // every visited pair — so extra non-equality tests only make the probe
-  // conservative, never wrong.
-  auto compute_keys = [&](size_t k, size_t ce, JoinNode* node) {
+  // Join compilation of the node at join-order level `k` covering CE
+  // `ce`. A variable is bound by the first positive level (in join
+  // order) with an equality occurrence of it — negated levels never
+  // widen the token, so they bind nothing for later levels. Each
+  // occurrence in `ce` of a variable bound before `k` becomes a test
+  // reading the bound value straight from the token's (level, attr);
+  // occurrences of variables `ce` binds itself are intra-CE tests, which
+  // the alpha node and RIGHT-memory admission already ran.
+  //
+  // The equality-join key schema: one column pair per variable that has
+  // an equality occurrence in `ce` and is bound before `k`. Key positions
+  // are join-order *levels* (tokens are level-indexed), so the schema —
+  // like the whole chain — is independent of textual CE slots. The probe
+  // is a necessary condition — the join tests still run on every visited
+  // pair — so extra non-equality tests only make the probe conservative,
+  // never wrong.
+  auto compile_join = [&](size_t k, size_t ce, JoinNode* node) {
+    std::map<int, std::pair<size_t, int>> bound;
+    for (size_t j = 0; j < k && j < num_positive; ++j) {
+      for (const auto& [var, attr] : binder[order[j]]) {
+        bound.emplace(var, std::make_pair(j, attr));
+      }
+    }
+    std::set<int> local;
+    for (const VarUse& u : rule.lhs.conditions[ce].var_uses) {
+      auto it = bound.find(u.var);
+      if (it != bound.end()) {
+        node->tests.push_back(
+            JoinNode::Test{u.attr, u.op, it->second.first, it->second.second});
+      } else if (!local.count(u.var)) {
+        // OPS5 binds only on an equality; a first occurrence testing an
+        // unbound variable fails every tuple.
+        if (u.op != CompareOp::kEq) node->never = true;
+        local.insert(u.var);
+      }
+    }
     if (!options_.index_memories) return;
     for (const auto& [var, attr] : binder[ce]) {
-      for (size_t j = 0; j < k && j < num_positive; ++j) {
-        size_t p = order[j];
-        auto it = binder[p].find(var);
-        if (it == binder[p].end()) continue;
-        node->left_key.push_back(TokenKeyCol{j, it->second});
-        node->right_key.push_back(TokenKeyCol{k, attr});
-        break;
-      }
+      auto it = bound.find(var);
+      if (it == bound.end()) continue;
+      node->left_key.push_back(
+          TokenKeyCol{it->second.first, it->second.second});
+      node->right_attrs.push_back(attr);
     }
   };
 
-  auto hook_alpha = [&](size_t ce_index, JoinNode* node) {
+  auto hook_alpha = [&](size_t ce_index, JoinNode* node) -> AlphaNode* {
     const ConditionSpec& cond = rule.lhs.conditions[ce_index];
     AlphaNode probe;
     probe.cls = cond.relation;
@@ -333,7 +435,42 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
       cls_nodes.push_back(alpha);
       if (options_.share_alpha) shard->alpha_index[sig] = alpha;
     }
-    alpha->successors.push_back(node);
+    // Deepest level first, stable among equal levels.
+    auto pos = std::find_if(
+        alpha->successors.begin(), alpha->successors.end(),
+        [&](const JoinNode* s) { return s->level < node->level; });
+    alpha->successors.insert(pos, node);
+    return alpha;
+  };
+
+  // The RIGHT memory of `node` at level `k` (> 0): WMEs of `ce`'s class
+  // keyed on the node's right attributes. Shared with every node of the
+  // shard that reads the same alpha node with the same CE and key, when
+  // alpha sharing is on.
+  auto attach_right = [&](size_t k, size_t ce, JoinNode* node,
+                          AlphaNode* alpha) -> Status {
+    const ConditionSpec& cond = rule.lhs.conditions[ce];
+    auto index_key = std::make_tuple(static_cast<const AlphaNode*>(alpha),
+                                     cond.ToString(), node->right_attrs);
+    if (options_.share_alpha) {
+      auto it = shard->right_index.find(index_key);
+      if (it != shard->right_index.end()) {
+        node->right = it->second;
+        return Status::OK();
+      }
+    }
+    auto memory = std::make_unique<RightMemory>();
+    memory->cond = cond;
+    memory->num_vars = rule.lhs.num_vars;
+    std::vector<TokenKeyCol> key_cols;
+    for (int attr : node->right_attrs) key_cols.push_back(TokenKeyCol{0, attr});
+    PRODB_RETURN_IF_ERROR(make_store("RIGHT", k, {class_arity[ce]}, key_cols,
+                                     &memory->store));
+    node->right = memory.get();
+    alpha->memories.push_back(memory.get());
+    if (options_.share_alpha) shard->right_index[index_key] = memory.get();
+    shard->right_memories.push_back(std::move(memory));
+    return Status::OK();
   };
 
   // Build the positive chain front to back, reusing shared prefixes.
@@ -368,20 +505,18 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
       node->part_idx = static_cast<uint32_t>(shard->index);
     }
     if (k > 0) {
-      compute_keys(k, ce, node.get());
-      // LEFT tokens carry one tuple per positive level [0, k); RIGHT
-      // singles carry width k+1 with only slot k filled.
+      compile_join(k, ce, node.get());
+      // LEFT tokens carry one tuple per positive level [0, k).
       std::vector<size_t> arities(k, 0);
       for (size_t p = 0; p < k; ++p) arities[p] = class_arity[order[p]];
-      PRODB_RETURN_IF_ERROR(
-          make_store("LEFT", k, arities, node->left_key, &node->left));
-      std::vector<size_t> right_arities(k + 1, 0);
-      right_arities[k] = class_arity[ce];
-      PRODB_RETURN_IF_ERROR(make_store("RIGHT", k, right_arities,
-                                       node->right_key, &node->right));
+      PRODB_RETURN_IF_ERROR(make_store("LEFT", k, std::move(arities),
+                                       node->left_key, &node->left));
       tail->children.push_back(node.get());
     }
-    hook_alpha(ce, node.get());
+    AlphaNode* alpha = hook_alpha(ce, node.get());
+    if (k > 0) {
+      PRODB_RETURN_IF_ERROR(attach_right(k, ce, node.get(), alpha));
+    }
     tail = node.get();
     if (options_.share_beta) shard->beta_index[prefix_sig] = tail;
     shard->join_nodes.push_back(std::move(node));
@@ -397,18 +532,15 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
     node->level = k;
     node->ce = ce;
     node->negated = true;
-    compute_keys(k, ce, node.get());
+    compile_join(k, ce, node.get());
     std::vector<size_t> arities(num_positive, 0);
     for (size_t p = 0; p < num_positive; ++p) {
       arities[p] = class_arity[order[p]];
     }
-    PRODB_RETURN_IF_ERROR(
-        make_store("LEFT", k, arities, node->left_key, &node->left));
-    std::vector<size_t> right_arities(k + 1, 0);
-    right_arities[k] = class_arity[ce];
-    PRODB_RETURN_IF_ERROR(make_store("RIGHT", k, right_arities,
-                                     node->right_key, &node->right));
-    hook_alpha(ce, node.get());
+    PRODB_RETURN_IF_ERROR(make_store("LEFT", k, std::move(arities),
+                                     node->left_key, &node->left));
+    AlphaNode* alpha = hook_alpha(ce, node.get());
+    PRODB_RETURN_IF_ERROR(attach_right(k, ce, node.get(), alpha));
     tail->children.push_back(node.get());
     tail = node.get();
     shard->join_nodes.push_back(std::move(node));
@@ -424,24 +556,17 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
   return Status::OK();
 }
 
-bool ReteNetwork::RecomputeBinding(int rule, ReteToken* token,
-                                   size_t upto) const {
+Binding ReteNetwork::BindingOf(int rule, TokenView token) const {
   const Rule& r = rules_[static_cast<size_t>(rule)];
   const auto& order = join_order_[static_cast<size_t>(rule)];
-  token->binding.assign(static_cast<size_t>(r.lhs.num_vars), std::nullopt);
-  for (size_t k = 0; k < upto && k < order.size(); ++k) {
-    if (k >= token->ids.size() || token->ids[k] == ReteToken::kNoTuple) {
-      continue;
-    }
-    if (!TupleConsistent(r.lhs.conditions[order[k]], token->tuples[k],
-                         &token->binding)) {
-      return false;
-    }
+  Binding binding(static_cast<size_t>(r.lhs.num_vars), std::nullopt);
+  for (size_t k = 0; k < token.size() && k < order.size(); ++k) {
+    TupleConsistent(r.lhs.conditions[order[k]], *token[k].tuple, &binding);
   }
-  return true;
+  return binding;
 }
 
-Status ReteNetwork::Produce(Shard* shard, int rule, const ReteToken& token,
+Status ReteNetwork::Produce(Shard* shard, int rule, TokenView token,
                             bool positive) {
   // Reseed replays rebuild the token memories only; the conflict set was
   // never torn down and is already correct.
@@ -449,40 +574,39 @@ Status ReteNetwork::Produce(Shard* shard, int rule, const ReteToken& token,
   const Rule& r = rules_[static_cast<size_t>(rule)];
   const auto& order = join_order_[static_cast<size_t>(rule)];
   const size_t n = r.lhs.conditions.size();
+  // Tokens are level-indexed in join order; instantiations are slotted
+  // by textual CE position — remap through the rule's order.
+  std::vector<TupleId> ids(n, Instantiation::kNoTuple);
+  const size_t width = std::min(order.size(), token.size());
+  for (size_t k = 0; k < width; ++k) ids[order[k]] = token[k].id;
+  ++shard->sstats.conflict_ops;
+  if (!positive) {
+    // A retraction needs only the key: no tuple or binding is copied.
+    std::string key = Instantiation::KeyOf(rule, ids);
+    if (shard->buffered) {
+      shard->ops.RemoveByKey(std::move(key));
+    } else {
+      conflict_set_.RemoveByKey(key);
+    }
+    return Status::OK();
+  }
   Instantiation inst;
   inst.rule_index = rule;
   inst.rule_name = r.name;
-  // Tokens are level-indexed in join order; instantiations are slotted
-  // by textual CE position — remap through the rule's order.
-  inst.tuple_ids.assign(n, Instantiation::kNoTuple);
+  inst.tuple_ids = std::move(ids);
   inst.tuples.assign(n, Tuple());
-  const size_t width = std::min(order.size(), token.ids.size());
-  for (size_t k = 0; k < width; ++k) {
-    if (token.ids[k] == ReteToken::kNoTuple) continue;
-    inst.tuple_ids[order[k]] = token.ids[k];
-    inst.tuples[order[k]] = token.tuples[k];
-  }
-  inst.binding = token.binding;
-  inst.binding.resize(static_cast<size_t>(r.lhs.num_vars), std::nullopt);
-  ++shard->sstats.conflict_ops;
-  if (positive) {
-    if (shard->buffered) {
-      shard->ops.Add(std::move(inst));
-    } else {
-      conflict_set_.Add(std::move(inst));
-    }
+  for (size_t k = 0; k < width; ++k) inst.tuples[order[k]] = *token[k].tuple;
+  inst.binding = BindingOf(rule, token);
+  if (shard->buffered) {
+    shard->ops.Add(std::move(inst));
   } else {
-    if (shard->buffered) {
-      shard->ops.RemoveByKey(inst.Key());
-    } else {
-      conflict_set_.RemoveByKey(inst.Key());
-    }
+    conflict_set_.Add(std::move(inst));
   }
   return Status::OK();
 }
 
-Status ReteNetwork::Descend(Shard* shard, JoinNode* node,
-                            const ReteToken& token, bool positive) {
+Status ReteNetwork::Descend(Shard* shard, JoinNode* node, TokenView token,
+                            bool positive) {
   for (int rule : node->productions) {
     PRODB_RETURN_IF_ERROR(Produce(shard, rule, token, positive));
   }
@@ -492,17 +616,15 @@ Status ReteNetwork::Descend(Shard* shard, JoinNode* node,
   return Status::OK();
 }
 
-bool ReteNetwork::ProbeKeyFromToken(const JoinNode& node,
-                                    const ReteToken& token,
+bool ReteNetwork::ProbeKeyFromToken(const JoinNode& node, TokenView token,
                                     std::vector<Value>* key) {
   key->clear();
   key->reserve(node.left_key.size());
   for (const TokenKeyCol& c : node.left_key) {
-    if (c.pos >= token.tuples.size() ||
-        static_cast<size_t>(c.attr) >= token.tuples[c.pos].arity()) {
-      return false;
-    }
-    key->push_back(token.tuples[c.pos][static_cast<size_t>(c.attr)]);
+    if (c.pos >= token.size()) return false;
+    const Tuple& t = *token[c.pos].tuple;
+    if (static_cast<size_t>(c.attr) >= t.arity()) return false;
+    key->push_back(t[static_cast<size_t>(c.attr)]);
   }
   return !key->empty();
 }
@@ -510,37 +632,32 @@ bool ReteNetwork::ProbeKeyFromToken(const JoinNode& node,
 bool ReteNetwork::ProbeKeyFromTuple(const JoinNode& node, const Tuple& tuple,
                                     std::vector<Value>* key) {
   key->clear();
-  key->reserve(node.right_key.size());
-  for (const TokenKeyCol& c : node.right_key) {
-    if (static_cast<size_t>(c.attr) >= tuple.arity()) return false;
-    key->push_back(tuple[static_cast<size_t>(c.attr)]);
+  key->reserve(node.right_attrs.size());
+  for (int attr : node.right_attrs) {
+    if (static_cast<size_t>(attr) >= tuple.arity()) return false;
+    key->push_back(tuple[static_cast<size_t>(attr)]);
   }
   return !key->empty();
 }
 
 Status ReteNetwork::ActivateLeft(Shard* shard, JoinNode* node,
-                                 const ReteToken& token, bool positive) {
+                                 TokenView token, bool positive) {
   ++stats_.propagations;
-  const Rule& rule = rules_[static_cast<size_t>(node->rule)];
-  const ConditionSpec& cond = rule.lhs.conditions[node->ce];
-  // A token produced in a shared prefix carries the binding width of the
-  // prefix's first compiler; this rule's suffix may use higher var ids.
-  const size_t want_vars = static_cast<size_t>(rule.lhs.num_vars);
+  const TokenStore& right = *node->right->store;
 
-  // Visits the RIGHT-memory tokens that can join with `token`: a keyed
+  // Visits the RIGHT-memory WMEs that can join with `token`: a keyed
   // probe when the node has an equality key derivable from the token,
   // else the §3.2 full scan.
-  auto for_each_right =
-      [&](const std::function<Status(const ReteToken&)>& fn) -> Status {
+  auto for_each_right = [&](const TokenStore::Visitor& fn) -> Status {
     std::vector<Value> key;
     if (ProbeKeyFromToken(*node, token, &key)) {
       ++stats_.index_probes;
-      return node->right->ScanMatching(key, [&](const ReteToken& r) {
+      return right.ScanMatching(key, [&](TokenView r) {
         ++stats_.probe_tokens_visited;
         return fn(r);
       });
     }
-    return node->right->Scan([&](const ReteToken& r) {
+    return right.Scan([&](TokenView r) {
       ++stats_.scan_tokens_visited;
       return fn(r);
     });
@@ -549,130 +666,107 @@ Status ReteNetwork::ActivateLeft(Shard* shard, JoinNode* node,
   if (positive) {
     PRODB_RETURN_IF_ERROR(node->left->Add(token));
     ++stats_.patterns_stored;
-    if (node->negated) {
-      int count = 0;
-      PRODB_RETURN_IF_ERROR(for_each_right([&](const ReteToken& r) {
-        ++stats_.tuples_examined;
-        Binding b = token.binding;
-        if (b.size() < want_vars) b.resize(want_vars, std::nullopt);
-        if (TupleConsistent(cond, r.tuples[node->level], &b)) ++count;
-        return Status::OK();
-      }));
-      node->neg_counts[token.Key()] = count;
-      if (count == 0) return Descend(shard, node, token, true);
-      return Status::OK();
-    }
-    return for_each_right([&](const ReteToken& r) {
-      ++stats_.tuples_examined;
-      ReteToken merged = token;
-      if (merged.binding.size() < want_vars) {
-        merged.binding.resize(want_vars, std::nullopt);
-      }
-      if (!TupleConsistent(cond, r.tuples[node->level], &merged.binding)) {
-        return Status::OK();
-      }
-      EnsureWidth(&merged, node->level);
-      merged.ids[node->level] = r.ids[node->level];
-      merged.tuples[node->level] = r.tuples[node->level];
-      return Descend(shard, node, merged, true);
-    });
+  } else {
+    bool found = false;
+    PRODB_RETURN_IF_ERROR(node->left->RemoveExact(token, &found));
+    if (!found) return Status::OK();
+    if (stats_.patterns_stored > 0) --stats_.patterns_stored;
   }
 
-  // Negative (−) token: retract.
-  bool found = false;
-  PRODB_RETURN_IF_ERROR(node->left->RemoveExact(token, &found));
-  if (!found) return Status::OK();
-  if (stats_.patterns_stored > 0) --stats_.patterns_stored;
   if (node->negated) {
-    auto it = node->neg_counts.find(token.Key());
-    int count = it == node->neg_counts.end() ? 0 : it->second;
-    if (it != node->neg_counts.end()) node->neg_counts.erase(it);
-    if (count == 0) return Descend(shard, node, token, false);
-    return Status::OK();
-  }
-  return for_each_right([&](const ReteToken& r) {
-    ++stats_.tuples_examined;
-    ReteToken merged = token;
-    if (merged.binding.size() < want_vars) {
-      merged.binding.resize(want_vars, std::nullopt);
-    }
-    if (!TupleConsistent(cond, r.tuples[node->level], &merged.binding)) {
+    if (!positive) {
+      auto it = node->neg_counts.find(IdsOf(token));
+      int count = it == node->neg_counts.end() ? 0 : it->second;
+      if (it != node->neg_counts.end()) node->neg_counts.erase(it);
+      if (count == 0) return Descend(shard, node, token, false);
       return Status::OK();
     }
-    EnsureWidth(&merged, node->level);
-    merged.ids[node->level] = r.ids[node->level];
-    merged.tuples[node->level] = r.tuples[node->level];
-    return Descend(shard, node, merged, false);
+    int count = 0;
+    PRODB_RETURN_IF_ERROR(for_each_right([&](TokenView r) {
+      ++stats_.tuples_examined;
+      if (node->Joins(token, *r[0].tuple)) ++count;
+      return Status::OK();
+    }));
+    node->neg_counts[IdsOf(token)] = count;
+    if (count == 0) return Descend(shard, node, token, true);
+    return Status::OK();
+  }
+
+  // Extend the token by each joining WME and pass the pair on with the
+  // token's sign (a retraction retracts every pair it formed).
+  std::vector<TokenSlot> merged;
+  merged.reserve(token.size() + 1);
+  merged.assign(token.begin(), token.end());
+  merged.emplace_back();
+  return for_each_right([&](TokenView r) {
+    ++stats_.tuples_examined;
+    if (!node->Joins(token, *r[0].tuple)) return Status::OK();
+    merged.back() = r[0];
+    return Descend(shard, node, merged, positive);
   });
 }
 
-Status ReteNetwork::ActivateRightBatch(
-    Shard* shard, JoinNode* node, const std::vector<RightActivation>& acts) {
-  ++stats_.propagations;
-  const Rule& rule = rules_[static_cast<size_t>(node->rule)];
-  const ConditionSpec& cond = rule.lhs.conditions[node->ce];
-
-  // Head node: no LEFT memory; each tuple becomes a width-1 token (slot
-  // = level 0 of the chain) on its own. Hot-rule replicas accept only
-  // their head-tuple partition here — the single filter that keeps
-  // replicated chains disjoint across shards.
-  if (node->level == 0) {
-    for (const RightActivation& a : acts) {
-      if (node->part_mod > 1 &&
-          HashId(a.id) % node->part_mod != node->part_idx) {
-        continue;
-      }
-      ReteToken token;
-      token.binding.assign(static_cast<size_t>(rule.lhs.num_vars),
-                           std::nullopt);
-      if (!TupleConsistent(cond, *a.tuple, &token.binding)) continue;
-      token.ids.assign(1, a.id);
-      token.tuples.assign(1, *a.tuple);
-      PRODB_RETURN_IF_ERROR(Descend(shard, node, token, a.positive));
-    }
-    return Status::OK();
-  }
-
+Status ReteNetwork::AdmitRight(RightMemory* memory,
+                               const std::vector<RightActivation>& acts) {
   // Each tuple must pass the CE's own tests before entering the memory.
   // Tests against variables bound by earlier CEs cannot be evaluated here
   // (they are join tests); defer-and-discard — the join enforces them.
-  // Store mutations happen up front so the whole group is one atomic
-  // activation; `effective` keeps the activations that actually entered
-  // or left the memory.
-  std::vector<RightActivation> effective;
-  effective.reserve(acts.size());
-  node->right->ReserveAdditional(acts.size());
+  memory->effective.clear();
+  Binding b;
+  std::vector<DeferredTest> deferred;
   for (const RightActivation& a : acts) {
-    {
-      Binding b(static_cast<size_t>(rule.lhs.num_vars), std::nullopt);
-      std::vector<DeferredTest> deferred;
-      if (!TupleConsistent(cond, *a.tuple, &b, &deferred)) continue;
-    }
-    ReteToken single;
-    single.ids.assign(node->level + 1, ReteToken::kNoTuple);
-    single.tuples.assign(node->level + 1, Tuple());
-    single.ids[node->level] = a.id;
-    single.tuples[node->level] = *a.tuple;
+    b.assign(static_cast<size_t>(memory->num_vars), std::nullopt);
+    deferred.clear();
+    if (!TupleConsistent(memory->cond, a.tuple(), &b, &deferred)) continue;
+    const TokenSlot single{a.id, *a.ref};
     if (a.positive) {
-      PRODB_RETURN_IF_ERROR(node->right->Add(single));
+      PRODB_RETURN_IF_ERROR(memory->store->Add(TokenView(&single, 1)));
       ++stats_.patterns_stored;
     } else {
       bool found = false;
-      PRODB_RETURN_IF_ERROR(node->right->RemoveExact(single, &found));
+      PRODB_RETURN_IF_ERROR(
+          memory->store->RemoveExact(TokenView(&single, 1), &found));
       if (!found) continue;
       if (stats_.patterns_stored > 0) --stats_.patterns_stored;
     }
-    effective.push_back(a);
+    memory->effective.push_back(a);
   }
+  return Status::OK();
+}
+
+Status ReteNetwork::ActivateHead(Shard* shard, JoinNode* node,
+                                 const std::vector<RightActivation>& acts) {
+  ++stats_.propagations;
+  const Rule& rule = rules_[static_cast<size_t>(node->rule)];
+  const ConditionSpec& cond = rule.lhs.conditions[node->ce];
+  // Hot-rule replicas accept only their head-tuple partition here — the
+  // single filter that keeps replicated chains disjoint across shards.
+  Binding b;
+  std::vector<TokenSlot> token(1);
+  for (const RightActivation& a : acts) {
+    if (node->part_mod > 1 &&
+        HashId(a.id) % node->part_mod != node->part_idx) {
+      continue;
+    }
+    b.assign(static_cast<size_t>(rule.lhs.num_vars), std::nullopt);
+    if (!TupleConsistent(cond, a.tuple(), &b)) continue;
+    token[0] = TokenSlot{a.id, *a.ref};
+    PRODB_RETURN_IF_ERROR(Descend(shard, node, token, a.positive));
+  }
+  return Status::OK();
+}
+
+Status ReteNetwork::JoinRight(Shard* shard, JoinNode* node) {
+  ++stats_.propagations;
+  const std::vector<RightActivation>& effective = node->right->effective;
   if (effective.empty()) return Status::OK();
 
-  // Pairs one LEFT token (binding already recomputed/widened) with one
-  // activation; shared by the probe and scan paths below.
-  auto pair_one = [&](ReteToken& l, const RightActivation& a) -> Status {
-    Binding b = l.binding;
-    if (!TupleConsistent(cond, *a.tuple, &b)) return Status::OK();
+  // Pairs one stored LEFT token with one activation.
+  std::vector<TokenSlot> merged;
+  auto pair_one = [&](TokenView l, const RightActivation& a) -> Status {
+    if (!node->Joins(l, a.tuple())) return Status::OK();
     if (node->negated) {
-      int& count = node->neg_counts[l.Key()];
+      int& count = node->neg_counts[IdsOf(l)];
       if (a.positive) {
         if (++count == 1) {
           PRODB_RETURN_IF_ERROR(Descend(shard, node, l, false));
@@ -684,26 +778,9 @@ Status ReteNetwork::ActivateRightBatch(
       }
       return Status::OK();
     }
-    ReteToken merged = l;
-    merged.binding = std::move(b);
-    EnsureWidth(&merged, node->level);
-    merged.ids[node->level] = a.id;
-    merged.tuples[node->level] = *a.tuple;
+    merged.assign(l.begin(), l.end());
+    merged.push_back(TokenSlot{a.id, *a.ref});
     return Descend(shard, node, merged, a.positive);
-  };
-
-  auto prepare = [&](ReteToken* l) -> bool {
-    if (l->binding.empty()) {
-      // Relation-backed stores persist tuples, not bindings.
-      if (!RecomputeBinding(node->rule, l, node->level)) return false;
-    }
-    // Tokens stored by a shared prefix carry the first compiler's
-    // binding width; widen to this rule's variable space.
-    if (l->binding.size() < static_cast<size_t>(rule.lhs.num_vars)) {
-      l->binding.resize(static_cast<size_t>(rule.lhs.num_vars),
-                        std::nullopt);
-    }
-    return true;
   };
 
   if (!node->left_key.empty()) {
@@ -711,28 +788,22 @@ Status ReteNetwork::ActivateRightBatch(
     // join-compatible tokens only — per-delta cost O(matches), not
     // O(|memory|). Activation-major order equals the per-tuple
     // propagation order.
+    std::vector<Value> key;
     for (const RightActivation& a : effective) {
-      std::vector<Value> key;
-      std::vector<ReteToken> lefts;
-      if (ProbeKeyFromTuple(*node, *a.tuple, &key)) {
+      if (ProbeKeyFromTuple(*node, a.tuple(), &key)) {
         ++stats_.index_probes;
-        PRODB_RETURN_IF_ERROR(node->left->ScanMatching(
-            key, [&](const ReteToken& l) {
+        PRODB_RETURN_IF_ERROR(
+            node->left->ScanMatching(key, [&](TokenView l) {
               ++stats_.probe_tokens_visited;
-              lefts.push_back(l);
-              return Status::OK();
+              ++stats_.tuples_examined;
+              return pair_one(l, a);
             }));
       } else {
-        PRODB_RETURN_IF_ERROR(node->left->Scan([&](const ReteToken& l) {
+        PRODB_RETURN_IF_ERROR(node->left->Scan([&](TokenView l) {
           ++stats_.scan_tokens_visited;
-          lefts.push_back(l);
-          return Status::OK();
+          ++stats_.tuples_examined;
+          return pair_one(l, a);
         }));
-      }
-      for (ReteToken& l : lefts) {
-        ++stats_.tuples_examined;
-        if (!prepare(&l)) continue;
-        PRODB_RETURN_IF_ERROR(pair_one(l, a));
       }
     }
     return Status::OK();
@@ -741,18 +812,31 @@ Status ReteNetwork::ActivateRightBatch(
   // Walk the LEFT memory once, pairing every stored token with every
   // activation of the group in delta order — the per-tuple path re-scans
   // this memory for each arrival; the batch pays the scan once.
-  std::vector<ReteToken> lefts;
-  PRODB_RETURN_IF_ERROR(node->left->Scan([&](const ReteToken& l) {
+  return node->left->Scan([&](TokenView l) {
     ++stats_.scan_tokens_visited;
-    lefts.push_back(l);
-    return Status::OK();
-  }));
-  for (ReteToken& l : lefts) {
     ++stats_.tuples_examined;
-    if (!prepare(&l)) continue;
     for (const RightActivation& a : effective) {
       PRODB_RETURN_IF_ERROR(pair_one(l, a));
     }
+    return Status::OK();
+  });
+}
+
+Status ReteNetwork::ActivateAlpha(Shard* shard, AlphaNode* alpha,
+                                  const std::vector<RightActivation>& acts) {
+  ++stats_.propagations;
+  // Every RIGHT memory first, each once however many nodes share it.
+  // Then successors deepest level first: a node pairs the new tuples
+  // with the LEFT tokens that existed before this activation (its
+  // ancestors, being shallower, have not run yet), and its ancestors'
+  // new tokens reach it later through ActivateLeft, which probes the
+  // already-mutated memory — so each new pair forms exactly once.
+  for (RightMemory* memory : alpha->memories) {
+    PRODB_RETURN_IF_ERROR(AdmitRight(memory, acts));
+  }
+  for (JoinNode* node : alpha->successors) {
+    PRODB_RETURN_IF_ERROR(node->level == 0 ? ActivateHead(shard, node, acts)
+                                           : JoinRight(shard, node));
   }
   return Status::OK();
 }
@@ -777,12 +861,12 @@ Status ReteNetwork::PropagateGroup(Shard* shard, const std::string& rel,
     std::vector<uint32_t> touched;
     for (const RightActivation& a : group) {
       cands.clear();
-      disc.Lookup(*a.tuple, &cands);
+      disc.Lookup(a.tuple(), &cands);
       stats_.candidates_visited += cands.size();
       shard->sstats.candidates_visited += cands.size();
       for (uint32_t pos : cands) {
         ++stats_.alpha_tests_evaluated;
-        if (!nodes[pos]->Matches(*a.tuple)) continue;
+        if (!nodes[pos]->Matches(a.tuple())) continue;
         auto [pit, fresh] = passed.try_emplace(pos);
         if (fresh) {
           pit->second.reserve(group.size());
@@ -795,10 +879,7 @@ Status ReteNetwork::PropagateGroup(Shard* shard, const std::string& rel,
     // Registration order within the class, as the linear walk visits.
     std::sort(touched.begin(), touched.end());
     for (uint32_t pos : touched) {
-      ++stats_.propagations;
-      for (JoinNode* node : nodes[pos]->successors) {
-        PRODB_RETURN_IF_ERROR(ActivateRightBatch(shard, node, passed[pos]));
-      }
+      PRODB_RETURN_IF_ERROR(ActivateAlpha(shard, nodes[pos], passed[pos]));
     }
     return Status::OK();
   }
@@ -806,41 +887,50 @@ Status ReteNetwork::PropagateGroup(Shard* shard, const std::string& rel,
   // Linear-scan ablation: every alpha node of the class tests every
   // delta — the §3.2 full walk the discrimination index replaces.
   for (AlphaNode* alpha : nodes) {
-    ++stats_.propagations;
     std::vector<RightActivation> passed;
     passed.reserve(group.size());
     for (const RightActivation& a : group) {
       ++stats_.alpha_tests_evaluated;
-      if (alpha->Matches(*a.tuple)) passed.push_back(a);
+      if (alpha->Matches(a.tuple())) passed.push_back(a);
     }
-    if (passed.empty()) continue;
-    for (JoinNode* node : alpha->successors) {
-      PRODB_RETURN_IF_ERROR(ActivateRightBatch(shard, node, passed));
+    if (passed.empty()) {
+      ++stats_.propagations;
+      continue;
     }
+    PRODB_RETURN_IF_ERROR(ActivateAlpha(shard, alpha, passed));
   }
   return Status::OK();
+}
+
+TupleRef ReteNetwork::HandleFor(const std::string& rel, const Tuple& t,
+                                bool insert) const {
+  if (insert && memory_classes_.count(rel)) {
+    return std::make_shared<const Tuple>(t);
+  }
+  return TupleRef(TupleRef(), &t);
+}
+
+Status ReteNetwork::PropagateOne(const std::string& rel, TupleId id,
+                                 const Tuple& t, bool insert) {
+  if (options_.planner.enable) cat_stats_.OnDelta(rel, t, insert ? +1 : -1);
+  const TupleRef ref = HandleFor(rel, t, insert);
+  one_act_.assign(1, RightActivation{id, &ref, insert});
+  for (auto& shard : shards_) {
+    PRODB_RETURN_IF_ERROR(PropagateGroup(shard.get(), rel, one_act_));
+  }
+  return MaybeReplan(1);
 }
 
 Status ReteNetwork::OnInsert(const std::string& rel, TupleId id,
                              const Tuple& t) {
   std::lock_guard<std::mutex> lock(batch_mu_);
-  if (options_.planner.enable) cat_stats_.OnDelta(rel, t, +1);
-  one_act_.assign(1, RightActivation{id, &t, /*positive=*/true});
-  for (auto& shard : shards_) {
-    PRODB_RETURN_IF_ERROR(PropagateGroup(shard.get(), rel, one_act_));
-  }
-  return MaybeReplan(1);
+  return PropagateOne(rel, id, t, /*insert=*/true);
 }
 
 Status ReteNetwork::OnDelete(const std::string& rel, TupleId id,
                              const Tuple& t) {
   std::lock_guard<std::mutex> lock(batch_mu_);
-  if (options_.planner.enable) cat_stats_.OnDelta(rel, t, -1);
-  one_act_.assign(1, RightActivation{id, &t, /*positive=*/false});
-  for (auto& shard : shards_) {
-    PRODB_RETURN_IF_ERROR(PropagateGroup(shard.get(), rel, one_act_));
-  }
-  return MaybeReplan(1);
+  return PropagateOne(rel, id, t, /*insert=*/false);
 }
 
 Status ReteNetwork::OnBatch(const ChangeSet& batch) {
@@ -851,13 +941,17 @@ Status ReteNetwork::OnBatch(const ChangeSet& batch) {
   // never reused, so cross-relation reordering cannot invert an
   // insert/delete pair of the same tuple). Groups run in first-appearance
   // order; the conflict set reconciles by instantiation key, so the net
-  // result matches per-tuple propagation.
+  // result matches per-tuple propagation. Each delta's handle is made
+  // here, once, before any shard sees it.
+  std::vector<TupleRef> refs;
+  refs.reserve(batch.size());
   std::vector<const std::string*> order;
   std::unordered_map<std::string, std::vector<RightActivation>> groups;
   for (const Delta& d : batch) {
     auto [it, inserted] = groups.try_emplace(d.relation);
     if (inserted) order.push_back(&it->first);
-    it->second.push_back(RightActivation{d.id, &d.tuple, d.is_insert()});
+    refs.push_back(HandleFor(d.relation, d.tuple, d.is_insert()));
+    it->second.push_back(RightActivation{d.id, &refs.back(), d.is_insert()});
   }
 
   if (shards_.size() == 1) {
@@ -970,13 +1064,18 @@ Status ReteNetwork::RebuildAndReseed() {
   // the stores that own them go away.
   for (auto& shard : shards_) {
     if (options_.dbms_backed) {
+      std::vector<TokenStore*> stores;
       for (const auto& node : shard->join_nodes) {
-        for (TokenStore* s : {node->left.get(), node->right.get()}) {
-          auto* rs = dynamic_cast<RelationTokenStore*>(s);
-          if (rs != nullptr) {
-            PRODB_RETURN_IF_ERROR(
-                catalog_->Drop(rs->relation()->schema().name()));
-          }
+        stores.push_back(node->left.get());
+      }
+      for (const auto& memory : shard->right_memories) {
+        stores.push_back(memory->store.get());
+      }
+      for (TokenStore* s : stores) {
+        auto* rs = dynamic_cast<RelationTokenStore*>(s);
+        if (rs != nullptr) {
+          PRODB_RETURN_IF_ERROR(
+              catalog_->Drop(rs->relation()->schema().name()));
         }
       }
     }
@@ -1018,10 +1117,13 @@ Status ReteNetwork::ReseedFromRelations() {
       rows.emplace_back(id, t);
       return Status::OK();
     }));
+    std::vector<TupleRef> refs;
+    refs.reserve(rows.size());
     std::vector<RightActivation> group;
     group.reserve(rows.size());
     for (const auto& [id, t] : rows) {
-      group.push_back(RightActivation{id, &t, /*positive=*/true});
+      refs.push_back(HandleFor(cls, t, /*insert=*/true));
+      group.push_back(RightActivation{id, &refs.back(), /*positive=*/true});
     }
     for (auto& shard : shards_) {
       PRODB_RETURN_IF_ERROR(PropagateGroup(shard.get(), cls, group));
@@ -1040,12 +1142,20 @@ std::vector<ShardStats> ReteNetwork::ShardStatsSnapshot() const {
 }
 
 size_t ReteNetwork::AuxiliaryFootprintBytes() const {
+  // Every tuple payload counts once, however many tokens and memories
+  // hold its handle; a shared RIGHT memory counts once.
+  std::unordered_set<const Tuple*> counted;
   size_t total = 0;
   for (const auto& shard : shards_) {
     for (const auto& node : shard->join_nodes) {
-      if (node->left != nullptr) total += node->left->FootprintBytes();
-      if (node->right != nullptr) total += node->right->FootprintBytes();
-      total += node->neg_counts.size() * 48;  // approximate map overhead
+      if (node->left != nullptr) total += node->left->FootprintBytes(&counted);
+      for (const auto& [ids, count] : node->neg_counts) {
+        (void)count;
+        total += ids.capacity() * sizeof(TupleId) + 48;  // approx. map node
+      }
+    }
+    for (const auto& memory : shard->right_memories) {
+      total += memory->store->FootprintBytes(&counted);
     }
   }
   return total;
@@ -1056,6 +1166,7 @@ ReteTopology ReteNetwork::Topology() const {
   topo.production_nodes = rules_.size();
   for (const auto& shard : shards_) {
     topo.alpha_nodes += shard->alpha_nodes.size();
+    topo.right_memories += shard->right_memories.size();
     for (const auto& node : shard->join_nodes) {
       if (node->negated) {
         ++topo.negative_nodes;
@@ -1072,7 +1183,9 @@ size_t ReteNetwork::TokenCount() const {
   for (const auto& shard : shards_) {
     for (const auto& node : shard->join_nodes) {
       if (node->left != nullptr) total += node->left->size();
-      if (node->right != nullptr) total += node->right->size();
+    }
+    for (const auto& memory : shard->right_memories) {
+      total += memory->store->size();
     }
   }
   return total;

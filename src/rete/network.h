@@ -5,6 +5,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -74,6 +75,7 @@ struct ReteTopology {
   size_t beta_nodes = 0;      // two-input join nodes
   size_t negative_nodes = 0;
   size_t production_nodes = 0;
+  size_t right_memories = 0;  // distinct RIGHT memories (shared ones once)
 };
 
 /// The Rete match network of Forgy's OPS5 (§3), as a Matcher.
@@ -87,6 +89,13 @@ struct ReteTopology {
 /// awaiting future partners; tokens reaching a production node update the
 /// conflict set. Negated CEs become negative nodes that count consistent
 /// right-side matches and pass left tokens only while the count is zero.
+///
+/// Memories reference WM tuples through shared handles (token.h) instead
+/// of copying them, and two-input nodes that read the same alpha node
+/// with the same condition and join key share one RIGHT memory (when
+/// share_alpha is on): an alpha activation mutates each distinct RIGHT
+/// memory once, then joins its successors deepest level first, so every
+/// new pair is produced exactly once (DESIGN.md).
 ///
 /// With sharding enabled the network is a vector of such sub-networks,
 /// one per working-memory partition (see ReteOptions::sharding).
@@ -117,7 +126,8 @@ class ReteNetwork : public Matcher {
   std::vector<ShardStats> ShardStatsSnapshot() const override;
 
   ReteTopology Topology() const;
-  /// Total tokens resident in LEFT+RIGHT memories (summed over shards).
+  /// Tokens resident in LEFT memories plus WMEs in RIGHT memories, summed
+  /// over shards; a shared RIGHT memory counts once.
   size_t TokenCount() const;
 
   /// Current per-rule plans (index = rule; tests/benchmarks).
@@ -135,14 +145,23 @@ class ReteNetwork : public Matcher {
  private:
   struct AlphaNode;
   struct JoinNode;
+  struct RightMemory;
   struct Shard;
 
-  /// One signed right-input arrival, batched per group.
+  /// One signed right-input arrival, batched per group. `ref` points at
+  /// the delta's handle, which outlives the propagation.
   struct RightActivation {
     TupleId id;
-    const Tuple* tuple;
+    const TupleRef* ref;
     bool positive;
+
+    const Tuple& tuple() const { return **ref; }
   };
+
+  /// The handle a delta enters the network with: an owning copy for an
+  /// insert of a class some memory can hold, else an alias of `t`.
+  TupleRef HandleFor(const std::string& rel, const Tuple& t,
+                     bool insert) const;
 
   Status BuildRule(const Rule& rule, int rule_index);
   /// Compiles `rule` into one shard's sub-network. `hot` adds the
@@ -154,15 +173,14 @@ class ReteNetwork : public Matcher {
                           const std::vector<size_t>& class_arity,
                           Shard* shard, bool hot);
 
-  /// Recomputes the binding of a token over join positions [0, upto) of
-  /// `rule` (needed for relation-backed stores, which persist tuples but
-  /// not bindings).
-  bool RecomputeBinding(int rule, ReteToken* token, size_t upto) const;
+  /// The binding a full-width token of `rule` induces (positive levels
+  /// folded in join order), for the instantiation it produces.
+  Binding BindingOf(int rule, TokenView token) const;
 
   /// Derives the key for probing `node`'s RIGHT memory from a left-side
   /// token (values of the binder columns). False when a column is not
   /// derivable — the caller falls back to a full scan.
-  static bool ProbeKeyFromToken(const JoinNode& node, const ReteToken& token,
+  static bool ProbeKeyFromToken(const JoinNode& node, TokenView token,
                                 std::vector<Value>* key);
   /// Derives the key for probing `node`'s LEFT memory from a right-input
   /// WM tuple (values of the CE's own equality attributes).
@@ -170,18 +188,31 @@ class ReteNetwork : public Matcher {
                                 std::vector<Value>* key);
 
   /// Token arrives on the left input of `node` with the given sign.
-  Status ActivateLeft(Shard* shard, JoinNode* node, const ReteToken& token,
+  Status ActivateLeft(Shard* shard, JoinNode* node, TokenView token,
                       bool positive);
   /// Forwards a token past `node`: fires its productions, then feeds its
   /// children (several when chain prefixes are shared).
-  Status Descend(Shard* shard, JoinNode* node, const ReteToken& token,
+  Status Descend(Shard* shard, JoinNode* node, TokenView token,
                  bool positive);
-  /// A group of WM tuples arrives on the right input of `node` as one
-  /// atomic activation: every store mutation is applied, then the LEFT
-  /// memory is scanned once, pairing each stored token with every
-  /// activation in delta order.
-  Status ActivateRightBatch(Shard* shard, JoinNode* node,
-                            const std::vector<RightActivation>& acts);
+  /// A group of WM tuples passes `alpha` as one atomic activation: each
+  /// distinct RIGHT memory of its successors is mutated once, then every
+  /// successor joins the tuples that entered or left its memory, deepest
+  /// level first.
+  Status ActivateAlpha(Shard* shard, AlphaNode* alpha,
+                       const std::vector<RightActivation>& acts);
+  /// Applies a group to one RIGHT memory; keeps in `effective` the
+  /// activations that passed the CE's own tests and entered or left it.
+  Status AdmitRight(RightMemory* memory,
+                    const std::vector<RightActivation>& acts);
+  /// Level-0 node: each tuple becomes a one-slot token on its own.
+  Status ActivateHead(Shard* shard, JoinNode* node,
+                      const std::vector<RightActivation>& acts);
+  /// Pairs the tuples that entered or left `node`'s RIGHT memory with its
+  /// LEFT memory: per tuple a keyed probe, or one scan for the group.
+  Status JoinRight(Shard* shard, JoinNode* node);
+  /// Runs one signed tuple through every shard (OnInsert / OnDelete).
+  Status PropagateOne(const std::string& rel, TupleId id, const Tuple& t,
+                      bool insert);
   /// Feeds a group of same-relation deltas through one shard's alpha
   /// network.
   Status PropagateGroup(Shard* shard, const std::string& rel,
@@ -189,8 +220,7 @@ class ReteNetwork : public Matcher {
   /// Token passed all joins of a rule: update the conflict set (directly
   /// on the serial path, via the shard's op buffer inside a parallel
   /// batch; suppressed during reseeds — the set is already correct).
-  Status Produce(Shard* shard, int rule, const ReteToken& token,
-                 bool positive);
+  Status Produce(Shard* shard, int rule, TokenView token, bool positive);
 
   /// Drift check + re-plan, rate-limited to every kReplanCheckInterval
   /// deltas. Called at the end of OnInsert/OnDelete/OnBatch under
@@ -219,6 +249,9 @@ class ReteNetwork : public Matcher {
   // Per rule, the positive-then-negated CE order the join chain uses
   // (== plans_[i].order; kept separate for hot-path access).
   std::vector<std::vector<size_t>> join_order_;
+  // Classes of rules with two or more CEs: the only tuples a memory can
+  // hold, so the only inserts that get an owning handle.
+  std::unordered_set<std::string> memory_classes_;
   // Deltas since the last drift check (guarded by batch_mu_).
   uint64_t deltas_since_plan_check_ = 0;
   // True while ReseedFromRelations replays WM: Produce becomes a no-op.

@@ -2,145 +2,130 @@
 
 #include <algorithm>
 
-#include "rete/join_keys.h"
-
 namespace prodb {
 
-constexpr TupleId ReteToken::kNoTuple;
+namespace {
 
-bool MemoryTokenStore::KeyOf(const ReteToken& token, std::string* out) const {
-  out->clear();
+/// Folds one key component into a running key hash. Value::Hash hashes
+/// int 3 and real 3.0 alike, so values equal under EvalCompare(kEq) land
+/// in one bucket; distinct values may collide, which only adds visits.
+uint64_t MixKey(uint64_t h, const Value& v) {
+  return h ^ (v.Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+}
+
+bool SameIds(TokenView a, TokenView b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const TokenSlot& x, const TokenSlot& y) {
+                      return x.id == y.id;
+                    });
+}
+
+Status WidthMismatch(size_t got, size_t want) {
+  return Status::InvalidArgument("token of width " + std::to_string(got) +
+                                 " in a store of width " +
+                                 std::to_string(want));
+}
+
+}  // namespace
+
+MemoryTokenStore::MemoryTokenStore(size_t width,
+                                   std::vector<TokenKeyCol> key_cols)
+    : width_(width), key_cols_(std::move(key_cols)) {
+  // A column outside the token voids the whole schema (the store stays
+  // scannable), as for the relation-backed store.
   for (const TokenKeyCol& c : key_cols_) {
-    if (c.pos >= token.tuples.size() ||
-        static_cast<size_t>(c.attr) >= token.tuples[c.pos].arity()) {
-      return false;
+    if (c.pos >= width_) {
+      key_cols_.clear();
+      break;
     }
-    AppendKeyValue(token.tuples[c.pos][static_cast<size_t>(c.attr)], out);
-  }
-  return true;
-}
-
-void MemoryTokenStore::IndexAdd(size_t i) {
-  std::string key;
-  if (KeyOf(tokens_[i], &key)) {
-    buckets_[key].push_back(i);
-  } else {
-    unkeyed_.push_back(i);
   }
 }
 
-void MemoryTokenStore::IndexErase(size_t i) {
-  std::string key;
-  std::vector<size_t>* list;
-  std::unordered_map<std::string, std::vector<size_t>>::iterator it;
-  if (KeyOf(tokens_[i], &key)) {
-    it = buckets_.find(key);
-    list = &it->second;
-  } else {
-    it = buckets_.end();
-    list = &unkeyed_;
+uint64_t MemoryTokenStore::HashOf(TokenView token) const {
+  uint64_t h = 0;
+  for (const TokenKeyCol& c : key_cols_) {
+    const Tuple& t = *token[c.pos].tuple;
+    const size_t attr = static_cast<size_t>(c.attr);
+    h = MixKey(h, attr < t.arity() ? t[attr] : Value());
   }
-  auto pos = std::find(list->begin(), list->end(), i);
-  if (pos != list->end()) {
-    *pos = list->back();
-    list->pop_back();
-  }
-  if (it != buckets_.end() && list->empty()) buckets_.erase(it);
+  return h;
 }
 
-void MemoryTokenStore::EraseAt(size_t i) {
-  if (keyed()) {
-    IndexErase(i);
-    size_t last = tokens_.size() - 1;
-    if (i != last) {
-      IndexErase(last);
-      tokens_[i] = std::move(tokens_[last]);
-      IndexAdd(i);
-    }
-    tokens_.pop_back();
-    return;
-  }
-  tokens_[i] = std::move(tokens_.back());
-  tokens_.pop_back();
-}
-
-Status MemoryTokenStore::Add(const ReteToken& token) {
-  tokens_.push_back(token);
-  if (keyed()) IndexAdd(tokens_.size() - 1);
+Status MemoryTokenStore::Add(TokenView token) {
+  if (token.size() != width_) return WidthMismatch(token.size(), width_);
+  std::vector<TokenSlot>& bucket = buckets_[HashOf(token)];
+  bucket.insert(bucket.end(), token.begin(), token.end());
+  ++size_;
   return Status::OK();
 }
 
-Status MemoryTokenStore::RemoveExact(const ReteToken& token, bool* found) {
+Status MemoryTokenStore::RemoveExact(TokenView token, bool* found) {
   *found = false;
-  std::string key;
-  if (keyed() && KeyOf(token, &key)) {
-    // A tuple id never changes value (ids are not reused), so tokens with
-    // equal id combinations carry equal tuples and land in the same
-    // bucket — the probe is complete, no scan fallback needed.
-    auto it = buckets_.find(key);
-    if (it != buckets_.end()) {
-      for (size_t i : it->second) {
-        if (tokens_[i].ids == token.ids) {
-          EraseAt(i);
-          *found = true;
-          return Status::OK();
-        }
-      }
+  if (token.size() != width_) return WidthMismatch(token.size(), width_);
+  // A tuple id never changes value (ids are not reused), so tokens with
+  // equal id combinations carry equal key values and share a bucket.
+  auto it = buckets_.find(HashOf(token));
+  if (it == buckets_.end()) return Status::OK();
+  std::vector<TokenSlot>& bucket = it->second;
+  for (size_t at = 0; at < bucket.size(); at += width_) {
+    if (!SameIds(TokenView(bucket).subspan(at, width_), token)) continue;
+    // Fill the hole with the bucket's last token; order within a bucket
+    // carries no meaning.
+    const size_t last = bucket.size() - width_;
+    if (at != last) {
+      std::move(bucket.begin() + static_cast<ptrdiff_t>(last), bucket.end(),
+                bucket.begin() + static_cast<ptrdiff_t>(at));
     }
-    for (size_t i : unkeyed_) {
-      if (tokens_[i].ids == token.ids) {
-        EraseAt(i);
-        *found = true;
-        return Status::OK();
-      }
-    }
+    bucket.resize(last);
+    if (bucket.empty()) buckets_.erase(it);
+    --size_;
+    *found = true;
     return Status::OK();
   }
-  for (size_t i = 0; i < tokens_.size(); ++i) {
-    if (tokens_[i].ids == token.ids) {
-      EraseAt(i);
-      *found = true;
-      return Status::OK();
+  return Status::OK();
+}
+
+Status MemoryTokenStore::Scan(const Visitor& fn) const {
+  for (const auto& [hash, bucket] : buckets_) {
+    (void)hash;
+    for (size_t at = 0; at < bucket.size(); at += width_) {
+      PRODB_RETURN_IF_ERROR(fn(TokenView(bucket).subspan(at, width_)));
     }
   }
   return Status::OK();
 }
 
-Status MemoryTokenStore::Scan(
-    const std::function<Status(const ReteToken&)>& fn) const {
-  for (const ReteToken& t : tokens_) {
-    PRODB_RETURN_IF_ERROR(fn(t));
-  }
-  return Status::OK();
-}
-
-Status MemoryTokenStore::ScanMatching(
-    const std::vector<Value>& key,
-    const std::function<Status(const ReteToken&)>& fn) const {
+Status MemoryTokenStore::ScanMatching(const std::vector<Value>& key,
+                                      const Visitor& fn) const {
   if (!keyed() || key.size() != key_cols_.size()) return Scan(fn);
-  auto it = buckets_.find(EncodeJoinKey(key));
-  if (it != buckets_.end()) {
-    for (size_t i : it->second) {
-      PRODB_RETURN_IF_ERROR(fn(tokens_[i]));
-    }
-  }
-  for (size_t i : unkeyed_) {
-    PRODB_RETURN_IF_ERROR(fn(tokens_[i]));
+  uint64_t h = 0;
+  for (const Value& v : key) h = MixKey(h, v);
+  auto it = buckets_.find(h);
+  if (it == buckets_.end()) return Status::OK();
+  const std::vector<TokenSlot>& bucket = it->second;
+  for (size_t at = 0; at < bucket.size(); at += width_) {
+    PRODB_RETURN_IF_ERROR(fn(TokenView(bucket).subspan(at, width_)));
   }
   return Status::OK();
 }
 
-size_t MemoryTokenStore::FootprintBytes() const {
-  size_t total = sizeof(*this) + tokens_.capacity() * sizeof(ReteToken);
-  for (const ReteToken& t : tokens_) {
-    total += t.ids.capacity() * sizeof(TupleId);
-    for (const Tuple& tup : t.tuples) total += tup.FootprintBytes();
-    total += t.binding.capacity() * sizeof(Binding::value_type);
+size_t MemoryTokenStore::FootprintBytes(
+    std::unordered_set<const Tuple*>* counted) const {
+  // A hash node holds the key, the bucket vector and a next pointer; a
+  // make_shared payload adds its control block to the tuple.
+  constexpr size_t kNodeBytes =
+      sizeof(uint64_t) + sizeof(std::vector<TokenSlot>) + sizeof(void*);
+  constexpr size_t kControlBlockBytes = 16;
+  size_t total = sizeof(*this) + buckets_.bucket_count() * sizeof(void*);
+  for (const auto& [hash, bucket] : buckets_) {
+    (void)hash;
+    total += kNodeBytes + bucket.capacity() * sizeof(TokenSlot);
+    for (const TokenSlot& s : bucket) {
+      if (counted->insert(s.tuple.get()).second) {
+        total += kControlBlockBytes + s.tuple->FootprintBytes();
+      }
+    }
   }
-  for (const auto& [key, list] : buckets_) {
-    total += key.capacity() + list.capacity() * sizeof(size_t) + 48;
-  }
-  total += unkeyed_.capacity() * sizeof(size_t);
   return total;
 }
 
@@ -188,18 +173,18 @@ Status RelationTokenStore::Create(
   return Status::OK();
 }
 
-Tuple RelationTokenStore::Encode(const ReteToken& token) const {
+Tuple RelationTokenStore::Encode(TokenView token) const {
   Tuple row;
   auto& vals = row.mutable_values();
-  for (size_t p = 0; p < arities_.size(); ++p) {
-    TupleId id = p < token.ids.size() ? token.ids[p] : ReteToken::kNoTuple;
-    vals.emplace_back(static_cast<int64_t>(id.page_id));
-    vals.emplace_back(static_cast<int64_t>(id.slot_id));
+  for (const TokenSlot& s : token) {
+    vals.emplace_back(static_cast<int64_t>(s.id.page_id));
+    vals.emplace_back(static_cast<int64_t>(s.id.slot_id));
   }
   for (size_t p = 0; p < arities_.size(); ++p) {
+    const Tuple& t = *token[p].tuple;
     for (size_t a = 0; a < arities_[p]; ++a) {
-      if (p < token.tuples.size() && a < token.tuples[p].arity()) {
-        vals.push_back(token.tuples[p][a]);
+      if (a < t.arity()) {
+        vals.push_back(t[a]);
       } else {
         vals.emplace_back();
       }
@@ -208,15 +193,13 @@ Tuple RelationTokenStore::Encode(const ReteToken& token) const {
   return row;
 }
 
-ReteToken RelationTokenStore::Decode(const Tuple& row) const {
-  ReteToken token;
+std::vector<TokenSlot> RelationTokenStore::Decode(const Tuple& row) const {
   const size_t n = arities_.size();
-  token.ids.assign(n, ReteToken::kNoTuple);
-  token.tuples.assign(n, Tuple());
+  std::vector<TokenSlot> token(n);
   size_t off = 0;
   for (size_t p = 0; p < n; ++p) {
-    token.ids[p].page_id = static_cast<uint32_t>(row[off++].as_int());
-    token.ids[p].slot_id = static_cast<uint32_t>(row[off++].as_int());
+    token[p].id.page_id = static_cast<uint32_t>(row[off++].as_int());
+    token[p].id.slot_id = static_cast<uint32_t>(row[off++].as_int());
   }
   for (size_t p = 0; p < n; ++p) {
     std::vector<Value> vals;
@@ -224,27 +207,32 @@ ReteToken RelationTokenStore::Decode(const Tuple& row) const {
     for (size_t a = 0; a < arities_[p]; ++a) {
       vals.push_back(row[off++]);
     }
-    token.tuples[p] = Tuple(std::move(vals));
+    token[p].tuple = std::make_shared<const Tuple>(std::move(vals));
   }
   return token;
 }
 
-Status RelationTokenStore::Add(const ReteToken& token) {
+Status RelationTokenStore::Add(TokenView token) {
+  if (token.size() != arities_.size()) {
+    return WidthMismatch(token.size(), arities_.size());
+  }
   TupleId id;
   return rel_->Insert(Encode(token), &id);
 }
 
-Status RelationTokenStore::RemoveExact(const ReteToken& token, bool* found) {
+Status RelationTokenStore::RemoveExact(TokenView token, bool* found) {
   *found = false;
+  if (token.size() != arities_.size()) {
+    return WidthMismatch(token.size(), arities_.size());
+  }
   TupleId victim;
   bool have = false;
   auto check = [&](TupleId row_id, const Tuple& row) {
     if (have) return Status::OK();
     size_t off = 0;
-    for (size_t p = 0; p < arities_.size(); ++p) {
-      TupleId id = p < token.ids.size() ? token.ids[p] : ReteToken::kNoTuple;
-      if (static_cast<uint32_t>(row[off].as_int()) != id.page_id ||
-          static_cast<uint32_t>(row[off + 1].as_int()) != id.slot_id) {
+    for (const TokenSlot& s : token) {
+      if (static_cast<uint32_t>(row[off].as_int()) != s.id.page_id ||
+          static_cast<uint32_t>(row[off + 1].as_int()) != s.id.slot_id) {
         return Status::OK();
       }
       off += 2;
@@ -277,14 +265,13 @@ Status RelationTokenStore::RemoveExact(const ReteToken& token, bool* found) {
   return Status::OK();
 }
 
-Status RelationTokenStore::Scan(
-    const std::function<Status(const ReteToken&)>& fn) const {
-  return rel_->Scan([&](TupleId, const Tuple& row) { return fn(Decode(row)); });
+Status RelationTokenStore::Scan(const Visitor& fn) const {
+  return rel_->Scan(
+      [&](TupleId, const Tuple& row) { return fn(Decode(row)); });
 }
 
-Status RelationTokenStore::ScanMatching(
-    const std::vector<Value>& key,
-    const std::function<Status(const ReteToken&)>& fn) const {
+Status RelationTokenStore::ScanMatching(const std::vector<Value>& key,
+                                        const Visitor& fn) const {
   if (!keyed() || key.size() != key_attr_cols_.size()) return Scan(fn);
   // The equality selection hits the hash index on the first key column
   // (Relation::Select's fast path); remaining columns filter the probe
@@ -306,7 +293,10 @@ Status RelationTokenStore::ScanMatching(
 
 size_t RelationTokenStore::size() const { return rel_->Count(); }
 
-size_t RelationTokenStore::FootprintBytes() const {
+size_t RelationTokenStore::FootprintBytes(
+    std::unordered_set<const Tuple*>* counted) const {
+  // Rows carry their own copies of the values; no handle is shared.
+  (void)counted;
   return rel_->FootprintBytes();
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -14,16 +15,19 @@
 namespace prodb {
 
 /// One column of a token-memory equality-join key: the value lives at
-/// `tuples[pos][attr]` of a stored token. The schema is fixed when the
-/// store is built — computed once per node by ReteNetwork::BuildRule from
-/// the rule's equality variable occurrences (§3.2's "access of the
-/// opposite memory" becomes a keyed probe, §4.1.2's indexing idea).
+/// attribute `attr` of the tuple in slot `pos` of a stored token. The
+/// schema is fixed when the store is built — computed once per node by
+/// ReteNetwork::BuildRule from the rule's equality variable occurrences
+/// (§3.2's "access of the opposite memory" becomes a keyed probe,
+/// §4.1.2's indexing idea).
 struct TokenKeyCol {
-  size_t pos = 0;  // CE slot whose tuple supplies the value
+  size_t pos = 0;  // token slot whose tuple supplies the value
   int attr = 0;    // attribute within that tuple
 };
 
-/// Storage for the LEFT (or RIGHT) memory of a two-input Rete node.
+/// Storage for the LEFT (or RIGHT) memory of a two-input Rete node. A
+/// store holds tokens of one fixed width: a LEFT memory at join level k
+/// holds k-slot tokens, a RIGHT memory single WMEs (width 1).
 ///
 /// Two implementations realize the paper's comparison: MemoryTokenStore
 /// keeps tokens in process memory (the OPS5 situation, §3.1), while
@@ -34,119 +38,103 @@ struct TokenKeyCol {
 /// benchmark E8 measures.
 class TokenStore {
  public:
+  /// Visits one stored token; the view is valid only during the call.
+  using Visitor = std::function<Status(TokenView)>;
+
   virtual ~TokenStore() = default;
 
-  virtual Status Add(const ReteToken& token) = 0;
+  /// Stores a copy of `token`; InvalidArgument unless its width is the
+  /// store's.
+  virtual Status Add(TokenView token) = 0;
 
   /// Removes one token with exactly `token`'s tuple-id combination.
   /// Returns OK whether or not a match existed; *found reports it.
-  virtual Status RemoveExact(const ReteToken& token, bool* found) = 0;
+  virtual Status RemoveExact(TokenView token, bool* found) = 0;
 
   /// Visits every stored token.
-  virtual Status Scan(
-      const std::function<Status(const ReteToken&)>& fn) const = 0;
+  virtual Status Scan(const Visitor& fn) const = 0;
 
   /// Visits the tokens whose key columns equal `key` (one Value per key
   /// column, compared with the semantics of EvalCompare(kEq) — int 3
   /// matches real 3.0). This is a necessary-condition filter: every
-  /// token that could join on the key columns is visited, plus any token
-  /// whose key could not be derived (defensive fallback); callers still
-  /// run the full consistency test on visited tokens. Stores built
-  /// without a key schema degrade to Scan.
-  virtual Status ScanMatching(
-      const std::vector<Value>& key,
-      const std::function<Status(const ReteToken&)>& fn) const = 0;
+  /// token that could join on the key columns is visited, possibly with
+  /// others whose key merely hashes alike; callers still run the full
+  /// join test on visited tokens. Stores built without a key schema
+  /// degrade to Scan.
+  virtual Status ScanMatching(const std::vector<Value>& key,
+                              const Visitor& fn) const = 0;
 
   /// True when the store maintains a key index (ScanMatching is a probe,
   /// not a scan).
   virtual bool keyed() const = 0;
 
-  /// Hint that ~n more tokens are about to be added (one per right
-  /// activation of a batch). Stores may pre-size; correctness never
-  /// depends on it.
-  virtual void ReserveAdditional(size_t n) { (void)n; }
-
   virtual size_t size() const = 0;
-  virtual size_t FootprintBytes() const = 0;
+
+  /// Approximate bytes held: the store's own structure plus the payload
+  /// of each tuple handle not yet in `counted` (which it adds), so a
+  /// payload several tokens or stores share is counted once.
+  virtual size_t FootprintBytes(
+      std::unordered_set<const Tuple*>* counted) const = 0;
 };
 
-/// Tokens in a std::vector (the in-memory Rete of OPS5), with an optional
-/// hash map from encoded key to token indices maintained on every
-/// add/remove.
+/// Tokens in process memory (the in-memory Rete of OPS5), filed in
+/// buckets by a 64-bit hash of their key values. A bucket holds its
+/// tokens' slots in place, `width` per token, so adding, removing (by
+/// tuple ids) and probing each cost one bucket lookup. An unkeyed store
+/// is one bucket.
 class MemoryTokenStore : public TokenStore {
  public:
-  MemoryTokenStore() = default;
-  explicit MemoryTokenStore(std::vector<TokenKeyCol> key_cols)
-      : key_cols_(std::move(key_cols)) {}
+  explicit MemoryTokenStore(size_t width,
+                            std::vector<TokenKeyCol> key_cols = {});
 
-  Status Add(const ReteToken& token) override;
-  Status RemoveExact(const ReteToken& token, bool* found) override;
-  Status Scan(
-      const std::function<Status(const ReteToken&)>& fn) const override;
-  Status ScanMatching(
-      const std::vector<Value>& key,
-      const std::function<Status(const ReteToken&)>& fn) const override;
+  Status Add(TokenView token) override;
+  Status RemoveExact(TokenView token, bool* found) override;
+  Status Scan(const Visitor& fn) const override;
+  Status ScanMatching(const std::vector<Value>& key,
+                      const Visitor& fn) const override;
   bool keyed() const override { return !key_cols_.empty(); }
-  void ReserveAdditional(size_t n) override {
-    const size_t want = tokens_.size() + n;
-    if (want <= tokens_.capacity()) return;
-    // Never reserve below double the current capacity: an exact
-    // `reserve(size + 1)` per one-element batch would defeat the
-    // vector's geometric growth and turn token adds quadratic.
-    const size_t doubled = tokens_.capacity() * 2;
-    tokens_.reserve(want > doubled ? want : doubled);
-  }
-  size_t size() const override { return tokens_.size(); }
-  size_t FootprintBytes() const override;
+  size_t size() const override { return size_; }
+  size_t FootprintBytes(
+      std::unordered_set<const Tuple*>* counted) const override;
 
  private:
-  /// Encodes `token`'s key columns; false when a column is not derivable
-  /// (missing position / narrow tuple), in which case the token lives in
-  /// the unkeyed list that every probe also visits.
-  bool KeyOf(const ReteToken& token, std::string* out) const;
-  void IndexAdd(size_t i);
-  void IndexErase(size_t i);
-  /// Swap-erase of tokens_[i], fixing up the moved element's index entry.
-  void EraseAt(size_t i);
+  uint64_t HashOf(TokenView token) const;
 
-  std::vector<ReteToken> tokens_;
+  size_t width_;
   std::vector<TokenKeyCol> key_cols_;
-  // encoded key -> indices into tokens_ (only when keyed).
-  std::unordered_map<std::string, std::vector<size_t>> buckets_;
-  // indices of tokens whose key could not be derived.
-  std::vector<size_t> unkeyed_;
+  // Key hash -> the slots of every token filed under it, `width_` each.
+  std::unordered_map<uint64_t, std::vector<TokenSlot>> buckets_;
+  size_t size_ = 0;
 };
 
 /// Tokens serialized into a catalog relation.
 ///
 /// Row layout: [pos0_page, pos0_slot, pos1_page, pos1_slot, ...] followed
-/// by the concatenated attribute values of each position's tuple. The
-/// binding is not stored; it is recomputed on scan by the owning node
-/// (it is derivable from the tuples). When a key schema is given, the
-/// backing relation carries hash indexes on the encoded key columns —
-/// §4.1.2's "index the COND relations" applied to LEFT/RIGHT — and
-/// ScanMatching routes through Relation::Select's index fast path.
+/// by the concatenated attribute values of each position's tuple. When a
+/// key schema is given, the backing relation carries hash indexes on the
+/// encoded key columns — §4.1.2's "index the COND relations" applied to
+/// LEFT/RIGHT — and ScanMatching routes through Relation::Select's index
+/// fast path. Visitors see tokens decoded into fresh handles.
 class RelationTokenStore : public TokenStore {
  public:
-  /// Creates the backing relation `name` in `catalog`. `positions` gives,
-  /// per CE slot of the rule, the arity of that slot's class (0 for
-  /// negated slots, which never carry tuples). `key_cols` (may be empty)
-  /// selects the token columns to index.
+  /// Creates the backing relation `name` in `catalog`. `arities` gives,
+  /// per token slot, the arity of that slot's class (its size is the
+  /// store's width). `key_cols` (may be empty) selects the token columns
+  /// to index.
   static Status Create(Catalog* catalog, const std::string& name,
                        std::vector<size_t> arities, StorageKind storage,
                        std::unique_ptr<RelationTokenStore>* out,
                        std::vector<TokenKeyCol> key_cols = {});
 
-  Status Add(const ReteToken& token) override;
-  Status RemoveExact(const ReteToken& token, bool* found) override;
-  Status Scan(
-      const std::function<Status(const ReteToken&)>& fn) const override;
-  Status ScanMatching(
-      const std::vector<Value>& key,
-      const std::function<Status(const ReteToken&)>& fn) const override;
+  Status Add(TokenView token) override;
+  Status RemoveExact(TokenView token, bool* found) override;
+  Status Scan(const Visitor& fn) const override;
+  Status ScanMatching(const std::vector<Value>& key,
+                      const Visitor& fn) const override;
   bool keyed() const override { return !key_attr_cols_.empty(); }
   size_t size() const override;
-  size_t FootprintBytes() const override;
+  size_t FootprintBytes(
+      std::unordered_set<const Tuple*>* counted) const override;
 
   Relation* relation() const { return rel_; }
 
@@ -157,8 +145,8 @@ class RelationTokenStore : public TokenStore {
         arities_(std::move(arities)),
         key_attr_cols_(std::move(key_attr_cols)) {}
 
-  Tuple Encode(const ReteToken& token) const;
-  ReteToken Decode(const Tuple& row) const;
+  Tuple Encode(TokenView token) const;
+  std::vector<TokenSlot> Decode(const Tuple& row) const;
 
   Relation* rel_;
   std::vector<size_t> arities_;

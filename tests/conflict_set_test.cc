@@ -22,6 +22,21 @@ Instantiation Make(int rule, std::vector<uint32_t> pages) {
   return inst;
 }
 
+TEST(InstantiationTest, KeyOfMatchesKeyWithNegatedSlot) {
+  // A rule whose second CE is negated: that slot holds no tuple. The key
+  // a matcher retracts by must be byte-identical to the member's Key().
+  Instantiation inst;
+  inst.rule_index = 3;
+  inst.rule_name = "r";
+  inst.tuple_ids = {TupleId{7, 2}, Instantiation::kNoTuple, TupleId{9, 0}};
+  inst.tuples = {Tuple{Value(1)}, Tuple(), Tuple{Value(2)}};
+  EXPECT_EQ(Instantiation::KeyOf(3, inst.tuple_ids), inst.Key());
+  ConflictSet cs;
+  ASSERT_TRUE(cs.Add(inst));
+  EXPECT_TRUE(cs.RemoveByKey(Instantiation::KeyOf(3, inst.tuple_ids)));
+  EXPECT_TRUE(cs.empty());
+}
+
 TEST(ConflictSetTest, AddDeduplicates) {
   ConflictSet cs;
   EXPECT_TRUE(cs.Add(Make(0, {1, 2})));

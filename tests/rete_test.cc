@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/change_set.h"
 #include "common/rng.h"
 #include "matcher_test_util.h"
 #include "workload/paper_examples.h"
@@ -214,6 +215,241 @@ TEST(ReteTopologyTest, BetaSharingSurvivesDeletion) {
   EXPECT_TRUE(h.matcher->conflict_set().empty());
   ASSERT_TRUE(h.wm->Insert("F", Tuple{Value(1)}).ok());
   EXPECT_EQ(h.matcher->conflict_set().size(), 2u);
+}
+
+// --- Shared RIGHT memories ------------------------------------------------
+
+// r1 and r2 have different heads, but all their CEs read one alpha node
+// (class A, no constant tests), and their second CEs are the same text:
+// the two level-1 nodes share one RIGHT memory. r3 reads that memory one
+// level deeper, r4 reads the alpha node through a negated CE. Mutating
+// the shared memory once per activation must still form each pair
+// exactly once; mutating it at the first node in registration order
+// formed r1/r2 pairs twice.
+constexpr const char* kSharedRightProgram = R"(
+(literalize A x y z)
+(literalize B k)
+(p r1 (A ^x <v>) (A ^y <v>) --> (remove 1))
+(p r2 (A ^z <w>) (A ^y <w>) --> (remove 1))
+(p r3 (B ^k <u>) (A ^x <u>) (A ^y <u>) --> (remove 1))
+(p r4 (A ^z <w>) -(A ^y <w>) --> (remove 1))
+)";
+
+struct SharedRightVariant {
+  std::string name;
+  ReteOptions options;
+};
+
+std::vector<SharedRightVariant> SharedRightVariants() {
+  ReteOptions beta, nobeta, hot, dbms;
+  nobeta.share_beta = false;
+  hot.sharding.num_shards = 4;
+  hot.sharding.hot_classes = {"A"};
+  dbms.dbms_backed = true;
+  return {{"share_beta", beta},
+          {"no_share_beta", nobeta},
+          {"shard4_hot", hot},
+          {"dbms", dbms}};
+}
+
+TEST(ReteSharedRightTest, EveryPairFormsExactlyOnce) {
+  for (const SharedRightVariant& variant : SharedRightVariants()) {
+    SCOPED_TRACE(variant.name);
+    MatcherHarness rete, query;
+    ASSERT_TRUE(rete.Init(kSharedRightProgram,
+                          [&](Catalog* c) {
+                            return std::make_unique<ReteNetwork>(
+                                c, variant.options);
+                          })
+                    .ok());
+    ASSERT_TRUE(query.Init(kSharedRightProgram, "query").ok());
+    // The level-1 CEs of r1 and r2 and the level-2 CE of r3 share one
+    // memory (and r3's level-1 CE and r4's negated CE have their own) —
+    // unless the hot variant replicates the chains per shard.
+    const ReteTopology topo =
+        static_cast<ReteNetwork*>(rete.matcher.get())->Topology();
+    if (!variant.options.sharding.enabled()) {
+      EXPECT_EQ(topo.right_memories, 3u);
+    }
+
+    // Live tuples: class, tuple, and their ids in (rete, query).
+    struct Live {
+      std::string cls;
+      Tuple t;
+      TupleId r, q;
+    };
+    std::vector<Live> live;
+    Rng rng(17);
+    auto gen = [&](const std::string& cls) {
+      if (cls == "B") return Tuple{Value(rng.Range(0, 3))};
+      return Tuple{Value(rng.Range(0, 3)), Value(rng.Range(0, 3)),
+                   Value(rng.Range(0, 3))};
+    };
+    for (int batch = 0; batch < 120; ++batch) {
+      rete.wm->BeginBatch();
+      query.wm->BeginBatch();
+      const int ops = 1 + static_cast<int>(rng.Uniform(6));
+      for (int op = 0; op < ops; ++op) {
+        const uint64_t kind = live.empty() ? 0 : rng.Uniform(5);
+        if (kind <= 1) {
+          const std::string cls = rng.Uniform(4) == 0 ? "B" : "A";
+          Live l{cls, gen(cls), {}, {}};
+          ASSERT_TRUE(rete.wm->Insert(cls, l.t, &l.r).ok());
+          ASSERT_TRUE(query.wm->Insert(cls, l.t, &l.q).ok());
+          live.push_back(std::move(l));
+        } else if (kind == 2) {
+          // Insert and delete one tuple inside the same ChangeSet.
+          Tuple t = gen("A");
+          TupleId r, q;
+          ASSERT_TRUE(rete.wm->Insert("A", t, &r).ok());
+          ASSERT_TRUE(query.wm->Insert("A", t, &q).ok());
+          ASSERT_TRUE(rete.wm->Delete("A", r).ok());
+          ASSERT_TRUE(query.wm->Delete("A", q).ok());
+        } else if (kind == 3) {
+          const size_t pick = rng.Uniform(live.size());
+          Live& l = live[pick];
+          Tuple t = gen(l.cls);
+          ASSERT_TRUE(rete.wm->Modify(l.cls, l.r, t, &l.r).ok());
+          ASSERT_TRUE(query.wm->Modify(l.cls, l.q, t, &l.q).ok());
+          l.t = std::move(t);
+        } else {
+          const size_t pick = rng.Uniform(live.size());
+          ASSERT_TRUE(rete.wm->Delete(live[pick].cls, live[pick].r).ok());
+          ASSERT_TRUE(query.wm->Delete(live[pick].cls, live[pick].q).ok());
+          live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
+        }
+      }
+      ASSERT_TRUE(rete.wm->CommitBatch().ok());
+      ASSERT_TRUE(query.wm->CommitBatch().ok());
+      ASSERT_EQ(CanonicalConflictSet(*rete.matcher),
+                CanonicalConflictSet(*query.matcher))
+          << "diverged after batch " << batch;
+    }
+  }
+}
+
+// The served join benchmark's eight rules, written in the order the
+// planner picks (Customer, Order, Item) and compiled without it: every
+// rule reads the shared Order and Item alpha nodes with the same CE and
+// join key after its own Customer head, so 16 join nodes read 2 RIGHT
+// memories. Without alpha sharing each node keeps its own.
+TEST(ReteTopologyTest, JoinRulesShareTwoRightMemories) {
+  std::string source =
+      "(literalize Customer id region tier)\n"
+      "(literalize Item id region)\n"
+      "(literalize Order id cust item)\n";
+  for (int k = 0; k < 8; ++k) {
+    source += "(p ship" + std::to_string(k) +
+              " (Customer ^id <c> ^region <r> ^tier " + std::to_string(k) +
+              ") (Order ^cust <c> ^item <i>) (Item ^id <i> ^region <r>)"
+              " --> (remove 1))\n";
+  }
+  MatcherHarness shared, unshared;
+  ReteOptions off;
+  off.share_alpha = false;
+  ASSERT_TRUE(shared
+                  .Init(source,
+                        [](Catalog* c) {
+                          return std::make_unique<ReteNetwork>(c);
+                        })
+                  .ok());
+  ASSERT_TRUE(unshared
+                  .Init(source,
+                        [off](Catalog* c) {
+                          return std::make_unique<ReteNetwork>(c, off);
+                        })
+                  .ok());
+  auto* on_net = static_cast<ReteNetwork*>(shared.matcher.get());
+  auto* off_net = static_cast<ReteNetwork*>(unshared.matcher.get());
+  EXPECT_EQ(on_net->Topology().beta_nodes, 16u);
+  EXPECT_EQ(on_net->Topology().right_memories, 2u);
+  EXPECT_EQ(off_net->Topology().right_memories, 16u);
+
+  // Same answers; each Order and Item is held once, not once per rule.
+  for (MatcherHarness* h : {&shared, &unshared}) {
+    for (int c = 0; c < 16; ++c) {
+      ASSERT_TRUE(h->wm->Insert("Customer",
+                                Tuple{Value(c), Value(c % 2), Value(c % 8)})
+                      .ok());
+    }
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(h->wm->Insert("Item", Tuple{Value(i), Value(i % 2)}).ok());
+    }
+    for (int o = 0; o < 32; ++o) {
+      ASSERT_TRUE(h->wm->Insert("Order",
+                                Tuple{Value(o), Value(o % 16), Value(o % 4)})
+                      .ok());
+    }
+  }
+  EXPECT_EQ(CanonicalConflictSet(*shared.matcher),
+            CanonicalConflictSet(*unshared.matcher));
+  EXPECT_FALSE(shared.matcher->conflict_set().empty());
+  // 32 Orders + 4 Items in RIGHT memories, once shared or 8 times not.
+  EXPECT_EQ(off_net->TokenCount() - on_net->TokenCount(), 7u * (32 + 4));
+  EXPECT_EQ(shared.matcher->stats().patterns_stored.load(),
+            on_net->TokenCount());
+  EXPECT_LT(shared.matcher->AuxiliaryFootprintBytes(),
+            unshared.matcher->AuxiliaryFootprintBytes());
+}
+
+// Memories hold handles that own their tuples: a batch's ChangeSet (and
+// every tuple in it) can go away as soon as OnBatch returns. A later join
+// reads the stored tuple through its handle, and a later retraction
+// finds it by id. Under ASan a handle into the freed batch is caught.
+TEST(ReteLifetimeTest, MemoriesOutliveTheirChangeSet) {
+  MatcherHarness h;
+  ASSERT_TRUE(h.Init(R"(
+(literalize A k v)
+(literalize B k v)
+(p r (A ^k <x>) (B ^k <x>) --> (remove 1))
+)",
+                     [](Catalog* c) {
+                       return std::make_unique<ReteNetwork>(c);
+                     })
+                  .ok());
+  const Tuple a{Value(1), Value("held by a LEFT memory past its batch")};
+  const Tuple b{Value(2), Value("held by a RIGHT memory past its batch")};
+  TupleId a_id, b_id;
+  ASSERT_TRUE(h.catalog->Get("A")->Insert(a, &a_id).ok());
+  ASSERT_TRUE(h.catalog->Get("B")->Insert(b, &b_id).ok());
+  {
+    auto batch = std::make_unique<ChangeSet>();
+    batch->AddInsert("A", a, a_id);
+    batch->AddInsert("B", b, b_id);
+    ASSERT_TRUE(h.matcher->OnBatch(*batch).ok());
+  }  // the batch and its tuple copies are gone
+
+  // Partners arrive: each join reads a stored tuple through its handle.
+  const Tuple b1{Value(1), Value("partner")};
+  const Tuple a2{Value(2), Value("partner")};
+  TupleId b1_id, a2_id;
+  ASSERT_TRUE(h.catalog->Get("B")->Insert(b1, &b1_id).ok());
+  ASSERT_TRUE(h.catalog->Get("A")->Insert(a2, &a2_id).ok());
+  {
+    ChangeSet batch;
+    batch.AddInsert("B", b1, b1_id);
+    batch.AddInsert("A", a2, a2_id);
+    ASSERT_TRUE(h.matcher->OnBatch(batch).ok());
+  }
+  std::vector<Instantiation> snap = h.matcher->conflict_set().Snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  std::multiset<std::string> got;
+  for (const Instantiation& inst : snap) {
+    got.insert(inst.tuples[0].ToString() + inst.tuples[1].ToString());
+  }
+  EXPECT_EQ(got, (std::multiset<std::string>{a.ToString() + b1.ToString(),
+                                             a2.ToString() + b.ToString()}));
+
+  // Retract the first batch's tuples by id.
+  {
+    ChangeSet batch;
+    batch.AddDelete("A", a_id, a);
+    batch.AddDelete("B", b_id, b);
+    ASSERT_TRUE(h.matcher->OnBatch(batch).ok());
+  }
+  EXPECT_TRUE(h.matcher->conflict_set().empty());
+  // The partners are still stored, once each.
+  EXPECT_EQ(static_cast<ReteNetwork*>(h.matcher.get())->TokenCount(), 2u);
 }
 
 TEST(ReteDbmsTest, LeftRightRelationsMaterializeInCatalog) {

@@ -8,15 +8,23 @@
 namespace prodb {
 namespace {
 
-ReteToken MakeToken(std::vector<std::pair<size_t, int>> filled, size_t n) {
-  ReteToken t;
-  t.ids.assign(n, ReteToken::kNoTuple);
-  t.tuples.assign(n, Tuple());
-  for (auto& [pos, v] : filled) {
-    t.ids[pos] = TupleId{static_cast<uint32_t>(v), 0};
-    t.tuples[pos] = Tuple{Value(v), Value(v * 10)};
-  }
-  return t;
+using Token = std::vector<TokenSlot>;
+
+TokenSlot Slot(uint32_t id, Tuple t) {
+  return TokenSlot{TupleId{id, 0}, std::make_shared<const Tuple>(std::move(t))};
+}
+
+// A two-slot token: slot p holds the tuple with id v_p and values
+// (v_p, 10*v_p).
+Token MakeToken(int v0, int v1) {
+  return {Slot(static_cast<uint32_t>(v0), Tuple{Value(v0), Value(v0 * 10)}),
+          Slot(static_cast<uint32_t>(v1), Tuple{Value(v1), Value(v1 * 10)})};
+}
+
+std::string IdsOf(TokenView t) {
+  std::string out;
+  for (const TokenSlot& s : t) out += s.id.ToString();
+  return out;
 }
 
 // Both stores must satisfy the same contract.
@@ -27,12 +35,12 @@ class TokenStoreTest : public ::testing::TestWithParam<bool> {
       catalog_ = std::make_unique<Catalog>();
       std::unique_ptr<RelationTokenStore> rts;
       ASSERT_TRUE(RelationTokenStore::Create(catalog_.get(), "LEFT-test",
-                                             {2, 2, 0}, StorageKind::kMemory,
+                                             {2, 2}, StorageKind::kMemory,
                                              &rts)
                       .ok());
       store_ = std::move(rts);
     } else {
-      store_ = std::make_unique<MemoryTokenStore>();
+      store_ = std::make_unique<MemoryTokenStore>(2);
     }
   }
   std::unique_ptr<Catalog> catalog_;
@@ -40,15 +48,16 @@ class TokenStoreTest : public ::testing::TestWithParam<bool> {
 };
 
 TEST_P(TokenStoreTest, AddScanRoundTrip) {
-  ReteToken t = MakeToken({{0, 1}, {1, 2}}, 3);
+  Token t = MakeToken(1, 2);
   ASSERT_TRUE(store_->Add(t).ok());
   ASSERT_EQ(store_->size(), 1u);
   size_t seen = 0;
-  ASSERT_TRUE(store_->Scan([&](const ReteToken& got) {
-                 EXPECT_EQ(got.ids[0], t.ids[0]);
-                 EXPECT_EQ(got.ids[1], t.ids[1]);
-                 EXPECT_EQ(got.tuples[0], t.tuples[0]);
-                 EXPECT_EQ(got.ids[2], ReteToken::kNoTuple);
+  ASSERT_TRUE(store_->Scan([&](TokenView got) {
+                 EXPECT_EQ(got.size(), 2u);
+                 EXPECT_EQ(got[0].id, t[0].id);
+                 EXPECT_EQ(got[1].id, t[1].id);
+                 EXPECT_EQ(*got[0].tuple, *t[0].tuple);
+                 EXPECT_EQ(*got[1].tuple, *t[1].tuple);
                  ++seen;
                  return Status::OK();
                }).ok());
@@ -56,34 +65,59 @@ TEST_P(TokenStoreTest, AddScanRoundTrip) {
 }
 
 TEST_P(TokenStoreTest, RemoveExactMatchesFullCombination) {
-  ASSERT_TRUE(store_->Add(MakeToken({{0, 1}, {1, 2}}, 3)).ok());
-  ASSERT_TRUE(store_->Add(MakeToken({{0, 1}, {1, 3}}, 3)).ok());
+  ASSERT_TRUE(store_->Add(MakeToken(1, 2)).ok());
+  ASSERT_TRUE(store_->Add(MakeToken(1, 3)).ok());
   bool found = false;
-  ASSERT_TRUE(
-      store_->RemoveExact(MakeToken({{0, 1}, {1, 9}}, 3), &found).ok());
+  ASSERT_TRUE(store_->RemoveExact(MakeToken(1, 9), &found).ok());
   EXPECT_FALSE(found);
-  ASSERT_TRUE(
-      store_->RemoveExact(MakeToken({{0, 1}, {1, 2}}, 3), &found).ok());
+  ASSERT_TRUE(store_->RemoveExact(MakeToken(1, 2), &found).ok());
   EXPECT_TRUE(found);
   EXPECT_EQ(store_->size(), 1u);
   // Removing again: gone.
-  ASSERT_TRUE(
-      store_->RemoveExact(MakeToken({{0, 1}, {1, 2}}, 3), &found).ok());
+  ASSERT_TRUE(store_->RemoveExact(MakeToken(1, 2), &found).ok());
   EXPECT_FALSE(found);
 }
 
+TEST_P(TokenStoreTest, RejectsTokensOfAnotherWidth) {
+  Token narrow{Slot(1, Tuple{Value(1), Value(10)})};
+  Status st = store_->Add(narrow);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  bool found = true;
+  st = store_->RemoveExact(narrow, &found);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_FALSE(found);
+  EXPECT_EQ(store_->size(), 0u);
+}
+
 TEST_P(TokenStoreTest, FootprintGrows) {
-  size_t before = store_->FootprintBytes();
+  std::unordered_set<const Tuple*> counted;
+  size_t before = store_->FootprintBytes(&counted);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(store_->Add(MakeToken({{0, i}, {1, i}}, 3)).ok());
+    ASSERT_TRUE(store_->Add(MakeToken(i, i + 100)).ok());
   }
-  EXPECT_GT(store_->FootprintBytes(), before);
+  counted.clear();
+  EXPECT_GT(store_->FootprintBytes(&counted), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TokenStoreTest, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "Relation" : "Memory";
                          });
+
+TEST(MemoryTokenStoreTest, SharedPayloadCountsOnce) {
+  // Two tokens holding handles to one tuple: its payload counts once,
+  // here and in any later store measured with the same `counted` set.
+  MemoryTokenStore a(1), b(1);
+  TokenSlot shared = Slot(7, Tuple{Value("a long enough symbol value")});
+  Token t{shared};
+  ASSERT_TRUE(a.Add(t).ok());
+  std::unordered_set<const Tuple*> counted;
+  const size_t one = a.FootprintBytes(&counted);
+  ASSERT_TRUE(b.Add(t).ok());
+  const size_t again = b.FootprintBytes(&counted);
+  EXPECT_LT(again, one);
+  EXPECT_EQ(counted.size(), 1u);
+}
 
 // --- Keyed stores: ScanMatching vs filtered Scan --------------------------
 
@@ -100,20 +134,19 @@ class KeyedTokenStoreTest : public ::testing::TestWithParam<bool> {
       catalog_ = std::make_unique<Catalog>();
       std::unique_ptr<RelationTokenStore> rts;
       ASSERT_TRUE(RelationTokenStore::Create(catalog_.get(), "LEFT-keyed",
-                                             {2, 2, 0}, StorageKind::kMemory,
+                                             {2, 2}, StorageKind::kMemory,
                                              &rts, KeyCols())
                       .ok());
       store_ = std::move(rts);
     } else {
-      store_ = std::make_unique<MemoryTokenStore>(KeyCols());
+      store_ = std::make_unique<MemoryTokenStore>(2, KeyCols());
     }
     ASSERT_TRUE(store_->keyed());
   }
 
-  // The key of a token under KeyCols (both values derivable for tokens
-  // built by MakeToken with positions 0 and 1 filled).
-  static std::vector<Value> KeyOf(const ReteToken& t) {
-    return {t.tuples[0][0], t.tuples[1][1]};
+  // The key of a token under KeyCols.
+  static std::vector<Value> KeyOf(TokenView t) {
+    return {(*t[0].tuple)[0], (*t[1].tuple)[1]};
   }
 
   // Multiset of token identities ScanMatching yields for `key`.
@@ -121,8 +154,8 @@ class KeyedTokenStoreTest : public ::testing::TestWithParam<bool> {
     std::vector<std::string> out;
     EXPECT_TRUE(store_
                     ->ScanMatching(key,
-                                   [&](const ReteToken& t) {
-                                     out.push_back(t.Key());
+                                   [&](TokenView t) {
+                                     out.push_back(IdsOf(t));
                                      return Status::OK();
                                    })
                     .ok());
@@ -134,8 +167,8 @@ class KeyedTokenStoreTest : public ::testing::TestWithParam<bool> {
   std::vector<std::string> Reference(const std::vector<Value>& key) {
     std::vector<std::string> out;
     EXPECT_TRUE(store_
-                    ->Scan([&](const ReteToken& t) {
-                      if (KeyOf(t) == key) out.push_back(t.Key());
+                    ->Scan([&](TokenView t) {
+                      if (KeyOf(t) == key) out.push_back(IdsOf(t));
                       return Status::OK();
                     })
                     .ok());
@@ -148,10 +181,11 @@ class KeyedTokenStoreTest : public ::testing::TestWithParam<bool> {
 };
 
 TEST_P(KeyedTokenStoreTest, ScanMatchingMatchesFilteredScan) {
-  ASSERT_TRUE(store_->Add(MakeToken({{0, 1}, {1, 2}}, 3)).ok());
-  ASSERT_TRUE(store_->Add(MakeToken({{0, 1}, {1, 3}}, 3)).ok());
-  ASSERT_TRUE(store_->Add(MakeToken({{0, 2}, {1, 2}}, 3)).ok());
-  // MakeToken(v) stores Value(v) at attr 0 and Value(10*v) at attr 1.
+  ASSERT_TRUE(store_->Add(MakeToken(1, 2)).ok());
+  ASSERT_TRUE(store_->Add(MakeToken(1, 3)).ok());
+  ASSERT_TRUE(store_->Add(MakeToken(2, 2)).ok());
+  // MakeToken(v0, v1) stores Value(v0) at slot 0 attr 0 and Value(10*v1)
+  // at slot 1 attr 1.
   std::vector<Value> key{Value(1), Value(20)};
   EXPECT_EQ(Probe(key), Reference(key));
   EXPECT_EQ(Probe(key).size(), 1u);
@@ -164,29 +198,51 @@ TEST_P(KeyedTokenStoreTest, ScanMatchingMatchesFilteredScan) {
 TEST_P(KeyedTokenStoreTest, ProbeHonorsCrossTypeNumericEquality) {
   // Int 1 at attr 0, int 20 at attr 1 — probed with reals. The stores
   // must honor EvalCompare(kEq)'s numeric equality (3 == 3.0).
-  ASSERT_TRUE(store_->Add(MakeToken({{0, 1}, {1, 2}}, 3)).ok());
+  ASSERT_TRUE(store_->Add(MakeToken(1, 2)).ok());
   std::vector<Value> key{Value(1.0), Value(20.0)};
   EXPECT_EQ(Probe(key).size(), 1u);
+}
+
+TEST_P(KeyedTokenStoreTest, RemoveExactSparesSameKeyTokens) {
+  // Three tokens with one key but distinct ids share a bucket: removal
+  // compares ids, so a same-key token with other ids is never taken.
+  Token a{Slot(1, Tuple{Value(5), Value(0)}), Slot(2, Tuple{Value(0), Value(9)})};
+  Token b{Slot(3, Tuple{Value(5), Value(0)}), Slot(4, Tuple{Value(0), Value(9)})};
+  Token c{Slot(5, Tuple{Value(5), Value(0)}), Slot(6, Tuple{Value(0), Value(9)})};
+  ASSERT_TRUE(store_->Add(a).ok());
+  ASSERT_TRUE(store_->Add(b).ok());
+  ASSERT_TRUE(store_->Add(c).ok());
+  const std::vector<Value> key{Value(5), Value(9)};
+  ASSERT_EQ(Probe(key).size(), 3u);
+  // Same key, ids of none of them: nothing goes.
+  Token stranger{Slot(1, Tuple{Value(5), Value(0)}),
+                 Slot(4, Tuple{Value(0), Value(9)})};
+  bool found = true;
+  ASSERT_TRUE(store_->RemoveExact(stranger, &found).ok());
+  EXPECT_FALSE(found);
+  EXPECT_EQ(store_->size(), 3u);
+  // Taking the first moves another into its place; both others remain.
+  ASSERT_TRUE(store_->RemoveExact(a, &found).ok());
+  EXPECT_TRUE(found);
+  EXPECT_EQ(Probe(key),
+            (std::vector<std::string>{IdsOf(b), IdsOf(c)}));
+  ASSERT_TRUE(store_->RemoveExact(c, &found).ok());
+  EXPECT_TRUE(found);
+  EXPECT_EQ(Probe(key), (std::vector<std::string>{IdsOf(b)}));
 }
 
 TEST_P(KeyedTokenStoreTest, RandomizedChurnCrossCheck) {
   std::mt19937 rng(42);
   // Small value domain so keys collide and removal hits busy buckets.
   std::uniform_int_distribution<int> val(0, 4);
-  std::vector<ReteToken> live;
-  int next_id = 0;
+  std::vector<Token> live;
+  uint32_t next_id = 0;
   for (int step = 0; step < 400; ++step) {
     bool add = live.empty() || rng() % 3 != 0;
     if (add) {
-      // Distinct ids, colliding key values: position 0 carries the key
-      // value, position 1 a second key dimension.
-      ReteToken t;
-      t.ids.assign(3, ReteToken::kNoTuple);
-      t.tuples.assign(3, Tuple());
-      t.ids[0] = TupleId{static_cast<uint32_t>(next_id++), 0};
-      t.ids[1] = TupleId{static_cast<uint32_t>(next_id++), 1};
-      t.tuples[0] = Tuple{Value(val(rng)), Value(val(rng))};
-      t.tuples[1] = Tuple{Value(val(rng)), Value(val(rng))};
+      // Distinct ids, colliding key values.
+      Token t{Slot(next_id++, Tuple{Value(val(rng)), Value(val(rng))}),
+              Slot(next_id++, Tuple{Value(val(rng)), Value(val(rng))})};
       ASSERT_TRUE(store_->Add(t).ok());
       live.push_back(std::move(t));
     } else {
