@@ -3,11 +3,11 @@
 // The §5.2 commit rule makes a transaction's whole ∆ins/∆del visible to
 // the maintenance process at once; this sweep measures what the matchers
 // do with that: per-delta propagation steps and tuples examined as the
-// batch grows {1, 8, 64, 512}. Batch size 1 is the per-tuple baseline
-// (OnBatch delegates to OnInsert/OnDelete), so its cost must not regress;
-// at larger sizes the Rete network amortizes alpha passes per relation
-// group and the query matcher amortizes conflict-set passes and negated
-// re-evaluations across the whole batch.
+// batch grows {1, 8, 64, 512}. Batch size 1 is the one-delta baseline
+// (every single insert or delete reaches OnBatch as such a batch), so its
+// cost must not regress; at larger sizes the Rete network amortizes alpha
+// passes per relation group and the query matcher amortizes conflict-set
+// passes and negated re-evaluations across the whole batch.
 //
 // Run with --benchmark_format=json for machine-readable output.
 

@@ -92,13 +92,16 @@ void RunIncremental(benchmark::State& state, const std::string& matcher) {
   rule.lhs = ViewQuery();
   auto m = bench::MakeMatcherByName(matcher, &catalog);
   Check(m->AddRule(rule));
-  // Register pre-existing contents with the matcher (view population).
-  Check(catalog.Get("Emp")->Scan([&](TupleId id, const Tuple& t) {
-    return m->OnInsert("Emp", id, t);
-  }));
-  Check(catalog.Get("Dept")->Scan([&](TupleId id, const Tuple& t) {
-    return m->OnInsert("Dept", id, t);
-  }));
+  // Register pre-existing contents with the matcher (view population),
+  // as one batch.
+  ChangeSet preload;
+  for (const char* rel : {"Emp", "Dept"}) {
+    Check(catalog.Get(rel)->Scan([&](TupleId id, const Tuple& t) {
+      preload.AddInsert(rel, t, id);
+      return Status::OK();
+    }));
+  }
+  Check(m->OnBatch(preload));
   WorkingMemory wm(&catalog, m.get());
 
   for (auto _ : state) {

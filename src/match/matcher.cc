@@ -13,16 +13,15 @@ void MatcherStats::ObserveCardEstimate(double estimated, double actual) {
   est_card_samples.fetch_add(1, std::memory_order_relaxed);
 }
 
-Status Matcher::OnBatch(const ChangeSet& batch) {
-  if (MatcherStats* s = mutable_stats()) ++s->batches;
-  for (const Delta& d : batch) {
-    if (d.is_insert()) {
-      PRODB_RETURN_IF_ERROR(OnInsert(d.relation, d.id, d.tuple));
-    } else {
-      PRODB_RETURN_IF_ERROR(OnDelete(d.relation, d.id, d.tuple));
-    }
-  }
-  return Status::OK();
+Instantiation InstantiationOf(int rule_index, const Rule& rule,
+                              QueryMatch&& m) {
+  Instantiation inst;
+  inst.rule_index = rule_index;
+  inst.rule_name = rule.name;
+  inst.tuple_ids = std::move(m.tuple_ids);
+  inst.tuples = std::move(m.tuples);
+  inst.binding = std::move(m.binding);
+  return inst;
 }
 
 Status MaterializeInstantiations(Catalog* catalog, const Rule& rule,
@@ -41,13 +40,7 @@ Status MaterializeInstantiations(Catalog* catalog, const Rule& rule,
   std::vector<QueryMatch> matches;
   PRODB_RETURN_IF_ERROR(executor.EvaluateBound(rule.lhs, binding, &matches));
   for (QueryMatch& m : matches) {
-    Instantiation inst;
-    inst.rule_index = rule_index;
-    inst.rule_name = rule.name;
-    inst.tuple_ids = std::move(m.tuple_ids);
-    inst.tuples = std::move(m.tuples);
-    inst.binding = std::move(m.binding);
-    out->push_back(std::move(inst));
+    out->push_back(InstantiationOf(rule_index, rule, std::move(m)));
   }
   return Status::OK();
 }

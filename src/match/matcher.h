@@ -14,6 +14,8 @@
 
 namespace prodb {
 
+struct QueryMatch;
+
 /// Statistics every matcher reports, used by E2/E4 benchmarks.
 /// Counters are atomics because the concurrent execution engine (§5)
 /// drives matcher maintenance from multiple worker transactions.
@@ -30,12 +32,13 @@ struct MatcherStats {
   std::atomic<uint64_t> index_probes{0};
   std::atomic<uint64_t> probe_tokens_visited{0};
   std::atomic<uint64_t> scan_tokens_visited{0};
-  // Dispatch accounting (§2.3 / [STON86a] predicate indexing): one
-  // alpha_tests_evaluated per full constant-test evaluation of an alpha
-  // node / condition element against a delta tuple; candidates_visited
-  // counts the entries the discrimination index nominated (equal to
-  // alpha_tests_evaluated on the indexed path, the full per-class count
-  // on the linear-scan path — the ratio is the index's win).
+  // Dispatch accounting (§2.3 / [STON86a] predicate indexing), kept by
+  // the one dispatch step (match/dispatch.h): one alpha_tests_evaluated
+  // per full constant-test evaluation of an alpha node / condition
+  // element against a delta tuple; candidates_visited counts the entries
+  // the discrimination index nominated — equal to alpha_tests_evaluated
+  // on the indexed path, and left at 0 by the linear walk, which
+  // nominates nothing (compare alpha_tests_evaluated across the two).
   std::atomic<uint64_t> alpha_tests_evaluated{0};
   std::atomic<uint64_t> candidates_visited{0};
   // Join-planning accounting (src/plan): plans_built counts orders
@@ -92,19 +95,12 @@ class Matcher {
   /// may precompute networks or COND relations here.
   virtual Status AddRule(const Rule& rule) = 0;
 
-  /// A tuple was inserted into WM relation `rel` with id `id`.
-  virtual Status OnInsert(const std::string& rel, TupleId id,
-                          const Tuple& t) = 0;
-
-  /// A tuple was deleted from WM relation `rel`.
-  virtual Status OnDelete(const std::string& rel, TupleId id,
-                          const Tuple& t) = 0;
-
-  /// A whole set of WM changes arrives at once — a transaction's ∆ins/∆del
-  /// (§5.2) or a bulk load. Relations already reflect the entire batch
-  /// when this is called. The default walks the deltas in order through
-  /// OnInsert/OnDelete; matchers override it to propagate set-at-a-time.
-  virtual Status OnBatch(const ChangeSet& batch);
+  /// The only way a WM change reaches a matcher: a whole set of changes
+  /// at once — a transaction's ∆ins/∆del (§5.2), a firing's RHS, a bulk
+  /// load, or a single insert or delete as a one-delta batch. Relations
+  /// already reflect the entire batch when this is called, and each
+  /// matcher propagates it set-at-a-time.
+  virtual Status OnBatch(const ChangeSet& batch) = 0;
 
   virtual ConflictSet& conflict_set() = 0;
 
@@ -131,11 +127,15 @@ class Matcher {
   }
 
  protected:
-  /// Writable stats, used by the shared OnBatch bookkeeping. Matchers
-  /// that keep a MatcherStats return it here so batch accounting is
-  /// uniform across architectures.
+  /// Writable stats, for NoteShardedApplySerialized. Matchers that keep
+  /// a MatcherStats return it here.
   virtual MatcherStats* mutable_stats() { return nullptr; }
 };
+
+/// The instantiation of rule `rule_index` that query match `m` forms
+/// (its ids, tuples and binding are moved out).
+Instantiation InstantiationOf(int rule_index, const Rule& rule,
+                              QueryMatch&& m);
 
 /// Materializes instantiations from a fully bound rule: per positive CE,
 /// selects the WM tuples consistent with the binding (a selection, not a

@@ -1,7 +1,6 @@
 #ifndef PRODB_MATCH_PATTERN_MATCHER_H_
 #define PRODB_MATCH_PATTERN_MATCHER_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -10,7 +9,7 @@
 
 #include "common/thread_pool.h"
 #include "db/executor.h"
-#include "match/discrimination.h"
+#include "match/dispatch.h"
 #include "match/matcher.h"
 
 namespace prodb {
@@ -70,8 +69,6 @@ class PatternMatcher : public Matcher {
   ~PatternMatcher() override;
 
   Status AddRule(const Rule& rule) override;
-  Status OnInsert(const std::string& rel, TupleId id, const Tuple& t) override;
-  Status OnDelete(const std::string& rel, TupleId id, const Tuple& t) override;
   /// Batched maintenance: the conflict-set passes for deletions and for
   /// negated-CE blockers run once per batch, and pattern counter updates
   /// (±1 bumps) accumulate across consecutive deltas, flushing lazily —
@@ -129,21 +126,8 @@ class PatternMatcher : public Matcher {
     size_t pattern_rows = 0;
   };
 
-  struct CeRef {
-    int rule;
-    int ce;
-  };
-
   Status EnsureCondStore(const std::string& cls, CondStore** out);
   static std::string ProjectionKey(const Binding& b);
-
-  /// Fills *out with the positions (into the class's CeRef bucket) to
-  /// dispatch for `t`: discrimination-index candidates when enabled (a
-  /// superset of the CEs whose constant tests accept `t`; skipping the
-  /// rest is exact — BindSingle checks constant tests first), every
-  /// position otherwise. Updates the dispatch counters either way.
-  void DispatchTargets(bool negated, const std::string& rel, size_t n,
-                       const Tuple& t, std::vector<uint32_t>* out);
 
   /// Projects `full` onto the vars shared between CE `from` and CE `to`
   /// of `rule` (precomputed at AddRule).
@@ -154,9 +138,9 @@ class PatternMatcher : public Matcher {
   Status BumpPattern(int rule, int target_ce, const Binding& projected,
                      int contributor_ce, int delta);
 
-  /// Applies queued ops — on the thread pool when they all carry the same
-  /// sign (per-class mutexes serialize same-class ops, and same-sign
-  /// bumps commute), else sequentially in queue order — and clears them.
+  /// Applies the queued ops and clears them: one propagation-pool task
+  /// per target class, each replaying its class's ops in queue order, or
+  /// sequentially without a pool.
   Status FlushOps(std::vector<PropagationOp>* ops);
 
   /// Single pass over the patterns for (rule, ce): true when for every
@@ -167,15 +151,9 @@ class PatternMatcher : public Matcher {
   PatternMatcherOptions options_;
   Executor executor_;
   std::vector<Rule> rules_;
-  std::unordered_map<std::string, std::vector<CeRef>> positive_by_class_;
-  std::unordered_map<std::string, std::vector<CeRef>> negative_by_class_;
-  // Class name -> discrimination index over the bucket's CE constant
-  // tests (entry id = position in the bucket).
-  std::unordered_map<std::string, DiscriminationIndex> positive_disc_;
-  std::unordered_map<std::string, DiscriminationIndex> negative_disc_;
-  // reserve() hint: previous delta's candidate count (atomic — the
-  // concurrent engine dispatches from worker threads).
-  std::atomic<uint32_t> last_candidates_{0};
+  // Each class's positive and negated condition elements (the COND-C
+  // search) behind the shared dispatch step.
+  CeDispatch dispatch_;
   // [rule][from_ce][to_ce] -> shared variable ids (kEq occurrences).
   std::vector<std::vector<std::vector<std::vector<int>>>> shared_vars_;
   std::unordered_map<std::string, std::unique_ptr<CondStore>> cond_stores_;

@@ -5,13 +5,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "db/executor.h"
 #include "db/stats.h"
-#include "match/discrimination.h"
+#include "match/dispatch.h"
 #include "match/matcher.h"
 #include "plan/planner.h"
 
@@ -43,6 +42,7 @@ class QueryMatcher : public Matcher {
       : catalog_(catalog),
         executor_(catalog, exec_options),
         planner_(&cat_stats_, planner),
+        dispatch_(&rules_, exec_options.discriminate_dispatch),
         sharding_(sharding),
         shard_map_(sharding) {
     executor_.set_stats(&stats_);
@@ -57,8 +57,6 @@ class QueryMatcher : public Matcher {
   }
 
   Status AddRule(const Rule& rule) override;
-  Status OnInsert(const std::string& rel, TupleId id, const Tuple& t) override;
-  Status OnDelete(const std::string& rel, TupleId id, const Tuple& t) override;
   /// Set-oriented re-evaluation: one conflict-set pass retires every
   /// instantiation invalidated by the batch's deletions, and each rule
   /// negatively dependent on a churned relation is re-evaluated once per
@@ -82,29 +80,18 @@ class QueryMatcher : public Matcher {
   MatcherStats* mutable_stats() override { return &stats_; }
 
  private:
-  struct CeRef {
-    int rule;
-    int ce;
-  };
-
   /// Seeded evaluation of (rule, ce) with tuple (id, t) into *out —
   /// read-only against WM, so shards may run it concurrently; the caller
   /// commits the instantiations.
   Status SeedMatches(int rule_index, int ce, TupleId id, const Tuple& t,
                      std::vector<Instantiation>* out);
-  /// Seeded evaluation + immediate conflict-set commit (the serial
-  /// per-tuple path).
-  Status SeedAndAdd(int rule_index, int ce, TupleId id, const Tuple& t);
   /// Full re-evaluation of `rule_index` into *out (step-4 helper).
   Status EvaluateRule(int rule_index, std::vector<Instantiation>* out);
-
-  /// Fills *out with the positions (into the class's CeRef bucket) to
-  /// dispatch for `t`: the discrimination-index candidates when enabled
-  /// (a superset of the CEs whose constant tests pass — skipping the
-  /// rest is exact, constant tests are binding-independent), every
-  /// position otherwise. Updates the dispatch counters either way.
-  void DispatchTargets(bool negated, const std::string& rel, size_t n,
-                       const Tuple& t, std::vector<uint32_t>* out);
+  /// The current plan of `rule_index`, or nullptr when the planner is
+  /// off; `*hold` keeps the snapshot alive (replans swap the vector).
+  const JoinPlan* PlanOf(
+      int rule_index,
+      std::shared_ptr<const std::vector<JoinPlan>>* hold) const;
 
   /// Drift check + re-plan, rate-limited and serialized by replan_mu_
   /// (try_lock: concurrent callers skip rather than queue). New plans
@@ -116,8 +103,8 @@ class QueryMatcher : public Matcher {
   Executor executor_;
   // Incremental catalog statistics over the rules' LHS relations,
   // registered at AddRule (single-threaded) and updated lock-free from
-  // OnInsert/OnDelete/OnBatch — the Seal()-style publication contract
-  // documented on CatalogStats.
+  // OnBatch — the Seal()-style publication contract documented on
+  // CatalogStats.
   CatalogStats cat_stats_;
   JoinPlanner planner_;
   // Per-rule plans (index = rule). Copy-on-write: replans build a fresh
@@ -127,16 +114,9 @@ class QueryMatcher : public Matcher {
   std::mutex replan_mu_;
   std::atomic<uint64_t> deltas_since_plan_check_{0};
   std::vector<Rule> rules_;
-  // Class name -> positive / negated condition elements over it.
-  std::unordered_map<std::string, std::vector<CeRef>> positive_by_class_;
-  std::unordered_map<std::string, std::vector<CeRef>> negative_by_class_;
-  // Class name -> discrimination index over the bucket's CE constant
-  // tests (entry id = position in the bucket).
-  std::unordered_map<std::string, DiscriminationIndex> positive_disc_;
-  std::unordered_map<std::string, DiscriminationIndex> negative_disc_;
-  // reserve() hint: previous delta's candidate count (atomic — the
-  // concurrent engine dispatches from worker threads).
-  std::atomic<uint32_t> last_candidates_{0};
+  // Each class's positive and negated condition elements (§4.1's COND
+  // search) behind the shared dispatch step.
+  CeDispatch dispatch_;
   ShardingOptions sharding_;
   ShardMap shard_map_;
   // Workers for the sharded OnBatch fan-out (absent when serial).

@@ -166,25 +166,19 @@ struct ReteNetwork::JoinNode {
   }
 };
 
-/// One working-memory partition's sub-network: its own alpha nodes and
-/// dispatch indexes, join nodes with token memories, and — during a
-/// parallel batch — a buffer of conflict-set ops the barrier merges in
-/// shard order. Everything here is touched by exactly one worker at a
-/// time (OnBatch hands each shard to one task; the serial paths run
-/// under batch_mu_).
+/// One working-memory partition's sub-network: its own alpha nodes
+/// behind the per-class dispatch step, join nodes with token memories,
+/// and — during a parallel batch — a buffer of conflict-set ops the
+/// barrier merges in shard order. Everything here is touched by exactly
+/// one worker at a time (OnBatch hands each shard to one task; the
+/// serial paths run under batch_mu_).
 struct ReteNetwork::Shard {
   size_t index = 0;
   std::vector<std::unique_ptr<AlphaNode>> alpha_nodes;
   std::vector<std::unique_ptr<JoinNode>> join_nodes;
-  // Class name -> alpha nodes testing that class.
-  std::unordered_map<std::string, std::vector<AlphaNode*>> alpha_by_class;
-  // Class name -> discrimination index over that class's alpha nodes
-  // (entry id = position in the alpha_by_class vector). Shared alpha
-  // nodes are indexed once, when first created.
-  std::unordered_map<std::string, DiscriminationIndex> alpha_disc;
-  // Size of the previous delta's candidate set — reserve() hint for the
-  // dispatch scratch vector.
-  uint32_t last_candidates = 0;
+  // Class name -> the alpha nodes testing that class, indexed by their
+  // constant tests. Shared alpha nodes are added once, when created.
+  DispatchMap<AlphaNode*> alpha_by_class;
   // Alpha sharing: signature -> node.
   std::unordered_map<std::string, AlphaNode*> alpha_index;
   // Beta sharing: join-chain prefix signature -> last node of the chain.
@@ -246,20 +240,28 @@ Status ReteNetwork::AddRule(const Rule& rule) {
     }
     cat_stats_.Register(c.relation, rel);
   }
-  if (rule.lhs.conditions.size() >= 2) {
-    for (const ConditionSpec& c : rule.lhs.conditions) {
-      memory_classes_.insert(c.relation);
-    }
-  }
   rules_.push_back(rule);
   plans_.push_back(planner_.Plan(rule.lhs));
   ++stats_.plans_built;
   Status st = BuildRule(rule, rule_index);
-  if (!st.ok()) {
-    rules_.pop_back();
-    plans_.pop_back();
-    if (join_order_.size() > rules_.size()) join_order_.pop_back();
+  if (st.ok()) {
+    if (rule.lhs.conditions.size() >= 2) {
+      for (const ConditionSpec& c : rule.lhs.conditions) {
+        memory_classes_.insert(c.relation);
+      }
+    }
+    return st;
   }
+  // A build can fail after hooking nodes into a shard (a token relation
+  // that cannot be created at a later level, or in a later shard). Those
+  // nodes would keep receiving activations under the popped rule's
+  // index, so put the network back as it was: the teardown drops every
+  // token relation the shards own — the failed build's included — and
+  // the rules that remain are recompiled and reseeded.
+  rules_.pop_back();
+  plans_.pop_back();
+  join_order_.resize(rules_.size());
+  PRODB_RETURN_IF_ERROR(RebuildAndReseed());
   return st;
 }
 
@@ -425,14 +427,9 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
       auto owned = std::make_unique<AlphaNode>(std::move(probe));
       alpha = owned.get();
       shard->alpha_nodes.push_back(std::move(owned));
-      std::vector<AlphaNode*>& cls_nodes = shard->alpha_by_class[cond.relation];
-      // Index the node by its constant tests at the position it occupies
-      // in the class vector; intra-CE attr pairs are unclassifiable and
-      // re-checked by Matches on candidates. A shared node (found above)
-      // is already indexed — once.
-      shard->alpha_disc[cond.relation].Add(
-          static_cast<uint32_t>(cls_nodes.size()), alpha->tests);
-      cls_nodes.push_back(alpha);
+      // Indexed by its constant tests; intra-CE attr pairs are
+      // unclassifiable and re-checked by Matches on candidates.
+      shard->alpha_by_class[cond.relation].Add(alpha, alpha->tests);
       if (options_.share_alpha) shard->alpha_index[sig] = alpha;
     }
     // Deepest level first, stable among equal levels.
@@ -473,6 +470,18 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
     return Status::OK();
   };
 
+  // A node belongs to the shard before any step that can fail, so the
+  // teardown after a failed build reaches every store it created.
+  auto new_node = [&](size_t k, size_t ce, bool negated) {
+    shard->join_nodes.push_back(std::make_unique<JoinNode>());
+    JoinNode* node = shard->join_nodes.back().get();
+    node->rule = rule_index;
+    node->level = k;
+    node->ce = ce;
+    node->negated = negated;
+    return node;
+  };
+
   // Build the positive chain front to back, reusing shared prefixes.
   // A prefix is shareable when the leading condition specs are textually
   // identical *in join order* — the analyzer's first-occurrence variable
@@ -495,31 +504,26 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
         continue;  // the whole prefix up to k is already compiled
       }
     }
-    auto node = std::make_unique<JoinNode>();
-    node->rule = rule_index;
-    node->level = k;
-    node->ce = ce;
-    node->negated = false;
+    JoinNode* node = new_node(k, ce, /*negated=*/false);
     if (k == 0 && hot) {
       node->part_mod = static_cast<uint32_t>(shards_.size());
       node->part_idx = static_cast<uint32_t>(shard->index);
     }
     if (k > 0) {
-      compile_join(k, ce, node.get());
+      compile_join(k, ce, node);
       // LEFT tokens carry one tuple per positive level [0, k).
       std::vector<size_t> arities(k, 0);
       for (size_t p = 0; p < k; ++p) arities[p] = class_arity[order[p]];
       PRODB_RETURN_IF_ERROR(make_store("LEFT", k, std::move(arities),
                                        node->left_key, &node->left));
-      tail->children.push_back(node.get());
+      tail->children.push_back(node);
     }
-    AlphaNode* alpha = hook_alpha(ce, node.get());
+    AlphaNode* alpha = hook_alpha(ce, node);
     if (k > 0) {
-      PRODB_RETURN_IF_ERROR(attach_right(k, ce, node.get(), alpha));
+      PRODB_RETURN_IF_ERROR(attach_right(k, ce, node, alpha));
     }
-    tail = node.get();
+    tail = node;
     if (options_.share_beta) shard->beta_index[prefix_sig] = tail;
-    shard->join_nodes.push_back(std::move(node));
   }
 
   // Negated suffix: never shared (per-rule match counts). Left tokens
@@ -527,32 +531,21 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
   // chain's width.
   for (size_t k = num_positive; k < order.size(); ++k) {
     size_t ce = order[k];
-    auto node = std::make_unique<JoinNode>();
-    node->rule = rule_index;
-    node->level = k;
-    node->ce = ce;
-    node->negated = true;
-    compile_join(k, ce, node.get());
+    JoinNode* node = new_node(k, ce, /*negated=*/true);
+    compile_join(k, ce, node);
     std::vector<size_t> arities(num_positive, 0);
     for (size_t p = 0; p < num_positive; ++p) {
       arities[p] = class_arity[order[p]];
     }
     PRODB_RETURN_IF_ERROR(make_store("LEFT", k, std::move(arities),
                                      node->left_key, &node->left));
-    AlphaNode* alpha = hook_alpha(ce, node.get());
-    PRODB_RETURN_IF_ERROR(attach_right(k, ce, node.get(), alpha));
-    tail->children.push_back(node.get());
-    tail = node.get();
-    shard->join_nodes.push_back(std::move(node));
+    AlphaNode* alpha = hook_alpha(ce, node);
+    PRODB_RETURN_IF_ERROR(attach_right(k, ce, node, alpha));
+    tail->children.push_back(node);
+    tail = node;
   }
 
   tail->productions.push_back(rule_index);
-  // Rebuild any range-tier interval trees now, while registration is
-  // still single-threaded; dispatch-time Lookups are then pure reads.
-  for (const auto& [cls, disc] : shard->alpha_disc) {
-    (void)cls;
-    disc.Seal();
-  }
   return Status::OK();
 }
 
@@ -786,8 +779,8 @@ Status ReteNetwork::JoinRight(Shard* shard, JoinNode* node) {
   if (!node->left_key.empty()) {
     // Indexed path: each activation probes the LEFT memory for its
     // join-compatible tokens only — per-delta cost O(matches), not
-    // O(|memory|). Activation-major order equals the per-tuple
-    // propagation order.
+    // O(|memory|). Activation-major order equals the order the deltas
+    // would propagate in one at a time.
     std::vector<Value> key;
     for (const RightActivation& a : effective) {
       if (ProbeKeyFromTuple(*node, a.tuple(), &key)) {
@@ -810,8 +803,8 @@ Status ReteNetwork::JoinRight(Shard* shard, JoinNode* node) {
   }
 
   // Walk the LEFT memory once, pairing every stored token with every
-  // activation of the group in delta order — the per-tuple path re-scans
-  // this memory for each arrival; the batch pays the scan once.
+  // activation of the group in delta order — one-delta groups re-scan
+  // this memory for each arrival; a larger group pays the scan once.
   return node->left->Scan([&](TokenView l) {
     ++stats_.scan_tokens_visited;
     ++stats_.tuples_examined;
@@ -845,59 +838,33 @@ Status ReteNetwork::PropagateGroup(Shard* shard, const std::string& rel,
                                    const std::vector<RightActivation>& group) {
   auto it = shard->alpha_by_class.find(rel);
   if (it == shard->alpha_by_class.end()) return Status::OK();
-  const std::vector<AlphaNode*>& nodes = it->second;
+  const ClassDispatch<AlphaNode*>& dispatch = it->second;
   shard->sstats.deltas_routed += group.size();
 
-  if (options_.discriminate_alpha) {
-    auto dit = shard->alpha_disc.find(rel);
-    if (dit == shard->alpha_disc.end()) return Status::OK();
-    const DiscriminationIndex& disc = dit->second;
-    // Tuple-major candidate collection into sparse per-alpha passed
-    // lists, so each surviving alpha still sees the group's deltas in
-    // order while the class's other alpha nodes are never touched.
-    std::vector<uint32_t> cands;
-    cands.reserve(shard->last_candidates);
-    std::unordered_map<uint32_t, std::vector<RightActivation>> passed;
-    std::vector<uint32_t> touched;
-    for (const RightActivation& a : group) {
-      cands.clear();
-      disc.Lookup(a.tuple(), &cands);
-      stats_.candidates_visited += cands.size();
-      shard->sstats.candidates_visited += cands.size();
-      for (uint32_t pos : cands) {
-        ++stats_.alpha_tests_evaluated;
-        if (!nodes[pos]->Matches(a.tuple())) continue;
-        auto [pit, fresh] = passed.try_emplace(pos);
-        if (fresh) {
-          pit->second.reserve(group.size());
-          touched.push_back(pos);
-        }
-        pit->second.push_back(a);
-      }
+  // Tuple-major dispatch into (alpha position, delta) hits; sorted, they
+  // give each alpha that some delta passed its run of the group's deltas
+  // in order, in registration order within the class. Alpha nodes no
+  // delta passed are never activated.
+  std::vector<uint32_t> cands;
+  std::vector<std::pair<uint32_t, uint32_t>> hits;
+  for (uint32_t i = 0; i < group.size(); ++i) {
+    const Tuple& t = group[i].tuple();
+    shard->sstats.candidates_visited += dispatch.Candidates(
+        t, options_.discriminate_alpha, &stats_, &cands);
+    for (uint32_t pos : cands) {
+      if (dispatch.entries[pos]->Matches(t)) hits.emplace_back(pos, i);
     }
-    shard->last_candidates = static_cast<uint32_t>(cands.size());
-    // Registration order within the class, as the linear walk visits.
-    std::sort(touched.begin(), touched.end());
-    for (uint32_t pos : touched) {
-      PRODB_RETURN_IF_ERROR(ActivateAlpha(shard, nodes[pos], passed[pos]));
-    }
-    return Status::OK();
   }
-
-  // Linear-scan ablation: every alpha node of the class tests every
-  // delta — the §3.2 full walk the discrimination index replaces.
-  for (AlphaNode* alpha : nodes) {
-    std::vector<RightActivation> passed;
-    passed.reserve(group.size());
-    for (const RightActivation& a : group) {
-      ++stats_.alpha_tests_evaluated;
-      if (alpha->Matches(a.tuple())) passed.push_back(a);
+  std::sort(hits.begin(), hits.end());
+  std::vector<RightActivation> passed;
+  for (size_t h = 0; h < hits.size();) {
+    const uint32_t pos = hits[h].first;
+    passed.clear();
+    for (; h < hits.size() && hits[h].first == pos; ++h) {
+      passed.push_back(group[hits[h].second]);
     }
-    if (passed.empty()) {
-      ++stats_.propagations;
-      continue;
-    }
-    PRODB_RETURN_IF_ERROR(ActivateAlpha(shard, alpha, passed));
+    PRODB_RETURN_IF_ERROR(
+        ActivateAlpha(shard, dispatch.entries[pos], passed));
   }
   return Status::OK();
 }
@@ -910,29 +877,6 @@ TupleRef ReteNetwork::HandleFor(const std::string& rel, const Tuple& t,
   return TupleRef(TupleRef(), &t);
 }
 
-Status ReteNetwork::PropagateOne(const std::string& rel, TupleId id,
-                                 const Tuple& t, bool insert) {
-  if (options_.planner.enable) cat_stats_.OnDelta(rel, t, insert ? +1 : -1);
-  const TupleRef ref = HandleFor(rel, t, insert);
-  one_act_.assign(1, RightActivation{id, &ref, insert});
-  for (auto& shard : shards_) {
-    PRODB_RETURN_IF_ERROR(PropagateGroup(shard.get(), rel, one_act_));
-  }
-  return MaybeReplan(1);
-}
-
-Status ReteNetwork::OnInsert(const std::string& rel, TupleId id,
-                             const Tuple& t) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  return PropagateOne(rel, id, t, /*insert=*/true);
-}
-
-Status ReteNetwork::OnDelete(const std::string& rel, TupleId id,
-                             const Tuple& t) {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  return PropagateOne(rel, id, t, /*insert=*/false);
-}
-
 Status ReteNetwork::OnBatch(const ChangeSet& batch) {
   std::lock_guard<std::mutex> lock(batch_mu_);
   ++stats_.batches;
@@ -941,8 +885,8 @@ Status ReteNetwork::OnBatch(const ChangeSet& batch) {
   // never reused, so cross-relation reordering cannot invert an
   // insert/delete pair of the same tuple). Groups run in first-appearance
   // order; the conflict set reconciles by instantiation key, so the net
-  // result matches per-tuple propagation. Each delta's handle is made
-  // here, once, before any shard sees it.
+  // result matches propagating the deltas one at a time. Each delta's
+  // handle is made here, once, before any shard sees it.
   std::vector<TupleRef> refs;
   refs.reserve(batch.size());
   std::vector<const std::string*> order;

@@ -10,7 +10,7 @@
 
 #include "common/thread_pool.h"
 #include "db/stats.h"
-#include "match/discrimination.h"
+#include "match/dispatch.h"
 #include "match/matcher.h"
 #include "match/sharding.h"
 #include "plan/planner.h"
@@ -107,8 +107,6 @@ class ReteNetwork : public Matcher {
   ~ReteNetwork() override;
 
   Status AddRule(const Rule& rule) override;
-  Status OnInsert(const std::string& rel, TupleId id, const Tuple& t) override;
-  Status OnDelete(const std::string& rel, TupleId id, const Tuple& t) override;
   /// Set-oriented propagation: groups same-relation deltas (preserving
   /// their order) and pushes each group through the alpha network in one
   /// pass, so two-input nodes scan their LEFT memories once per group
@@ -210,11 +208,8 @@ class ReteNetwork : public Matcher {
   /// Pairs the tuples that entered or left `node`'s RIGHT memory with its
   /// LEFT memory: per tuple a keyed probe, or one scan for the group.
   Status JoinRight(Shard* shard, JoinNode* node);
-  /// Runs one signed tuple through every shard (OnInsert / OnDelete).
-  Status PropagateOne(const std::string& rel, TupleId id, const Tuple& t,
-                      bool insert);
   /// Feeds a group of same-relation deltas through one shard's alpha
-  /// network.
+  /// network: the class's dispatch step picks each delta's alpha nodes.
   Status PropagateGroup(Shard* shard, const std::string& rel,
                         const std::vector<RightActivation>& group);
   /// Token passed all joins of a rule: update the conflict set (directly
@@ -223,8 +218,8 @@ class ReteNetwork : public Matcher {
   Status Produce(Shard* shard, int rule, TokenView token, bool positive);
 
   /// Drift check + re-plan, rate-limited to every kReplanCheckInterval
-  /// deltas. Called at the end of OnInsert/OnDelete/OnBatch under
-  /// batch_mu_, when WM relations and token memories agree.
+  /// deltas. Called at the end of OnBatch under batch_mu_, when WM
+  /// relations and token memories agree.
   Status MaybeReplan(size_t deltas);
   /// Re-plans all rules against fresh stats; rebuilds when an order
   /// changed. Observes est-vs-actual accuracy of the outgoing plans.
@@ -265,10 +260,6 @@ class ReteNetwork : public Matcher {
   // batches from worker threads with no external lock, and the token
   // memories / alpha scratch state are single-writer by design.
   mutable std::mutex batch_mu_;
-  // Reused one-element activation group for the per-tuple OnInsert /
-  // OnDelete path (guarded by batch_mu_) — keeps that hot path free of
-  // a per-call vector allocation.
-  std::vector<RightActivation> one_act_;
   ConflictSet conflict_set_;
   MatcherStats stats_;
   size_t store_counter_ = 0;

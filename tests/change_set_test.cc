@@ -14,21 +14,20 @@
 namespace prodb {
 namespace {
 
-// Records every notification it receives, in order, as "+rel:values" /
-// "-rel:values" strings. Uses the default Matcher::OnBatch, so it also
-// exercises the shared per-delta fallback and batch accounting.
+// Records every delta it is handed, in order, as "+rel:values" /
+// "-rel:values" strings, and counts the batches they arrive in.
 class RecordingMatcher : public Matcher {
  public:
   Status AddRule(const Rule& rule) override {
     rules_.push_back(rule);
     return Status::OK();
   }
-  Status OnInsert(const std::string& rel, TupleId, const Tuple& t) override {
-    events.push_back("+" + rel + ":" + t.ToString());
-    return Status::OK();
-  }
-  Status OnDelete(const std::string& rel, TupleId, const Tuple& t) override {
-    events.push_back("-" + rel + ":" + t.ToString());
+  Status OnBatch(const ChangeSet& batch) override {
+    ++stats_.batches;
+    for (const Delta& d : batch) {
+      events.push_back((d.is_insert() ? "+" : "-") + d.relation + ":" +
+                       d.tuple.ToString());
+    }
     return Status::OK();
   }
   ConflictSet& conflict_set() override { return conflict_set_; }

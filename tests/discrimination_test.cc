@@ -6,8 +6,6 @@
 #include <set>
 
 #include "common/rng.h"
-#include "match/pattern_matcher.h"
-#include "match/query_matcher.h"
 #include "matcher_test_util.h"
 #include "rete/network.h"
 #include "workload/paper_examples.h"
@@ -168,8 +166,9 @@ TEST(DiscriminationIndexTest, RandomizedSupersetOfBruteForce) {
   }
 }
 
-// Matcher-level: with discrimination on, conflict sets are identical to
-// the linear walk and the dispatch counters show strictly less work.
+// Matcher-level, through the one dispatch step every architecture
+// shares: with discrimination on, conflict sets are identical to the
+// linear walk and the dispatch counters show strictly less work.
 TEST(DiscriminationIndexTest, MatcherDispatchCountersShrink) {
   // Many rules with distinct constants on the same class => the index
   // should dispatch each delta to a small candidate set.
@@ -180,16 +179,11 @@ TEST(DiscriminationIndexTest, MatcherDispatchCountersShrink) {
   }
   struct Counters {
     uint64_t tests = 0, cands = 0;
+    std::multiset<std::string> conflict_set;
   };
-  auto run = [&](bool disc, Counters* out) {
+  auto run = [&](const std::string& spec, Counters* out) {
     MatcherHarness h;
-    ASSERT_TRUE(h.Init(program,
-                       [&](Catalog* c) {
-                         ExecutorOptions eo;
-                         eo.discriminate_dispatch = disc;
-                         return std::make_unique<QueryMatcher>(c, eo);
-                       })
-                    .ok());
+    ASSERT_TRUE(h.Init(program, spec).ok()) << spec;
     Rng rng(5);
     for (int i = 0; i < 200; ++i) {
       Tuple t{Value("k" + std::to_string(rng.Uniform(32))),
@@ -198,14 +192,21 @@ TEST(DiscriminationIndexTest, MatcherDispatchCountersShrink) {
     }
     out->tests = h.matcher->stats().alpha_tests_evaluated.load();
     out->cands = h.matcher->stats().candidates_visited.load();
+    out->conflict_set = CanonicalConflictSet(*h.matcher);
   };
-  Counters with, without;
-  run(true, &with);
-  run(false, &without);
-  // Linear walk examines all 32 CEs per delta; the index nominates ~1.
-  EXPECT_EQ(without.tests, 200u * 32u);
-  EXPECT_LE(with.tests, 200u * 2u);
-  EXPECT_EQ(with.cands, with.tests);
+  for (const std::string spec : {"query", "pattern", "rete"}) {
+    Counters with, without;
+    run(spec, &with);
+    run(spec + "-nodisc", &without);
+    // Linear walk examines all 32 CEs / alpha nodes per delta and
+    // nominates nothing; the index nominates ~1.
+    EXPECT_EQ(without.tests, 200u * 32u) << spec;
+    EXPECT_EQ(without.cands, 0u) << spec;
+    EXPECT_LE(with.tests, 200u * 2u) << spec;
+    EXPECT_EQ(with.cands, with.tests) << spec;
+    EXPECT_EQ(with.conflict_set, without.conflict_set) << spec;
+    EXPECT_EQ(with.conflict_set.size(), 200u) << spec;
+  }
 }
 
 TEST(DiscriminationIndexTest, ReteAlphaDispatchShrinksWithSharing) {

@@ -29,9 +29,9 @@ struct MatcherCase {
 // — same conflict sets, fewer tuples visited. "-nodisc" turns off only
 // the discrimination tier, pinning any divergence on candidate dispatch
 // (candidates must be a superset of the CEs/alphas whose constant tests
-// pass). Sharded variants must agree with the serial oracle per tuple
-// (the serial multi-shard walk) and batched (the parallel fan-out +
-// ordered merge). "-plan" changes only the join *sequence*, so the
+// pass). Sharded variants must agree with the serial oracle on one-delta
+// and multi-delta batches alike (the parallel fan-out + ordered merge
+// serves both). "-plan" changes only the join *sequence*, so the
 // conflict set must stay byte-identical to the syntactic baseline —
 // including across the drift-triggered replans the suite's aggressive
 // threshold forces mid-trace (Rete rebuilds and reseeds its join
@@ -64,9 +64,9 @@ MatcherSpec TestSpec(const char* name, bool hot) {
   EXPECT_TRUE(MatcherSpec::Parse(name, &spec).ok()) << name;
   if (spec.sharding.num_shards == 4) spec.sharding.threads = 2;
   if (hot) {
-    spec.sharding.hot_classes = {"A",    "B",     "C",          "Emp",
-                                 "Dept", "Order", "Assignment", "C0",
-                                 "C1",   "C2"};
+    spec.sharding.hot_classes = {"A",     "B",          "C",  "D",
+                                 "Emp",   "Dept",       "C0", "C1",
+                                 "Order", "Assignment", "C2"};
   }
   if (spec.planner.enable) spec.planner.replan_drift = 2.0;
   return spec;
@@ -210,14 +210,50 @@ TEST(MatcherEquivalence, NegationChurn) {
   RunTrace(program, {"Order", "Assignment"}, gen, 47, 300, 0.35);
 }
 
-// Batched-vs-per-tuple equivalence: the same logical trace is driven
-// through a reference harness one delta at a time and through a second
+// Self-joins: one tuple can satisfy two positive CEs of one rule at once
+// (C(1,1) under (C ^a <x>) (C ^b <x>) pairs with itself), or a positive
+// and a negated CE, so an insert must see the pattern support its own
+// other CE contributes.
+TEST(MatcherEquivalence, SelfJoinChurn) {
+  const char* program = R"(
+(literalize C a b)
+(literalize D a b)
+(p Self
+  (C ^a <x>)
+  (C ^b <x>)
+  -->
+  (remove 1))
+(p SelfBlocked
+  (C ^a <x>)
+  -(C ^b <x>)
+  -->
+  (remove 1))
+(p Chain
+  (D ^a 1 ^b <y>)
+  (C ^a <y>)
+  (C ^b <y>)
+  -->
+  (remove 1))
+)";
+  auto gen = [](const std::string& cls, Rng* rng) {
+    const int64_t a = static_cast<int64_t>(rng->Uniform(16));
+    const int64_t b =
+        rng->Chance(0.5) ? a : static_cast<int64_t>(rng->Uniform(16));
+    // D's constant test passes for half of its tuples.
+    if (cls == "D") return Tuple{Value(int64_t{1} + (a & 1)), Value(b)};
+    return Tuple{Value(a), Value(b)};
+  };
+  RunTrace(program, {"C", "D"}, gen, 59, 300, 0.3);
+}
+
+// Batched-vs-one-at-a-time equivalence: the same logical trace is driven
+// through a reference harness one delta per batch and through a second
 // harness via BeginBatch/CommitBatch with shuffled batch sizes (so every
-// OnBatch override — Rete relation grouping, the query matcher's
-// amortized passes, the pattern matcher's lazy bump flush — is exercised
-// against the per-tuple oracle). Conflict sets must agree at every batch
-// boundary, and auxiliary footprints must track each other since the net
-// matcher state is identical.
+// OnBatch — Rete relation grouping, the query matcher's amortized passes,
+// the pattern matcher's lazy bump flush — is exercised on multi-delta
+// batches against the one-delta oracle). Conflict sets must agree at
+// every batch boundary, and auxiliary footprints must track each other
+// since the net matcher state is identical.
 void RunBatchedTrace(const std::string& program,
                      const std::vector<std::string>& classes,
                      const std::function<Tuple(const std::string&, Rng*)>& gen,

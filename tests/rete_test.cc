@@ -452,6 +452,76 @@ TEST(ReteLifetimeTest, MemoriesOutliveTheirChangeSet) {
   EXPECT_EQ(static_cast<ReteNetwork*>(h.matcher.get())->TokenCount(), 2u);
 }
 
+// A rule whose build fails after it has hooked nodes into the network
+// (here: its RIGHT memory's relation name is already taken) must leave
+// the network as it was. Its level-1 node would otherwise hang off the
+// shared level-0 node and the shared B alpha node, reading a popped
+// rule's conditions on the next activation (a use-after-free under
+// ASan), and its LEFT relation would stay in the catalog.
+TEST(ReteLifetimeTest, FailedAddRuleLeavesNetworkAsBefore) {
+  const std::string program = R"(
+(literalize A k v)
+(literalize B k v)
+(p ok (A ^k <x>) (B ^k <x>) --> (remove 1))
+)";
+  MatcherHarness h;
+  ASSERT_TRUE(h.Init(program, "rete-dbms").ok());
+  auto* rete = static_cast<ReteNetwork*>(h.matcher.get());
+  ASSERT_TRUE(h.wm->Insert("A", Tuple{Value(1), Value(10)}).ok());
+  ASSERT_TRUE(h.wm->Insert("B", Tuple{Value(2), Value(1)}).ok());
+
+  // `bad` shares `ok`'s level-0 node and B alpha node; its stores would
+  // be LEFT2-bad-L1 and RIGHT3-bad-L1, and the second name is taken.
+  Catalog scratch;
+  std::vector<Rule> rules;
+  ASSERT_TRUE(LoadProgram(program + R"(
+(p bad (A ^k <x>) (B ^v <x>) --> (remove 1))
+)",
+                          &scratch, &rules)
+                  .ok());
+  Relation* blocker = nullptr;
+  ASSERT_TRUE(h.catalog
+                  ->CreateRelation(Schema("RIGHT3-bad-L1",
+                                          {{"x", ValueType::kInt}}),
+                                   &blocker)
+                  .ok());
+  const ReteTopology topo = rete->Topology();
+  const size_t tokens = rete->TokenCount();
+  const size_t relations = h.catalog->RelationNames().size();
+
+  EXPECT_FALSE(h.matcher->AddRule(rules[1]).ok());
+  EXPECT_EQ(h.matcher->rules().size(), 1u);
+  const ReteTopology after = rete->Topology();
+  EXPECT_EQ(after.alpha_nodes, topo.alpha_nodes);
+  EXPECT_EQ(after.beta_nodes, topo.beta_nodes);
+  EXPECT_EQ(after.negative_nodes, topo.negative_nodes);
+  EXPECT_EQ(after.production_nodes, topo.production_nodes);
+  EXPECT_EQ(after.right_memories, topo.right_memories);
+  EXPECT_EQ(rete->TokenCount(), tokens);
+  // The failed build's LEFT relation is gone; the blocker is untouched.
+  EXPECT_EQ(h.catalog->RelationNames().size(), relations);
+  EXPECT_EQ(h.catalog->Get("RIGHT3-bad-L1"), blocker);
+  for (const std::string& name : h.catalog->RelationNames()) {
+    if (name != "RIGHT3-bad-L1") {
+      EXPECT_EQ(name.find("-bad-"), std::string::npos) << name;
+    }
+  }
+
+  // Later activations reach only `ok`'s nodes, and the conflict set
+  // stays what the working memory implies.
+  MatcherHarness oracle;
+  ASSERT_TRUE(oracle.Init(program, "query").ok());
+  ASSERT_TRUE(oracle.wm->Insert("A", Tuple{Value(1), Value(10)}).ok());
+  ASSERT_TRUE(oracle.wm->Insert("B", Tuple{Value(2), Value(1)}).ok());
+  for (MatcherHarness* m : {&h, &oracle}) {
+    ASSERT_TRUE(m->wm->Insert("A", Tuple{Value(2), Value(20)}).ok());
+    ASSERT_TRUE(m->wm->Insert("B", Tuple{Value(1), Value(2)}).ok());
+  }
+  EXPECT_EQ(CanonicalConflictSet(*h.matcher),
+            CanonicalConflictSet(*oracle.matcher));
+  EXPECT_EQ(h.matcher->conflict_set().size(), 2u);
+}
+
 TEST(ReteDbmsTest, LeftRightRelationsMaterializeInCatalog) {
   // §3.2: the DBMS implementation stores LEFT/RIGHT as relations.
   MatcherHarness h;
