@@ -1,14 +1,17 @@
 // WAL cost accounting (E14).
 //
-// Three questions the durability work raises for the performance story:
+// Four questions the durability work raises for the performance story:
 // (1) what a commit costs as a function of how much work it carries —
 // group commit amortizes the log force, so batch size is the lever;
 // (2) what write-ahead logging costs a paged transactional churn
 // workload end-to-end versus the same workload with WAL off; (3) what
 // restart recovery costs as a function of log length, since recovery
-// runs on every open of an existing image.
+// runs on every open of an existing image; (4) whether a logged modify's
+// cost stays flat as the heap outgrows the buffer pool.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "bench_util.h"
 #include "storage/recovery.h"
@@ -177,6 +180,63 @@ void BM_Recovery(benchmark::State& state) {
                           static_cast<int64_t>(commits));
 }
 BENCHMARK(BM_Recovery)->Arg(16)->Arg(64)->Arg(256);
+
+// Random modifies of a paged heap holding `live` tuples behind a
+// 256-frame pool, one logged transaction (Transaction::Update: delete,
+// then insert) per modify. Choosing the insert's page must not cost
+// O(pages), and the new version should land on the page its delete just
+// fetched, so time, pages fetched and evictions per modify should stay
+// flat from a heap inside the pool to one ~3x larger.
+void BM_PagedModifyChurn(benchmark::State& state) {
+  const size_t live = static_cast<size_t>(state.range(0));
+  MemoryDiskManager disk;
+  CatalogOptions copts = WalOptions(&disk, /*wal=*/true);
+  copts.buffer_pool_frames = 256;
+  Catalog catalog(copts);
+  LockManager locks;
+  Relation* rel = nullptr;
+  const Schema schema("Acct", {{"id", ValueType::kInt},
+                               {"branch", ValueType::kInt},
+                               {"bal", ValueType::kInt}});
+  bench::Abort(catalog.CreateRelation(schema, StorageKind::kPaged, &rel),
+               "relation");
+  TxnManager tm(&catalog, &locks);
+  Rng rng(23);
+  auto account = [&](size_t i) {
+    return Tuple{Value(static_cast<int64_t>(i)),
+                 Value(static_cast<int64_t>(rng.Uniform(64))),
+                 Value(static_cast<int64_t>(rng.Uniform(10000)))};
+  };
+  std::vector<TupleId> ids(live);
+  for (size_t i = 0; i < live;) {
+    auto txn = tm.Begin();
+    for (size_t end = std::min(live, i + 256); i < end; ++i) {
+      bench::Abort(txn->Insert("Acct", account(i), &ids[i]), "preload");
+    }
+    bench::Abort(tm.Commit(txn.get()), "preload commit");
+  }
+  const BufferPoolStats before = catalog.buffer_pool()->stats();
+  for (auto _ : state) {
+    const size_t pick = rng.Uniform(live);
+    auto txn = tm.Begin();
+    bench::Abort(txn->Update("Acct", ids[pick], account(pick), &ids[pick]),
+                 "modify");
+    bench::Abort(tm.Commit(txn.get()), "commit");
+    benchmark::DoNotOptimize(ids[pick]);
+  }
+  const BufferPoolStats& after = catalog.buffer_pool()->stats();
+  const double ops = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["pages_fetched_per_op"] =
+      static_cast<double>(after.hits + after.misses - before.hits -
+                          before.misses) /
+      ops;
+  state.counters["evictions_per_op"] =
+      static_cast<double>(after.evictions - before.evictions) / ops;
+  state.counters["heap_pages"] =
+      static_cast<double>(rel->FootprintBytes() / kPageSize);
+}
+BENCHMARK(BM_PagedModifyChurn)->Arg(1000)->Arg(16000)->Arg(100000);
 
 }  // namespace
 }  // namespace prodb

@@ -47,7 +47,8 @@ void Relation::IndexRemove(const Tuple& t, TupleId id) {
   }
 }
 
-Status Relation::InsertUnlocked(const Tuple& tuple, TupleId* id) {
+Status Relation::InsertUnlocked(const Tuple& tuple, TupleId* id,
+                                uint32_t near_page) {
   if (tuple.arity() != schema_.arity()) {
     return Status::InvalidArgument(
         name() + ": arity mismatch, got " + std::to_string(tuple.arity()) +
@@ -62,7 +63,7 @@ Status Relation::InsertUnlocked(const Tuple& tuple, TupleId* id) {
     auto it = rows_.emplace(*id, tuple).first;
     mem_bytes_ += it->second.FootprintBytes();
   } else {
-    PRODB_RETURN_IF_ERROR(heap_->Insert(tuple, id));
+    PRODB_RETURN_IF_ERROR(heap_->Insert(tuple, id, near_page));
   }
   IndexInsert(tuple, *id);
   return Status::OK();
@@ -71,6 +72,11 @@ Status Relation::InsertUnlocked(const Tuple& tuple, TupleId* id) {
 Status Relation::Insert(const Tuple& tuple, TupleId* id) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   return InsertUnlocked(tuple, id);
+}
+
+Status Relation::InsertNear(TupleId near, const Tuple& tuple, TupleId* id) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  return InsertUnlocked(tuple, id, near.page_id);
 }
 
 Status Relation::Get(TupleId id, Tuple* out) const {
@@ -144,6 +150,11 @@ Status Relation::Update(TupleId id, const Tuple& tuple, TupleId* new_id) {
   IndexRemove(old, id);
   IndexInsert(tuple, *new_id);
   return Status::OK();
+}
+
+void Relation::ReleaseReservations(uint64_t txn) {
+  // heap_ is fixed at construction and locks itself.
+  if (heap_ != nullptr) heap_->ReleaseReservations(txn);
 }
 
 size_t Relation::Count() const {

@@ -56,6 +56,11 @@ class Relation {
   StorageKind storage_kind() const { return kind_; }
 
   Status Insert(const Tuple& tuple, TupleId* id);
+  /// Insert that places a paged tuple on `near`'s heap page when it fits
+  /// there: a modify's new version goes beside the version its delete
+  /// just removed (HeapFile "page choice"). It still gets a new id.
+  /// Memory relations ignore the hint.
+  Status InsertNear(TupleId near, const Tuple& tuple, TupleId* id);
   Status Get(TupleId id, Tuple* out) const;
   Status Delete(TupleId id);
   /// Re-inserts a previously deleted tuple under its original id.
@@ -68,6 +73,11 @@ class Relation {
   /// Update keeps or changes the TupleId depending on the backend; the
   /// resulting id is returned via *new_id.
   Status Update(TupleId id, const Tuple& tuple, TupleId* new_id);
+
+  /// Ends transaction `txn`'s heap-space reservations (its deletes keep
+  /// the bytes they free for its own undo until then); a no-op for memory
+  /// relations.
+  void ReleaseReservations(uint64_t txn);
 
   size_t Count() const;
   /// Live tuples (== Count; named for symmetry with dead_slot_count).
@@ -105,7 +115,8 @@ class Relation {
   Relation(Schema schema, StorageKind kind)
       : schema_(std::move(schema)), kind_(kind) {}
 
-  Status InsertUnlocked(const Tuple& tuple, TupleId* id);
+  Status InsertUnlocked(const Tuple& tuple, TupleId* id,
+                        uint32_t near_page = HeapFile::kAnyPage);
   Status DeleteUnlocked(TupleId id);
   void IndexInsert(const Tuple& t, TupleId id);
   void IndexRemove(const Tuple& t, TupleId id);

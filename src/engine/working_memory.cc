@@ -73,14 +73,15 @@ Status WorkingMemory::Modify(const std::string& cls, TupleId id,
   // Delete-then-insert, per §3.1 ("modifications are treated as
   // deletions followed by insertions"). The pair is tagged as one logical
   // modify, and it propagates even when the new tuple equals the old one:
-  // OPS5 refraction counts the modify as fresh WM activity.
+  // OPS5 refraction counts the modify as fresh WM activity. The new
+  // version goes on the old one's page when it fits, under a new id.
   Relation* rel = catalog_->Get(cls);
   if (rel == nullptr) return Status::NotFound("class " + cls);
   Tuple old;
   PRODB_RETURN_IF_ERROR(rel->Get(id, &old));
   PRODB_RETURN_IF_ERROR(rel->Delete(id));
   TupleId nid;
-  Status st = rel->Insert(t, &nid);
+  Status st = rel->InsertNear(id, t, &nid);
   if (!st.ok()) {
     // The delete already landed but the matcher was never told about it.
     // Put the tuple back under its original id so relation and matcher

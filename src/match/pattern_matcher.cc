@@ -42,6 +42,15 @@ Status PatternMatcher::EnsureCondStore(const std::string& cls,
 Status PatternMatcher::AddRule(const Rule& rule) {
   int rule_index = static_cast<int>(rules_.size());
   const size_t n = rule.lhs.conditions.size();
+  // Every CE's class must exist before anything is registered: a later
+  // rule reuses this index, so a half-registered rule would leave its
+  // earlier CEs' dispatch entries and COND rows behind under it.
+  for (const ConditionSpec& c : rule.lhs.conditions) {
+    if (catalog_->Get(c.relation) == nullptr) {
+      return Status::NotFound("rule " + rule.name + ": relation " +
+                              c.relation);
+    }
+  }
 
   // Precompute shared (kEq) variables between every ordered CE pair.
   std::vector<std::set<int>> eq_vars(n);

@@ -7,13 +7,18 @@ namespace prodb {
 
 Status QueryMatcher::AddRule(const Rule& rule) {
   int rule_index = static_cast<int>(rules_.size());
-  for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
-    const ConditionSpec& c = rule.lhs.conditions[ce];
-    Relation* rel = catalog_->Get(c.relation);
-    if (rel == nullptr) {
+  // Every CE's class must exist before anything is registered: a later
+  // rule reuses this index, so a half-registered rule would leave its
+  // earlier CEs dispatching under the next rule's name.
+  for (const ConditionSpec& c : rule.lhs.conditions) {
+    if (catalog_->Get(c.relation) == nullptr) {
       return Status::NotFound("rule " + rule.name + ": relation " +
                               c.relation);
     }
+  }
+  for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
+    const ConditionSpec& c = rule.lhs.conditions[ce];
+    Relation* rel = catalog_->Get(c.relation);
     // Register statistics for every LHS relation while registration is
     // still single-threaded (seeding from current contents, so rules
     // added after a preload see real cardinalities); the map is then

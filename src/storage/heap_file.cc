@@ -1,5 +1,6 @@
 #include "storage/heap_file.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "storage/page_layout.h"
@@ -54,8 +55,8 @@ Status HeapFile::Create(BufferPool* pool, std::unique_ptr<HeapFile>* out) {
               UndoKind::kNone, {}, /*structural=*/true);
   PRODB_RETURN_IF_ERROR(pool->UnpinPage(page_id, /*dirty=*/true));
   hf->pages_.push_back(page_id);
-  hf->free_space_[page_id] =
-      static_cast<uint16_t>(kPageSize - kPageHeaderSize);
+  hf->SetSpace(page_id,
+               PageSpace{static_cast<uint16_t>(kPageSize - kPageHeaderSize)});
   *out = std::move(hf);
   return Status::OK();
 }
@@ -68,8 +69,8 @@ Status HeapFile::Open(BufferPool* pool, uint32_t head_page_id,
     Frame* frame;
     PRODB_RETURN_IF_ERROR(pool->FetchPage(pid, &frame));
     hf->pages_.push_back(pid);
-    hf->free_space_[pid] =
-        static_cast<uint16_t>(ReclaimableFree(frame->data));
+    hf->SetSpace(pid, PageSpace{static_cast<uint16_t>(
+                          ReclaimableFree(frame->data))});
     uint16_t slots = PageSlotCount(frame->data);
     for (uint16_t s = 0; s < slots; ++s) {
       if (SlotLength(frame->data, s) != kDeadSlot) {
@@ -107,56 +108,147 @@ Status HeapFile::AppendPage(uint32_t* page_id) {
               std::move(link), UndoKind::kNone, {}, /*structural=*/true);
   PRODB_RETURN_IF_ERROR(pool_->UnpinPage(tail, /*dirty=*/true));
   pages_.push_back(*page_id);
-  free_space_[*page_id] = static_cast<uint16_t>(kPageSize - kPageHeaderSize);
+  SetSpace(*page_id,
+           PageSpace{static_cast<uint16_t>(kPageSize - kPageHeaderSize)});
   return Status::OK();
 }
 
-Status HeapFile::Insert(const Tuple& tuple, TupleId* id) {
+uint16_t HeapFile::Held(uint64_t txn, uint32_t page_id) const {
+  if (txn == 0) return 0;
+  auto it = held_.find({txn, page_id});
+  return it == held_.end() ? 0 : it->second;
+}
+
+bool HeapFile::Fits(uint32_t page_id, size_t rec, size_t dir,
+                    uint64_t txn) const {
+  auto it = space_.find(page_id);
+  if (it == space_.end()) return false;
+  size_t own = std::min<size_t>(Held(txn, page_id), rec);
+  return rec + dir - own <= it->second.available();
+}
+
+uint32_t HeapFile::ChoosePage(size_t rec, uint32_t near_page,
+                              uint64_t txn) const {
+  // The caller's hint — the page the inserting transaction's latest
+  // delete freed, a modify's old page: it is hot in the pool and the
+  // transaction's own reservation there covers the record.
+  if (near_page != kAnyPage && Fits(near_page, rec, kSlotSize, txn)) {
+    return near_page;
+  }
+  if (Fits(pages_.back(), rec, kSlotSize, txn)) return pages_.back();
+  // Best fit: the page with the least room that still holds the record.
+  auto it = by_available_.lower_bound(
+      {static_cast<uint16_t>(rec + kSlotSize), 0});
+  return it == by_available_.end() ? kAnyPage : it->second;
+}
+
+void HeapFile::Take(uint32_t page_id, size_t rec, size_t dir, uint64_t txn) {
+  PageSpace space = space_.at(page_id);
+  auto held = txn == 0 ? held_.end() : held_.find({txn, page_id});
+  if (held != held_.end()) {
+    uint16_t own = static_cast<uint16_t>(std::min<size_t>(held->second, rec));
+    held->second = static_cast<uint16_t>(held->second - own);
+    space.reserved = static_cast<uint16_t>(space.reserved - own);
+    if (held->second == 0) held_.erase(held);
+  }
+  space.free = static_cast<uint16_t>(space.free - rec - dir);
+  SetSpace(page_id, space);
+}
+
+void HeapFile::Free(uint32_t page_id, size_t bytes, uint64_t txn) {
+  if (bytes == 0) return;
+  PageSpace space = space_.at(page_id);
+  space.free = static_cast<uint16_t>(space.free + bytes);
+  if (txn != 0) {
+    uint16_t& held = held_[{txn, page_id}];
+    held = static_cast<uint16_t>(held + bytes);
+    space.reserved = static_cast<uint16_t>(space.reserved + bytes);
+  }
+  SetSpace(page_id, space);
+}
+
+void HeapFile::SetSpace(uint32_t page_id, PageSpace space) {
+  auto [it, fresh] = space_.try_emplace(page_id, space);
+  if (fresh) {
+    by_available_.emplace(space.available(), page_id);
+    return;
+  }
+  if (it->second.available() == space.available()) {  // e.g. a reserving delete
+    it->second = space;
+    return;
+  }
+  // Re-key the page's index entry in place: no allocation per mutation.
+  auto node = by_available_.extract({it->second.available(), page_id});
+  it->second = space;
+  node.value().first = space.available();
+  by_available_.insert(std::move(node));
+}
+
+void HeapFile::ReleaseReservations(uint64_t txn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = held_.lower_bound({txn, 0});
+  while (it != held_.end() && it->first.first == txn) {
+    PageSpace space = space_.at(it->first.second);
+    space.reserved = static_cast<uint16_t>(space.reserved - it->second);
+    SetSpace(it->first.second, space);
+    it = held_.erase(it);
+  }
+}
+
+Status HeapFile::VerifySpaceIndex() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::unordered_map<uint32_t, size_t> held_on;
+  for (const auto& [key, bytes] : held_) held_on[key.second] += bytes;
+  if (space_.size() != pages_.size() ||
+      by_available_.size() != pages_.size()) {
+    return Status::Corruption("free-space index tracks " +
+                              std::to_string(by_available_.size()) + " of " +
+                              std::to_string(pages_.size()) + " pages");
+  }
+  for (uint32_t pid : pages_) {
+    Frame* frame;
+    PRODB_RETURN_IF_ERROR(pool_->FetchPage(pid, &frame));
+    size_t reclaimable = ReclaimableFree(frame->data);
+    PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/false));
+    auto it = space_.find(pid);
+    if (it == space_.end() || it->second.free != reclaimable ||
+        it->second.reserved > it->second.free ||
+        it->second.reserved != held_on[pid] ||
+        by_available_.count({it->second.available(), pid}) == 0) {
+      return Status::Corruption("free-space index disagrees with page " +
+                                std::to_string(pid));
+    }
+  }
+  return Status::OK();
+}
+
+Status HeapFile::Insert(const Tuple& tuple, TupleId* id,
+                        uint32_t near_page) {
   std::lock_guard<std::mutex> lock(mu_);
   std::string rec;
   tuple.SerializeTo(&rec);
   if (rec.size() > kPageSize - kPageHeaderSize - kSlotSize) {
     return Status::InvalidArgument("tuple larger than a page");
   }
-  // Try the most recently appended page first (common append workload),
-  // then any page the free-space map says could fit the record.
-  std::vector<uint32_t> candidates;
-  candidates.push_back(pages_.back());
-  for (const auto& [pid, free] : free_space_) {
-    if (pid != pages_.back() && free >= rec.size() + kSlotSize) {
-      candidates.push_back(pid);
-    }
-  }
-  for (uint32_t pid : candidates) {
-    Frame* frame;
-    PRODB_RETURN_IF_ERROR(pool_->FetchPage(pid, &frame));
-    int slot = InsertIntoPage(frame->data, rec);
-    if (slot >= 0) {
-      // InsertIntoPage never reuses dead slots, so the slot was absent
-      // before: undo is "clear it".
-      LogAndStamp(pool_, frame, LogRecordType::kSlotPut,
-                  static_cast<uint32_t>(slot), rec, UndoKind::kClearSlot);
-      free_space_[pid] = static_cast<uint16_t>(ReclaimableFree(frame->data));
-      PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/true));
-      id->page_id = pid;
-      id->slot_id = static_cast<uint32_t>(slot);
-      ++live_tuples_;
-      return Status::OK();
-    }
-    PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/false));
-  }
-  uint32_t pid;
-  PRODB_RETURN_IF_ERROR(AppendPage(&pid));
+  const uint64_t txn = CurrentWalTxn();
+  uint32_t pid = ChoosePage(rec.size(), near_page, txn);
+  if (pid == kAnyPage) PRODB_RETURN_IF_ERROR(AppendPage(&pid));
   Frame* frame;
   PRODB_RETURN_IF_ERROR(pool_->FetchPage(pid, &frame));
+  // The index admitted the page, so the record fits (InsertIntoPage
+  // compacts first when the free bytes are scattered).
   int slot = InsertIntoPage(frame->data, rec);
-  if (slot >= 0) {
-    LogAndStamp(pool_, frame, LogRecordType::kSlotPut,
-                static_cast<uint32_t>(slot), rec, UndoKind::kClearSlot);
+  if (slot < 0) {
+    PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/false));
+    return Status::Internal("free-space index out of step with page " +
+                            std::to_string(pid));
   }
-  free_space_[pid] = static_cast<uint16_t>(ReclaimableFree(frame->data));
+  // InsertIntoPage never reuses dead slots, so the slot was absent
+  // before: undo is "clear it".
+  LogAndStamp(pool_, frame, LogRecordType::kSlotPut,
+              static_cast<uint32_t>(slot), rec, UndoKind::kClearSlot);
+  Take(pid, rec.size(), kSlotSize, txn);
   PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/true));
-  if (slot < 0) return Status::Internal("insert failed on fresh page");
   id->page_id = pid;
   id->slot_id = static_cast<uint32_t>(slot);
   ++live_tuples_;
@@ -201,8 +293,7 @@ Status HeapFile::Delete(TupleId id) {
     SetSlot(frame->data, static_cast<uint16_t>(id.slot_id), 0, kDeadSlot);
     LogAndStamp(pool_, frame, LogRecordType::kSlotDelete, id.slot_id, {},
                 UndoKind::kRestore, std::move(before));
-    free_space_[id.page_id] =
-        static_cast<uint16_t>(ReclaimableFree(frame->data));
+    Free(id.page_id, len, CurrentWalTxn());
     --live_tuples_;
     ++dead_slots_;
     dirty = true;
@@ -215,6 +306,7 @@ Status HeapFile::Restore(TupleId id, const Tuple& tuple) {
   std::lock_guard<std::mutex> lock(mu_);
   std::string rec;
   tuple.SerializeTo(&rec);
+  const uint64_t txn = CurrentWalTxn();
   Frame* frame;
   PRODB_RETURN_IF_ERROR(pool_->FetchPage(id.page_id, &frame));
   Status st = Status::OK();
@@ -224,7 +316,7 @@ Status HeapFile::Restore(TupleId id, const Tuple& tuple) {
     st = Status::InvalidArgument("no slot " + id.ToString());
   } else if (SlotLength(frame->data, id.slot_id) != kDeadSlot) {
     st = Status::AlreadyExists("slot live " + id.ToString());
-  } else if (ReclaimableFree(frame->data) < rec.size()) {
+  } else if (!Fits(id.page_id, rec.size(), 0, txn)) {
     st = Status::IOError("page full restoring " + id.ToString());
   } else {
     // CompactPage preserves slot ids and leaves dead slots dead, so the
@@ -238,8 +330,7 @@ Status HeapFile::Restore(TupleId id, const Tuple& tuple) {
             static_cast<uint16_t>(rec.size()));
     LogAndStamp(pool_, frame, LogRecordType::kSlotPut, id.slot_id, rec,
                 UndoKind::kClearSlot);
-    free_space_[id.page_id] =
-        static_cast<uint16_t>(ReclaimableFree(frame->data));
+    Take(id.page_id, rec.size(), 0, txn);
     ++live_tuples_;
     if (dead_slots_ > 0) --dead_slots_;
     dirty = true;
@@ -272,8 +363,9 @@ Status HeapFile::Update(TupleId id, const Tuple& tuple, TupleId* new_id) {
               static_cast<uint16_t>(rec.size()));
       LogAndStamp(pool_, frame, LogRecordType::kSlotPut, id.slot_id, rec,
                   UndoKind::kRestore, std::move(before));
-      free_space_[id.page_id] =
-          static_cast<uint16_t>(ReclaimableFree(frame->data));
+      // Restart undo puts the longer before-image back: the bytes the
+      // overwrite freed stay the transaction's.
+      Free(id.page_id, old_len - rec.size(), CurrentWalTxn());
       PRODB_RETURN_IF_ERROR(pool_->UnpinPage(id.page_id, true));
       *new_id = id;
       return Status::OK();
@@ -281,9 +373,9 @@ Status HeapFile::Update(TupleId id, const Tuple& tuple, TupleId* new_id) {
     PRODB_RETURN_IF_ERROR(pool_->UnpinPage(id.page_id, false));
   }
   // Record grew: move it (delete + insert), matching the paper's treatment
-  // of modify as delete-followed-by-insert.
+  // of modify as delete-followed-by-insert; the old page comes first.
   PRODB_RETURN_IF_ERROR(Delete(id));
-  return Insert(tuple, new_id);
+  return Insert(tuple, new_id, id.page_id);
 }
 
 size_t HeapFile::TupleCount() const {

@@ -3,9 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -31,8 +34,21 @@ namespace prodb {
 ///
 /// Pages of one heap file form a singly linked list through next_page_id,
 /// so a file can be reopened from its head page id after restart.
+///
+/// Page choice (DESIGN.md "Heap page choice"): each page's reclaimable
+/// bytes are kept incrementally, minus the bytes live transactions hold
+/// for their own undo, in an index ordered by (available bytes, page).
+/// An insert tries the caller's hint page (a modify's old page), then the
+/// tail page, then the best-fitting page, then a new page: O(log pages)
+/// whatever the file size. Bytes a transaction's delete frees stay
+/// reserved for that transaction (its own inserts and restores may use
+/// them) until ReleaseReservations, so its rollback — at runtime or in
+/// restart undo — always finds room for the before-images.
 class HeapFile {
  public:
+  /// Insert's "no placement hint".
+  static constexpr uint32_t kAnyPage = UINT32_MAX;
+
   /// Creates a new heap file: allocates the head page.
   static Status Create(BufferPool* pool, std::unique_ptr<HeapFile>* out);
 
@@ -42,25 +58,45 @@ class HeapFile {
 
   uint32_t head_page_id() const { return pages_.front(); }
 
-  /// Appends `tuple`; returns its TupleId via *id.
-  Status Insert(const Tuple& tuple, TupleId* id);
+  /// Appends `tuple`; returns its TupleId via *id. The tuple goes on
+  /// `near_page` when it fits there (see class comment), always under a
+  /// new slot.
+  Status Insert(const Tuple& tuple, TupleId* id,
+                uint32_t near_page = kAnyPage);
 
   /// Reads the tuple at `id` into *out.
   Status Get(TupleId id, Tuple* out) const;
 
-  /// Tombstones the slot at `id`. Space is reclaimed lazily.
+  /// Tombstones the slot at `id`. Space is reclaimed lazily; inside a
+  /// transaction (CurrentWalTxn() != 0) the freed bytes are reserved for
+  /// it.
   Status Delete(TupleId id);
 
   /// Revives the tombstoned slot at `id` with `tuple` (abort
   /// compensation). The slot directory entry must still exist and be
   /// dead; the record is rewritten into the page's free space, compacting
-  /// first if needed. Fails with AlreadyExists if the slot is live.
+  /// first if needed. Fails with AlreadyExists if the slot is live, and
+  /// with IOError if the page lacks room — which cannot happen to a
+  /// transaction restoring its own deletes in reverse order.
   Status Restore(TupleId id, const Tuple& tuple);
 
-  /// Replaces the tuple at `id`. If the new encoding fits in place (after
-  /// compaction) the TupleId is preserved; otherwise the record moves and
-  /// *new_id receives its new location.
+  /// Replaces the tuple at `id`. If the new encoding fits in place the
+  /// TupleId is preserved; otherwise the record moves (delete, then an
+  /// insert that prefers the old page) and *new_id receives its new
+  /// location.
   Status Update(TupleId id, const Tuple& tuple, TupleId* new_id);
+
+  /// Ends transaction `txn`'s reservations in this file: the bytes its
+  /// deletes freed become available to every inserter. Called when the
+  /// transaction commits or finishes aborting.
+  void ReleaseReservations(uint64_t txn);
+
+  /// Checks the free-space index against the pages: for every page, the
+  /// kept free bytes equal ReclaimableFree, the reserved bytes equal the
+  /// sum of the transactions' reservations, and the ordered index holds
+  /// (free − reserved, page). Corruption names the first page that
+  /// disagrees. Reads every page; meant for tests.
+  Status VerifySpaceIndex() const;
 
   /// Number of live tuples.
   size_t TupleCount() const;
@@ -84,13 +120,44 @@ class HeapFile {
  private:
   explicit HeapFile(BufferPool* pool) : pool_(pool) {}
 
+  /// A page's space: reclaimable bytes (ReclaimableFree) and the part of
+  /// them live transactions hold for their own undo.
+  struct PageSpace {
+    uint16_t free = 0;
+    uint16_t reserved = 0;
+    uint16_t available() const {
+      return static_cast<uint16_t>(free - reserved);
+    }
+  };
+
   Status AppendPage(uint32_t* page_id);
+  /// Bytes of `txn`'s reservation on `page_id` (0 for auto-commit).
+  uint16_t Held(uint64_t txn, uint32_t page_id) const;
+  /// True when `txn` can place `rec` record bytes plus `dir` directory
+  /// bytes on `page_id`: its own reservation covers up to `rec` bytes,
+  /// the rest must be available to everyone.
+  bool Fits(uint32_t page_id, size_t rec, size_t dir, uint64_t txn) const;
+  /// The page an insert of `rec` bytes by `txn` goes to, or kAnyPage
+  /// when none fits (append a page).
+  uint32_t ChoosePage(size_t rec, uint32_t near_page, uint64_t txn) const;
+  /// Accounts a placement Fits admitted: consumes `txn`'s reservation
+  /// first.
+  void Take(uint32_t page_id, size_t rec, size_t dir, uint64_t txn);
+  /// Accounts `bytes` freed on `page_id`, reserved for `txn` unless it is
+  /// auto-commit.
+  void Free(uint32_t page_id, size_t bytes, uint64_t txn);
+  /// Sets a page's space and keeps the ordered index in step.
+  void SetSpace(uint32_t page_id, PageSpace space);
 
   BufferPool* pool_;
   mutable std::mutex mu_;
   std::vector<uint32_t> pages_;
-  // page id -> approximate free bytes, maintained on insert/delete.
-  std::unordered_map<uint32_t, uint16_t> free_space_;
+  std::unordered_map<uint32_t, PageSpace> space_;
+  // (available bytes, page id), for best fit.
+  std::set<std::pair<uint16_t, uint32_t>> by_available_;
+  // (txn, page id) -> bytes that transaction's deletes freed there and
+  // its undo may need back.
+  std::map<std::pair<uint64_t, uint32_t>, uint16_t> held_;
   size_t live_tuples_ = 0;
   size_t dead_slots_ = 0;
 };

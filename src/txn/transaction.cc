@@ -1,5 +1,7 @@
 #include "txn/transaction.h"
 
+#include <algorithm>
+
 namespace prodb {
 
 Status Transaction::ReadLock(const std::string& rel, TupleId id) {
@@ -30,10 +32,26 @@ Status Transaction::Insert(const std::string& rel, const Tuple& t,
   // Attribute the WAL records this mutation generates to us; restart
   // recovery redoes them only if our commit record made it to disk.
   WalTxnScope wal_scope(id_);
-  PRODB_RETURN_IF_ERROR(r->Insert(t, id));
+  // Same-page placement: the page our latest delete freed is hot in the
+  // pool and our own reservation there covers the record (a page of
+  // another relation's heap is simply not a candidate).
+  PRODB_RETURN_IF_ERROR(last_delete_ ? r->InsertNear(*last_delete_, t, id)
+                                     : r->Insert(t, id));
   changes_.AddInsert(rel, t, *id);
   // Lock the new tuple so no reader observes it before we commit.
   return locks_->Acquire(id_, ResourceId::Tup(rel, *id), LockMode::kX);
+}
+
+Status Transaction::DeleteFrom(Relation* r, TupleId id) {
+  PRODB_RETURN_IF_ERROR(r->Delete(id));
+  // The heap keeps the freed bytes for our undo (keyed by the WAL
+  // transaction scope the caller holds) until ReleaseReservations.
+  if (r->storage_kind() == StorageKind::kPaged &&
+      std::find(reserving_.begin(), reserving_.end(), r->name()) ==
+          reserving_.end()) {
+    reserving_.push_back(r->name());
+  }
+  return Status::OK();
 }
 
 Status Transaction::Delete(const std::string& rel, TupleId id) {
@@ -43,8 +61,9 @@ Status Transaction::Delete(const std::string& rel, TupleId id) {
   WalTxnScope wal_scope(id_);
   Tuple old;
   PRODB_RETURN_IF_ERROR(r->Get(id, &old));
-  PRODB_RETURN_IF_ERROR(r->Delete(id));
+  PRODB_RETURN_IF_ERROR(DeleteFrom(r, id));
   changes_.AddDelete(rel, id, std::move(old));
+  last_delete_ = id;
   return Status::OK();
 }
 
@@ -53,6 +72,8 @@ Status Transaction::Update(const std::string& rel, TupleId id, const Tuple& t,
   // §3.1 / §5: a modification is a deletion followed by an insertion, and
   // the maintenance algorithms see it exactly that way. If the insert
   // fails, the recorded delete stays unpaired and Rollback restores it.
+  // The insert prefers the page the delete just freed (same-page update);
+  // the new version still gets its own slot and id.
   PRODB_RETURN_IF_ERROR(Delete(rel, id));
   const size_t del = changes_.size() - 1;
   PRODB_RETURN_IF_ERROR(Insert(rel, t, new_id));
@@ -80,7 +101,9 @@ Status Transaction::Rollback() {
   // those ids, and a value-only re-insert would strand them.
   //
   // Undo records stay attributed to this (loser) transaction: restart
-  // recovery skips them along with the forward records.
+  // recovery skips them along with the forward records. The scope also
+  // lets the restores use the heap space our deletes reserved, and keeps
+  // what undoing our inserts frees for the restores that follow.
   WalTxnScope wal_scope(id_);
   Status first_error;
   size_t failed = 0;
@@ -89,7 +112,7 @@ Status Transaction::Rollback() {
     Status st = r == nullptr
                     ? Status::NotFound("relation " + d.relation)
                     : (d.is_insert() ? r->Restore(d.id, d.tuple)
-                                     : r->Delete(d.id));
+                                     : DeleteFrom(r, d.id));
     if (!st.ok()) {
       ++failed;
       if (first_error.ok()) first_error = st;
@@ -104,6 +127,13 @@ Status Transaction::Rollback() {
                           " of " + std::to_string(total) +
                           " undo steps failed; first: " +
                           first_error.ToString());
+}
+
+void Transaction::ReleaseReservations() {
+  for (const std::string& rel : reserving_) {
+    if (Relation* r = catalog_->Get(rel)) r->ReleaseReservations(id_);
+  }
+  reserving_.clear();
 }
 
 std::unique_ptr<Transaction> TxnManager::Begin() {
@@ -125,8 +155,9 @@ Status TxnManager::Commit(Transaction* txn, const MaintainFn& maintain) {
       // Maintenance failed mid-batch: matcher state cannot be unwound
       // cleanly, so surface the error (relations keep the ∆; with no end
       // record, restart undoes it as a loser). The page holds and locks
-      // must still drop or the pool and the lock table wedge.
-      Release(txn);
+      // must still drop or the pool and the lock table wedge; the heap
+      // space its deletes freed stays reserved for that restart undo.
+      Release(txn, /*ended=*/false);
       return st;
     }
   }
@@ -184,7 +215,8 @@ void TxnManager::EndAborted(Transaction* txn) {
   Release(txn);
 }
 
-void TxnManager::Release(Transaction* txn) {
+void TxnManager::Release(Transaction* txn, bool ended) {
+  if (ended) txn->ReleaseReservations();
   if (catalog_->wal() != nullptr) {
     catalog_->buffer_pool()->ReleaseTxnPages(txn->id());
   }

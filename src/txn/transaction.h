@@ -6,7 +6,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/change_set.h"
 #include "common/status.h"
@@ -51,7 +53,11 @@ class Transaction {
   /// changes() the moment it lands. Delete records the old tuple it reads
   /// under its X lock. Update is Delete then Insert (§3.1): the delete
   /// half is recorded before the insert is tried, and the two are linked
-  /// as a modify pair once the insert lands.
+  /// as a modify pair once the insert lands. An insert on a paged
+  /// relation goes on the page this transaction's latest delete freed
+  /// when it fits there — for a modify, the old version's page — always
+  /// under a new id. The choice follows the operation sequence alone, so
+  /// a modify spelled Delete then Insert places exactly like Update.
   Status Insert(const std::string& rel, const Tuple& t, TupleId* id);
   Status Delete(const std::string& rel, TupleId id);
   Status Update(const std::string& rel, TupleId id, const Tuple& t,
@@ -74,12 +80,28 @@ class Transaction {
   /// Rollback inverts, and the ∆ TxnManager::Commit hands to maintenance.
   const ChangeSet& changes() const { return changes_; }
 
+  /// Hands the heap space this transaction's deletes reserved (for its
+  /// own undo) back to every inserter. TxnManager calls it once the
+  /// transaction commits or finishes aborting; free when the
+  /// transaction deleted nothing from a paged relation.
+  void ReleaseReservations();
+
  private:
+  /// Deletes `id` from `r` and notes a paged relation as holding a
+  /// reservation for this transaction.
+  Status DeleteFrom(Relation* r, TupleId id);
+
   uint64_t id_;
   Catalog* catalog_;
   LockManager* locks_;
   TxnState state_ = TxnState::kActive;
   ChangeSet changes_;
+  // The latest forward delete: later inserts prefer its page.
+  std::optional<TupleId> last_delete_;
+  // Paged relations whose heap holds bytes this transaction's deletes
+  // freed, by name (a relation may be dropped meanwhile);
+  // ReleaseReservations returns the bytes.
+  std::vector<std::string> reserving_;
 };
 
 /// Issues transaction ids and finalizes commit/abort.
@@ -124,8 +146,11 @@ class TxnManager {
   /// Appends the abort record (when the catalog logs) and releases.
   void EndAborted(Transaction* txn);
   /// Drops the transaction's page holds (when the catalog logs) and
-  /// releases its locks.
-  void Release(Transaction* txn);
+  /// releases its locks. A transaction that `ended` (committed, or
+  /// aborted with its undo done) also returns its heap-space
+  /// reservations; one that did neither keeps them, because restart
+  /// undo will need the bytes.
+  void Release(Transaction* txn, bool ended = true);
 
   Catalog* catalog_;
   LockManager* locks_;

@@ -781,6 +781,62 @@ TEST(CrashRecoveryTest, CrashDuringRecoveryConvergesOnThirdRestart) {
   }
 }
 
+// --- Undo room after a crash ----------------------------------------------
+
+// A live transaction's delete keeps the bytes it freed until the
+// transaction ends. Here they would hold another transaction's row
+// exactly; if that committed insert took them, restart would redo it and
+// then find no room to undo the loser's delete, and the database would
+// not reopen.
+TEST(CrashRecoveryTest, LoserUndoFindsRoomAfterCommittedInsert) {
+  MemoryDiskManager disk;
+  Catalog catalog(WalCatalogOptions(&disk, /*auto_flush=*/false));
+  const Schema schema("S", {{"v", ValueType::kSymbol}});
+  Relation* rel = nullptr;
+  ASSERT_TRUE(
+      catalog.CreateRelation(schema, StorageKind::kPaged, &rel).ok());
+  LockManager locks;
+  TxnManager tm(&catalog, &locks);
+  // 160 rows of a 38-byte symbol (47-byte records) fill two pages
+  // exactly, 80 per page.
+  const Tuple row{Value(std::string(38, 's'))};
+  std::vector<TupleId> ids;
+  auto fill = tm.Begin();
+  for (int i = 0; i < 160; ++i) {
+    TupleId id;
+    ASSERT_TRUE(fill->Insert("S", row, &id).ok());
+    ids.push_back(id);
+  }
+  ASSERT_TRUE(tm.Commit(fill.get()).ok());
+  ASSERT_EQ(rel->FootprintBytes(), 2 * kPageSize);
+
+  auto loser = tm.Begin();
+  ASSERT_TRUE(loser->Delete("S", ids[0]).ok());
+  auto winner = tm.Begin();
+  TupleId taken;
+  ASSERT_TRUE(
+      winner->Insert("S", Tuple{Value(std::string(34, 't'))}, &taken).ok());
+  ASSERT_TRUE(tm.Commit(winner.get()).ok());
+  // Crash with `loser` live: its delete is in the forced log.
+  auto img = CopyDisk(&disk);
+
+  Catalog rcat(WalCatalogOptions(img.get(), /*auto_flush=*/false));
+  RecoveryResult rr;
+  Status st = rcat.Recover(&rr);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  std::unique_ptr<Relation> back;
+  ASSERT_TRUE(Relation::OpenPaged(schema, rcat.buffer_pool(),
+                                  rel->head_page_id(), &back)
+                  .ok());
+  EXPECT_EQ(back->Count(), 161u);
+  Tuple restored;
+  ASSERT_TRUE(back->Get(ids[0], &restored).ok());
+  EXPECT_EQ(restored, row);
+  Tuple committed;
+  ASSERT_TRUE(back->Get(taken, &committed).ok());
+  EXPECT_EQ(committed, (Tuple{Value(std::string(34, 't'))}));
+}
+
 // --- Engine-level smoke test ---------------------------------------------
 
 // A full production-system run (paged WM classes, DBMS-backed Rete with

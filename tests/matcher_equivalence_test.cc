@@ -319,6 +319,34 @@ void RunBatchedTrace(const std::string& program,
   }
 }
 
+// A rule whose second CE names a missing class must fail before it
+// registers its first: the next rule reuses its index, and a leftover
+// registration would instantiate under that rule's name.
+TEST(MatcherEquivalence, FailedAddRuleLeavesNoGhost) {
+  const std::string program = R"(
+(literalize A k)
+(literalize B k)
+)";
+  Catalog scratch;
+  std::vector<Rule> rules;
+  ASSERT_TRUE(LoadProgram(program + R"(
+(literalize Z k)
+(p bad (A ^k <x>) (Z ^k <x>) --> (remove 1))
+(p good (B ^k <x>) --> (remove 1))
+)",
+                          &scratch, &rules)
+                  .ok());
+  for (const char* spec : {"rete", "rete-dbms", "query", "pattern"}) {
+    SCOPED_TRACE(spec);
+    MatcherHarness h;
+    ASSERT_TRUE(h.Init(program, spec).ok());
+    EXPECT_TRUE(h.matcher->AddRule(rules[0]).IsNotFound());
+    ASSERT_TRUE(h.matcher->AddRule(rules[1]).ok());
+    ASSERT_TRUE(h.wm->Insert("A", Tuple{Value(int64_t{7})}).ok());
+    EXPECT_TRUE(CanonicalConflictSet(*h.matcher).empty());
+  }
+}
+
 TEST(MatcherBatchEquivalence, ThreeWayJoinShuffledBatches) {
   auto gen = [](const std::string& cls, Rng* rng) {
     int64_t lo = static_cast<int64_t>(rng->Uniform(4));

@@ -9,6 +9,7 @@
 #include "match/query_matcher.h"
 #include "matcher_test_util.h"
 #include "rete/network.h"
+#include "txn/transaction.h"
 #include "workload/generator.h"
 #include "workload/paper_examples.h"
 
@@ -82,6 +83,53 @@ void RunPagedVsMemory(const std::string& matcher_spec) {
         << "diverged at step " << step;
   }
   ExpectPoolBalanced(paged.catalog.get());
+}
+
+// A modify's new version lands on its old page when it fits there —
+// through a transaction and through the WM facade alike — under a new
+// id, even though the tail page has room too.
+TEST(PagedSystemTest, ModifyPlacesNewVersionOnItsOldPage) {
+  CatalogOptions copts;
+  copts.default_storage = StorageKind::kPaged;
+  copts.buffer_pool_frames = 8;
+  Catalog catalog(copts);
+  Relation* rel = nullptr;
+  ASSERT_TRUE(catalog
+                  .CreateRelation(Schema("Acct", {{"id", ValueType::kInt},
+                                                  {"bal", ValueType::kInt}}),
+                                  &rel)
+                  .ok());
+  auto matcher = MakeNamedMatcher("query", &catalog);
+  WorkingMemory wm(&catalog, matcher.get());
+  std::vector<TupleId> ids;
+  for (int64_t i = 0; i < 600; ++i) {
+    TupleId id;
+    ASSERT_TRUE(wm.Insert("Acct", Tuple{Value(i), Value(i)}, &id).ok());
+    ids.push_back(id);
+  }
+  ASSERT_NE(ids.front().page_id, ids.back().page_id);
+
+  LockManager locks;
+  TxnManager tm(&catalog, &locks);
+  auto txn = tm.Begin();
+  TupleId moved;
+  ASSERT_TRUE(
+      txn->Update("Acct", ids[0], Tuple{Value(int64_t{0}), Value(-5)}, &moved)
+          .ok());
+  EXPECT_EQ(moved.page_id, ids[0].page_id);
+  EXPECT_NE(moved, ids[0]);
+  ASSERT_TRUE(tm.Commit(txn.get(), [&](const ChangeSet& delta) {
+                  return matcher->OnBatch(delta);
+                }).ok());
+
+  TupleId again;
+  ASSERT_TRUE(
+      wm.Modify("Acct", ids[1], Tuple{Value(int64_t{1}), Value(-7)}, &again)
+          .ok());
+  EXPECT_EQ(again.page_id, ids[1].page_id);
+  EXPECT_NE(again, ids[1]);
+  EXPECT_EQ(rel->Count(), 600u);
+  ExpectPoolBalanced(&catalog);
 }
 
 TEST(PagedSystemTest, QueryMatcherPagedEqualsMemory) {

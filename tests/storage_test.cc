@@ -6,6 +6,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/heap_file.h"
+#include "storage/wal.h"
 
 namespace prodb {
 namespace {
@@ -308,37 +309,125 @@ TEST_F(HeapFileTest, ReopenFindsSameTuples) {
   }
 }
 
-// Property: random insert/delete/update churn matches a reference map.
+// Page choice reads the free-space index, not the pages: an insert into
+// a heap of 1,000+ pages fetches the page it lands on (plus the old tail
+// when it appends a page), never a walk over candidates.
+TEST_F(HeapFileTest, InsertIntoThousandPageHeapFetchesAtMostTwoPages) {
+  std::vector<TupleId> ids;
+  for (int i = 0; i < 3300; ++i) {
+    TupleId id;
+    ASSERT_TRUE(
+        hf_->Insert(Tuple{Value(i), Value(std::string(1000, 'p'))}, &id).ok());
+    ids.push_back(id);
+  }
+  ASSERT_GE(hf_->PageCount(), 1000u);
+  // Holes on scattered pages give best fit a choice.
+  for (size_t i = 0; i < ids.size(); i += 7) {
+    ASSERT_TRUE(hf_->Delete(ids[i]).ok());
+  }
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const BufferPoolStats before = pool_->stats();
+    TupleId id;
+    Tuple t{Value(i), Value(std::string(rng.Uniform(1500), 'q'))};
+    ASSERT_TRUE(hf_->Insert(t, &id).ok());
+    const BufferPoolStats& after = pool_->stats();
+    EXPECT_LE(after.hits + after.misses - before.hits - before.misses, 2u)
+        << "insert " << i;
+  }
+  Status st = hf_->VerifySpaceIndex();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+// Property: random insert/delete/update churn by interleaved transactions
+// that commit or abort matches a reference map; every abort's restores
+// find room; and after every step the free-space index agrees with the
+// pages (kept free bytes == reclaimable bytes, reserved == the live
+// transactions' reservations, index entry == free - reserved).
 TEST(HeapFileProperty, RandomChurnMatchesReference) {
   BufferPool pool(8, std::make_unique<MemoryDiskManager>());
   std::unique_ptr<HeapFile> hf;
   ASSERT_TRUE(HeapFile::Create(&pool, &hf).ok());
   Rng rng(99);
   std::map<TupleId, Tuple> reference;
+  // Transactions 1..3 (0 is auto-commit): each one's undo log, and the
+  // tuples it inserted, which 2PL keeps from the others.
+  struct UndoStep {
+    bool inserted;
+    TupleId id;
+    Tuple tuple;
+  };
+  std::vector<UndoStep> undo[4];
+  std::map<TupleId, uint64_t> owner;
+  auto random_tuple = [&](size_t max_len, char fill) {
+    return Tuple{Value(static_cast<int64_t>(rng.Uniform(1000))),
+                 Value(std::string(rng.Uniform(max_len), fill))};
+  };
   for (int step = 0; step < 2000; ++step) {
-    int op = static_cast<int>(rng.Uniform(10));
-    if (op < 6 || reference.empty()) {
-      Tuple t{Value(static_cast<int64_t>(rng.Uniform(1000))),
-              Value(std::string(rng.Uniform(60), 's'))};
+    const uint64_t txn = rng.Uniform(4);
+    WalTxnScope scope(txn);
+    int op = static_cast<int>(rng.Uniform(12));
+    if (txn != 0 && op >= 10) {
+      if (op == 11) {
+        // Abort: undo in reverse, as Transaction::Rollback does.
+        for (auto it = undo[txn].rbegin(); it != undo[txn].rend(); ++it) {
+          Status st = it->inserted ? hf->Delete(it->id)
+                                   : hf->Restore(it->id, it->tuple);
+          ASSERT_TRUE(st.ok()) << "step " << step << ": " << st.ToString();
+          if (it->inserted) {
+            reference.erase(it->id);
+          } else {
+            reference[it->id] = it->tuple;
+          }
+        }
+      }
+      undo[txn].clear();
+      for (auto it = owner.begin(); it != owner.end();) {
+        it = it->second == txn ? owner.erase(it) : std::next(it);
+      }
+      hf->ReleaseReservations(txn);
+    } else if (op < 6 || reference.empty()) {
+      Tuple t = random_tuple(60, 's');
       TupleId id;
       ASSERT_TRUE(hf->Insert(t, &id).ok());
       reference[id] = t;
-    } else if (op < 8) {
-      auto it = reference.begin();
-      std::advance(it, rng.Uniform(reference.size()));
-      ASSERT_TRUE(hf->Delete(it->first).ok());
-      reference.erase(it);
+      if (txn != 0) {
+        undo[txn].push_back({true, id, t});
+        owner[id] = txn;
+      }
     } else {
       auto it = reference.begin();
       std::advance(it, rng.Uniform(reference.size()));
-      Tuple t{Value(static_cast<int64_t>(rng.Uniform(1000))),
-              Value(std::string(rng.Uniform(80), 'u'))};
-      TupleId nid;
-      ASSERT_TRUE(hf->Update(it->first, t, &nid).ok());
+      auto own = owner.find(it->first);
+      if (own != owner.end() && own->second != txn) continue;  // X-locked
+      const TupleId id = it->first;
+      const Tuple old = it->second;
       reference.erase(it);
-      reference[nid] = t;
+      if (own != owner.end()) owner.erase(own);
+      if (txn != 0) undo[txn].push_back({false, id, old});
+      if (op < 8) {
+        ASSERT_TRUE(hf->Delete(id).ok());
+      } else {
+        Tuple t = random_tuple(80, 'u');
+        TupleId nid;
+        if (txn == 0) {
+          ASSERT_TRUE(hf->Update(id, t, &nid).ok());
+        } else {
+          // A transaction's modify: delete, then insert near the old page.
+          ASSERT_TRUE(hf->Delete(id).ok());
+          ASSERT_TRUE(hf->Insert(t, &nid, id.page_id).ok());
+          undo[txn].push_back({true, nid, t});
+          owner[nid] = txn;
+        }
+        reference[nid] = t;
+      }
     }
+    Status inv = hf->VerifySpaceIndex();
+    ASSERT_TRUE(inv.ok()) << "step " << step << ": " << inv.ToString();
   }
+  for (uint64_t txn = 1; txn < 4; ++txn) hf->ReleaseReservations(txn);
+  Status inv = hf->VerifySpaceIndex();
+  EXPECT_TRUE(inv.ok()) << inv.ToString();
   EXPECT_EQ(hf->TupleCount(), reference.size());
   size_t seen = 0;
   ASSERT_TRUE(hf->Scan([&](TupleId id, const Tuple& t) {

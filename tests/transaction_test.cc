@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace prodb {
 namespace {
 
@@ -157,6 +163,121 @@ TEST_F(TransactionTest, RollbackReportsMultipleFailedUndos) {
   EXPECT_NE(st.message().find("2 of 2"), std::string::npos)
       << st.ToString();
   EXPECT_EQ(txn->state(), TxnState::kAborted);
+}
+
+// The bytes a live transaction's delete frees stay its own until it
+// ends. Here they would hold another transaction's row exactly; if that
+// insert took them, the abort that restores the deleted row under its
+// id would find the page full.
+TEST(TransactionSpaceTest, AbortFindsRoomAfterAnotherTransactionInserts) {
+  CatalogOptions copts;
+  copts.default_storage = StorageKind::kPaged;
+  Catalog catalog(copts);
+  Relation* rel = nullptr;
+  ASSERT_TRUE(
+      catalog.CreateRelation(Schema("S", {{"v", ValueType::kSymbol}}), &rel)
+          .ok());
+  // 160 rows of a 38-byte symbol (47-byte records) fill two pages
+  // exactly, 80 per page.
+  const Tuple row{Value(std::string(38, 's'))};
+  std::vector<TupleId> ids;
+  for (int i = 0; i < 160; ++i) {
+    TupleId id;
+    ASSERT_TRUE(rel->Insert(row, &id).ok());
+    ids.push_back(id);
+  }
+  ASSERT_EQ(rel->FootprintBytes(), 2 * kPageSize);
+
+  LockManager locks;
+  TxnManager tm(&catalog, &locks);
+  auto t1 = tm.Begin();
+  ASSERT_TRUE(t1->Delete("S", ids[0]).ok());
+  // A 34-byte symbol plus its slot needs exactly the 47 freed bytes.
+  auto t2 = tm.Begin();
+  TupleId taken;
+  ASSERT_TRUE(
+      t2->Insert("S", Tuple{Value(std::string(34, 't'))}, &taken).ok());
+  EXPECT_NE(taken.page_id, ids[0].page_id);
+
+  Status st = tm.Abort(t1.get());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  Tuple back;
+  ASSERT_TRUE(rel->Get(ids[0], &back).ok());
+  EXPECT_EQ(back, row);
+  ASSERT_TRUE(tm.Commit(t2.get()).ok());
+  EXPECT_EQ(rel->Count(), 161u);
+  EXPECT_EQ(locks.LockedResourceCount(), 0u);
+}
+
+// Sessions write one paged relation at once: each thread modifies its own
+// rows (so no lock waits) in transactions that commit or abort at random,
+// with record sizes that shift which pages have room. Every abort must
+// find room for its restores while the other threads' inserts compete
+// for the same pages, and each row ends as its last committed version.
+TEST(TransactionSpaceTest, ConcurrentWritersAlwaysFindUndoRoom) {
+  CatalogOptions copts;
+  copts.default_storage = StorageKind::kPaged;
+  copts.buffer_pool_frames = 16;
+  Catalog catalog(copts);
+  Relation* rel = nullptr;
+  ASSERT_TRUE(catalog
+                  .CreateRelation(Schema("S", {{"k", ValueType::kInt},
+                                               {"v", ValueType::kSymbol}}),
+                                  &rel)
+                  .ok());
+  LockManager locks;
+  TxnManager tm(&catalog, &locks);
+  constexpr int kThreads = 4;
+  constexpr int kRows = 40;
+  struct Row {
+    TupleId id;
+    Tuple tuple;
+  };
+  std::vector<std::vector<Row>> rows(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kRows; ++i) {
+      Tuple tuple{Value(int64_t{t * 1000 + i}), Value(std::string(20, 'a'))};
+      TupleId id;
+      ASSERT_TRUE(rel->Insert(tuple, &id).ok());
+      rows[static_cast<size_t>(t)].push_back({id, tuple});
+    }
+  }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      std::vector<Row>& mine = rows[static_cast<size_t>(t)];
+      for (int n = 0; n < 150; ++n) {
+        auto txn = tm.Begin();
+        std::vector<Row> staged = mine;
+        for (int m = 0; m < 4; ++m) {
+          Row& row = staged[rng.Uniform(staged.size())];
+          Tuple next{row.tuple[0], Value(std::string(rng.Uniform(60), 'b'))};
+          if (!txn->Update("S", row.id, next, &row.id).ok()) ++failures;
+          row.tuple = next;
+        }
+        if (rng.Chance(0.4)) {
+          if (!tm.Abort(txn.get()).ok()) ++failures;
+        } else if (tm.Commit(txn.get()).ok()) {
+          mine = std::move(staged);
+        } else {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(rel->Count(), static_cast<size_t>(kThreads * kRows));
+  for (const std::vector<Row>& mine : rows) {
+    for (const Row& row : mine) {
+      Tuple got;
+      ASSERT_TRUE(rel->Get(row.id, &got).ok()) << row.id.ToString();
+      EXPECT_EQ(got, row.tuple);
+    }
+  }
+  EXPECT_EQ(locks.LockedResourceCount(), 0u);
 }
 
 TEST_F(TransactionTest, MissingRelationErrors) {
