@@ -59,7 +59,7 @@ void Churn(Catalog* catalog, size_t rounds, bool checkpoint) {
     auto txn = tm.Begin();
     for (size_t i = 0; i < ids.size(); ++i) {
       TupleId moved;
-      bench::Abort(txn->Update("C", ids[i],
+      bench::Abort(txn->Modify("C", ids[i],
                                Tuple{Value(static_cast<int64_t>(r)),
                                      Value(std::string(64, 'u'))},
                                &moved),
@@ -154,7 +154,7 @@ void BM_CheckpointCall(benchmark::State& state) {
     auto txn = tm.Begin();
     for (size_t i = 0; i < ids.size(); ++i) {
       TupleId moved;
-      bench::Abort(txn->Update("C", ids[i],
+      bench::Abort(txn->Modify("C", ids[i],
                                Tuple{Value(r), Value(std::string(64, 'u'))},
                                &moved),
                    "update");

@@ -139,11 +139,6 @@ void RunSweep(benchmark::State& state, const std::string& spec_name,
   auto setup = bench::MakeSetup(StarSpec(wmes), [&](Catalog* c) {
     return MakeMatcher(spec, c);
   });
-  // The pattern matcher's fan-out is per COND class, not per WM shard.
-  Status sharding_st = setup->wm->ConfigureSharding(
-      spec.kind == MatcherKind::kPattern ? ShardingOptions{}
-                                         : spec.sharding);
-  (void)sharding_st;
   PreloadBatched(*setup, wmes, 3);
   Churn(state, *setup,
         skew ? 0 : setup->gen.spec().num_classes /* no skew */);

@@ -182,7 +182,7 @@ void BM_Recovery(benchmark::State& state) {
 BENCHMARK(BM_Recovery)->Arg(16)->Arg(64)->Arg(256);
 
 // Random modifies of a paged heap holding `live` tuples behind a
-// 256-frame pool, one logged transaction (Transaction::Update: delete,
+// 256-frame pool, one logged transaction (Transaction::Modify: delete,
 // then insert) per modify. Choosing the insert's page must not cost
 // O(pages), and the new version should land on the page its delete just
 // fetched, so time, pages fetched and evictions per modify should stay
@@ -219,7 +219,7 @@ void BM_PagedModifyChurn(benchmark::State& state) {
   for (auto _ : state) {
     const size_t pick = rng.Uniform(live);
     auto txn = tm.Begin();
-    bench::Abort(txn->Update("Acct", ids[pick], account(pick), &ids[pick]),
+    bench::Abort(txn->Modify("Acct", ids[pick], account(pick), &ids[pick]),
                  "modify");
     bench::Abort(tm.Commit(txn.get()), "commit");
     benchmark::DoNotOptimize(ids[pick]);

@@ -127,11 +127,7 @@ std::unique_ptr<Matcher> MakeMatcher(const MatcherSpec& spec,
       po.cond_storage = aux_storage;
       // The pattern matcher's per-class COND propagation is already the
       // sharded fan-out (§4.2.3); the sharding options just size it.
-      if (spec.sharding.enabled()) {
-        po.propagation_threads = spec.sharding.threads == 0
-                                     ? spec.sharding.num_shards
-                                     : spec.sharding.threads;
-      }
+      po.propagation_threads = FanOut::Workers(spec.sharding);
       return std::make_unique<PatternMatcher>(catalog, po);
     }
   }

@@ -26,11 +26,6 @@ ProductionSystem::ProductionSystem(ProductionSystemOptions options)
   sopts.max_firings = options_.max_firings;
   engine_ = std::make_unique<SequentialEngine>(catalog_.get(), matcher_.get(),
                                                sopts);
-  // Pre-load by construction — nothing has flowed through this WM yet,
-  // so the mid-stream guard cannot fire.
-  Status sharding_st =
-      engine_->working_memory().ConfigureSharding(options_.sharding);
-  (void)sharding_st;
 
   locks_ = std::make_unique<LockManager>();
   ConcurrentEngineOptions ccopts;

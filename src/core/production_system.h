@@ -39,14 +39,15 @@ struct ProductionSystemOptions {
   /// re-loading the same rules file and calling ReseedMatcher(). The
   /// serving layer's restart story.
   bool durable_directory = false;
-  /// Partitioned multi-core match: shard working memory by class (and by
-  /// tuple hash within declared hot classes) and run delta propagation
-  /// across shards on a thread pool — the Rete sub-networks, the query
-  /// matcher's seeded re-evaluations, and WM batch apply all fan out,
+  /// Partitioned multi-core match: shard the matcher's state by class
+  /// (and by tuple hash within declared hot classes) and run delta
+  /// propagation across shards on a thread pool — the Rete sub-networks
+  /// and the query matcher's seeded and full re-evaluations fan out,
   /// merging deterministically (results are byte-identical to serial at
-  /// any thread count). Default-constructed = off, the serial path.
-  /// kPattern translates the option into propagation_threads (its §4.2.3
-  /// per-class fan-out is the paper's own sharding).
+  /// any thread count). Relations are written serially.
+  /// Default-constructed = off, the serial path. kPattern translates the
+  /// option into propagation_threads (its §4.2.3 per-class fan-out is the
+  /// paper's own sharding).
   ShardingOptions sharding;
   /// Cost-based join planning from incremental catalog statistics
   /// (kRete/kReteDbms: beta-chain order + drift-triggered rebuilds;
@@ -144,7 +145,6 @@ class ProductionSystem {
   std::unique_ptr<SequentialEngine> engine_;
   std::unique_ptr<ConcurrentEngine> concurrent_engine_;
   std::unique_ptr<RuleBaseQueryIndex> rulebase_index_;
-  FunctionRegistry functions_;
 };
 
 }  // namespace prodb

@@ -90,25 +90,23 @@ Status Relation::Get(TupleId id, Tuple* out) const {
   return heap_->Get(id, out);
 }
 
-Status Relation::DeleteUnlocked(TupleId id) {
-  Tuple old;
+Status Relation::Delete(TupleId id, Tuple* old) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  Tuple removed;
   if (kind_ == StorageKind::kMemory) {
     auto it = rows_.find(id);
     if (it == rows_.end()) return Status::NotFound("tuple " + id.ToString());
-    old = std::move(it->second);
-    mem_bytes_ -= old.FootprintBytes();
+    removed = std::move(it->second);
+    mem_bytes_ -= removed.FootprintBytes();
     rows_.erase(it);
   } else {
-    PRODB_RETURN_IF_ERROR(heap_->Get(id, &old));
-    PRODB_RETURN_IF_ERROR(heap_->Delete(id));
+    // The heap hands back the tuple it removes: index maintenance needs
+    // it, and so may the caller, from the one page fetch.
+    PRODB_RETURN_IF_ERROR(heap_->Delete(id, &removed));
   }
-  IndexRemove(old, id);
+  IndexRemove(removed, id);
+  if (old != nullptr) *old = std::move(removed);
   return Status::OK();
-}
-
-Status Relation::Delete(TupleId id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return DeleteUnlocked(id);
 }
 
 Status Relation::Restore(TupleId id, const Tuple& tuple) {

@@ -62,7 +62,8 @@ class Relation {
   /// Memory relations ignore the hint.
   Status InsertNear(TupleId near, const Tuple& tuple, TupleId* id);
   Status Get(TupleId id, Tuple* out) const;
-  Status Delete(TupleId id);
+  /// Removes the tuple at `id`; *old (when given) receives it.
+  Status Delete(TupleId id, Tuple* old = nullptr);
   /// Re-inserts a previously deleted tuple under its original id.
   /// Deadlock compensation needs this: maintenance is deferred to the
   /// commit point, so matcher state recorded before the aborted
@@ -117,7 +118,6 @@ class Relation {
 
   Status InsertUnlocked(const Tuple& tuple, TupleId* id,
                         uint32_t near_page = HeapFile::kAnyPage);
-  Status DeleteUnlocked(TupleId id);
   void IndexInsert(const Tuple& t, TupleId id);
   void IndexRemove(const Tuple& t, TupleId id);
 

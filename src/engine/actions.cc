@@ -1,5 +1,8 @@
 #include "engine/actions.h"
 
+#include "engine/working_memory.h"
+#include "txn/transaction.h"
+
 namespace prodb {
 
 Tuple BuildMakeTuple(const CompiledAction& action, const Binding& binding) {
@@ -21,5 +24,73 @@ Tuple BuildModifyTuple(const CompiledAction& action, const Tuple& old,
   }
   return Tuple(std::move(values));
 }
+
+bool MatchedTuplesUnchanged(const Catalog& catalog, const Rule& rule,
+                            const Instantiation& inst) {
+  for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
+    const ConditionSpec& cond = rule.lhs.conditions[ce];
+    if (cond.negated) continue;
+    Relation* rel = catalog.Get(cond.relation);
+    Tuple t;
+    if (rel == nullptr || !rel->Get(inst.tuple_ids[ce], &t).ok() ||
+        t != inst.tuples[ce]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename Writer>
+Status ExecuteRhs(const Rule& rule, const Instantiation& inst,
+                  const FunctionRegistry& functions, Writer* writer,
+                  bool* halt) {
+  std::vector<TupleId> current = inst.tuple_ids;
+  std::vector<Tuple> current_tuples = inst.tuples;
+  for (const CompiledAction& action : rule.actions) {
+    const size_t ce = static_cast<size_t>(action.ce_index);
+    switch (action.kind) {
+      case ActionKind::kMake: {
+        TupleId id;
+        PRODB_RETURN_IF_ERROR(writer->Insert(
+            action.target, BuildMakeTuple(action, inst.binding), &id));
+        break;
+      }
+      case ActionKind::kRemove:
+        PRODB_RETURN_IF_ERROR(
+            writer->Delete(rule.lhs.conditions[ce].relation, current[ce]));
+        break;
+      case ActionKind::kModify: {
+        Tuple next =
+            BuildModifyTuple(action, current_tuples[ce], inst.binding);
+        TupleId id;
+        PRODB_RETURN_IF_ERROR(writer->Modify(
+            rule.lhs.conditions[ce].relation, current[ce], next, &id));
+        current[ce] = id;
+        current_tuples[ce] = std::move(next);
+        break;
+      }
+      case ActionKind::kHalt:
+        *halt = true;
+        break;
+      case ActionKind::kCall: {
+        std::vector<Value> args;
+        args.reserve(action.args.size());
+        for (const CompiledValue& cv : action.args) {
+          args.push_back(cv.Resolve(inst.binding));
+        }
+        PRODB_RETURN_IF_ERROR(functions.Invoke(action.target, args));
+        break;
+      }
+    }
+  }
+  return Status::OK();
+}
+
+template Status ExecuteRhs<WorkingMemory>(const Rule&, const Instantiation&,
+                                          const FunctionRegistry&,
+                                          WorkingMemory*, bool*);
+template Status ExecuteRhs<Transaction>(const Rule&, const Instantiation&,
+                                        const FunctionRegistry&,
+                                        Transaction*, bool*);
 
 }  // namespace prodb

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "db/catalog.h"
 #include "lang/rule.h"
+#include "match/conflict_set.h"
 
 namespace prodb {
 
@@ -42,6 +44,25 @@ class FunctionRegistry {
  private:
   std::map<std::string, ExternalFn> fns_;
 };
+
+/// True when every positive CE's tuple of `inst` is still in working
+/// memory, unchanged: the check both engines make before firing, since a
+/// concurrent commit (or a caller writing relations directly) may have
+/// deleted or replaced a matched tuple since the match.
+bool MatchedTuplesUnchanged(const Catalog& catalog, const Rule& rule,
+                            const Instantiation& inst);
+
+/// The one RHS interpreter (§2.1's Act step, and the body of §5's
+/// transaction): runs every action of `rule` under `inst` through
+/// `writer`, the WorkingMemory of the serial cycle or the Transaction of
+/// a concurrent firing — both offer Insert/Delete/Modify. A firing is
+/// its whole RHS: a `(halt)` sets *halt and the actions after it still
+/// run. A `modify` moves its CE's tuple to a new id, which later actions
+/// on that CE use. Stops at the first failing action.
+template <typename Writer>
+Status ExecuteRhs(const Rule& rule, const Instantiation& inst,
+                  const FunctionRegistry& functions, Writer* writer,
+                  bool* halt);
 
 }  // namespace prodb
 

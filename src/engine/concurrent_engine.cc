@@ -8,6 +8,14 @@
 
 namespace prodb {
 
+namespace {
+// Holds the caller's maintenance mutex, when Run was given one.
+std::unique_lock<std::mutex> HoldMaintenance(std::mutex* mu) {
+  return mu == nullptr ? std::unique_lock<std::mutex>()
+                       : std::unique_lock<std::mutex>(*mu);
+}
+}  // namespace
+
 ConcurrentEngine::ConcurrentEngine(Catalog* catalog, Matcher* matcher,
                                    LockManager* locks,
                                    ConcurrentEngineOptions options)
@@ -17,6 +25,7 @@ ConcurrentEngine::ConcurrentEngine(Catalog* catalog, Matcher* matcher,
       options_(options) {}
 
 Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
+                                          std::mutex* maintenance_mu,
                                           bool* fired, bool* stale,
                                           bool* halted) {
   *fired = false;
@@ -39,93 +48,52 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
     if (!st.ok()) return txn_manager_.Abort(txn.get(), st);
   }
 
-  // 2. Validate against current WM: tuples must still exist unchanged,
-  //    negated CEs must still have no witness.
-  for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
-    const ConditionSpec& cond = rule.lhs.conditions[ce];
+  // 2. Validate against current WM: the matched tuples must still exist
+  //    unchanged, and negated CEs must still have no witness.
+  if (!MatchedTuplesUnchanged(*wm_.catalog(), rule, inst)) {
+    *stale = true;
+    return txn_manager_.Abort(txn.get());
+  }
+  for (const ConditionSpec& cond : rule.lhs.conditions) {
+    if (!cond.negated) continue;
     Relation* rel = wm_.catalog()->Get(cond.relation);
     if (rel == nullptr) {
       *stale = true;
       return txn_manager_.Abort(txn.get());
     }
-    if (cond.negated) {
-      bool exists = false;
-      Status st = rel->Scan([&](TupleId, const Tuple& t) {
-        if (!exists) {
-          Binding b = inst.binding;
-          if (TupleConsistent(cond, t, &b)) exists = true;
-        }
-        return Status::OK();
-      });
-      if (!st.ok()) return txn_manager_.Abort(txn.get(), st);
-      if (exists) {
-        *stale = true;
-        return txn_manager_.Abort(txn.get());
+    bool exists = false;
+    Status st = rel->Scan([&](TupleId, const Tuple& t) {
+      if (!exists) {
+        Binding b = inst.binding;
+        if (TupleConsistent(cond, t, &b)) exists = true;
       }
-    } else {
-      Tuple t;
-      Status st = rel->Get(inst.tuple_ids[ce], &t);
-      if (!st.ok() || t != inst.tuples[ce]) {
-        *stale = true;
-        return txn_manager_.Abort(txn.get());
-      }
+      return Status::OK();
+    });
+    if (!st.ok()) return txn_manager_.Abort(txn.get(), st);
+    if (exists) {
+      *stale = true;
+      return txn_manager_.Abort(txn.get());
     }
   }
 
-  // 3. RHS actions under write locks.
-  std::vector<TupleId> current = inst.tuple_ids;
-  std::vector<Tuple> current_tuples = inst.tuples;
+  // 3. The whole RHS under write locks, through the interpreter the
+  //    serial cycle uses.
   bool halt_requested = false;
-  for (const CompiledAction& action : rule.actions) {
-    Status st;
-    switch (action.kind) {
-      case ActionKind::kMake: {
-        TupleId id;
-        st = txn->Insert(action.target, BuildMakeTuple(action, inst.binding),
-                         &id);
-        break;
-      }
-      case ActionKind::kRemove: {
-        size_t ce = static_cast<size_t>(action.ce_index);
-        st = txn->Delete(rule.lhs.conditions[ce].relation, current[ce]);
-        break;
-      }
-      case ActionKind::kModify: {
-        size_t ce = static_cast<size_t>(action.ce_index);
-        Tuple next =
-            BuildModifyTuple(action, current_tuples[ce], inst.binding);
-        TupleId id;
-        st = txn->Update(rule.lhs.conditions[ce].relation, current[ce], next,
-                         &id);
-        if (st.ok()) {
-          current[ce] = id;
-          current_tuples[ce] = std::move(next);
-        }
-        break;
-      }
-      case ActionKind::kHalt:
-        halt_requested = true;
-        break;
-      case ActionKind::kCall: {
-        std::vector<Value> args;
-        for (const CompiledValue& cv : action.args) {
-          args.push_back(cv.Resolve(inst.binding));
-        }
-        st = functions_.Invoke(action.target, args);
-        break;
-      }
-    }
-    if (!st.ok()) return txn_manager_.Abort(txn.get(), st);
-  }
+  Status rhs = ExecuteRhs(rule, inst, functions_, txn.get(), &halt_requested);
+  if (!rhs.ok()) return txn_manager_.Abort(txn.get(), rhs);
 
   // 4. The commit point: the matcher receives the transaction's whole ∆
   //    in one OnBatch *before* locks release — the paper's rule that "a
   //    production should not commit its RHS actions and release its
   //    locks until the triggered maintenance process updates the
-  //    affected COND relations as well" (§5.2), made structural.
+  //    affected COND relations as well" (§5.2), made structural. Every
+  //    2PL lock the firing needs is held by now, so the maintenance
+  //    mutex is taken last and no lock is requested while it is held.
   PRODB_RETURN_IF_ERROR(txn_manager_.Commit(
-      txn.get(),
-      [this](const ChangeSet& delta) { return matcher_->OnBatch(delta); }));
+      txn.get(), [this, maintenance_mu](const ChangeSet& delta) {
+        std::unique_lock<std::mutex> hold = HoldMaintenance(maintenance_mu);
+        return matcher_->OnBatch(delta);
+      }));
   {
     std::lock_guard<std::mutex> lock(mu_);
     commit_log_.push_back(inst.rule_name);
@@ -135,7 +103,8 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
   return Status::OK();
 }
 
-Status ConcurrentEngine::Worker(ConcurrentRunResult* result) {
+Status ConcurrentEngine::Worker(ConcurrentRunResult* result,
+                                std::mutex* maintenance_mu) {
   ConflictSet::Chooser chooser =
       MakeStrategy(options_.strategy, &matcher_->rules(), options_.seed);
   Rng backoff(options_.seed ^ 0x9e3779b97f4a7c15ULL);
@@ -159,7 +128,8 @@ Status ConcurrentEngine::Worker(ConcurrentRunResult* result) {
       continue;
     }
     bool fired = false, stale = false, halted = false;
-    Status st = RunInstantiation(inst, &fired, &stale, &halted);
+    Status st =
+        RunInstantiation(inst, maintenance_mu, &fired, &stale, &halted);
     if (st.IsDeadlock()) {
       // Victim: changes were compensated; requeue, then stop counting as
       // active (requeue-before-decrement keeps idle workers from
@@ -168,7 +138,10 @@ Status ConcurrentEngine::Worker(ConcurrentRunResult* result) {
         std::lock_guard<std::mutex> lock(mu_);
         ++result->deadlock_aborts;
       }
-      matcher_->conflict_set().Add(inst);
+      {
+        std::unique_lock<std::mutex> hold = HoldMaintenance(maintenance_mu);
+        matcher_->conflict_set().Add(inst);
+      }
       active_workers_.fetch_sub(1);
       std::this_thread::sleep_for(
           std::chrono::microseconds(50 + backoff.Uniform(500)));
@@ -194,7 +167,8 @@ Status ConcurrentEngine::Worker(ConcurrentRunResult* result) {
   }
 }
 
-Status ConcurrentEngine::Run(ConcurrentRunResult* result) {
+Status ConcurrentEngine::Run(ConcurrentRunResult* result,
+                             std::mutex* maintenance_mu) {
   *result = ConcurrentRunResult{};
   if (options_.workers == 0) {
     // No worker would ever take an instantiation: report it rather than
@@ -213,8 +187,9 @@ Status ConcurrentEngine::Run(ConcurrentRunResult* result) {
   std::vector<Status> statuses(options_.workers, Status::OK());
   threads.reserve(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
-    threads.emplace_back(
-        [this, result, &statuses, i] { statuses[i] = Worker(result); });
+    threads.emplace_back([this, result, maintenance_mu, &statuses, i] {
+      statuses[i] = Worker(result, maintenance_mu);
+    });
   }
   for (std::thread& t : threads) t.join();
   for (const Status& st : statuses) {

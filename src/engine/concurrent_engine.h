@@ -36,7 +36,8 @@ struct ConcurrentRunResult {
 ///   2. validate the instantiation against current WM (a concurrently
 ///      committed transaction may have deleted or changed its tuples —
 ///      the ∆del of §5.2); stale instantiations are discarded;
-///   3. execute the RHS under write locks; the Transaction records its
+///   3. execute the whole RHS under write locks, through the interpreter
+///      the serial cycle uses (ExecuteRhs); the Transaction records its
 ///      whole ∆ins/∆del in its ChangeSet (relations mutate eagerly, the
 ///      matcher sees nothing yet);
 ///   4. finalize through TxnManager::Commit, the one commit point: the
@@ -66,8 +67,16 @@ class ConcurrentEngine {
     return wm_.Insert(cls, t, id);
   }
 
-  /// Drains the conflict set to quiescence with `workers` threads.
-  Status Run(ConcurrentRunResult* result);
+  /// Drains the conflict set to quiescence with `workers` threads. A
+  /// firing that commits a (halt) stops the run once its whole RHS has
+  /// committed. When `maintenance_mu` is given, each firing's commit
+  /// maintenance and each deadlock victim's requeue run under it, so a
+  /// caller that serializes its own OnBatch calls (and conflict-set
+  /// listeners) under that mutex interleaves with the run per firing.
+  /// It is taken only while the firing holds every 2PL lock it will
+  /// request — never while requesting one.
+  Status Run(ConcurrentRunResult* result,
+             std::mutex* maintenance_mu = nullptr);
 
   FunctionRegistry& functions() { return functions_; }
   WorkingMemory& working_memory() { return wm_; }
@@ -87,10 +96,11 @@ class ConcurrentEngine {
   ///   *stale    — validation failed, discarded;
   ///   *halted   — a (halt) action committed;
   /// Status::Deadlock — aborted and compensated; caller retries.
-  Status RunInstantiation(const Instantiation& inst, bool* fired,
+  Status RunInstantiation(const Instantiation& inst,
+                          std::mutex* maintenance_mu, bool* fired,
                           bool* stale, bool* halted);
 
-  Status Worker(ConcurrentRunResult* result);
+  Status Worker(ConcurrentRunResult* result, std::mutex* maintenance_mu);
 
   WorkingMemory wm_;
   Matcher* matcher_;

@@ -10,91 +10,24 @@ SequentialEngine::SequentialEngine(Catalog* catalog, Matcher* matcher,
       chooser_(MakeStrategy(options.strategy, &matcher->rules(),
                             options.seed)) {}
 
-Status SequentialEngine::ExecuteActions(const Instantiation& inst,
-                                        bool* halted) {
-  wm_.BeginBatch();
-  Status st = ExecuteActionsBuffered(inst, halted);
-  Status commit = wm_.CommitBatch();
-  return st.ok() ? commit : st;
-}
-
-Status SequentialEngine::ExecuteActionsBuffered(const Instantiation& inst,
-                                                bool* halted) {
-  const Rule& rule =
-      matcher_->rules()[static_cast<size_t>(inst.rule_index)];
-  // `modify` may move a matched tuple; later actions referring to the
-  // same CE must see the current id.
-  std::vector<TupleId> current = inst.tuple_ids;
-  std::vector<Tuple> current_tuples = inst.tuples;
-
-  for (const CompiledAction& action : rule.actions) {
-    switch (action.kind) {
-      case ActionKind::kMake: {
-        PRODB_RETURN_IF_ERROR(
-            wm_.Insert(action.target,
-                       BuildMakeTuple(action, inst.binding)));
-        break;
-      }
-      case ActionKind::kRemove: {
-        size_t ce = static_cast<size_t>(action.ce_index);
-        const std::string& cls = rule.lhs.conditions[ce].relation;
-        PRODB_RETURN_IF_ERROR(wm_.Delete(cls, current[ce]));
-        break;
-      }
-      case ActionKind::kModify: {
-        size_t ce = static_cast<size_t>(action.ce_index);
-        const std::string& cls = rule.lhs.conditions[ce].relation;
-        Tuple next =
-            BuildModifyTuple(action, current_tuples[ce], inst.binding);
-        TupleId new_id;
-        PRODB_RETURN_IF_ERROR(wm_.Modify(cls, current[ce], next, &new_id));
-        current[ce] = new_id;
-        current_tuples[ce] = std::move(next);
-        break;
-      }
-      case ActionKind::kHalt:
-        *halted = true;
-        return Status::OK();
-      case ActionKind::kCall: {
-        std::vector<Value> args;
-        args.reserve(action.args.size());
-        for (const CompiledValue& cv : action.args) {
-          args.push_back(cv.Resolve(inst.binding));
-        }
-        PRODB_RETURN_IF_ERROR(functions_.Invoke(action.target, args));
-        break;
-      }
-    }
-  }
-  return Status::OK();
-}
-
 Status SequentialEngine::Step(bool* fired, EngineRunResult* result) {
   *fired = false;
   Instantiation inst;
   while (matcher_->conflict_set().Take(chooser_, &inst)) {
     // Validate: the matcher keeps the set consistent, but a caller could
     // have mutated relations behind our back; be defensive.
-    bool stale = false;
     const Rule& rule =
         matcher_->rules()[static_cast<size_t>(inst.rule_index)];
-    for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
-      if (rule.lhs.conditions[ce].negated) continue;
-      Relation* rel = wm_.catalog()->Get(rule.lhs.conditions[ce].relation);
-      Tuple t;
-      Status st = rel == nullptr ? Status::NotFound("relation dropped")
-                                 : rel->Get(inst.tuple_ids[ce], &t);
-      if (!st.ok() || t != inst.tuples[ce]) {
-        stale = true;
-        break;
-      }
-    }
-    if (stale) {
+    if (!MatchedTuplesUnchanged(*wm_.catalog(), rule, inst)) {
       ++result->stale_skipped;
       continue;
     }
     bool halted = false;
-    PRODB_RETURN_IF_ERROR(ExecuteActions(inst, &halted));
+    wm_.BeginBatch();
+    Status st = ExecuteRhs(rule, inst, functions_, &wm_, &halted);
+    Status committed = wm_.CommitBatch();
+    PRODB_RETURN_IF_ERROR(st);
+    PRODB_RETURN_IF_ERROR(committed);
     firing_log_.push_back(inst.rule_name);
     ++result->firings;
     *fired = true;

@@ -25,9 +25,10 @@ struct EngineRunResult {
 };
 
 /// The serial OPS5 recognize-act cycle (§2.1, §5.1): repeatedly Select
-/// one instantiation from the conflict set, Act (run its RHS), let the
-/// triggered maintenance update the conflict set, and loop until the set
-/// empties, a (halt) fires, or max_firings is reached.
+/// one instantiation from the conflict set, Act (run its whole RHS
+/// through the shared interpreter, ExecuteRhs), let the triggered
+/// maintenance update the conflict set, and loop until the set empties,
+/// a firing's RHS held a (halt), or max_firings is reached.
 ///
 /// Fired instantiations are removed from the conflict set, which gives
 /// OPS5-style refraction: the same rule re-fires only when new matching
@@ -48,6 +49,9 @@ class SequentialEngine {
   Status Run(EngineRunResult* result);
 
   /// Fires exactly one instantiation if available; *fired reports it.
+  /// The firing's RHS runs inside a WM batch: relation mutations apply
+  /// eagerly, and the matcher receives the whole ∆ in one OnBatch at the
+  /// end (the atomic-RHS view §5.2's commit rule requires).
   Status Step(bool* fired, EngineRunResult* result);
 
   FunctionRegistry& functions() { return functions_; }
@@ -57,12 +61,6 @@ class SequentialEngine {
   const std::vector<std::string>& firing_log() const { return firing_log_; }
 
  private:
-  /// Runs the RHS inside a WM batch: relation mutations apply eagerly,
-  /// and the matcher receives the firing's whole ∆ in one OnBatch at the
-  /// end (the atomic-RHS view §5.2's commit rule requires).
-  Status ExecuteActions(const Instantiation& inst, bool* halted);
-  Status ExecuteActionsBuffered(const Instantiation& inst, bool* halted);
-
   WorkingMemory wm_;
   Matcher* matcher_;
   SequentialEngineOptions options_;

@@ -25,15 +25,13 @@ Status WorkingMemory::ApplyToRelation(Delta* d) {
     if (d->id == Delta::kUnassigned) return rel->Insert(d->tuple, &d->id);
     return rel->Restore(d->id, d->tuple);
   }
-  // Fetch the old value so the matcher sees what was deleted; callers may
-  // record deletes by id alone.
-  PRODB_RETURN_IF_ERROR(rel->Get(d->id, &d->tuple));
-  return rel->Delete(d->id);
+  // The relation hands back the deleted value so the matcher sees it;
+  // callers may record deletes by id alone.
+  return rel->Delete(d->id, &d->tuple);
 }
 
 Status WorkingMemory::Insert(const std::string& cls, const Tuple& t,
                              TupleId* id) {
-  mutated_ = true;
   Delta d;
   d.kind = DeltaKind::kInsert;
   d.relation = cls;
@@ -51,7 +49,6 @@ Status WorkingMemory::Insert(const std::string& cls, const Tuple& t,
 }
 
 Status WorkingMemory::Delete(const std::string& cls, TupleId id) {
-  mutated_ = true;
   Delta d;
   d.kind = DeltaKind::kDelete;
   d.relation = cls;
@@ -69,7 +66,6 @@ Status WorkingMemory::Delete(const std::string& cls, TupleId id) {
 
 Status WorkingMemory::Modify(const std::string& cls, TupleId id,
                              const Tuple& t, TupleId* new_id) {
-  mutated_ = true;
   // Delete-then-insert, per §3.1 ("modifications are treated as
   // deletions followed by insertions"). The pair is tagged as one logical
   // modify, and it propagates even when the new tuple equals the old one:
@@ -78,8 +74,7 @@ Status WorkingMemory::Modify(const std::string& cls, TupleId id,
   Relation* rel = catalog_->Get(cls);
   if (rel == nullptr) return Status::NotFound("class " + cls);
   Tuple old;
-  PRODB_RETURN_IF_ERROR(rel->Get(id, &old));
-  PRODB_RETURN_IF_ERROR(rel->Delete(id));
+  PRODB_RETURN_IF_ERROR(rel->Delete(id, &old));
   TupleId nid;
   Status st = rel->InsertNear(id, t, &nid);
   if (!st.ok()) {
@@ -115,61 +110,11 @@ Status WorkingMemory::CommitBatch() {
   return ForceLog();
 }
 
-Status WorkingMemory::ConfigureSharding(const ShardingOptions& options) {
-  if (mutated_) {
-    // The shard map fixes delta routing, and the matcher partitioned its
-    // own state under the options it was built with; re-routing after
-    // mutations have flowed would silently diverge the two halves.
-    return Status::InvalidArgument(
-        "ConfigureSharding must be called before any WM mutation, "
-        "not mid-stream");
-  }
-  shard_map_ = ShardMap(options);
-  pool_.reset();
-  if (options.enabled()) {
-    size_t threads =
-        options.threads == 0 ? options.num_shards : options.threads;
-    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return Status::OK();
-}
-
 Status WorkingMemory::Apply(ChangeSet* cs) {
-  mutated_ = true;
   // Relations first — the matcher is entitled to see the post-batch WM
   // state (§5.2: maintenance runs on the transaction's whole ∆).
-  if (pool_ != nullptr && catalog_->wal() != nullptr && cs->size() > 1) {
-    // Sharding is configured but a WAL is attached: the parallel path is
-    // gated off (log-record ordering is a serial concern), and that must
-    // be observable rather than silent.
-    matcher_->NoteShardedApplySerialized();
-  }
-  if (pool_ != nullptr && catalog_->wal() == nullptr && cs->size() > 1) {
-    // Class-sharded parallel apply: one relation lives in one shard, so
-    // within-relation delta order (which fixes insert-id assignment) is
-    // the serial order; cross-relation operations touch disjoint
-    // relations and commute.
-    std::vector<std::vector<size_t>> by_shard(shard_map_.num_shards());
-    for (size_t i = 0; i < cs->size(); ++i) {
-      by_shard[shard_map_.ShardOfClass((*cs)[i].relation)].push_back(i);
-    }
-    std::vector<Status> shard_status(by_shard.size());
-    pool_->ParallelFor(by_shard.size(), [&](size_t s) {
-      for (size_t i : by_shard[s]) {
-        Status st = ApplyToRelation(&(*cs)[i]);
-        if (!st.ok()) {
-          shard_status[s] = st;
-          return;
-        }
-      }
-    });
-    for (const Status& st : shard_status) {
-      PRODB_RETURN_IF_ERROR(st);
-    }
-  } else {
-    for (size_t i = 0; i < cs->size(); ++i) {
-      PRODB_RETURN_IF_ERROR(ApplyToRelation(&(*cs)[i]));
-    }
+  for (size_t i = 0; i < cs->size(); ++i) {
+    PRODB_RETURN_IF_ERROR(ApplyToRelation(&(*cs)[i]));
   }
   PRODB_RETURN_IF_ERROR(matcher_->OnBatch(*cs));
   return ForceLog();

@@ -1,16 +1,12 @@
 #ifndef PRODB_ENGINE_WORKING_MEMORY_H_
 #define PRODB_ENGINE_WORKING_MEMORY_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/change_set.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "db/catalog.h"
 #include "match/matcher.h"
-#include "match/sharding.h"
 
 namespace prodb {
 
@@ -55,22 +51,6 @@ class WorkingMemory {
   /// Inverse() restores deleted tuples under their original ids.
   Status Apply(ChangeSet* cs);
 
-  /// Enables sharded batch application: Apply() partitions a multi-delta
-  /// ChangeSet by the class shard of each delta and applies the
-  /// partitions on a thread pool. Routing is by class only — one
-  /// relation maps to exactly one shard, so per-relation apply order
-  /// (and insert-id assignment) matches the serial walk. Parallel apply
-  /// engages only when no WAL is attached (log-record ordering stays a
-  /// serial concern; each such fallback is counted in
-  /// MatcherStats::sharded_apply_serialized) and is off by default.
-  ///
-  /// Must be called before any WM mutation flows through this object:
-  /// the shard map fixes how deltas route, and matchers configured with
-  /// the same options partition their own state to match — re-routing
-  /// mid-stream would silently diverge the two. A call after the first
-  /// mutation returns InvalidArgument and changes nothing.
-  Status ConfigureSharding(const ShardingOptions& options);
-
   bool in_batch() const { return in_batch_; }
   /// Deltas buffered since BeginBatch, not yet seen by the matcher.
   const ChangeSet& pending() const { return pending_; }
@@ -90,13 +70,7 @@ class WorkingMemory {
   Catalog* catalog_;
   Matcher* matcher_;
   bool in_batch_ = false;
-  // Any mutation has flowed through — ConfigureSharding is now an error.
-  bool mutated_ = false;
   ChangeSet pending_;
-  ShardMap shard_map_;
-  // Workers for sharded Apply (absent when sharding is off or
-  // single-threaded).
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace prodb

@@ -53,12 +53,6 @@ struct MatcherStats {
   std::atomic<uint64_t> replans{0};
   std::atomic<uint64_t> est_card_err_millinats{0};
   std::atomic<uint64_t> est_card_samples{0};
-  // Multi-delta WM batches that *would* have taken the sharded parallel
-  // apply but fell back to the serial walk because a WAL is attached
-  // (log-record ordering is a serial concern — see DESIGN.md "Sharded
-  // match × durability"). Durable server deployments watch this to see
-  // they are not getting parallel apply.
-  std::atomic<uint64_t> sharded_apply_serialized{0};
 
   /// Folds one (estimated, actual) cardinality observation into the
   /// running log-ratio error.
@@ -78,8 +72,7 @@ struct MatcherStats {
         plans_built(o.plans_built.load()),
         replans(o.replans.load()),
         est_card_err_millinats(o.est_card_err_millinats.load()),
-        est_card_samples(o.est_card_samples.load()),
-        sharded_apply_serialized(o.sharded_apply_serialized.load()) {}
+        est_card_samples(o.est_card_samples.load()) {}
 };
 
 /// Interface shared by the four matching architectures the paper
@@ -116,20 +109,6 @@ class Matcher {
 
   /// Registered rules (shared helper for engines).
   virtual const std::vector<Rule>& rules() const = 0;
-
-  /// WorkingMemory reports a WAL-forced serial fallback of the sharded
-  /// batch apply here (the matcher owns the stats the apply path is
-  /// accounted under). No-op for matchers without writable stats.
-  void NoteShardedApplySerialized() {
-    if (MatcherStats* s = mutable_stats()) {
-      s->sharded_apply_serialized.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
- protected:
-  /// Writable stats, for NoteShardedApplySerialized. Matchers that keep
-  /// a MatcherStats return it here.
-  virtual MatcherStats* mutable_stats() { return nullptr; }
 };
 
 /// The instantiation of rule `rule_index` that query match `m` forms

@@ -9,11 +9,9 @@ PatternMatcher::PatternMatcher(Catalog* catalog,
     : catalog_(catalog),
       options_(options),
       executor_(catalog),
-      dispatch_(&rules_, options.discriminate_dispatch) {
+      dispatch_(&rules_, options.discriminate_dispatch),
+      fan_out_(options.propagation_threads) {
   executor_.set_stats(&stats_);
-  if (options_.propagation_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.propagation_threads);
-  }
 }
 
 PatternMatcher::~PatternMatcher() = default;
@@ -275,7 +273,7 @@ Status PatternMatcher::FlushOps(std::vector<PropagationOp>* ops) {
   if (ops->empty()) return Status::OK();
   stats_.propagations += ops->size();
   Status result;
-  if (pool_ != nullptr && ops->size() > 1) {
+  if (fan_out_.parallel() && ops->size() > 1) {
     // Parallel propagation, one task per target class: ops against
     // different COND relations touch disjoint CondStores, and within a
     // class the task replays its ops in queue order, so mixed-sign
@@ -294,23 +292,14 @@ Status PatternMatcher::FlushOps(std::vector<PropagationOp>* ops) {
       if (fresh) class_order.push_back(&it->first);
       it->second.push_back(&op);
     }
-    std::vector<Status> group_status(class_order.size());
-    pool_->ParallelFor(class_order.size(), [&](size_t g) {
+    result = fan_out_.Run(class_order.size(), [&](size_t g) {
       for (const PropagationOp* op : by_class.at(*class_order[g])) {
-        Status st = BumpPattern(op->rule, op->target_ce, op->projected,
-                                op->contributor_ce, op->delta);
-        if (!st.ok()) {
-          group_status[g] = st;
-          return;
-        }
+        PRODB_RETURN_IF_ERROR(BumpPattern(op->rule, op->target_ce,
+                                          op->projected, op->contributor_ce,
+                                          op->delta));
       }
+      return Status::OK();
     });
-    for (const Status& st : group_status) {
-      if (!st.ok()) {
-        result = st;
-        break;
-      }
-    }
   } else {
     for (const PropagationOp& op : *ops) {
       Status st = BumpPattern(op.rule, op.target_ce, op.projected,

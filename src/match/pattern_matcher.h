@@ -7,10 +7,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "db/executor.h"
 #include "match/dispatch.h"
 #include "match/matcher.h"
+#include "match/sharding.h"
 
 namespace prodb {
 
@@ -98,9 +98,6 @@ class PatternMatcher : public Matcher {
   Status SyncRuleDef();
   Relation* rule_def() const { return rule_def_; }
 
- protected:
-  MatcherStats* mutable_stats() override { return &stats_; }
-
  private:
   /// One queued ±1 pattern-counter update.
   struct PropagationOp {
@@ -138,9 +135,10 @@ class PatternMatcher : public Matcher {
   Status BumpPattern(int rule, int target_ce, const Binding& projected,
                      int contributor_ce, int delta);
 
-  /// Applies the queued ops and clears them: one propagation-pool task
-  /// per target class, each replaying its class's ops in queue order, or
-  /// sequentially without a pool.
+  /// Applies the queued ops and clears them: one FanOut part per target
+  /// class, each replaying its class's ops in queue order, or one plain
+  /// queue-order loop without a pool (grouping by class would cost a map
+  /// per flush for nothing).
   Status FlushOps(std::vector<PropagationOp>* ops);
 
   /// Single pass over the patterns for (rule, ce): true when for every
@@ -160,7 +158,8 @@ class PatternMatcher : public Matcher {
   Relation* rule_def_ = nullptr;
   ConflictSet conflict_set_;
   MatcherStats stats_;
-  std::unique_ptr<ThreadPool> pool_;
+  // Runs FlushOps' per-class parts on propagation_threads workers.
+  FanOut fan_out_;
 };
 
 }  // namespace prodb

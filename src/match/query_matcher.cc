@@ -1,7 +1,6 @@
 #include "match/query_matcher.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace prodb {
 
@@ -152,21 +151,19 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
   //    per tuple. A tuple both inserted and deleted within the batch is
   //    never seeded: EvaluateSeeded force-includes its seed, and the
   //    removal pass above has already run.
-  //    Sharded, the (insert, CE) pairs are collected first (dispatch
-  //    accounting stays serial), partitioned by the seed tuple's shard,
-  //    evaluated concurrently into per-pair buffers — evaluation is
-  //    read-only against post-batch WM — and committed in collection
-  //    order, so conflict-set contents and recency stamps are
-  //    byte-identical to the serial path.
-  struct SeedItem {
+  //    The (insert, CE) pairs are collected first (dispatch accounting
+  //    stays serial), evaluated by the part owning the seed tuple's
+  //    shard — evaluation is read-only against post-batch WM — and
+  //    committed in collection order, so conflict-set contents and
+  //    recency stamps are the same at any shard or thread count.
+  //    Unsharded, the one part runs inline.
+  struct Seed {
     const Delta* d;
     int rule;
     int ce;
-    size_t shard;
-    std::vector<Instantiation> insts;
-    Status st;
+    size_t part;
   };
-  std::vector<SeedItem> seeds;
+  std::vector<Seed> seeds;
   std::vector<uint32_t> cands;
   std::vector<const CeRef*> seeded;
   for (const Delta& d : batch) {
@@ -176,56 +173,35 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
     for (uint32_t pos : cands) {
       const CeRef& ref = ces[pos];
       seeded.push_back(&ref);
-      if (sharded) {
-        seeds.push_back(
-            SeedItem{&d, ref.rule, ref.ce, shard_map_.Route(d), {}, {}});
-        continue;
-      }
-      std::vector<Instantiation> insts;
-      PRODB_RETURN_IF_ERROR(SeedMatches(ref.rule, ref.ce, d.id, d.tuple,
-                                        &insts));
-      for (Instantiation& inst : insts) conflict_set_.Add(std::move(inst));
+      seeds.push_back(Seed{&d, ref.rule, ref.ce, shard_map_.Route(d)});
     }
   }
   std::sort(seeded.begin(), seeded.end());
   stats_.propagations += static_cast<uint64_t>(
       std::unique(seeded.begin(), seeded.end()) - seeded.begin());
+  const size_t parts = shard_map_.num_shards();
   if (!seeds.empty()) {
-    std::vector<std::vector<size_t>> by_shard(shard_map_.num_shards());
+    // Outputs live apart from the seeds every part scans, so no part
+    // reads a cache line another part is writing.
+    std::vector<std::vector<Instantiation>> found(seeds.size());
+    PRODB_RETURN_IF_ERROR(fan_out_.Run(
+        parts,
+        [&](size_t part) {
+          for (size_t i = 0; i < seeds.size(); ++i) {
+            const Seed& seed = seeds[i];
+            if (seed.part != part) continue;
+            PRODB_RETURN_IF_ERROR(SeedMatches(seed.rule, seed.ce, seed.d->id,
+                                              seed.d->tuple, &found[i]));
+          }
+          return Status::OK();
+        },
+        &shard_stats_));
     for (size_t i = 0; i < seeds.size(); ++i) {
-      by_shard[seeds[i].shard].push_back(i);
-    }
-    std::vector<std::chrono::steady_clock::time_point> done_at(
-        by_shard.size());
-    auto run_shard = [&](size_t s) {
-      for (size_t i : by_shard[s]) {
-        SeedItem& item = seeds[i];
-        ++shard_stats_[s].deltas_routed;
-        item.st =
-            SeedMatches(item.rule, item.ce, item.d->id, item.d->tuple,
-                        &item.insts);
-        shard_stats_[s].conflict_ops += item.insts.size();
-        if (!item.st.ok()) break;
+      if (sharded) {
+        ++shard_stats_[seeds[i].part].deltas_routed;
+        shard_stats_[seeds[i].part].conflict_ops += found[i].size();
       }
-      done_at[s] = std::chrono::steady_clock::now();
-    };
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(by_shard.size(), run_shard);
-    } else {
-      for (size_t s = 0; s < by_shard.size(); ++s) run_shard(s);
-    }
-    const auto barrier = std::chrono::steady_clock::now();
-    for (size_t s = 0; s < by_shard.size(); ++s) {
-      shard_stats_[s].merge_wait_ns += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(barrier -
-                                                               done_at[s])
-              .count());
-    }
-    for (SeedItem& item : seeds) {
-      PRODB_RETURN_IF_ERROR(item.st);
-      for (Instantiation& inst : item.insts) {
-        conflict_set_.Add(std::move(inst));
-      }
+      for (Instantiation& inst : found[i]) conflict_set_.Add(std::move(inst));
     }
   }
 
@@ -234,7 +210,9 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
   //    deleted tuple (a tuple failing the CE's constant tests never
   //    blocked anything) is re-evaluated once — not once per deleted
   //    tuple, the amortization §4.1.2's "re-computation of joins" cost
-  //    begs for.
+  //    begs for. Rules have no home shard: part `rule % parts` takes
+  //    each (the partition only balances work and keeps per-part
+  //    counters single-writer), and commits run in ascending rule order.
   std::vector<int> reeval;
   for (const Delta& d : batch) {
     if (!d.is_delete()) continue;
@@ -244,45 +222,25 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
   }
   std::sort(reeval.begin(), reeval.end());
   reeval.erase(std::unique(reeval.begin(), reeval.end()), reeval.end());
-  if (!sharded) {
-    for (int rule_index : reeval) {
-      std::vector<Instantiation> insts;
-      PRODB_RETURN_IF_ERROR(EvaluateRule(rule_index, &insts));
-      ++stats_.propagations;
-      for (Instantiation& inst : insts) conflict_set_.Add(std::move(inst));
-    }
-    MaybeReplan(batch.size());
-    return Status::OK();
-  }
-  // Sharded step 4: full re-evaluations fan out one rule per task,
-  // grouped by `rule % num_shards` (rules have no home shard here — the
-  // partition only balances work and keeps per-shard counters
-  // single-writer); commits run in ascending rule order, matching the
-  // serial walk.
   if (!reeval.empty()) {
     std::vector<std::vector<Instantiation>> results(reeval.size());
-    std::vector<Status> sts(reeval.size());
-    std::vector<std::vector<size_t>> by_shard(shard_map_.num_shards());
+    PRODB_RETURN_IF_ERROR(fan_out_.Run(
+        parts,
+        [&](size_t part) {
+          for (size_t i = 0; i < reeval.size(); ++i) {
+            if (static_cast<size_t>(reeval[i]) % parts != part) continue;
+            PRODB_RETURN_IF_ERROR(EvaluateRule(reeval[i], &results[i]));
+          }
+          return Status::OK();
+        },
+        &shard_stats_));
     for (size_t i = 0; i < reeval.size(); ++i) {
-      by_shard[static_cast<size_t>(reeval[i]) % by_shard.size()].push_back(
-          i);
-    }
-    auto run_shard = [&](size_t s) {
-      for (size_t i : by_shard[s]) {
-        ++shard_stats_[s].deltas_routed;
-        sts[i] = EvaluateRule(reeval[i], &results[i]);
-        shard_stats_[s].conflict_ops += results[i].size();
-        if (!sts[i].ok()) break;
-      }
-    };
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(by_shard.size(), run_shard);
-    } else {
-      for (size_t s = 0; s < by_shard.size(); ++s) run_shard(s);
-    }
-    for (size_t i = 0; i < reeval.size(); ++i) {
-      PRODB_RETURN_IF_ERROR(sts[i]);
       ++stats_.propagations;
+      if (sharded) {
+        const size_t part = static_cast<size_t>(reeval[i]) % parts;
+        ++shard_stats_[part].deltas_routed;
+        shard_stats_[part].conflict_ops += results[i].size();
+      }
       for (Instantiation& inst : results[i]) {
         conflict_set_.Add(std::move(inst));
       }

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "db/executor.h"
 #include "db/stats.h"
 #include "match/dispatch.h"
@@ -27,11 +26,12 @@ namespace prodb {
 /// joins are re-computed — exactly the cost §4.2 sets out to remove.
 class QueryMatcher : public Matcher {
  public:
-  /// `sharding` (when enabled) partitions a batch's seeded re-evaluations
-  /// across WM shards and runs them on a thread pool; conflict-set
-  /// commits stay in delta order, so results and recency stamps are
-  /// byte-identical to the serial path. Evaluation is read-only against
-  /// post-batch WM, which is what makes the fan-out safe.
+  /// `sharding` (when enabled) partitions a batch's seeded evaluations
+  /// (by seed-tuple shard) and full re-evaluations (by rule) into parts
+  /// and runs them through a FanOut; conflict-set commits stay in
+  /// collection order, so results and recency stamps are byte-identical
+  /// to the serial path. Evaluation is read-only against post-batch WM,
+  /// which is what makes the fan-out safe.
   /// `planner` (when enabled) plans each rule's join sequence from
   /// catalog statistics at AddRule time and re-plans when cardinalities
   /// drift past planner.replan_drift; off, evaluation order is exactly
@@ -44,16 +44,12 @@ class QueryMatcher : public Matcher {
         planner_(&cat_stats_, planner),
         dispatch_(&rules_, exec_options.discriminate_dispatch),
         sharding_(sharding),
-        shard_map_(sharding) {
+        shard_map_(sharding),
+        fan_out_(FanOut::Workers(sharding)) {
     executor_.set_stats(&stats_);
     if (planner.enable) executor_.set_planner_stats(&cat_stats_);
     plans_.store(std::make_shared<const std::vector<JoinPlan>>());
-    if (sharding_.enabled()) {
-      shard_stats_.resize(shard_map_.num_shards());
-      size_t threads = sharding_.threads == 0 ? shard_map_.num_shards()
-                                              : sharding_.threads;
-      if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-    }
+    if (sharding_.enabled()) shard_stats_.resize(shard_map_.num_shards());
   }
 
   Status AddRule(const Rule& rule) override;
@@ -75,9 +71,6 @@ class QueryMatcher : public Matcher {
   const CatalogStats& catalog_stats() const { return cat_stats_; }
   const std::vector<Rule>& rules() const override { return rules_; }
   std::vector<ShardStats> ShardStatsSnapshot() const override;
-
- protected:
-  MatcherStats* mutable_stats() override { return &stats_; }
 
  private:
   /// Seeded evaluation of (rule, ce) with tuple (id, t) into *out —
@@ -119,11 +112,13 @@ class QueryMatcher : public Matcher {
   CeDispatch dispatch_;
   ShardingOptions sharding_;
   ShardMap shard_map_;
-  // Workers for the sharded OnBatch fan-out (absent when serial).
-  std::unique_ptr<ThreadPool> pool_;
-  // Guards shard_stats_ and the fan-out scratch; taken only when
-  // sharding is enabled (the serial matcher is lock-free by design —
-  // ConflictSet and the atomic counters carry their own safety).
+  // Runs OnBatch's steps 3 and 4 over the shards: one part, inline, when
+  // unsharded.
+  FanOut fan_out_;
+  // Guards shard_stats_; taken only when sharding is enabled (the
+  // unsharded matcher is lock-free by design — ConflictSet and the
+  // atomic counters carry their own safety, and a one-part FanOut
+  // shares nothing between calls).
   mutable std::mutex batch_mu_;
   std::vector<ShardStats> shard_stats_;
   ConflictSet conflict_set_;

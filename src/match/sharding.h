@@ -2,11 +2,15 @@
 #define PRODB_MATCH_SHARDING_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "common/change_set.h"
+#include "common/status.h"
+#include "common/thread_pool.h"
 #include "common/tuple.h"
 
 namespace prodb {
@@ -67,6 +71,51 @@ inline uint64_t HashName(const std::string& name) {
 /// Max-over-mean of per-shard routed deltas: 1.0 is a perfect split,
 /// num_shards is everything-on-one-shard. Surfaced by the scaling bench.
 double ShardImbalance(const std::vector<ShardStats>& stats);
+
+/// The one fan-out step of every parallel matcher path: how many
+/// workers there are, whether parts run on a pool or inline, the join,
+/// the first failure in part order, and the wait each part spends at the
+/// join. Rete's shards, the query matcher's seeded evaluations and
+/// re-evaluations, and the pattern matcher's per-class propagation all
+/// run through one; the serial configurations are the same code with
+/// one part, or with no pool.
+class FanOut {
+ public:
+  /// The workers `sharding` asks for: its `threads`, or one per shard
+  /// when that is 0; one when sharding is off.
+  static size_t Workers(const ShardingOptions& sharding);
+
+  /// A pool of `workers` threads when that is two or more; otherwise
+  /// every Run executes its parts inline, in part order.
+  explicit FanOut(size_t workers);
+
+  bool parallel() const { return pool_ != nullptr; }
+
+  /// Runs part(0), ..., part(n-1) — on the pool when parallel() and
+  /// n > 1, else inline in order — and returns once all have finished.
+  /// Every part runs even when an earlier one failed. Returns the first
+  /// failure in part order; *failed (when given) receives its part, or
+  /// n when every part succeeded. With `stats` (n entries), each part's
+  /// wait between its own finish and the join is added to its
+  /// merge_wait_ns. A single part runs inline with no clock reads and
+  /// no allocation.
+  template <typename Part>
+  Status Run(size_t n, Part&& part, std::vector<ShardStats>* stats = nullptr,
+             size_t* failed = nullptr) {
+    if (n == 1) {
+      Status st = part(size_t{0});
+      if (failed != nullptr) *failed = st.ok() ? 1 : 0;
+      return st;
+    }
+    return RunParts(n, std::ref(part), stats, failed);
+  }
+
+ private:
+  Status RunParts(size_t n, const std::function<Status(size_t)>& part,
+                  std::vector<ShardStats>* stats, size_t* failed);
+
+  std::unique_ptr<ThreadPool> pool_;
+};
 
 /// Routing of working-memory deltas to shards: cold classes map whole
 /// (by name hash), hot classes split by tuple-id hash.

@@ -208,7 +208,7 @@ Status RuleServer::ApplyBatchOnce(const WireBatch& batch,
         st = txn->Delete(op.cls, op.id);
         break;
       case kOpModify:
-        st = txn->Update(op.cls, op.id, op.tuple, &id);
+        st = txn->Modify(op.cls, op.id, op.tuple, &id);
         break;
       default:
         st = Status::InvalidArgument("unknown batch op kind");
@@ -301,14 +301,18 @@ Status RuleServer::HandleRun(Socket* sock, const std::string& payload) {
   WireRunResult result;
   Status st;
   {
-    std::lock_guard<std::mutex> lock(maintenance_mu_);
+    std::lock_guard<std::mutex> run(run_mu_);
     if (mode == 1) {
+      // Workers take 2PL locks, so the maintenance mutex is taken per
+      // firing, at its commit, like a session's (see maintenance_mu_).
+      ConcurrentEngine& engine = system_->concurrent_engine();
       ConcurrentRunResult r;
-      st = system_->RunConcurrent(&r);
+      st = engine.Run(&r, &maintenance_mu_);
       result.firings = r.firings;
       result.halted = r.halted;
-      if (st.ok()) result.fired = system_->concurrent_engine().commit_log();
+      if (st.ok()) result.fired = engine.commit_log();
     } else {
+      std::lock_guard<std::mutex> lock(maintenance_mu_);
       const size_t before =
           system_->sequential_engine().firing_log().size();
       EngineRunResult r;
@@ -344,6 +348,9 @@ Status RuleServer::HandleLoad(Socket* sock, const std::string& payload) {
   }
   Status st;
   {
+    // A concurrent run reads the rules outside maintenance_mu_, so an
+    // install waits for it through run_mu_.
+    std::lock_guard<std::mutex> run(run_mu_);
     std::lock_guard<std::mutex> lock(maintenance_mu_);
     st = system_->LoadString(source);
   }
@@ -404,7 +411,6 @@ Status RuleServer::HandleStats(Socket* sock) {
   add("matcher_batches", ms.batches.load());
   add("matcher_propagations", ms.propagations.load());
   add("matcher_tuples_examined", ms.tuples_examined.load());
-  add("sharded_apply_serialized", ms.sharded_apply_serialized.load());
   add("plans_built", ms.plans_built.load());
   std::vector<ShardStats> shards = system_->matcher().ShardStatsSnapshot();
   add("match_shards", shards.size());

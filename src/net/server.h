@@ -116,9 +116,18 @@ class RuleServer {
   std::unique_ptr<ProductionSystem> system_;
   ServerStats stats_;
 
+  /// Serializes kRun drains and kLoad installs. Taken before
+  /// maintenance_mu_, never after it.
+  std::mutex run_mu_;
+
   /// Serializes matcher maintenance (OnBatch + its delta-listener
-  /// bracket), kRun drains and kLoad installs. Commits happen outside it
-  /// so sessions group-commit concurrently.
+  /// bracket): each session's, each concurrent firing's and its deadlock
+  /// requeue, a whole serial kRun, and kLoad installs. Commits happen
+  /// outside it so sessions group-commit concurrently. Lock-order rule:
+  /// no 2PL lock is ever requested while it is held — a session or a
+  /// firing takes it only once its locks are all granted, and the serial
+  /// engine takes no 2PL locks — so a lock wait can never hide behind
+  /// it, out of the lock manager's waits-for graph.
   std::mutex maintenance_mu_;
 
   Socket tcp_listener_;

@@ -6,6 +6,11 @@
 
 namespace prodb {
 
+namespace {
+/// Exhaustive left-deep DP up to this many positive CEs; greedy above.
+constexpr size_t kDpMaxConditions = 9;
+}  // namespace
+
 bool JoinPlanner::Eligible(const ConditionSpec& c,
                            const std::vector<bool>& bound) {
   // Mirror TupleConsistent's sequential semantics: occurrences are
@@ -165,7 +170,7 @@ JoinPlan JoinPlanner::Plan(const ConjunctiveQuery& q) const {
       total_card < options_.min_card) {
     plan = Syntactic(q);
   } else {
-    plan = positives.size() <= options_.dp_max_conditions
+    plan = positives.size() <= kDpMaxConditions
                ? PlanDp(q, positives)
                : PlanGreedy(q, positives);
     if (plan.planned) {

@@ -25,8 +25,6 @@ struct PlannerOptions {
   /// Below this many total tuples across the LHS relations the planner
   /// keeps the syntactic order (no evidence to beat it with).
   double min_card = 2.0;
-  /// Exhaustive left-deep DP below this many positive CEs; greedy above.
-  size_t dp_max_conditions = 9;
 
   bool operator==(const PlannerOptions&) const = default;
 };

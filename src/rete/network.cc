@@ -1,7 +1,6 @@
 #include "rete/network.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <set>
 #include <tuple>
@@ -193,7 +192,6 @@ struct ReteNetwork::Shard {
   // barrier replays them into the one ConflictSet in shard order.
   ConflictOpBuffer ops;
   bool buffered = false;
-  ShardStats sstats;
 };
 
 namespace {
@@ -206,22 +204,20 @@ ReteNetwork::ReteNetwork(Catalog* catalog, ReteOptions options)
     : catalog_(catalog),
       options_(options),
       shard_map_(options.sharding),
-      planner_(&cat_stats_, options.planner) {
+      planner_(&cat_stats_, options.planner),
+      // DBMS-backed memories route every token movement through the
+      // shared catalog/buffer-pool/WAL stack; shards still partition the
+      // work (and merge deterministically) but execute serially — the
+      // conservative gate until that stack is certified for intra-batch
+      // parallelism.
+      fan_out_(options.dbms_backed ? 1 : FanOut::Workers(options.sharding)),
+      shard_stats_(shard_map_.num_shards()) {
   const size_t n = shard_map_.num_shards();
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
     shards_.push_back(std::move(shard));
-  }
-  // DBMS-backed memories route every token movement through the shared
-  // catalog/buffer-pool/WAL stack; shards still partition the work (and
-  // merge deterministically) but execute serially — the conservative
-  // gate until that stack is certified for intra-batch parallelism.
-  if (n > 1 && !options_.dbms_backed) {
-    size_t threads = options_.sharding.threads == 0 ? n
-                                                    : options_.sharding.threads;
-    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
   }
 }
 
@@ -572,7 +568,7 @@ Status ReteNetwork::Produce(Shard* shard, int rule, TokenView token,
   std::vector<TupleId> ids(n, Instantiation::kNoTuple);
   const size_t width = std::min(order.size(), token.size());
   for (size_t k = 0; k < width; ++k) ids[order[k]] = token[k].id;
-  ++shard->sstats.conflict_ops;
+  ++shard_stats_[shard->index].conflict_ops;
   if (!positive) {
     // A retraction needs only the key: no tuple or binding is copied.
     std::string key = Instantiation::KeyOf(rule, ids);
@@ -839,7 +835,8 @@ Status ReteNetwork::PropagateGroup(Shard* shard, const std::string& rel,
   auto it = shard->alpha_by_class.find(rel);
   if (it == shard->alpha_by_class.end()) return Status::OK();
   const ClassDispatch<AlphaNode*>& dispatch = it->second;
-  shard->sstats.deltas_routed += group.size();
+  ShardStats& sstats = shard_stats_[shard->index];
+  sstats.deltas_routed += group.size();
 
   // Tuple-major dispatch into (alpha position, delta) hits; sorted, they
   // give each alpha that some delta passed its run of the group's deltas
@@ -849,7 +846,7 @@ Status ReteNetwork::PropagateGroup(Shard* shard, const std::string& rel,
   std::vector<std::pair<uint32_t, uint32_t>> hits;
   for (uint32_t i = 0; i < group.size(); ++i) {
     const Tuple& t = group[i].tuple();
-    shard->sstats.candidates_visited += dispatch.Candidates(
+    sstats.candidates_visited += dispatch.Candidates(
         t, options_.discriminate_alpha, &stats_, &cands);
     for (uint32_t pos : cands) {
       if (dispatch.entries[pos]->Matches(t)) hits.emplace_back(pos, i);
@@ -898,59 +895,40 @@ Status ReteNetwork::OnBatch(const ChangeSet& batch) {
     it->second.push_back(RightActivation{d.id, &refs.back(), d.is_insert()});
   }
 
-  if (shards_.size() == 1) {
-    for (const std::string* rel : order) {
-      PRODB_RETURN_IF_ERROR(
-          PropagateGroup(shards_[0].get(), *rel, groups.at(*rel)));
-    }
-    return MaybeReplan(batch.size());
-  }
-
-  // Sharded propagation: every shard walks the grouped deltas (its
-  // per-class alpha maps and head-partition filters select its slice),
-  // buffering conflict-set ops. The barrier then replays the buffers in
+  // Every shard walks the grouped deltas (its per-class alpha maps and
+  // head-partition filters select its slice). The one shard of an
+  // unsharded network writes the conflict set directly; several shards
+  // buffer their conflict-set ops, and the join replays the buffers in
   // shard order 0..N-1 — each shard is single-threaded and
   // deterministic, so the merged conflict set (recency stamps included)
   // is byte-identical regardless of thread count or completion order.
-  std::vector<Status> shard_status(shards_.size());
-  std::vector<std::chrono::steady_clock::time_point> done_at(shards_.size());
-  for (auto& shard : shards_) shard->buffered = true;
-  auto run_shard = [&](size_t i) {
-    Shard* shard = shards_[i].get();
-    for (const std::string* rel : order) {
-      Status st = PropagateGroup(shard, *rel, groups.at(*rel));
-      if (!st.ok()) {
-        shard_status[i] = st;
-        break;
+  const bool merge = shards_.size() > 1;
+  for (auto& shard : shards_) shard->buffered = merge;
+  size_t failed = 0;
+  Status st = fan_out_.Run(
+      shards_.size(),
+      [&](size_t i) {
+        for (const std::string* rel : order) {
+          PRODB_RETURN_IF_ERROR(
+              PropagateGroup(shards_[i].get(), *rel, groups.at(*rel)));
+        }
+        return Status::OK();
+      },
+      &shard_stats_, &failed);
+  if (merge) {
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      Shard* shard = shards_[i].get();
+      shard->buffered = false;
+      if (i < failed) {
+        conflict_set_.ApplyOps(&shard->ops);
+      } else {
+        // A failed batch leaves the shards before the failed one
+        // applied; its ops and later shards' are dropped.
+        shard->ops.clear();
       }
     }
-    done_at[i] = std::chrono::steady_clock::now();
-  };
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(shards_.size(), run_shard);
-  } else {
-    for (size_t i = 0; i < shards_.size(); ++i) run_shard(i);
   }
-  const auto barrier = std::chrono::steady_clock::now();
-
-  Status first;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard* shard = shards_[i].get();
-    shard->buffered = false;
-    shard->sstats.merge_wait_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(barrier -
-                                                             done_at[i])
-            .count());
-    if (first.ok() && !shard_status[i].ok()) first = shard_status[i];
-    if (first.ok()) {
-      conflict_set_.ApplyOps(&shard->ops);
-    } else {
-      // A failed batch leaves the serial prefix applied, like the serial
-      // path would; later shards' ops are dropped.
-      shard->ops.clear();
-    }
-  }
-  if (!first.ok()) return first;
+  PRODB_RETURN_IF_ERROR(st);
   return MaybeReplan(batch.size());
 }
 
@@ -1003,9 +981,9 @@ Status ReteNetwork::ReplanAll() {
 }
 
 Status ReteNetwork::RebuildAndReseed() {
-  // Tear down the compiled network, keeping per-shard counters. The
-  // DBMS-backed token relations must be dropped from the catalog before
-  // the stores that own them go away.
+  // Tear down the compiled network (the per-shard counters live outside
+  // it and carry over). The DBMS-backed token relations must be dropped
+  // from the catalog before the stores that own them go away.
   for (auto& shard : shards_) {
     if (options_.dbms_backed) {
       std::vector<TokenStore*> stores;
@@ -1025,7 +1003,6 @@ Status ReteNetwork::RebuildAndReseed() {
     }
     auto fresh = std::make_unique<Shard>();
     fresh->index = shard->index;
-    fresh->sstats = shard->sstats;
     shard = std::move(fresh);
   }
   // Recompile every rule under its new plan.
@@ -1078,11 +1055,8 @@ Status ReteNetwork::ReseedFromRelations() {
 
 std::vector<ShardStats> ReteNetwork::ShardStatsSnapshot() const {
   std::lock_guard<std::mutex> lock(batch_mu_);
-  std::vector<ShardStats> out;
-  if (shards_.size() == 1) return out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard->sstats);
-  return out;
+  if (shards_.size() == 1) return {};
+  return shard_stats_;
 }
 
 size_t ReteNetwork::AuxiliaryFootprintBytes() const {

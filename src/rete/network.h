@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "db/stats.h"
 #include "match/dispatch.h"
 #include "match/matcher.h"
@@ -62,7 +61,7 @@ struct ReteOptions {
   /// `sharding.num_shards` independent sub-networks — a rule compiles
   /// into the shard owning its head class, or into *every* shard with a
   /// head-tuple partition filter when the head class is hot — and
-  /// OnBatch runs the shards on a ThreadPool, merging buffered
+  /// OnBatch runs the shards through a FanOut, merging buffered
   /// conflict-set deltas at a barrier in fixed shard order so the merged
   /// set is byte-identical at any thread count. Disabled (or
   /// dbms_backed, where shards run serially) preserves the serial path.
@@ -136,9 +135,6 @@ class ReteNetwork : public Matcher {
   /// (tests/benchmarks; the production trigger is cardinality drift,
   /// checked after each batch).
   Status ForceReplan();
-
- protected:
-  MatcherStats* mutable_stats() override { return &stats_; }
 
  private:
   struct AlphaNode;
@@ -251,11 +247,13 @@ class ReteNetwork : public Matcher {
   uint64_t deltas_since_plan_check_ = 0;
   // True while ReseedFromRelations replays WM: Produce becomes a no-op.
   bool reseeding_ = false;
-  // Sub-networks; exactly one when sharding is off.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Workers for the sharded OnBatch fan-out (absent when serial or
+  // Runs OnBatch's per-shard propagation (inline when serial or
   // dbms_backed).
-  std::unique_ptr<ThreadPool> pool_;
+  FanOut fan_out_;
+  // Sub-networks, exactly one when sharding is off, and their counters
+  // (index = shard).
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<ShardStats> shard_stats_;
   // Serializes matcher maintenance: the concurrent engine (§5) commits
   // batches from worker threads with no external lock, and the token
   // memories / alpha scratch state are single-writer by design.

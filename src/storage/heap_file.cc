@@ -275,15 +275,21 @@ Status HeapFile::Get(TupleId id, Tuple* out) const {
   return st;
 }
 
-Status HeapFile::Delete(TupleId id) {
+Status HeapFile::Delete(TupleId id, Tuple* old) {
   std::lock_guard<std::mutex> lock(mu_);
   Frame* frame;
   PRODB_RETURN_IF_ERROR(pool_->FetchPage(id.page_id, &frame));
   Status st = Status::OK();
   bool dirty = false;
   uint16_t slots = PageSlotCount(frame->data);
+  size_t pos = 0;
   if (id.slot_id >= slots || SlotLength(frame->data, id.slot_id) == kDeadSlot) {
     st = Status::NotFound("tuple " + id.ToString());
+  } else if (old != nullptr &&
+             !Tuple::DeserializeFrom(
+                 frame->data + SlotOffset(frame->data, id.slot_id),
+                 SlotLength(frame->data, id.slot_id), &pos, old)) {
+    st = Status::Corruption("bad tuple encoding at " + id.ToString());
   } else {
     // Before-image first: once the slot is tombstoned the bytes are
     // unreachable, and undo must be able to put them back.

@@ -67,10 +67,12 @@ class HeapFile {
   /// Reads the tuple at `id` into *out.
   Status Get(TupleId id, Tuple* out) const;
 
-  /// Tombstones the slot at `id`. Space is reclaimed lazily; inside a
+  /// Tombstones the slot at `id` and, when `old` is given, decodes the
+  /// tuple it held into *old from the page the delete fetches anyway (no
+  /// second fetch). Space is reclaimed lazily; inside a
   /// transaction (CurrentWalTxn() != 0) the freed bytes are reserved for
   /// it.
-  Status Delete(TupleId id);
+  Status Delete(TupleId id, Tuple* old = nullptr);
 
   /// Revives the tombstoned slot at `id` with `tuple` (abort
   /// compensation). The slot directory entry must still exist and be

@@ -42,8 +42,8 @@ Status Transaction::Insert(const std::string& rel, const Tuple& t,
   return locks_->Acquire(id_, ResourceId::Tup(rel, *id), LockMode::kX);
 }
 
-Status Transaction::DeleteFrom(Relation* r, TupleId id) {
-  PRODB_RETURN_IF_ERROR(r->Delete(id));
+Status Transaction::DeleteFrom(Relation* r, TupleId id, Tuple* old) {
+  PRODB_RETURN_IF_ERROR(r->Delete(id, old));
   // The heap keeps the freed bytes for our undo (keyed by the WAL
   // transaction scope the caller holds) until ReleaseReservations.
   if (r->storage_kind() == StorageKind::kPaged &&
@@ -60,14 +60,13 @@ Status Transaction::Delete(const std::string& rel, TupleId id) {
   PRODB_RETURN_IF_ERROR(WriteLock(rel, id));
   WalTxnScope wal_scope(id_);
   Tuple old;
-  PRODB_RETURN_IF_ERROR(r->Get(id, &old));
-  PRODB_RETURN_IF_ERROR(DeleteFrom(r, id));
+  PRODB_RETURN_IF_ERROR(DeleteFrom(r, id, &old));
   changes_.AddDelete(rel, id, std::move(old));
   last_delete_ = id;
   return Status::OK();
 }
 
-Status Transaction::Update(const std::string& rel, TupleId id, const Tuple& t,
+Status Transaction::Modify(const std::string& rel, TupleId id, const Tuple& t,
                            TupleId* new_id) {
   // §3.1 / §5: a modification is a deletion followed by an insertion, and
   // the maintenance algorithms see it exactly that way. If the insert

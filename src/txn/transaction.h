@@ -24,7 +24,7 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 ///
 /// §5 treats every selected production (matching pattern plus the WM
 /// tuples it selects) as a transaction. The RHS actions run through
-/// Transaction::{Insert,Delete,Update} so that (a) writes take X locks
+/// Transaction::{Insert,Delete,Modify} so that (a) writes take X locks
 /// first, (b) each write lands in changes() — the transaction's whole
 /// ∆ins/∆del, which is both its undo log and the ∆ COND maintenance sees
 /// at the commit point — and (c) lock release waits until that
@@ -50,17 +50,18 @@ class Transaction {
 
   /// --- Recorded mutations -----------------------------------------------
   /// Each takes the required lock, applies the change, and records it in
-  /// changes() the moment it lands. Delete records the old tuple it reads
-  /// under its X lock. Update is Delete then Insert (§3.1): the delete
-  /// half is recorded before the insert is tried, and the two are linked
-  /// as a modify pair once the insert lands. An insert on a paged
+  /// changes() the moment it lands. Delete records the tuple the
+  /// relation hands back as it removes it, under its X lock. Modify is
+  /// Delete then Insert (§3.1): the delete half is recorded before the
+  /// insert is tried, and the two are linked as a modify pair once the
+  /// insert lands. An insert on a paged
   /// relation goes on the page this transaction's latest delete freed
   /// when it fits there — for a modify, the old version's page — always
   /// under a new id. The choice follows the operation sequence alone, so
-  /// a modify spelled Delete then Insert places exactly like Update.
+  /// a modify spelled Delete then Insert places exactly like Modify.
   Status Insert(const std::string& rel, const Tuple& t, TupleId* id);
   Status Delete(const std::string& rel, TupleId id);
-  Status Update(const std::string& rel, TupleId id, const Tuple& t,
+  Status Modify(const std::string& rel, TupleId id, const Tuple& t,
                 TupleId* new_id);
 
   /// Reads a tuple under a read lock.
@@ -87,9 +88,9 @@ class Transaction {
   void ReleaseReservations();
 
  private:
-  /// Deletes `id` from `r` and notes a paged relation as holding a
-  /// reservation for this transaction.
-  Status DeleteFrom(Relation* r, TupleId id);
+  /// Deletes `id` from `r` (its tuple into *old, when given) and notes a
+  /// paged relation as holding a reservation for this transaction.
+  Status DeleteFrom(Relation* r, TupleId id, Tuple* old = nullptr);
 
   uint64_t id_;
   Catalog* catalog_;

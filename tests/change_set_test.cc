@@ -37,9 +37,6 @@ class RecordingMatcher : public Matcher {
 
   std::vector<std::string> events;
 
- protected:
-  MatcherStats* mutable_stats() override { return &stats_; }
-
  private:
   ConflictSet conflict_set_;
   MatcherStats stats_;

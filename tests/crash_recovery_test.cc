@@ -123,7 +123,7 @@ void RunScript(Catalog* catalog, LockManager* locks, ScriptResult* out,
         TupleId moved;
         Tuple tup{Value(static_cast<int64_t>(1000 + t)),
                   Value("u" + std::to_string(t) + std::string(120, 'y'))};
-        ok = note(txn->Update("WM", live[up_pick], tup, &moved));
+        ok = note(txn->Modify("WM", live[up_pick], tup, &moved));
       }
     }
     if (!ok) {
@@ -579,7 +579,7 @@ TEST(CrashRecoveryTest, CheckpointsBoundLogAndRestartWork) {
       auto txn = tm.Begin();
       for (size_t i = 0; i < ids.size(); ++i) {
         TupleId moved;
-        ASSERT_TRUE(txn->Update("WM", ids[i],
+        ASSERT_TRUE(txn->Modify("WM", ids[i],
                                 Tuple{Value(static_cast<int64_t>(round)),
                                       Value("r" + std::to_string(round) +
                                             std::string(60, 'u'))},
@@ -672,7 +672,7 @@ void CheckCommitForceFailureUnwinds(const std::string& matcher_spec) {
       txn->Insert("Item", Tuple{Value(int64_t{9}), Value(int64_t{90})}, &id)
           .ok());
   ASSERT_TRUE(txn->Delete("Want", wants[0]).ok());
-  ASSERT_TRUE(txn->Update("Item", items[1],
+  ASSERT_TRUE(txn->Modify("Item", items[1],
                           Tuple{Value(int64_t{7}), Value(int64_t{70})}, &id)
                   .ok());
   // An Item for the unmatched Want, then that Want's removal: the inverse

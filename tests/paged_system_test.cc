@@ -114,7 +114,7 @@ TEST(PagedSystemTest, ModifyPlacesNewVersionOnItsOldPage) {
   auto txn = tm.Begin();
   TupleId moved;
   ASSERT_TRUE(
-      txn->Update("Acct", ids[0], Tuple{Value(int64_t{0}), Value(-5)}, &moved)
+      txn->Modify("Acct", ids[0], Tuple{Value(int64_t{0}), Value(-5)}, &moved)
           .ok());
   EXPECT_EQ(moved.page_id, ids[0].page_id);
   EXPECT_NE(moved, ids[0]);

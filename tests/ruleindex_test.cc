@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "ruleindex/basic_locking.h"
-#include "ruleindex/discrimination_rule_index.h"
 #include "ruleindex/predicate_index.h"
 
 namespace prodb {
@@ -130,14 +129,12 @@ TEST_F(RuleIndexTest, PredicateIndexAnswersRuleBaseQueries) {
   EXPECT_EQ(got, (std::set<uint32_t>{1, 3}));
 }
 
-// Property: all three schemes report exactly the true affected set on
-// random workloads (basic locking verifies candidates; predicate boxes
-// are exact for interval conditions; the discrimination consumer filters
-// its candidate superset through IndexedCondition::Matches).
+// Property: both schemes report exactly the true affected set on random
+// workloads (basic locking verifies candidates; predicate boxes are exact
+// for interval conditions).
 TEST_F(RuleIndexTest, SchemesAgreeWithBruteForce) {
   BasicLockingIndex basic(&catalog_);
   PredicateIndex pred(2);
-  DiscriminationRuleIndex disc;
   std::vector<IndexedCondition> conds;
   Rng rng(3);
   for (uint32_t i = 0; i < 40; ++i) {
@@ -149,7 +146,6 @@ TEST_F(RuleIndexTest, SchemesAgreeWithBruteForce) {
     conds.push_back(c);
     ASSERT_TRUE(basic.AddCondition(c).ok());
     ASSERT_TRUE(pred.AddCondition(c).ok());
-    ASSERT_TRUE(disc.AddCondition(c).ok());
   }
   for (int step = 0; step < 300; ++step) {
     Tuple t{Value(static_cast<int64_t>(rng.Uniform(100))),
@@ -160,55 +156,19 @@ TEST_F(RuleIndexTest, SchemesAgreeWithBruteForce) {
     for (const auto& c : conds) {
       if (c.Matches(t)) want.insert(c.id);
     }
-    std::vector<uint32_t> a, b, d;
+    std::vector<uint32_t> a, b;
     ASSERT_TRUE(basic.OnInsert("Emp", id, t, &a).ok());
     ASSERT_TRUE(pred.OnInsert("Emp", id, t, &b).ok());
-    ASSERT_TRUE(disc.OnInsert("Emp", id, t, &d).ok());
     EXPECT_EQ(std::set<uint32_t>(a.begin(), a.end()), want);
     EXPECT_EQ(std::set<uint32_t>(b.begin(), b.end()), want);
-    EXPECT_EQ(std::set<uint32_t>(d.begin(), d.end()), want);
     // Delete round-trip.
-    std::vector<uint32_t> da, db, dd;
+    std::vector<uint32_t> da, db;
     ASSERT_TRUE(basic.OnDelete("Emp", id, t, &da).ok());
     ASSERT_TRUE(pred.OnDelete("Emp", id, t, &db).ok());
-    ASSERT_TRUE(disc.OnDelete("Emp", id, t, &dd).ok());
     EXPECT_EQ(std::set<uint32_t>(da.begin(), da.end()), want);
     EXPECT_EQ(std::set<uint32_t>(db.begin(), db.end()), want);
-    EXPECT_EQ(std::set<uint32_t>(dd.begin(), dd.end()), want);
     ASSERT_TRUE(rel_->Delete(id).ok());
   }
-}
-
-TEST_F(RuleIndexTest, DiscriminationIndexPointAndRemoval) {
-  DiscriminationRuleIndex index;
-  ASSERT_TRUE(index.AddCondition(RangeCond(1, "Emp", 55, 1e9, 0, 1e9)).ok());
-  ASSERT_TRUE(index.AddCondition(RangeCond(2, "Emp", 0, 30, 0, 50)).ok());
-  // Degenerate lo == hi interval: lands in the eq-hash tier.
-  ASSERT_TRUE(index.AddCondition(RangeCond(3, "Emp", 40, 40, 0, 1e9)).ok());
-  ASSERT_TRUE(index.AddCondition(RangeCond(1, "Emp", 0, 1, 0, 1))
-                  .IsInvalidArgument());
-  std::vector<uint32_t> affected;
-  ASSERT_TRUE(index.OnInsert("Emp", TupleId{0, 0}, Tuple{Value(60), Value(5)},
-                             &affected)
-                  .ok());
-  EXPECT_EQ(affected, std::vector<uint32_t>{1});
-  ASSERT_TRUE(index.OnInsert("Emp", TupleId{0, 1}, Tuple{Value(40), Value(5)},
-                             &affected)
-                  .ok());
-  EXPECT_EQ(affected, std::vector<uint32_t>{3});
-  // Removal tombstones the entry; repeated removals trigger a rebuild,
-  // and either way the dead id never resurfaces.
-  ASSERT_TRUE(index.RemoveCondition(1).ok());
-  ASSERT_TRUE(index.RemoveCondition(3).ok());
-  EXPECT_TRUE(index.RemoveCondition(3).IsNotFound());
-  ASSERT_TRUE(index.OnInsert("Emp", TupleId{0, 2}, Tuple{Value(60), Value(5)},
-                             &affected)
-                  .ok());
-  EXPECT_TRUE(affected.empty());
-  ASSERT_TRUE(index.OnInsert("Emp", TupleId{0, 3}, Tuple{Value(20), Value(5)},
-                             &affected)
-                  .ok());
-  EXPECT_EQ(affected, std::vector<uint32_t>{2});
 }
 
 // OnBatch must report the same affected-condition union as replaying the

@@ -12,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -229,6 +232,139 @@ TEST(ServerTest, ConcurrentRunOverWire) {
   ASSERT_TRUE(client.Run(/*concurrent=*/true, &run).ok());
   EXPECT_EQ(run.firings, 8u);
   EXPECT_EQ(run.fired.size(), 8u);
+  server.Stop();
+}
+
+// A firing runs its whole RHS, then honours (halt): the serial cycle, the
+// concurrent engine and both kRun modes run the one RHS interpreter and
+// leave the same working memory — the Done made after the (halt), and no
+// Tick.
+TEST(ServerTest, HaltEndsTheRunAfterTheWholeRhs) {
+  const std::string program =
+      "(literalize Tick n)\n(literalize Done n)\n"
+      "(p stop (Tick ^n <x>) --> (halt) (make Done ^n <x>) (remove 1))\n";
+  const Tuple tick{Value(int64_t{1})};
+  for (bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "RunConcurrent" : "Run");
+    ProductionSystem ps;
+    ASSERT_TRUE(ps.LoadString(program).ok());
+    ASSERT_TRUE(ps.Insert("Tick", tick).ok());
+    bool halted = false;
+    if (concurrent) {
+      ConcurrentRunResult r;
+      ASSERT_TRUE(ps.RunConcurrent(&r).ok());
+      halted = r.halted;
+    } else {
+      EngineRunResult r;
+      ASSERT_TRUE(ps.Run(&r).ok());
+      halted = r.halted;
+    }
+    EXPECT_TRUE(halted);
+    EXPECT_EQ(ps.catalog().Get("Done")->Count(), 1u);
+    EXPECT_EQ(ps.catalog().Get("Tick")->Count(), 0u);
+  }
+  for (bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "kRun concurrent" : "kRun serial");
+    RuleServer server(TcpOptions());
+    ASSERT_TRUE(server.Start().ok());
+    RuleClient client;
+    ASSERT_TRUE(client.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+    ASSERT_TRUE(client.Load(program).ok());
+    WireBatch batch;
+    WireOp op;
+    op.cls = "Tick";
+    op.tuple = tick;
+    batch.ops.push_back(op);
+    WireBatchAck ack;
+    ASSERT_TRUE(client.Apply(batch, &ack).ok());
+    WireRunResult run;
+    ASSERT_TRUE(client.Run(concurrent, &run).ok());
+    EXPECT_TRUE(run.halted);
+    EXPECT_EQ(run.firings, 1u);
+    WireDumpReply done, ticks;
+    ASSERT_TRUE(client.DumpClass("Done", &done).ok());
+    ASSERT_TRUE(client.DumpClass("Tick", &ticks).ok());
+    ASSERT_EQ(done.tuples.size(), 1u);
+    EXPECT_EQ(done.tuples[0].second, tick);
+    EXPECT_TRUE(ticks.tuples.empty());
+    server.Stop();
+  }
+}
+
+// A concurrent kRun and a session batch over the same tuples both finish.
+// The run used to hold the maintenance mutex from start to end while its
+// workers waited on 2PL locks; a session that held an X lock and waited
+// for that mutex at its commit then deadlocked with the run, out of the
+// lock manager's sight (a mutex wait is no waits-for edge). A firing now
+// takes the mutex only at its commit, as a session does. Deadlocked
+// server threads cannot be joined, so a missed deadline ends the process.
+TEST(ServerTest, ConcurrentRunAndSessionBatchBothFinish) {
+  RuleServerOptions opts = TcpOptions();
+  opts.system.matcher = MatcherKind::kRete;
+  opts.preload =
+      "(literalize Job id)\n(literalize Block x)\n"
+      "(p work (Job ^id <j>) -(Block ^x 1) --> (call slow) (remove 1))\n";
+  RuleServer server(opts);
+  ASSERT_TRUE(server.Start().ok());
+  server.system().RegisterFunction("slow", [](const std::vector<Value>&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return Status::OK();
+  });
+  RuleClient runner, writer;
+  ASSERT_TRUE(runner.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+  ASSERT_TRUE(writer.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+  constexpr size_t kJobs = 2000;
+  WireBatch jobs;
+  for (size_t i = 0; i < kJobs; ++i) {
+    WireOp op;
+    op.cls = "Job";
+    op.tuple = Tuple{Value(static_cast<int64_t>(i))};
+    jobs.ops.push_back(op);
+  }
+  WireBatchAck loaded;
+  ASSERT_TRUE(runner.Apply(jobs, &loaded).ok());
+  ASSERT_EQ(loaded.insert_ids.size(), kJobs);
+
+  std::atomic<bool> run_done{false}, batch_done{false};
+  Status run_st, batch_st;
+  WireRunResult run;
+  std::thread run_thread([&] {
+    run_st = runner.Run(/*concurrent=*/true, &run);
+    run_done.store(true);
+  });
+  // FIFO fires the last Job last; the batch removes it mid-run.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  std::thread batch_thread([&] {
+    WireBatch remove;
+    WireOp rm;
+    rm.kind = kOpRemove;
+    rm.cls = "Job";
+    rm.id = loaded.insert_ids.back();
+    remove.ops.push_back(rm);
+    WireBatchAck ack;
+    batch_st = writer.Apply(remove, &ack);
+    batch_done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!run_done.load() || !batch_done.load()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr,
+                   "ConcurrentRunAndSessionBatchBothFinish: no reply within "
+                   "10 s (run %s, batch %s): server deadlocked\n",
+                   run_done.load() ? "replied" : "pending",
+                   batch_done.load() ? "replied" : "pending");
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  run_thread.join();
+  batch_thread.join();
+  ASSERT_TRUE(run_st.ok()) << run_st.ToString();
+  // The batch wins the last Job unless the run reached it first.
+  EXPECT_TRUE(batch_st.ok() || batch_st.IsNotFound()) << batch_st.ToString();
+  EXPECT_EQ(run.firings + (batch_st.ok() ? 1u : 0u), kJobs);
+  EXPECT_EQ(server.system().catalog().Get("Job")->Count(), 0u);
   server.Stop();
 }
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
+#include <thread>
 
 #include "common/rng.h"
 #include "engine/concurrent_engine.h"
@@ -75,6 +77,59 @@ TEST(ShardImbalanceTest, UniformIsOneEmptyIsOne) {
   std::vector<ShardStats> skew(4);
   skew[0].deltas_routed = 40;  // mean 10, max 40
   EXPECT_DOUBLE_EQ(ShardImbalance(skew), 4.0);
+}
+
+TEST(FanOutTest, WorkersRule) {
+  EXPECT_EQ(FanOut::Workers(ShardingOptions{}), 1u);
+  ShardingOptions so;
+  so.num_shards = 8;
+  EXPECT_EQ(FanOut::Workers(so), 8u);  // threads 0: one per shard
+  so.threads = 3;
+  EXPECT_EQ(FanOut::Workers(so), 3u);
+  EXPECT_FALSE(FanOut(1).parallel());
+  EXPECT_TRUE(FanOut(2).parallel());
+}
+
+// Inline and on a pool alike: every part runs, the first failure in part
+// order wins and names its part, and each part's wait at the join lands
+// in its merge_wait_ns.
+TEST(FanOutTest, EveryPartRunsAndFirstFailureInPartOrderWins) {
+  for (size_t workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    FanOut fan(workers);
+    std::vector<int> ran(6, 0);
+    std::vector<ShardStats> stats(6);
+    size_t failed = 0;
+    Status st = fan.Run(
+        6,
+        [&](size_t i) {
+          ran[i] = 1;
+          // The last part finishes last, so part 0 waits at the join.
+          if (i == 5) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          }
+          if (i == 2 || i == 4) {
+            return Status::Internal("part " + std::to_string(i));
+          }
+          return Status::OK();
+        },
+        &stats, &failed);
+    EXPECT_EQ(st.ToString(), Status::Internal("part 2").ToString());
+    EXPECT_EQ(failed, 2u);
+    EXPECT_EQ(ran, std::vector<int>(6, 1));
+    EXPECT_GE(stats[0].merge_wait_ns, 1000000u);
+
+    EXPECT_TRUE(fan.Run(3, [](size_t) { return Status::OK(); }, nullptr,
+                        &failed)
+                    .ok());
+    EXPECT_EQ(failed, 3u);
+    // One part runs inline and leaves the counters alone.
+    std::vector<ShardStats> untouched;
+    EXPECT_TRUE(fan.Run(1, [](size_t) { return Status::NotFound("x"); },
+                        &untouched, &failed)
+                    .IsNotFound());
+    EXPECT_EQ(failed, 0u);
+  }
 }
 
 // Drives the same randomized batched churn through a serial matcher and
@@ -340,138 +395,6 @@ TEST(ShardedMatchTest, ConcurrentEngineDrivesShardedRete) {
   EXPECT_EQ(result.firings, 24u);
   EXPECT_EQ(h.catalog->Get("A")->Count(), 0u);
   EXPECT_EQ(h.catalog->Get("B")->Count(), 0u);
-}
-
-// Sharded WM apply: class-routed parallel application must leave the
-// relations and matcher in the same state as the serial walk, with
-// per-relation insert ids assigned in delta order.
-TEST(ShardedMatchTest, WorkingMemoryShardedApplyMatchesSerial) {
-  const char* program = R"(
-(literalize A k v)
-(literalize B k v)
-(p pair (A ^k <x> ^v <u>) (B ^k <x> ^v <w>) --> (remove 1))
-)";
-  MatcherHarness serial, sharded;
-  auto factory = [](Catalog* c) { return std::make_unique<ReteNetwork>(c); };
-  ASSERT_TRUE(serial.Init(program, factory).ok());
-  ASSERT_TRUE(sharded.Init(program, factory).ok());
-  ShardingOptions so;
-  so.num_shards = 4;
-  so.threads = 4;
-  ASSERT_TRUE(sharded.wm->ConfigureSharding(so).ok());
-
-  ChangeSet cs1, cs2;
-  for (int i = 0; i < 64; ++i) {
-    const std::string cls = i % 2 ? "A" : "B";
-    Tuple t{Value(i % 8), Value(i)};
-    cs1.AddInsert(cls, t);
-    cs2.AddInsert(cls, t);
-  }
-  ASSERT_TRUE(serial.wm->Apply(&cs1).ok());
-  ASSERT_TRUE(sharded.wm->Apply(&cs2).ok());
-  // Same ids per relation (one relation = one shard = serial order).
-  for (size_t i = 0; i < cs1.size(); ++i) {
-    EXPECT_EQ(cs1[i].id, cs2[i].id) << "delta " << i;
-  }
-  EXPECT_EQ(CanonicalConflictSet(*sharded.matcher),
-            CanonicalConflictSet(*serial.matcher));
-}
-
-// Regression: ConfigureSharding used to silently accept a mid-stream
-// call, re-routing deltas after the matcher had already partitioned its
-// state under the old map — silent divergence. It must refuse instead.
-TEST(ShardedMatchTest, ConfigureShardingMidStreamIsAnError) {
-  const char* program = R"(
-(literalize A k v)
-(p some (A ^k <x> ^v <u>) --> (remove 1))
-)";
-  MatcherHarness h;
-  auto factory = [](Catalog* c) { return std::make_unique<ReteNetwork>(c); };
-  ASSERT_TRUE(h.Init(program, factory).ok());
-
-  ASSERT_TRUE(h.wm->Insert("A", Tuple{Value(1), Value(2)}).ok());
-
-  ShardingOptions so;
-  so.num_shards = 4;
-  so.threads = 4;
-  Status st = h.wm->ConfigureSharding(so);
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
-
-  // The refused call changed nothing: the WM keeps working serially.
-  ASSERT_TRUE(h.wm->Insert("A", Tuple{Value(2), Value(3)}).ok());
-  EXPECT_EQ(h.matcher->conflict_set().size(), 2u);
-
-  // Every mutation flavor arms the guard, not just Insert.
-  MatcherHarness h2;
-  ASSERT_TRUE(h2.Init(program, factory).ok());
-  ChangeSet cs;
-  cs.AddInsert("A", Tuple{Value(9), Value(9)});
-  ASSERT_TRUE(h2.wm->Apply(&cs).ok());
-  EXPECT_TRUE(h2.wm->ConfigureSharding(so).IsInvalidArgument());
-}
-
-// The WAL-forced serial fallback of the sharded WM apply is counted:
-// a multi-delta Apply on a sharded WM over a WAL-attached catalog takes
-// the serial walk and bumps sharded_apply_serialized once per batch
-// (DESIGN.md "Sharded match × durability"). Without a WAL the parallel
-// path runs and the counter stays zero.
-TEST(ShardedMatchTest, WalForcedSerialApplyIsCounted) {
-  const char* program = R"(
-(literalize A k v)
-(literalize B k v)
-(p pair (A ^k <x>) (B ^k <x>) --> (remove 1))
-)";
-  ShardingOptions so;
-  so.num_shards = 4;
-  so.threads = 4;
-
-  auto make_batch = [] {
-    ChangeSet cs;
-    for (int i = 0; i < 16; ++i) {
-      cs.AddInsert(i % 2 ? "A" : "B", Tuple{Value(i % 4), Value(i)});
-    }
-    return cs;
-  };
-
-  // WAL-attached: serial fallback, counted per multi-delta batch.
-  {
-    CatalogOptions copts;
-    copts.default_storage = StorageKind::kPaged;
-    copts.enable_wal = true;
-    auto catalog = std::make_unique<Catalog>(copts);
-    std::vector<Rule> rules;
-    ASSERT_TRUE(LoadProgram(program, catalog.get(), &rules).ok());
-    ReteNetwork matcher(catalog.get());
-    for (const Rule& r : rules) ASSERT_TRUE(matcher.AddRule(r).ok());
-    WorkingMemory wm(catalog.get(), &matcher);
-    ASSERT_TRUE(wm.ConfigureSharding(so).ok());
-
-    ChangeSet cs = make_batch();
-    ASSERT_TRUE(wm.Apply(&cs).ok());
-    EXPECT_EQ(matcher.stats().sharded_apply_serialized.load(), 1u);
-    ChangeSet cs2 = make_batch();
-    ASSERT_TRUE(wm.Apply(&cs2).ok());
-    EXPECT_EQ(matcher.stats().sharded_apply_serialized.load(), 2u);
-
-    // Single-delta batches never took the parallel path to begin with.
-    ChangeSet one;
-    one.AddInsert("A", Tuple{Value(99), Value(99)});
-    ASSERT_TRUE(wm.Apply(&one).ok());
-    EXPECT_EQ(matcher.stats().sharded_apply_serialized.load(), 2u);
-  }
-
-  // No WAL: parallel apply engages, nothing to count.
-  {
-    MatcherHarness h;
-    auto factory = [](Catalog* c) {
-      return std::make_unique<ReteNetwork>(c);
-    };
-    ASSERT_TRUE(h.Init(program, factory).ok());
-    ASSERT_TRUE(h.wm->ConfigureSharding(so).ok());
-    ChangeSet cs = make_batch();
-    ASSERT_TRUE(h.wm->Apply(&cs).ok());
-    EXPECT_EQ(h.matcher->stats().sharded_apply_serialized.load(), 0u);
-  }
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST_F(TransactionTest, AbortAfterFailedUpdateInsertRestoresOriginal) {
   TupleId nid;
   // The delete half lands; the insert half fails on arity. The recorded
   // delete stays unpaired, and abort must still restore it.
-  EXPECT_TRUE(txn->Update("T", id, Tuple{Value(8)}, &nid).IsInvalidArgument());
+  EXPECT_TRUE(txn->Modify("T", id, Tuple{Value(8)}, &nid).IsInvalidArgument());
   ASSERT_EQ(txn->changes().size(), 1u);
   EXPECT_TRUE(txn->changes()[0].is_delete());
   EXPECT_FALSE(txn->changes()[0].is_modify_half());
@@ -96,7 +96,7 @@ TEST_F(TransactionTest, UpdateIsDeleteTheInsert) {
   ASSERT_TRUE(rel_->Insert(Tuple{Value(1), Value("old")}, &id).ok());
   auto txn = txn_manager_->Begin();
   TupleId nid;
-  ASSERT_TRUE(txn->Update("T", id, Tuple{Value(1), Value("new")}, &nid).ok());
+  ASSERT_TRUE(txn->Modify("T", id, Tuple{Value(1), Value("new")}, &nid).ok());
   const ChangeSet& changes = txn->changes();
   ASSERT_EQ(changes.size(), 2u);
   EXPECT_TRUE(changes[0].is_delete());
@@ -209,6 +209,43 @@ TEST(TransactionSpaceTest, AbortFindsRoomAfterAnotherTransactionInserts) {
   EXPECT_EQ(locks.LockedResourceCount(), 0u);
 }
 
+// A transactional delete of a paged tuple fetches its page once: the heap
+// hands back the tuple it removes, decoded from the page the delete holds,
+// and the relation's index maintenance and the transaction's ∆ both use
+// it. The ∆ still records the deleted value, and the index forgets it.
+TEST(TransactionSpaceTest, PagedDeleteFetchesItsPageOnce) {
+  CatalogOptions copts;
+  copts.default_storage = StorageKind::kPaged;
+  Catalog catalog(copts);
+  Relation* rel = nullptr;
+  ASSERT_TRUE(catalog
+                  .CreateRelation(Schema("S", {{"k", ValueType::kInt},
+                                               {"v", ValueType::kSymbol}}),
+                                  &rel)
+                  .ok());
+  ASSERT_TRUE(rel->CreateHashIndex(0).ok());
+  const Tuple row{Value(7), Value("gone")};
+  TupleId id;
+  ASSERT_TRUE(rel->Insert(row, &id).ok());
+
+  LockManager locks;
+  TxnManager tm(&catalog, &locks);
+  auto txn = tm.Begin();
+  const BufferPoolStats before = catalog.buffer_pool()->stats();
+  ASSERT_TRUE(txn->Delete("S", id).ok());
+  const BufferPoolStats& after = catalog.buffer_pool()->stats();
+  EXPECT_EQ(after.hits + after.misses - before.hits - before.misses, 1u);
+  ASSERT_EQ(txn->changes().size(), 1u);
+  EXPECT_EQ(txn->changes()[0].tuple, row);
+  ASSERT_TRUE(tm.Commit(txn.get()).ok());
+  EXPECT_EQ(rel->Count(), 0u);
+  std::vector<std::pair<TupleId, Tuple>> hits;
+  Selection sel;
+  sel.tests.push_back(ConstantTest{0, CompareOp::kEq, Value(7)});
+  ASSERT_TRUE(rel->Select(sel, &hits).ok());
+  EXPECT_TRUE(hits.empty());
+}
+
 // Sessions write one paged relation at once: each thread modifies its own
 // rows (so no lock waits) in transactions that commit or abort at random,
 // with record sizes that shift which pages have room. Every abort must
@@ -254,7 +291,7 @@ TEST(TransactionSpaceTest, ConcurrentWritersAlwaysFindUndoRoom) {
         for (int m = 0; m < 4; ++m) {
           Row& row = staged[rng.Uniform(staged.size())];
           Tuple next{row.tuple[0], Value(std::string(rng.Uniform(60), 'b'))};
-          if (!txn->Update("S", row.id, next, &row.id).ok()) ++failures;
+          if (!txn->Modify("S", row.id, next, &row.id).ok()) ++failures;
           row.tuple = next;
         }
         if (rng.Chance(0.4)) {
