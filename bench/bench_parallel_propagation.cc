@@ -47,21 +47,22 @@ WorkloadSpec StarSpec(size_t wmes) {
   return spec;
 }
 
-/// Bulk load `wmes` tuples (spread over the classes) through batched
-/// Apply — chunked so each OnBatch sees a large but bounded ∆.
+/// Bulk load `wmes` tuples (spread over the classes) through WM batches
+/// — chunked so each OnBatch sees a large but bounded ∆.
 void PreloadBatched(bench::Setup& setup, size_t wmes, uint64_t seed) {
   Rng rng(seed);
   const size_t classes = setup.gen.spec().num_classes;
-  ChangeSet cs;
+  setup.wm->BeginBatch();
   for (size_t i = 0; i < wmes; ++i) {
-    cs.AddInsert(setup.gen.ClassName(i % classes),
-                 setup.gen.RandomTuple(&rng));
-    if (cs.size() == 65536) {
-      bench::Abort(setup.wm->Apply(&cs), "preload");
-      cs.clear();
+    bench::Abort(setup.wm->Insert(setup.gen.ClassName(i % classes),
+                                  setup.gen.RandomTuple(&rng)),
+                 "preload");
+    if (setup.wm->pending().size() == 65536) {
+      bench::Abort(setup.wm->CommitBatch(), "preload");
+      setup.wm->BeginBatch();
     }
   }
-  if (!cs.empty()) bench::Abort(setup.wm->Apply(&cs), "preload");
+  bench::Abort(setup.wm->CommitBatch(), "preload");
 }
 
 /// Batched churn: per iteration one BeginBatch/CommitBatch of kBatch

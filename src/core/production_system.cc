@@ -10,7 +10,6 @@ ProductionSystem::ProductionSystem(ProductionSystemOptions options)
   copts.db_path = options_.db_path;
   copts.open_existing = options_.open_existing;
   copts.enable_wal = options_.enable_wal;
-  copts.wal_auto_flush = options_.wal_auto_flush;
   copts.durable_directory = options_.durable_directory;
   catalog_ = std::make_unique<Catalog>(copts);
 

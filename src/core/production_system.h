@@ -32,7 +32,6 @@ struct ProductionSystemOptions {
   /// this on, a positively acknowledged/committed mutation survives a
   /// crash, and reopening with `open_existing` runs restart recovery.
   bool enable_wal = false;
-  bool wal_auto_flush = false;
   /// Durable class directory (requires enable_wal): WM classes declared
   /// via `literalize`/DeclareClass are recorded by name and re-adopted on
   /// reopen, so a restarted process recovers its working memory by

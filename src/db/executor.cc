@@ -187,6 +187,51 @@ Status Executor::ExtendPositive(const ConditionSpec& cond, size_t cond_idx,
   return Status::OK();
 }
 
+Status FindWitness(const Relation& rel, const ConditionSpec& cond,
+                   const Binding& binding, bool use_indexes,
+                   MatcherStats* stats, bool* exists) {
+  *exists = false;
+  // Index probe mirrors ExtendPositive but stops at the first witness.
+  std::vector<TupleId> candidate_ids;
+  bool have_candidates = false;
+  if (use_indexes) {
+    for (const VarUse& u : cond.var_uses) {
+      if (u.op != CompareOp::kEq) continue;
+      const auto& slot = binding[static_cast<size_t>(u.var)];
+      if (!slot.has_value()) continue;
+      if (rel.HasHashIndex(u.attr) || rel.HasBTreeIndex(u.attr)) {
+        PRODB_RETURN_IF_ERROR(rel.LookupEq(u.attr, *slot, &candidate_ids));
+        have_candidates = true;
+        break;
+      }
+    }
+  }
+  if (have_candidates) {
+    if (stats != nullptr) {
+      ++stats->index_probes;
+      stats->probe_tokens_visited += candidate_ids.size();
+    }
+    for (TupleId id : candidate_ids) {
+      Tuple t;
+      PRODB_RETURN_IF_ERROR(rel.Get(id, &t));
+      Binding b = binding;
+      if (TupleConsistent(cond, t, &b)) {
+        *exists = true;
+        break;
+      }
+    }
+    return Status::OK();
+  }
+  return rel.Scan([&](TupleId, const Tuple& t) {
+    if (stats != nullptr) ++stats->scan_tokens_visited;
+    if (!*exists) {
+      Binding b = binding;
+      if (TupleConsistent(cond, t, &b)) *exists = true;
+    }
+    return Status::OK();
+  });
+}
+
 Status Executor::FilterNegative(const ConditionSpec& cond,
                                 std::vector<Partial>* partials) const {
   Relation* rel = catalog_->Get(cond.relation);
@@ -196,45 +241,8 @@ Status Executor::FilterNegative(const ConditionSpec& cond,
   std::vector<Partial> next;
   for (Partial& p : *partials) {
     bool exists = false;
-    // Index probe mirrors ExtendPositive but stops at the first witness.
-    std::vector<TupleId> candidate_ids;
-    bool have_candidates = false;
-    if (options_.use_indexes) {
-      for (const VarUse& u : cond.var_uses) {
-        if (u.op != CompareOp::kEq) continue;
-        const auto& slot = p.binding[static_cast<size_t>(u.var)];
-        if (!slot.has_value()) continue;
-        if (rel->HasHashIndex(u.attr) || rel->HasBTreeIndex(u.attr)) {
-          PRODB_RETURN_IF_ERROR(rel->LookupEq(u.attr, *slot, &candidate_ids));
-          have_candidates = true;
-          break;
-        }
-      }
-    }
-    if (have_candidates) {
-      if (stats_ != nullptr) {
-        ++stats_->index_probes;
-        stats_->probe_tokens_visited += candidate_ids.size();
-      }
-      for (TupleId id : candidate_ids) {
-        Tuple t;
-        PRODB_RETURN_IF_ERROR(rel->Get(id, &t));
-        Binding b = p.binding;
-        if (TupleConsistent(cond, t, &b)) {
-          exists = true;
-          break;
-        }
-      }
-    } else {
-      PRODB_RETURN_IF_ERROR(rel->Scan([&](TupleId, const Tuple& t) {
-        if (stats_ != nullptr) ++stats_->scan_tokens_visited;
-        if (!exists) {
-          Binding b = p.binding;
-          if (TupleConsistent(cond, t, &b)) exists = true;
-        }
-        return Status::OK();
-      }));
-    }
+    PRODB_RETURN_IF_ERROR(FindWitness(*rel, cond, p.binding,
+                                      options_.use_indexes, stats_, &exists));
     if (!exists) next.push_back(std::move(p));
   }
   *partials = std::move(next);
@@ -347,55 +355,6 @@ Status Executor::EvaluateSeeded(const ConjunctiveQuery& query,
                               std::move(p.binding)});
   }
   return Status::OK();
-}
-
-Status Executor::NestedLoopJoin(Relation* left, Relation* right,
-                                const JoinTest& test,
-                                std::vector<std::pair<Tuple, Tuple>>* out) {
-  out->clear();
-  return left->Scan([&](TupleId, const Tuple& l) {
-    return right->Scan([&](TupleId, const Tuple& r) {
-      if (test.Matches(l, r)) out->emplace_back(l, r);
-      return Status::OK();
-    });
-  });
-}
-
-Status Executor::HashJoin(Relation* left, Relation* right,
-                          const JoinTest& test,
-                          std::vector<std::pair<Tuple, Tuple>>* out) {
-  out->clear();
-  if (test.op != CompareOp::kEq) {
-    return Status::NotSupported("hash join requires an equality predicate");
-  }
-  // Build-side selection: hash the smaller input, probe with the larger
-  // — the planner's build-side rule grounded in the live cardinalities
-  // (the memory-resident table should be the small one). Output pairs
-  // stay (left, right) regardless of which side built.
-  const bool build_left = left->Count() <= right->Count();
-  Relation* build = build_left ? left : right;
-  Relation* probe = build_left ? right : left;
-  const size_t build_attr =
-      static_cast<size_t>(build_left ? test.left_attr : test.right_attr);
-  const size_t probe_attr =
-      static_cast<size_t>(build_left ? test.right_attr : test.left_attr);
-  std::unordered_map<Value, std::vector<Tuple>, ValueHash> table;
-  PRODB_RETURN_IF_ERROR(build->Scan([&](TupleId, const Tuple& b) {
-    table[b[build_attr]].push_back(b);
-    return Status::OK();
-  }));
-  return probe->Scan([&](TupleId, const Tuple& p) {
-    auto it = table.find(p[probe_attr]);
-    if (it == table.end()) return Status::OK();
-    for (const Tuple& b : it->second) {
-      if (build_left) {
-        out->emplace_back(b, p);
-      } else {
-        out->emplace_back(p, b);
-      }
-    }
-    return Status::OK();
-  });
 }
 
 }  // namespace prodb

@@ -77,14 +77,6 @@ class Executor {
   Status EvaluateBound(const ConjunctiveQuery& query, const Binding& initial,
                        std::vector<QueryMatch>* out) const;
 
-  /// --- Binary join primitives (benchmarks, DBMS-Rete internals) -------
-  static Status NestedLoopJoin(Relation* left, Relation* right,
-                               const JoinTest& test,
-                               std::vector<std::pair<Tuple, Tuple>>* out);
-  static Status HashJoin(Relation* left, Relation* right,
-                         const JoinTest& test,
-                         std::vector<std::pair<Tuple, Tuple>>* out);
-
   const ExecutorOptions& options() const { return options_; }
 
   /// Attaches a stats sink: index probes and per-tuple visit counts of
@@ -111,7 +103,7 @@ class Executor {
                         std::vector<Partial>* partials) const;
 
   /// Removes partials for which `cond`'s relation contains a consistent
-  /// tuple (negation-as-absence, §4.2.2).
+  /// tuple (negation-as-absence, §4.2.2), by FindWitness.
   Status FilterNegative(const ConditionSpec& cond,
                         std::vector<Partial>* partials) const;
 
@@ -144,6 +136,18 @@ struct DeferredTest {
 bool TupleConsistent(const ConditionSpec& cond, const Tuple& t,
                      Binding* binding,
                      std::vector<DeferredTest>* deferred = nullptr);
+
+/// Sets *exists when `rel` holds a tuple consistent with `cond` under
+/// `binding` — a witness that falsifies the negated condition element
+/// `cond` (negation-as-absence, §4.2.2). With `use_indexes`, probes a
+/// hash or B+-tree index on an attribute `binding` fixes by equality,
+/// stopping at the first witness; otherwise scans. Probes and visited
+/// tuples are counted in `stats` when given. The executor's negated-CE
+/// filter and the concurrent engine's pre-firing revalidation both use
+/// it.
+Status FindWitness(const Relation& rel, const ConditionSpec& cond,
+                   const Binding& binding, bool use_indexes,
+                   MatcherStats* stats, bool* exists);
 
 /// Evaluates and removes every deferred test whose variable `binding`
 /// now covers; returns false if any fails.

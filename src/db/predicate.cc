@@ -40,11 +40,6 @@ std::string Selection::ToString() const {
   return out.empty() ? "true" : out;
 }
 
-std::string JoinTest::ToString() const {
-  return "L.$" + std::to_string(left_attr) + " " + CompareOpName(op) +
-         " R.$" + std::to_string(right_attr);
-}
-
 std::string ConditionSpec::ToString() const {
   std::string out = negated ? "-(" : "(";
   out += relation;

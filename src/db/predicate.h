@@ -43,21 +43,6 @@ struct Selection {
   std::string ToString() const;
 };
 
-/// `left.attr op right.attr` — the test performed by a Rete two-input
-/// node. In OPS5 these arise from variables shared between condition
-/// elements.
-struct JoinTest {
-  int left_attr = 0;
-  CompareOp op = CompareOp::kEq;
-  int right_attr = 0;
-
-  bool Matches(const Tuple& l, const Tuple& r) const {
-    return EvalCompare(l[static_cast<size_t>(left_attr)], op,
-                       r[static_cast<size_t>(right_attr)]);
-  }
-  std::string ToString() const;
-};
-
 /// Occurrence of a variable in a condition element: the tuple attribute
 /// `attr` must stand in relation `op` to the variable's bound value. For
 /// the binding occurrence of a variable op is kEq.

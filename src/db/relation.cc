@@ -126,30 +126,6 @@ Status Relation::Restore(TupleId id, const Tuple& tuple) {
   return Status::OK();
 }
 
-Status Relation::Update(TupleId id, const Tuple& tuple, TupleId* new_id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (tuple.arity() != schema_.arity()) {
-    return Status::InvalidArgument(name() + ": arity mismatch on update");
-  }
-  if (kind_ == StorageKind::kMemory) {
-    auto it = rows_.find(id);
-    if (it == rows_.end()) return Status::NotFound("tuple " + id.ToString());
-    IndexRemove(it->second, id);
-    mem_bytes_ -= it->second.FootprintBytes();
-    it->second = tuple;
-    mem_bytes_ += it->second.FootprintBytes();
-    IndexInsert(tuple, id);
-    *new_id = id;
-    return Status::OK();
-  }
-  Tuple old;
-  PRODB_RETURN_IF_ERROR(heap_->Get(id, &old));
-  PRODB_RETURN_IF_ERROR(heap_->Update(id, tuple, new_id));
-  IndexRemove(old, id);
-  IndexInsert(tuple, *new_id);
-  return Status::OK();
-}
-
 void Relation::ReleaseReservations(uint64_t txn) {
   // heap_ is fixed at construction and locks itself.
   if (heap_ != nullptr) heap_->ReleaseReservations(txn);

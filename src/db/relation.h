@@ -71,9 +71,6 @@ class Relation {
   /// would leave those references permanently stale. Fails with
   /// AlreadyExists if the id is live.
   Status Restore(TupleId id, const Tuple& tuple);
-  /// Update keeps or changes the TupleId depending on the backend; the
-  /// resulting id is returned via *new_id.
-  Status Update(TupleId id, const Tuple& tuple, TupleId* new_id);
 
   /// Ends transaction `txn`'s heap-space reservations (its deletes keep
   /// the bytes they free for its own undo until then); a no-op for memory

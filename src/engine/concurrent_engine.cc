@@ -61,14 +61,11 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
       *stale = true;
       return txn_manager_.Abort(txn.get());
     }
+    // The executor's witness search: it probes the WM hash indexes the
+    // matchers declare on equality-tested attributes.
     bool exists = false;
-    Status st = rel->Scan([&](TupleId, const Tuple& t) {
-      if (!exists) {
-        Binding b = inst.binding;
-        if (TupleConsistent(cond, t, &b)) exists = true;
-      }
-      return Status::OK();
-    });
+    Status st = FindWitness(*rel, cond, inst.binding, /*use_indexes=*/true,
+                            /*stats=*/nullptr, &exists);
     if (!st.ok()) return txn_manager_.Abort(txn.get(), st);
     if (exists) {
       *stale = true;

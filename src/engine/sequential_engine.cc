@@ -25,9 +25,10 @@ Status SequentialEngine::Step(bool* fired, EngineRunResult* result) {
     bool halted = false;
     wm_.BeginBatch();
     Status st = ExecuteRhs(rule, inst, functions_, &wm_, &halted);
-    Status committed = wm_.CommitBatch();
-    PRODB_RETURN_IF_ERROR(st);
-    PRODB_RETURN_IF_ERROR(committed);
+    // A failing action undoes the firing's whole RHS before the matcher
+    // sees any of it, as the concurrent engine's abort does.
+    if (!st.ok()) return wm_.AbortBatch(st);
+    PRODB_RETURN_IF_ERROR(wm_.CommitBatch());
     firing_log_.push_back(inst.rule_name);
     ++result->firings;
     *fired = true;

@@ -51,7 +51,9 @@ class SequentialEngine {
   /// Fires exactly one instantiation if available; *fired reports it.
   /// The firing's RHS runs inside a WM batch: relation mutations apply
   /// eagerly, and the matcher receives the whole ∆ in one OnBatch at the
-  /// end (the atomic-RHS view §5.2's commit rule requires).
+  /// end (the atomic-RHS view §5.2's commit rule requires). A failing
+  /// action rolls the batch back and its error is returned: the firing
+  /// changes nothing.
   Status Step(bool* fired, EngineRunResult* result);
 
   FunctionRegistry& functions() { return functions_; }

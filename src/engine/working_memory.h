@@ -7,27 +7,32 @@
 #include "common/status.h"
 #include "db/catalog.h"
 #include "match/matcher.h"
+#include "txn/write_set.h"
 
 namespace prodb {
 
 /// Facade coupling WM relations to a matcher: every mutation of working
 /// memory goes through here so the matcher sees each insertion and
 /// deletion exactly once ("changes will trigger the maintenance
-/// process", §5). Modifications are a deletion followed by an insertion,
-/// as the paper (and OPS5) prescribe.
+/// process", §5). The relations are written by a WriteSet with WAL id 0
+/// (auto-commit), the writer Transaction wraps in locks, so both apply,
+/// record, place and compensate alike; a modify is a deletion followed by
+/// an insertion, and a failed one changes nothing.
 ///
-/// All mutations flow through ChangeSets. The single-tuple calls are
-/// one-element batches; BeginBatch/CommitBatch let a caller (an engine
-/// executing a whole RHS, or a bulk loader) accumulate deltas so the
-/// matcher receives the entire set in one OnBatch — the §5.2 requirement
-/// that maintenance sees a transaction's whole ∆ins/∆del before commit.
-/// Relations are mutated eagerly even inside a batch (tuple ids must be
-/// assigned and reads must see the writes); only the matcher notification
-/// is deferred to CommitBatch.
+/// The single-tuple calls are one-element batches; BeginBatch/CommitBatch
+/// let a caller (an engine executing a whole RHS, or a bulk loader)
+/// accumulate deltas so the matcher receives the entire set in one
+/// OnBatch — the §5.2 requirement that maintenance sees a transaction's
+/// whole ∆ins/∆del before commit. Relations are mutated eagerly even
+/// inside a batch (tuple ids must be assigned and reads must see the
+/// writes); only the matcher notification is deferred to CommitBatch, and
+/// AbortBatch undoes a batch the matcher never saw.
+///
+/// Not thread-safe: one thread writes working memory at a time.
 class WorkingMemory {
  public:
   WorkingMemory(Catalog* catalog, Matcher* matcher)
-      : catalog_(catalog), matcher_(matcher) {}
+      : matcher_(matcher), writes_(catalog, /*wal_txn=*/0) {}
 
   Status Insert(const std::string& cls, const Tuple& t,
                 TupleId* id = nullptr);
@@ -38,39 +43,38 @@ class WorkingMemory {
   /// Starts buffering: subsequent Insert/Delete/Modify apply to relations
   /// immediately but defer matcher notification until CommitBatch.
   /// Batches do not nest.
-  void BeginBatch();
+  void BeginBatch() { in_batch_ = true; }
 
   /// Flushes the buffered deltas to the matcher in one OnBatch call and
   /// leaves batch mode. No-op (still leaves batch mode) when empty.
   Status CommitBatch();
 
-  /// Applies an externally built ChangeSet: every delta is applied to its
-  /// relation (inserts get their assigned ids written back into *cs,
-  /// deletes get the old tuple value filled in), then the matcher is
-  /// notified once via OnBatch. Used for bulk loads; applying an
-  /// Inverse() restores deleted tuples under their original ids.
-  Status Apply(ChangeSet* cs);
+  /// Rolls the buffered deltas back (WriteSet::Rollback: undone deletes
+  /// keep their ids), forces the log so a restart sees the rolled-back
+  /// state, and leaves batch mode. The matcher hears nothing. Returns the
+  /// rollback error when compensation failed, else the log error, else
+  /// `cause` — as TxnManager::Abort does for a transaction.
+  Status AbortBatch(Status cause = Status::OK());
 
   bool in_batch() const { return in_batch_; }
   /// Deltas buffered since BeginBatch, not yet seen by the matcher.
-  const ChangeSet& pending() const { return pending_; }
+  const ChangeSet& pending() const { return writes_.changes(); }
 
-  Catalog* catalog() const { return catalog_; }
+  Catalog* catalog() const { return writes_.catalog(); }
   Matcher* matcher() const { return matcher_; }
 
  private:
-  /// Applies one delta to its relation, resolving insert ids and delete
-  /// tuple values in place.
-  Status ApplyToRelation(Delta* d);
+  /// Outside a batch, hands what the call that returned `st` recorded to
+  /// the matcher; returns `st`, else the flush error.
+  Status AutoCommit(Status st);
+  /// Hands the buffered deltas to the matcher, forgets them, the
+  /// same-page hint and the batch's heap reservations, then forces the
+  /// log.
+  Status Flush();
 
-  /// Flushes the catalog's WAL, if any — the auto-commit durability
-  /// point for mutations made outside a Transaction.
-  Status ForceLog();
-
-  Catalog* catalog_;
   Matcher* matcher_;
+  WriteSet writes_;
   bool in_batch_ = false;
-  ChangeSet pending_;
 };
 
 }  // namespace prodb

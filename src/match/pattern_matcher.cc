@@ -447,9 +447,10 @@ Status PatternMatcher::SyncRuleDef() {
     }));
     // Negated CEs are satisfied by *absence* (§4.2.2 inverts defaults).
     if (ce.negated) satisfied = !satisfied;
+    // A rewrite is a delete then an insert (§3.1), as everywhere else.
+    PRODB_RETURN_IF_ERROR(rule_def_->Delete(id));
     TupleId out;
-    PRODB_RETURN_IF_ERROR(rule_def_->Update(
-        id,
+    PRODB_RETURN_IF_ERROR(rule_def_->Insert(
         Tuple{row[0], row[1], Value(static_cast<int64_t>(satisfied ? 1 : 0))},
         &out));
   }

@@ -256,7 +256,6 @@ Status ReteNetwork::AddRule(const Rule& rule) {
   // the rules that remain are recompiled and reseeded.
   rules_.pop_back();
   plans_.pop_back();
-  join_order_.resize(rules_.size());
   PRODB_RETURN_IF_ERROR(RebuildAndReseed());
   return st;
 }
@@ -285,11 +284,6 @@ Status ReteNetwork::BuildRule(const Rule& rule, int rule_index) {
     return Status::InvalidArgument("rule " + rule.name +
                                    ": no positive condition element");
   }
-  if (join_order_.size() <= static_cast<size_t>(rule_index)) {
-    join_order_.resize(static_cast<size_t>(rule_index) + 1);
-  }
-  join_order_[static_cast<size_t>(rule_index)] = order;
-
   // Shard placement: a rule compiles into the shard owning its head
   // class (the first positive CE — the chain's level-0 input). A *hot*
   // head class instead replicates the rule into every shard behind a
@@ -547,7 +541,7 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
 
 Binding ReteNetwork::BindingOf(int rule, TokenView token) const {
   const Rule& r = rules_[static_cast<size_t>(rule)];
-  const auto& order = join_order_[static_cast<size_t>(rule)];
+  const auto& order = plans_[static_cast<size_t>(rule)].order;
   Binding binding(static_cast<size_t>(r.lhs.num_vars), std::nullopt);
   for (size_t k = 0; k < token.size() && k < order.size(); ++k) {
     TupleConsistent(r.lhs.conditions[order[k]], *token[k].tuple, &binding);
@@ -561,7 +555,7 @@ Status ReteNetwork::Produce(Shard* shard, int rule, TokenView token,
   // never torn down and is already correct.
   if (reseeding_) return Status::OK();
   const Rule& r = rules_[static_cast<size_t>(rule)];
-  const auto& order = join_order_[static_cast<size_t>(rule)];
+  const auto& order = plans_[static_cast<size_t>(rule)].order;
   const size_t n = r.lhs.conditions.size();
   // Tokens are level-indexed in join order; instantiations are slotted
   // by textual CE position — remap through the rule's order.

@@ -237,9 +237,6 @@ class ReteNetwork : public Matcher {
   std::vector<Rule> rules_;
   // Per rule, the current JoinPlan (order + estimates + drift snapshot).
   std::vector<JoinPlan> plans_;
-  // Per rule, the positive-then-negated CE order the join chain uses
-  // (== plans_[i].order; kept separate for hot-path access).
-  std::vector<std::vector<size_t>> join_order_;
   // Classes of rules with two or more CEs: the only tuples a memory can
   // hold, so the only inserts that get an owning handle.
   std::unordered_set<std::string> memory_classes_;

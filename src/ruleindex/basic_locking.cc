@@ -117,58 +117,6 @@ Status BasicLockingIndex::OnDelete(const std::string& rel_name, TupleId id,
   return Status::OK();
 }
 
-Status BasicLockingIndex::OnBatch(const ChangeSet& batch,
-                                  std::vector<uint32_t>* affected) {
-  affected->clear();
-  std::map<std::string, Relation*> rels;
-  std::map<std::string, std::vector<uint32_t>> fallback;
-  for (const Delta& d : batch) {
-    if (d.is_insert()) {
-      auto [rit, fresh] = rels.try_emplace(d.relation, nullptr);
-      if (fresh) rit->second = catalog_->Get(d.relation);
-      Relation* rel = rit->second;
-      if (rel == nullptr) return Status::NotFound("relation " + d.relation);
-
-      std::vector<uint32_t> candidates;
-      if (rel->HasBTreeIndex(indexed_attr_) &&
-          static_cast<size_t>(indexed_attr_) < d.tuple.arity()) {
-        candidates =
-            rel->btree_index(indexed_attr_)
-                ->MarkersCovering(d.tuple[static_cast<size_t>(indexed_attr_)]);
-      } else {
-        auto [fit, first] = fallback.try_emplace(d.relation);
-        if (first) {
-          for (const auto& [cid, cond] : conditions_) {
-            if (cond.relation == d.relation) fit->second.push_back(cid);
-          }
-        }
-        candidates = fit->second;
-      }
-      auto& marks = markers_[d.relation];
-      for (uint32_t cid : candidates) {
-        auto cit = conditions_.find(cid);
-        if (cit == conditions_.end()) continue;
-        if (cit->second.Matches(d.tuple)) {
-          affected->push_back(cid);
-          marks[d.id].push_back(cid);
-        }
-      }
-    } else {
-      auto rit = markers_.find(d.relation);
-      if (rit == markers_.end()) continue;
-      auto mit = rit->second.find(d.id);
-      if (mit == rit->second.end()) continue;
-      affected->insert(affected->end(), mit->second.begin(),
-                       mit->second.end());
-      rit->second.erase(mit);
-    }
-  }
-  std::sort(affected->begin(), affected->end());
-  affected->erase(std::unique(affected->begin(), affected->end()),
-                  affected->end());
-  return Status::OK();
-}
-
 size_t BasicLockingIndex::FootprintBytes() const {
   size_t total = 0;
   for (const auto& [rel, marks] : markers_) {

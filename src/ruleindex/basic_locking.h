@@ -34,12 +34,6 @@ class BasicLockingIndex : public RuleIndex {
                   std::vector<uint32_t>* affected) override;
   Status OnDelete(const std::string& rel, TupleId id, const Tuple& t,
                   std::vector<uint32_t>* affected) override;
-  /// Batched form: catalog lookups and the unindexed-relation candidate
-  /// lists are computed once per relation in the batch, not once per
-  /// tuple. Deltas still apply in order (an insert-then-delete of the
-  /// same tuple within one batch nets out of the markers).
-  Status OnBatch(const ChangeSet& batch,
-                 std::vector<uint32_t>* affected) override;
   size_t FootprintBytes() const override;
   std::string name() const override { return "basic-locking"; }
 

@@ -71,34 +71,6 @@ Status PredicateIndex::OnDelete(const std::string& rel, TupleId, const Tuple& t,
   return Affected(rel, t, affected);
 }
 
-Status PredicateIndex::OnBatch(const ChangeSet& batch,
-                               std::vector<uint32_t>* affected) {
-  affected->clear();
-  std::map<std::string, const RTree*> cache;
-  std::vector<double> point(dims_, 0.0);
-  for (const Delta& d : batch) {
-    auto [cit, fresh] = cache.try_emplace(d.relation, nullptr);
-    if (fresh) {
-      auto it = trees_.find(d.relation);
-      if (it != trees_.end()) cit->second = it->second.get();
-    }
-    const RTree* tree = cit->second;
-    if (tree == nullptr) continue;
-    for (size_t a = 0; a < dims_; ++a) {
-      point[a] = (a < d.tuple.arity() && d.tuple[a].is_numeric())
-                     ? d.tuple[a].numeric()
-                     : std::numeric_limits<double>::infinity();
-    }
-    for (uint64_t id : tree->SearchPoint(point)) {
-      affected->push_back(static_cast<uint32_t>(id));
-    }
-  }
-  std::sort(affected->begin(), affected->end());
-  affected->erase(std::unique(affected->begin(), affected->end()),
-                  affected->end());
-  return Status::OK();
-}
-
 size_t PredicateIndex::FootprintBytes() const {
   size_t total = 0;
   for (const auto& [rel, tree] : trees_) {

@@ -29,10 +29,6 @@ class PredicateIndex : public RuleIndex {
                   std::vector<uint32_t>* affected) override;
   Status OnDelete(const std::string& rel, TupleId id, const Tuple& t,
                   std::vector<uint32_t>* affected) override;
-  /// Batched form: one R-tree lookup per relation appearing in the batch;
-  /// each delta then pays only its point search.
-  Status OnBatch(const ChangeSet& batch,
-                 std::vector<uint32_t>* affected) override;
   size_t FootprintBytes() const override;
   std::string name() const override { return "predicate-index"; }
 

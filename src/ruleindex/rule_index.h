@@ -1,12 +1,10 @@
 #ifndef PRODB_RULEINDEX_RULE_INDEX_H_
 #define PRODB_RULEINDEX_RULE_INDEX_H_
 
-#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/change_set.h"
 #include "common/status.h"
 #include "db/catalog.h"
 
@@ -52,26 +50,6 @@ class RuleIndex {
   /// bookkeeping.
   virtual Status OnDelete(const std::string& rel, TupleId id, const Tuple& t,
                           std::vector<uint32_t>* affected) = 0;
-
-  /// Reports the union of conditions affected by an entire ChangeSet
-  /// (sorted, deduplicated), updating bookkeeping for every delta in
-  /// order. The default processes the batch tuple-at-a-time;
-  /// implementations override to amortize per-relation work.
-  virtual Status OnBatch(const ChangeSet& batch,
-                         std::vector<uint32_t>* affected) {
-    affected->clear();
-    std::vector<uint32_t> per;
-    for (const Delta& d : batch) {
-      Status st = d.is_insert() ? OnInsert(d.relation, d.id, d.tuple, &per)
-                                : OnDelete(d.relation, d.id, d.tuple, &per);
-      if (!st.ok()) return st;
-      affected->insert(affected->end(), per.begin(), per.end());
-    }
-    std::sort(affected->begin(), affected->end());
-    affected->erase(std::unique(affected->begin(), affected->end()),
-                    affected->end());
-    return Status::OK();
-  }
 
   virtual size_t FootprintBytes() const = 0;
   virtual std::string name() const = 0;

@@ -230,7 +230,7 @@ Status HeapFile::Insert(const Tuple& tuple, TupleId* id,
   if (rec.size() > kPageSize - kPageHeaderSize - kSlotSize) {
     return Status::InvalidArgument("tuple larger than a page");
   }
-  const uint64_t txn = CurrentWalTxn();
+  const uint64_t txn = CurrentReservationKey();
   uint32_t pid = ChoosePage(rec.size(), near_page, txn);
   if (pid == kAnyPage) PRODB_RETURN_IF_ERROR(AppendPage(&pid));
   Frame* frame;
@@ -299,7 +299,7 @@ Status HeapFile::Delete(TupleId id, Tuple* old) {
     SetSlot(frame->data, static_cast<uint16_t>(id.slot_id), 0, kDeadSlot);
     LogAndStamp(pool_, frame, LogRecordType::kSlotDelete, id.slot_id, {},
                 UndoKind::kRestore, std::move(before));
-    Free(id.page_id, len, CurrentWalTxn());
+    Free(id.page_id, len, CurrentReservationKey());
     --live_tuples_;
     ++dead_slots_;
     dirty = true;
@@ -312,7 +312,7 @@ Status HeapFile::Restore(TupleId id, const Tuple& tuple) {
   std::lock_guard<std::mutex> lock(mu_);
   std::string rec;
   tuple.SerializeTo(&rec);
-  const uint64_t txn = CurrentWalTxn();
+  const uint64_t txn = CurrentReservationKey();
   Frame* frame;
   PRODB_RETURN_IF_ERROR(pool_->FetchPage(id.page_id, &frame));
   Status st = Status::OK();
@@ -343,45 +343,6 @@ Status HeapFile::Restore(TupleId id, const Tuple& tuple) {
   }
   PRODB_RETURN_IF_ERROR(pool_->UnpinPage(id.page_id, dirty));
   return st;
-}
-
-Status HeapFile::Update(TupleId id, const Tuple& tuple, TupleId* new_id) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::string rec;
-    tuple.SerializeTo(&rec);
-    Frame* frame;
-    PRODB_RETURN_IF_ERROR(pool_->FetchPage(id.page_id, &frame));
-    uint16_t slots = PageSlotCount(frame->data);
-    if (id.slot_id >= slots ||
-        SlotLength(frame->data, id.slot_id) == kDeadSlot) {
-      PRODB_RETURN_IF_ERROR(pool_->UnpinPage(id.page_id, false));
-      return Status::NotFound("tuple " + id.ToString());
-    }
-    uint16_t old_len = SlotLength(frame->data, id.slot_id);
-    if (rec.size() <= old_len) {
-      // Overwrite in place; tail of the old record becomes a hole that
-      // compaction reclaims later.
-      uint16_t off = SlotOffset(frame->data, id.slot_id);
-      std::string before(frame->data + off, old_len);
-      std::memcpy(frame->data + off, rec.data(), rec.size());
-      SetSlot(frame->data, static_cast<uint16_t>(id.slot_id), off,
-              static_cast<uint16_t>(rec.size()));
-      LogAndStamp(pool_, frame, LogRecordType::kSlotPut, id.slot_id, rec,
-                  UndoKind::kRestore, std::move(before));
-      // Restart undo puts the longer before-image back: the bytes the
-      // overwrite freed stay the transaction's.
-      Free(id.page_id, old_len - rec.size(), CurrentWalTxn());
-      PRODB_RETURN_IF_ERROR(pool_->UnpinPage(id.page_id, true));
-      *new_id = id;
-      return Status::OK();
-    }
-    PRODB_RETURN_IF_ERROR(pool_->UnpinPage(id.page_id, false));
-  }
-  // Record grew: move it (delete + insert), matching the paper's treatment
-  // of modify as delete-followed-by-insert; the old page comes first.
-  PRODB_RETURN_IF_ERROR(Delete(id));
-  return Insert(tuple, new_id, id.page_id);
 }
 
 size_t HeapFile::TupleCount() const {

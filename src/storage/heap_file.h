@@ -40,10 +40,10 @@ namespace prodb {
 /// for their own undo, in an index ordered by (available bytes, page).
 /// An insert tries the caller's hint page (a modify's old page), then the
 /// tail page, then the best-fitting page, then a new page: O(log pages)
-/// whatever the file size. Bytes a transaction's delete frees stay
-/// reserved for that transaction (its own inserts and restores may use
-/// them) until ReleaseReservations, so its rollback — at runtime or in
-/// restart undo — always finds room for the before-images.
+/// whatever the file size. Bytes a transaction's (or a working-memory
+/// batch's) delete frees stay reserved for it (its own inserts and
+/// restores may use them) until ReleaseReservations, so its rollback — at
+/// runtime or in restart undo — always finds room for the before-images.
 class HeapFile {
  public:
   /// Insert's "no placement hint".
@@ -69,9 +69,9 @@ class HeapFile {
 
   /// Tombstones the slot at `id` and, when `old` is given, decodes the
   /// tuple it held into *old from the page the delete fetches anyway (no
-  /// second fetch). Space is reclaimed lazily; inside a
-  /// transaction (CurrentWalTxn() != 0) the freed bytes are reserved for
-  /// it.
+  /// second fetch). Space is reclaimed lazily; under a reservation key
+  /// (CurrentReservationKey() != 0: a transaction, or a working-memory
+  /// batch) the freed bytes are reserved for it.
   Status Delete(TupleId id, Tuple* old = nullptr);
 
   /// Revives the tombstoned slot at `id` with `tuple` (abort
@@ -82,15 +82,10 @@ class HeapFile {
   /// transaction restoring its own deletes in reverse order.
   Status Restore(TupleId id, const Tuple& tuple);
 
-  /// Replaces the tuple at `id`. If the new encoding fits in place the
-  /// TupleId is preserved; otherwise the record moves (delete, then an
-  /// insert that prefers the old page) and *new_id receives its new
-  /// location.
-  Status Update(TupleId id, const Tuple& tuple, TupleId* new_id);
-
-  /// Ends transaction `txn`'s reservations in this file: the bytes its
-  /// deletes freed become available to every inserter. Called when the
-  /// transaction commits or finishes aborting.
+  /// Ends reservation key `txn`'s reservations in this file: the bytes
+  /// its deletes freed become available to every inserter. Called when
+  /// the transaction (or working-memory batch) commits or finishes
+  /// aborting.
   void ReleaseReservations(uint64_t txn);
 
   /// Checks the free-space index against the pages: for every page, the

@@ -23,6 +23,7 @@ struct Crc32Table {
 };
 
 thread_local uint64_t g_wal_txn = 0;
+thread_local uint64_t g_reservation_key = 0;
 
 void AppendU32(std::string* out, uint32_t v) {
   char scratch[4];
@@ -447,10 +448,17 @@ std::map<uint64_t, Lsn> LogManager::ActiveTxns() const {
 
 uint64_t CurrentWalTxn() { return g_wal_txn; }
 
-WalTxnScope::WalTxnScope(uint64_t txn_id) : saved_(g_wal_txn) {
+uint64_t CurrentReservationKey() { return g_reservation_key; }
+
+WalTxnScope::WalTxnScope(uint64_t txn_id, uint64_t reservation_key)
+    : saved_txn_(g_wal_txn), saved_key_(g_reservation_key) {
   g_wal_txn = txn_id;
+  g_reservation_key = reservation_key;
 }
 
-WalTxnScope::~WalTxnScope() { g_wal_txn = saved_; }
+WalTxnScope::~WalTxnScope() {
+  g_wal_txn = saved_txn_;
+  g_reservation_key = saved_key_;
+}
 
 }  // namespace prodb

@@ -284,15 +284,24 @@ class LogManager {
 /// stays attributed to it and restart undo rolls all of it back.
 uint64_t CurrentWalTxn();
 
+/// The key the heap holds the bytes a delete frees under, for the
+/// deleter's own undo (HeapFile "Page choice"); 0 reserves nothing. It is
+/// the transaction id unless the scope names another: an auto-commit
+/// writer that may still roll its batch back (WorkingMemory::AbortBatch)
+/// logs as txn 0 but reserves under a key of its own.
+uint64_t CurrentReservationKey();
+
 class WalTxnScope {
  public:
-  explicit WalTxnScope(uint64_t txn_id);
+  explicit WalTxnScope(uint64_t txn_id) : WalTxnScope(txn_id, txn_id) {}
+  WalTxnScope(uint64_t txn_id, uint64_t reservation_key);
   ~WalTxnScope();
   WalTxnScope(const WalTxnScope&) = delete;
   WalTxnScope& operator=(const WalTxnScope&) = delete;
 
  private:
-  uint64_t saved_;
+  uint64_t saved_txn_;
+  uint64_t saved_key_;
 };
 
 }  // namespace prodb

@@ -1,7 +1,5 @@
 #include "txn/transaction.h"
 
-#include <algorithm>
-
 namespace prodb {
 
 Status Transaction::ReadLock(const std::string& rel, TupleId id) {
@@ -26,113 +24,35 @@ Status Transaction::WriteIntent(const std::string& rel) {
 
 Status Transaction::Insert(const std::string& rel, const Tuple& t,
                            TupleId* id) {
-  Relation* r = catalog_->Get(rel);
-  if (r == nullptr) return Status::NotFound("relation " + rel);
   PRODB_RETURN_IF_ERROR(WriteIntent(rel));
-  // Attribute the WAL records this mutation generates to us; restart
-  // recovery redoes them only if our commit record made it to disk.
-  WalTxnScope wal_scope(id_);
-  // Same-page placement: the page our latest delete freed is hot in the
-  // pool and our own reservation there covers the record (a page of
-  // another relation's heap is simply not a candidate).
-  PRODB_RETURN_IF_ERROR(last_delete_ ? r->InsertNear(*last_delete_, t, id)
-                                     : r->Insert(t, id));
-  changes_.AddInsert(rel, t, *id);
+  PRODB_RETURN_IF_ERROR(writes_.Insert(rel, t, id));
   // Lock the new tuple so no reader observes it before we commit.
   return locks_->Acquire(id_, ResourceId::Tup(rel, *id), LockMode::kX);
 }
 
-Status Transaction::DeleteFrom(Relation* r, TupleId id, Tuple* old) {
-  PRODB_RETURN_IF_ERROR(r->Delete(id, old));
-  // The heap keeps the freed bytes for our undo (keyed by the WAL
-  // transaction scope the caller holds) until ReleaseReservations.
-  if (r->storage_kind() == StorageKind::kPaged &&
-      std::find(reserving_.begin(), reserving_.end(), r->name()) ==
-          reserving_.end()) {
-    reserving_.push_back(r->name());
-  }
-  return Status::OK();
-}
-
 Status Transaction::Delete(const std::string& rel, TupleId id) {
-  Relation* r = catalog_->Get(rel);
-  if (r == nullptr) return Status::NotFound("relation " + rel);
   PRODB_RETURN_IF_ERROR(WriteLock(rel, id));
-  WalTxnScope wal_scope(id_);
-  Tuple old;
-  PRODB_RETURN_IF_ERROR(DeleteFrom(r, id, &old));
-  changes_.AddDelete(rel, id, std::move(old));
-  last_delete_ = id;
-  return Status::OK();
+  return writes_.Delete(rel, id);
 }
 
 Status Transaction::Modify(const std::string& rel, TupleId id, const Tuple& t,
                            TupleId* new_id) {
-  // §3.1 / §5: a modification is a deletion followed by an insertion, and
-  // the maintenance algorithms see it exactly that way. If the insert
-  // fails, the recorded delete stays unpaired and Rollback restores it.
-  // The insert prefers the page the delete just freed (same-page update);
-  // the new version still gets its own slot and id.
-  PRODB_RETURN_IF_ERROR(Delete(rel, id));
-  const size_t del = changes_.size() - 1;
-  PRODB_RETURN_IF_ERROR(Insert(rel, t, new_id));
-  changes_.LinkModify(del, changes_.size() - 1);
-  return Status::OK();
+  PRODB_RETURN_IF_ERROR(WriteLock(rel, id));
+  PRODB_RETURN_IF_ERROR(writes_.Modify(rel, id, t, new_id));
+  return locks_->Acquire(id_, ResourceId::Tup(rel, *new_id), LockMode::kX);
 }
 
 Status Transaction::Read(const std::string& rel, TupleId id, Tuple* out) {
-  Relation* r = catalog_->Get(rel);
+  Relation* r = writes_.catalog()->Get(rel);
   if (r == nullptr) return Status::NotFound("relation " + rel);
   PRODB_RETURN_IF_ERROR(ReadLock(rel, id));
   return r->Get(id, out);
 }
 
 Status Transaction::Rollback() {
-  // Undo is best-effort: a step that fails (an I/O error from a paged
-  // relation, a tuple removed behind the transaction's back) must not
-  // strand the remaining entries — bailing out mid-loop leaves WM
-  // half-rolled-back with the undo log still claiming the changes are
-  // live. Every entry is attempted; the transaction always reaches
-  // kAborted; the returned Status reports what could not be undone.
-  //
-  // Undone deletes come back through Restore, under their original ids:
-  // conflict-set entries recorded before this transaction still reference
-  // those ids, and a value-only re-insert would strand them.
-  //
-  // Undo records stay attributed to this (loser) transaction: restart
-  // recovery skips them along with the forward records. The scope also
-  // lets the restores use the heap space our deletes reserved, and keeps
-  // what undoing our inserts frees for the restores that follow.
-  WalTxnScope wal_scope(id_);
-  Status first_error;
-  size_t failed = 0;
-  for (const Delta& d : changes_.Inverse()) {
-    Relation* r = catalog_->Get(d.relation);
-    Status st = r == nullptr
-                    ? Status::NotFound("relation " + d.relation)
-                    : (d.is_insert() ? r->Restore(d.id, d.tuple)
-                                     : DeleteFrom(r, d.id));
-    if (!st.ok()) {
-      ++failed;
-      if (first_error.ok()) first_error = st;
-    }
-  }
-  size_t total = changes_.size();
-  changes_.clear();
+  Status st = writes_.Rollback();
   state_ = TxnState::kAborted;
-  if (failed == 0) return Status::OK();
-  if (failed == 1) return first_error;
-  return Status::Internal("rollback incomplete: " + std::to_string(failed) +
-                          " of " + std::to_string(total) +
-                          " undo steps failed; first: " +
-                          first_error.ToString());
-}
-
-void Transaction::ReleaseReservations() {
-  for (const std::string& rel : reserving_) {
-    if (Relation* r = catalog_->Get(rel)) r->ReleaseReservations(id_);
-  }
-  reserving_.clear();
+  return st;
 }
 
 std::unique_ptr<Transaction> TxnManager::Begin() {
@@ -162,11 +82,11 @@ Status TxnManager::Commit(Transaction* txn, const MaintainFn& maintain) {
   }
   Status st = Commit(txn);
   if (st.ok()) return st;
-  // The commit force failed after maintenance. Unwind in the order
-  // WorkingMemory::Apply applies: relations first, since matchers
-  // evaluate inserts against current WM; then the matcher, with the
-  // inverse ∆; only then the abort record and the lock release, so no
-  // other transaction sees the gap.
+  // The commit force failed after maintenance. Unwind in the order a
+  // forward batch applies: relations first, since matchers evaluate
+  // inserts against current WM; then the matcher, with the inverse ∆;
+  // only then the abort record and the lock release, so no other
+  // transaction sees the gap.
   ChangeSet inverse = txn->changes().Inverse();
   Status undone = txn->Rollback();
   if (!inverse.empty()) {

@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,12 +14,14 @@
 #include "common/tuple.h"
 #include "db/catalog.h"
 #include "txn/lock_manager.h"
+#include "txn/write_set.h"
 
 namespace prodb {
 
 enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 
-/// A transaction: lock scope + one ChangeSet over catalog relations.
+/// A transaction: 2PL lock scope around one WriteSet over catalog
+/// relations.
 ///
 /// §5 treats every selected production (matching pattern plus the WM
 /// tuples it selects) as a transaction. The RHS actions run through
@@ -29,11 +30,13 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 /// ∆ins/∆del, which is both its undo log and the ∆ COND maintenance sees
 /// at the commit point — and (c) lock release waits until that
 /// maintenance has finished (strict 2PL with the paper's "commit after
-/// maintenance" rule, TxnManager::Commit).
+/// maintenance" rule, TxnManager::Commit). Applying, recording, page
+/// placement and compensation are the WriteSet's, shared with
+/// WorkingMemory.
 class Transaction {
  public:
   Transaction(uint64_t id, Catalog* catalog, LockManager* locks)
-      : id_(id), catalog_(catalog), locks_(locks) {}
+      : id_(id), locks_(locks), writes_(catalog, id) {}
 
   uint64_t id() const { return id_; }
   TxnState state() const { return state_; }
@@ -49,16 +52,10 @@ class Transaction {
   Status WriteIntent(const std::string& rel);
 
   /// --- Recorded mutations -----------------------------------------------
-  /// Each takes the required lock, applies the change, and records it in
-  /// changes() the moment it lands. Delete records the tuple the
-  /// relation hands back as it removes it, under its X lock. Modify is
-  /// Delete then Insert (§3.1): the delete half is recorded before the
-  /// insert is tried, and the two are linked as a modify pair once the
-  /// insert lands. An insert on a paged
-  /// relation goes on the page this transaction's latest delete freed
-  /// when it fits there — for a modify, the old version's page — always
-  /// under a new id. The choice follows the operation sequence alone, so
-  /// a modify spelled Delete then Insert places exactly like Modify.
+  /// Each takes the required lock, then applies and records the change
+  /// through the WriteSet (see there for placement and for Modify, a
+  /// delete then an insert that changes nothing when the insert fails).
+  /// A tuple the transaction inserts is X-locked until it ends.
   Status Insert(const std::string& rel, const Tuple& t, TupleId* id);
   Status Delete(const std::string& rel, TupleId id);
   Status Modify(const std::string& rel, TupleId id, const Tuple& t,
@@ -70,39 +67,25 @@ class Transaction {
   /// Marks committed; TxnManager releases the locks.
   void MarkCommitted() { state_ = TxnState::kCommitted; }
 
-  /// The one compensation: applies changes().Inverse() to the relations,
-  /// undone deletes through Relation::Restore so tuples keep their
-  /// original ids. Best-effort: every step is attempted, the first error
-  /// (or "rollback incomplete: N of M") is returned, and the transaction
-  /// always ends kAborted with changes() cleared.
+  /// The one compensation, WriteSet::Rollback; the transaction always
+  /// ends kAborted with changes() cleared.
   Status Rollback();
 
   /// The mutations that have landed, in application order: the undo log
   /// Rollback inverts, and the ∆ TxnManager::Commit hands to maintenance.
-  const ChangeSet& changes() const { return changes_; }
+  const ChangeSet& changes() const { return writes_.changes(); }
 
   /// Hands the heap space this transaction's deletes reserved (for its
   /// own undo) back to every inserter. TxnManager calls it once the
   /// transaction commits or finishes aborting; free when the
   /// transaction deleted nothing from a paged relation.
-  void ReleaseReservations();
+  void ReleaseReservations() { writes_.ReleaseReservations(); }
 
  private:
-  /// Deletes `id` from `r` (its tuple into *old, when given) and notes a
-  /// paged relation as holding a reservation for this transaction.
-  Status DeleteFrom(Relation* r, TupleId id, Tuple* old = nullptr);
-
   uint64_t id_;
-  Catalog* catalog_;
   LockManager* locks_;
   TxnState state_ = TxnState::kActive;
-  ChangeSet changes_;
-  // The latest forward delete: later inserts prefer its page.
-  std::optional<TupleId> last_delete_;
-  // Paged relations whose heap holds bytes this transaction's deletes
-  // freed, by name (a relation may be dropped meanwhile);
-  // ReleaseReservations returns the bytes.
-  std::vector<std::string> reserving_;
+  WriteSet writes_;
 };
 
 /// Issues transaction ids and finalizes commit/abort.

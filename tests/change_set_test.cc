@@ -1,6 +1,7 @@
 // ChangeSet semantics and the WorkingMemory batch pipeline: delta
 // ordering, modify pairing, Inverse round-trips (the §5 deadlock
-// compensation primitive), and deferred matcher notification.
+// compensation primitive), deferred matcher notification, and the one
+// writer WorkingMemory and Transaction share.
 
 #include "common/change_set.h"
 
@@ -9,13 +10,15 @@
 #include <map>
 #include <set>
 
+#include "common/rng.h"
 #include "engine/working_memory.h"
+#include "txn/transaction.h"
 
 namespace prodb {
 namespace {
 
 // Records every delta it is handed, in order, as "+rel:values" /
-// "-rel:values" strings, and counts the batches they arrive in.
+// "-rel:values" strings, and a copy of each batch; counts the batches.
 class RecordingMatcher : public Matcher {
  public:
   Status AddRule(const Rule& rule) override {
@@ -28,6 +31,7 @@ class RecordingMatcher : public Matcher {
       events.push_back((d.is_insert() ? "+" : "-") + d.relation + ":" +
                        d.tuple.ToString());
     }
+    batches.push_back(batch);
     return Status::OK();
   }
   ConflictSet& conflict_set() override { return conflict_set_; }
@@ -36,6 +40,7 @@ class RecordingMatcher : public Matcher {
   const std::vector<Rule>& rules() const override { return rules_; }
 
   std::vector<std::string> events;
+  std::vector<ChangeSet> batches;
 
  private:
   ConflictSet conflict_set_;
@@ -122,19 +127,26 @@ TEST_F(ChangeSetTest, ApplyThenInverseRestoresRelations) {
   ASSERT_TRUE(wm_->Insert("R", Tuple{Value(1), Value(1)}, &keep).ok());
   ASSERT_TRUE(wm_->Insert("R", Tuple{Value(2), Value(2)}, &doomed).ok());
   auto before = Fingerprint(rel_);
+  size_t events_before = matcher_.events.size();
 
-  ChangeSet cs;
-  cs.AddInsert("R", Tuple{Value(3), Value(3)});
-  cs.AddDelete("R", doomed);
-  ASSERT_TRUE(wm_->Apply(&cs).ok());
-  // Apply resolved ids and old-tuple values in place.
-  EXPECT_NE(cs[0].id, Delta::kUnassigned);
+  wm_->BeginBatch();
+  TupleId made;
+  ASSERT_TRUE(wm_->Insert("R", Tuple{Value(3), Value(3)}, &made).ok());
+  ASSERT_TRUE(wm_->Delete("R", doomed).ok());
+  // The batch records assigned ids and deleted tuples' values.
+  const ChangeSet& cs = wm_->pending();
+  ASSERT_EQ(cs.size(), 2u);
+  EXPECT_EQ(cs[0].id, made);
   EXPECT_EQ(cs[1].tuple, (Tuple{Value(2), Value(2)}));
   EXPECT_NE(Fingerprint(rel_), before);
 
-  ChangeSet inv = cs.Inverse();
-  ASSERT_TRUE(wm_->Apply(&inv).ok());
+  // Aborting applies the batch's inverse to the relations; the matcher
+  // never hears of either.
+  ASSERT_TRUE(wm_->AbortBatch().ok());
+  EXPECT_FALSE(wm_->in_batch());
+  EXPECT_TRUE(wm_->pending().empty());
   EXPECT_EQ(Fingerprint(rel_), before);
+  EXPECT_EQ(matcher_.events.size(), events_before);
   // The undone delete restored the tuple under its original id, not a
   // fresh one — references recorded before the round-trip stay valid.
   Tuple back;
@@ -243,6 +255,197 @@ TEST_F(ChangeSetTest, ToStringShowsSignsAndModifyMarks) {
   EXPECT_NE(s.find("+R"), std::string::npos);
   EXPECT_NE(s.find("-R"), std::string::npos);
 }
+
+TEST_F(ChangeSetTest, FailedModifyChangesNothing) {
+  TupleId id;
+  ASSERT_TRUE(wm_->Insert("R", Tuple{Value(1), Value(1)}, &id).ok());
+  matcher_.events.clear();
+  // The insert half fails on arity after the delete half landed: the
+  // modify puts the old version back under its id and records nothing.
+  TupleId nid;
+  EXPECT_TRUE(wm_->Modify("R", id, Tuple{Value(1)}, &nid).IsInvalidArgument());
+  EXPECT_TRUE(matcher_.events.empty());
+  Tuple back;
+  ASSERT_TRUE(rel_->Get(id, &back).ok());
+  EXPECT_EQ(back, (Tuple{Value(1), Value(1)}));
+  EXPECT_EQ(rel_->Count(), 1u);
+}
+
+// A batch's deletes keep the bytes they free for its own rollback, as a
+// transaction's do. Here a batch shrinks a tuple on a full page: the new
+// version lands on that page, taking a slot entry its undo never returns.
+// Had it also spent the freed bytes on the entry, the page would lack
+// room to restore the old version on some record sizes, and AbortBatch
+// would lose the tuple.
+TEST(WorkingMemoryPagedTest, AbortBatchRestoresOnAFullPage) {
+  for (size_t n = 8; n < 80; ++n) {
+    SCOPED_TRACE(n);
+    CatalogOptions o;
+    o.default_storage = StorageKind::kPaged;
+    Catalog catalog(o);
+    Relation* rel = nullptr;
+    ASSERT_TRUE(catalog
+                    .CreateRelation(Schema("R", {{"k", ValueType::kInt},
+                                                 {"v", ValueType::kSymbol}}),
+                                    &rel)
+                    .ok());
+    RecordingMatcher matcher;
+    WorkingMemory wm(&catalog, &matcher);
+    // Fill the first page: stop once a tuple lands on the next.
+    const Tuple first{Value(0), Value(std::string(n, 'a'))};
+    TupleId first_id, id;
+    ASSERT_TRUE(wm.Insert("R", first, &first_id).ok());
+    for (int i = 1;; ++i) {
+      ASSERT_TRUE(
+          wm.Insert("R", Tuple{Value(i), Value(std::string(n, 'a'))}, &id)
+              .ok());
+      if (id.page_id != first_id.page_id) break;
+    }
+    wm.BeginBatch();
+    TupleId nid;
+    ASSERT_TRUE(
+        wm.Modify("R", first_id, Tuple{Value(0), Value(std::string(n - 6, 'b'))},
+                  &nid)
+            .ok());
+    Status st = wm.AbortBatch();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    Tuple back;
+    ASSERT_TRUE(rel->Get(first_id, &back).ok());
+    EXPECT_EQ(back, first);
+  }
+}
+
+// Property: WorkingMemory and Transaction are one writer. A seeded
+// sequence of batches of inserts, deletes and modifies is applied to twin
+// catalogs, through WorkingMemory batches on one and through
+// transactions committed with the matcher as maintenance on the other.
+// Every call returns the same status and tuple id on both; both hand
+// their matchers the same ChangeSets and end with the same tuples under
+// the same ids. Some modifies fail — wrong arity, and a version larger
+// than a page (which a paged relation rejects) — and a failed modify
+// records nothing and leaves its tuple in place.
+class WriterEquivalenceTest : public ::testing::TestWithParam<StorageKind> {
+ protected:
+  struct Twin {
+    explicit Twin(StorageKind kind)
+        : catalog([kind] {
+            CatalogOptions o;
+            o.default_storage = kind;
+            o.buffer_pool_frames = 16;
+            return o;
+          }()),
+          tm(&catalog, &locks) {
+      EXPECT_TRUE(catalog
+                      .CreateRelation(Schema("R", {{"k", ValueType::kInt},
+                                                   {"v", ValueType::kSymbol}}),
+                                      &rel)
+                      .ok());
+    }
+
+    // Every field of every delta of every batch the matcher saw.
+    std::vector<std::string> Batches() const {
+      std::vector<std::string> out;
+      for (const ChangeSet& cs : matcher.batches) {
+        std::string s;
+        for (const Delta& d : cs) {
+          s += (d.is_insert() ? "+" : "-") + d.relation + "/" +
+               d.id.ToString() + d.tuple.ToString() + "~" +
+               std::to_string(d.modify_partner) + " ";
+        }
+        out.push_back(s);
+      }
+      return out;
+    }
+
+    std::map<TupleId, Tuple> Contents() const {
+      std::map<TupleId, Tuple> out;
+      EXPECT_TRUE(rel->Scan([&](TupleId id, const Tuple& t) {
+                       out.emplace(id, t);
+                       return Status::OK();
+                     })
+                      .ok());
+      return out;
+    }
+
+    Catalog catalog;
+    Relation* rel = nullptr;
+    RecordingMatcher matcher;
+    LockManager locks;
+    TxnManager tm;
+  };
+};
+
+TEST_P(WriterEquivalenceTest, WorkingMemoryAndTransactionWriteAlike) {
+  Twin by_wm(GetParam()), by_txn(GetParam());
+  WorkingMemory wm(&by_wm.catalog, &by_wm.matcher);
+  Rng rng(21);
+  std::vector<TupleId> live;
+  size_t failed_modifies = 0;
+  for (int batch = 0; batch < 150; ++batch) {
+    wm.BeginBatch();
+    auto txn = by_txn.tm.Begin();
+    const size_t ops = 1 + rng.Uniform(6);
+    for (size_t n = 0; n < ops; ++n) {
+      const int64_t k = static_cast<int64_t>(rng.Uniform(1000));
+      const Tuple t{Value(k), Value(std::string(rng.Uniform(120), 'v'))};
+      const uint64_t pick = rng.Uniform(100);
+      TupleId a, b;
+      if (pick < 45 || live.empty()) {
+        ASSERT_TRUE(wm.Insert("R", t, &a).ok());
+        ASSERT_TRUE(txn->Insert("R", t, &b).ok());
+        ASSERT_EQ(a, b) << "batch " << batch;
+        live.push_back(a);
+        continue;
+      }
+      const size_t at = rng.Uniform(live.size());
+      if (pick < 65) {
+        ASSERT_TRUE(wm.Delete("R", live[at]).ok());
+        ASSERT_TRUE(txn->Delete("R", live[at]).ok());
+        live.erase(live.begin() + static_cast<ptrdiff_t>(at));
+        continue;
+      }
+      Tuple next = t;
+      if (pick < 72) next = Tuple{Value(k)};  // wrong arity
+      if (pick >= 93) next = Tuple{Value(k), Value(std::string(5000, 'x'))};
+      const size_t wm_before = wm.pending().size();
+      const size_t txn_before = txn->changes().size();
+      Status sa = wm.Modify("R", live[at], next, &a);
+      Status sb = txn->Modify("R", live[at], next, &b);
+      ASSERT_EQ(sa.ToString(), sb.ToString());
+      if (!sa.ok()) {
+        ++failed_modifies;
+        EXPECT_EQ(wm.pending().size(), wm_before);
+        EXPECT_EQ(txn->changes().size(), txn_before);
+        Tuple still;
+        EXPECT_TRUE(by_wm.rel->Get(live[at], &still).ok());
+        EXPECT_TRUE(by_txn.rel->Get(live[at], &still).ok());
+        continue;
+      }
+      ASSERT_EQ(a, b) << "batch " << batch;
+      live[at] = a;
+    }
+    ASSERT_TRUE(wm.CommitBatch().ok());
+    ASSERT_TRUE(by_txn.tm
+                    .Commit(txn.get(),
+                            [&](const ChangeSet& cs) {
+                              return by_txn.matcher.OnBatch(cs);
+                            })
+                    .ok());
+  }
+  EXPECT_GT(failed_modifies, 0u);
+  EXPECT_EQ(by_wm.Batches(), by_txn.Batches());
+  EXPECT_EQ(by_wm.Contents(), by_txn.Contents());
+  EXPECT_EQ(by_txn.locks.LockedResourceCount(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Storage, WriterEquivalenceTest,
+                         ::testing::Values(StorageKind::kMemory,
+                                           StorageKind::kPaged),
+                         [](const auto& info) {
+                           return info.param == StorageKind::kMemory
+                                      ? std::string("Memory")
+                                      : std::string("Paged");
+                         });
 
 }  // namespace
 }  // namespace prodb

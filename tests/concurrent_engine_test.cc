@@ -171,6 +171,46 @@ TEST_F(ConcurrentEngineTest, NegativeDependenceIsRespected) {
   EXPECT_EQ(blockers + outputs, 30u);
 }
 
+// A worker revalidates a negated CE before firing with the executor's
+// witness search. A Blocker written straight into its relation, behind
+// the matcher, leaves `lone` in the conflict set; the search must find it
+// — by scan under rete, by probing the index the query matcher declares
+// on Blocker.id — and skip the instantiation as stale.
+TEST(ConcurrentRevalidationTest, NegatedWitnessBehindTheMatcherIsStale) {
+  for (const char* spec : {"rete", "query"}) {
+    SCOPED_TRACE(spec);
+    MatcherHarness harness;
+    ASSERT_TRUE(harness
+                    .Init(R"(
+(literalize Seed id)
+(literalize Blocker id)
+(literalize Output id)
+(p lone (Seed ^id <x>) -(Blocker ^id <x>) --> (remove 1) (make Output ^id <x>))
+)",
+                          spec)
+                    .ok());
+    LockManager locks;
+    ConcurrentEngineOptions opts;
+    opts.workers = 1;
+    ConcurrentEngine engine(harness.catalog.get(), harness.matcher.get(),
+                            &locks, opts);
+    ASSERT_TRUE(engine.Insert("Seed", Tuple{Value(1)}).ok());
+    ASSERT_EQ(harness.matcher->conflict_set().size(), 1u);
+    Relation* blockers = harness.catalog->Get("Blocker");
+    if (std::string(spec) == "query") {
+      EXPECT_TRUE(blockers->HasHashIndex(0));
+    }
+    TupleId id;
+    ASSERT_TRUE(blockers->Insert(Tuple{Value(1)}, &id).ok());
+    ConcurrentRunResult result;
+    ASSERT_TRUE(engine.Run(&result).ok());
+    EXPECT_EQ(result.stale_skipped, 1u);
+    EXPECT_EQ(result.firings, 0u);
+    EXPECT_EQ(harness.catalog->Get("Output")->Count(), 0u);
+    EXPECT_EQ(harness.catalog->Get("Seed")->Count(), 1u);
+  }
+}
+
 TEST_F(ConcurrentEngineTest, WorkerSweepMatchesSequentialOutcome) {
   // Same consuming workload under 1, 2, 8 workers: identical final state.
   const char* program = R"(

@@ -171,79 +171,6 @@ TEST_F(RuleIndexTest, SchemesAgreeWithBruteForce) {
   }
 }
 
-// OnBatch must report the same affected-condition union as replaying the
-// deltas one at a time, for both schemes, and leave identical marker
-// bookkeeping behind.
-TEST_F(RuleIndexTest, BatchMatchesPerTupleReplay) {
-  BasicLockingIndex batched_basic(&catalog_);
-  PredicateIndex batched_pred(2);
-  // Second catalog so the per-tuple replay keeps independent B-tree marks.
-  Catalog catalog2;
-  Relation* rel2 = nullptr;
-  ASSERT_TRUE(catalog2
-                  .CreateRelation(Schema("Emp", {{"age", ValueType::kInt},
-                                                 {"salary", ValueType::kInt}}),
-                                  &rel2)
-                  .ok());
-  BasicLockingIndex serial_basic(&catalog2);
-  PredicateIndex serial_pred(2);
-
-  Rng rng(17);
-  for (uint32_t i = 0; i < 25; ++i) {
-    double lo0 = rng.NextDouble() * 80;
-    double lo1 = rng.NextDouble() * 80;
-    IndexedCondition c =
-        RangeCond(i, "Emp", lo0, lo0 + rng.NextDouble() * 40, lo1,
-                  lo1 + rng.NextDouble() * 40);
-    ASSERT_TRUE(batched_basic.AddCondition(c).ok());
-    ASSERT_TRUE(batched_pred.AddCondition(c).ok());
-    ASSERT_TRUE(serial_basic.AddCondition(c).ok());
-    ASSERT_TRUE(serial_pred.AddCondition(c).ok());
-  }
-
-  std::vector<std::pair<TupleId, Tuple>> live;    // in rel_ (batched side)
-  std::vector<std::pair<TupleId, Tuple>> live2;   // in rel2 (serial side)
-  for (int round = 0; round < 20; ++round) {
-    ChangeSet batch;
-    ChangeSet batch2;
-    size_t n = 1 + rng.Uniform(12);
-    for (size_t k = 0; k < n; ++k) {
-      if (rng.Chance(0.35) && !live.empty()) {
-        size_t pick = rng.Uniform(live.size());
-        batch.AddDelete("Emp", live[pick].first, live[pick].second);
-        batch2.AddDelete("Emp", live2[pick].first, live2[pick].second);
-        ASSERT_TRUE(rel_->Delete(live[pick].first).ok());
-        ASSERT_TRUE(rel2->Delete(live2[pick].first).ok());
-        live.erase(live.begin() + static_cast<long>(pick));
-        live2.erase(live2.begin() + static_cast<long>(pick));
-      } else {
-        Tuple t{Value(static_cast<int64_t>(rng.Uniform(100))),
-                Value(static_cast<int64_t>(rng.Uniform(100)))};
-        TupleId id, id2;
-        ASSERT_TRUE(rel_->Insert(t, &id).ok());
-        ASSERT_TRUE(rel2->Insert(t, &id2).ok());
-        batch.AddInsert("Emp", t, id);
-        batch2.AddInsert("Emp", t, id2);
-        live.emplace_back(id, t);
-        live2.emplace_back(id2, t);
-      }
-    }
-    std::vector<uint32_t> got_basic, got_pred;
-    ASSERT_TRUE(batched_basic.OnBatch(batch, &got_basic).ok());
-    ASSERT_TRUE(batched_pred.OnBatch(batch, &got_pred).ok());
-
-    // Per-tuple replay through the base-class default path.
-    std::vector<uint32_t> want_basic, want_pred;
-    ASSERT_TRUE(serial_basic.RuleIndex::OnBatch(batch2, &want_basic).ok());
-    ASSERT_TRUE(serial_pred.RuleIndex::OnBatch(batch2, &want_pred).ok());
-
-    EXPECT_EQ(got_basic, want_basic) << "round " << round;
-    EXPECT_EQ(got_pred, want_pred) << "round " << round;
-    EXPECT_EQ(batched_basic.MarkerCount(), serial_basic.MarkerCount())
-        << "round " << round;
-  }
-}
-
 TEST_F(RuleIndexTest, FootprintTradeoff) {
   // Basic locking's space grows with matching *tuples*; predicate
   // indexing's with *conditions* — the crux of [STON86a]'s trade-off.

@@ -291,6 +291,60 @@ TEST(ServerTest, HaltEndsTheRunAfterTheWholeRhs) {
   }
 }
 
+// A firing whose RHS fails changes nothing: the serial cycle rolls back
+// the actions that ran before the failing one, as a concurrent firing's
+// abort does, and Run, RunConcurrent and both kRun modes return the
+// error with B empty and A intact.
+TEST(ServerTest, FailedRhsLeavesWorkingMemoryAsBefore) {
+  const std::string program =
+      "(literalize A x)\n(literalize B y)\n"
+      "(p r (A ^x <x>) --> (make B ^y <x>) (call boom))\n";
+  const Tuple a{Value(int64_t{1})};
+  const ExternalFn boom = [](const std::vector<Value>&) {
+    return Status::Internal("boom");
+  };
+  for (bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "RunConcurrent" : "Run");
+    ProductionSystem ps;
+    ASSERT_TRUE(ps.LoadString(program).ok());
+    ps.RegisterFunction("boom", boom);
+    ASSERT_TRUE(ps.Insert("A", a).ok());
+    Status st = concurrent ? ps.RunConcurrent() : ps.Run();
+    EXPECT_NE(st.ToString().find("boom"), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(ps.catalog().Get("B")->Count(), 0u);
+    EXPECT_EQ(ps.catalog().Get("A")->Count(), 1u);
+  }
+  for (bool concurrent : {false, true}) {
+    SCOPED_TRACE(concurrent ? "kRun concurrent" : "kRun serial");
+    RuleServerOptions opts = TcpOptions();
+    opts.preload = program;
+    RuleServer server(opts);
+    ASSERT_TRUE(server.Start().ok());
+    server.system().RegisterFunction("boom", boom);
+    RuleClient client;
+    ASSERT_TRUE(client.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+    WireBatch batch;
+    WireOp op;
+    op.cls = "A";
+    op.tuple = a;
+    batch.ops.push_back(op);
+    WireBatchAck ack;
+    ASSERT_TRUE(client.Apply(batch, &ack).ok());
+    WireRunResult run;
+    Status st = client.Run(concurrent, &run);
+    EXPECT_NE(st.ToString().find("boom"), std::string::npos)
+        << st.ToString();
+    WireDumpReply as, bs;
+    ASSERT_TRUE(client.DumpClass("A", &as).ok());
+    ASSERT_TRUE(client.DumpClass("B", &bs).ok());
+    ASSERT_EQ(as.tuples.size(), 1u);
+    EXPECT_EQ(as.tuples[0].second, a);
+    EXPECT_TRUE(bs.tuples.empty());
+    server.Stop();
+  }
+}
+
 // A concurrent kRun and a session batch over the same tuples both finish.
 // The run used to hold the maintenance mutex from start to end while its
 // workers waited on 2PL locks; a session that held an X lock and waited

@@ -211,28 +211,6 @@ TEST_F(HeapFileTest, DeleteRemovesTuple) {
   EXPECT_EQ(hf_->TupleCount(), 0u);
 }
 
-TEST_F(HeapFileTest, UpdateInPlaceKeepsId) {
-  TupleId id, nid;
-  ASSERT_TRUE(hf_->Insert(MakeTuple(123456), &id).ok());
-  Tuple smaller{Value(1), Value("x"), Value(0.5)};
-  ASSERT_TRUE(hf_->Update(id, smaller, &nid).ok());
-  EXPECT_EQ(id, nid);
-  Tuple out;
-  ASSERT_TRUE(hf_->Get(nid, &out).ok());
-  EXPECT_EQ(out, smaller);
-}
-
-TEST_F(HeapFileTest, UpdateGrowingTupleMayMove) {
-  TupleId id, nid;
-  ASSERT_TRUE(hf_->Insert(Tuple{Value(1)}, &id).ok());
-  Tuple bigger{Value(std::string(500, 'q'))};
-  ASSERT_TRUE(hf_->Update(id, bigger, &nid).ok());
-  Tuple out;
-  ASSERT_TRUE(hf_->Get(nid, &out).ok());
-  EXPECT_EQ(out, bigger);
-  EXPECT_EQ(hf_->TupleCount(), 1u);
-}
-
 TEST_F(HeapFileTest, ScanVisitsAllLiveTuples) {
   std::vector<TupleId> ids(10);
   for (int i = 0; i < 10; ++i) {
@@ -339,7 +317,7 @@ TEST_F(HeapFileTest, InsertIntoThousandPageHeapFetchesAtMostTwoPages) {
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
-// Property: random insert/delete/update churn by interleaved transactions
+// Property: random insert/delete/modify churn by interleaved transactions
 // that commit or abort matches a reference map; every abort's restores
 // find room; and after every step the free-space index agrees with the
 // pages (kept free bytes == reclaimable bytes, reserved == the live
@@ -408,14 +386,13 @@ TEST(HeapFileProperty, RandomChurnMatchesReference) {
       if (op < 8) {
         ASSERT_TRUE(hf->Delete(id).ok());
       } else {
+        // A modify, under either writer: delete, then insert near the
+        // old page.
         Tuple t = random_tuple(80, 'u');
         TupleId nid;
-        if (txn == 0) {
-          ASSERT_TRUE(hf->Update(id, t, &nid).ok());
-        } else {
-          // A transaction's modify: delete, then insert near the old page.
-          ASSERT_TRUE(hf->Delete(id).ok());
-          ASSERT_TRUE(hf->Insert(t, &nid, id.page_id).ok());
+        ASSERT_TRUE(hf->Delete(id).ok());
+        ASSERT_TRUE(hf->Insert(t, &nid, id.page_id).ok());
+        if (txn != 0) {
           undo[txn].push_back({true, nid, t});
           owner[nid] = txn;
         }

@@ -75,13 +75,12 @@ TEST_F(TransactionTest, AbortAfterFailedUpdateInsertRestoresOriginal) {
   ASSERT_TRUE(rel_->Insert(Tuple{Value(7), Value("keep")}, &id).ok());
   auto txn = txn_manager_->Begin();
   TupleId nid;
-  // The delete half lands; the insert half fails on arity. The recorded
-  // delete stays unpaired, and abort must still restore it.
+  // The delete half lands; the insert half fails on arity. The modify
+  // puts the old version back itself and records nothing, and abort must
+  // leave it in place.
   EXPECT_TRUE(txn->Modify("T", id, Tuple{Value(8)}, &nid).IsInvalidArgument());
-  ASSERT_EQ(txn->changes().size(), 1u);
-  EXPECT_TRUE(txn->changes()[0].is_delete());
-  EXPECT_FALSE(txn->changes()[0].is_modify_half());
-  EXPECT_EQ(rel_->Count(), 0u);
+  EXPECT_TRUE(txn->changes().empty());
+  EXPECT_EQ(rel_->Count(), 1u);
   ASSERT_TRUE(txn_manager_->Abort(txn.get()).ok());
   EXPECT_EQ(rel_->Count(), 1u);
   Tuple back;
