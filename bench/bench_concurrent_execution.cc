@@ -4,13 +4,17 @@
 // of performance, the sequential OPS5 execution algorithm"; "in the best
 // case ... proportional to the maximum number of updates to any WM
 // relation" (§5.2). Each instantiation here carries a small CPU cost (a
-// registered `call`), which is where worker parallelism pays off.
+// registered `call`), which is where worker parallelism pays off. The
+// CPU-bound rows run the serving benchmark's `fire` program, whose
+// firings never wait, to price concurrency where it has nothing to
+// overlap.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <thread>
 
+#include "common/rng.h"
 #include "engine/concurrent_engine.h"
 #include "engine/sequential_engine.h"
 #include "lang/analyzer.h"
@@ -140,6 +144,107 @@ BENCHMARK(BM_ConcurrentContended)
     ->Arg(1)
     ->Arg(4)
     ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The CPU-bound case: `fire`'s program (perfbench/src/workloads.cc).
+// Each Job passes three Station stages by modify and is then removed,
+// so one Job is four firings, none of which waits. Stations are loaded
+// once; every iteration adds one batch of Jobs and times the run that
+// drains them. Reported as µs per firing. Each run leaves the Jobs' old
+// versions behind as dead heap slots, so the iteration count is fixed:
+// every row does the same runs on the same growing heap.
+constexpr int64_t kStationKinds = 4096;
+constexpr int64_t kStages = 3;
+constexpr int kJobsPerRun = 128;
+
+std::string CpuBoundProgram() {
+  std::string p =
+      "(literalize Job id kind stage)\n"
+      "(literalize Station kind stage)\n";
+  for (int64_t s = 0; s < kStages; ++s) {
+    const std::string stage = std::to_string(s);
+    p += "(p s" + stage + " (Job ^id <j> ^kind <k> ^stage " + stage +
+         ") (Station ^kind <k> ^stage " + stage + ") --> (modify 1 ^stage " +
+         std::to_string(s + 1) + "))\n";
+  }
+  p += "(p done (Job ^stage " + std::to_string(kStages) +
+       ") --> (remove 1))\n";
+  return p;
+}
+
+template <typename Result, typename Engine>
+void RunCpuBound(benchmark::State& state, Engine* engine) {
+  WorkingMemory& wm = engine->working_memory();
+  wm.BeginBatch();
+  for (int64_t kind = 0; kind < kStationKinds; ++kind) {
+    for (int64_t s = 0; s < kStages; ++s) {
+      Check(wm.Insert("Station", Tuple{Value(kind), Value(s)}));
+    }
+  }
+  Check(wm.CommitBatch());
+  Rng rng(7);
+  int64_t next_job = 0;
+  double run_us = 0;
+  size_t firings = 0;
+  for (auto _ : state) {
+    wm.BeginBatch();
+    for (int i = 0; i < kJobsPerRun; ++i) {
+      const auto kind = static_cast<int64_t>(rng.Uniform(kStationKinds));
+      Check(wm.Insert("Job", Tuple{Value(next_job++), Value(kind), Value(0)}));
+    }
+    Check(wm.CommitBatch());
+    const auto start = std::chrono::steady_clock::now();
+    Result result;
+    Check(engine->Run(&result));
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    if (result.firings != static_cast<size_t>(kJobsPerRun * (kStages + 1))) {
+      std::abort();
+    }
+    state.SetIterationTime(elapsed.count());
+    run_us += elapsed.count() * 1e6;
+    firings += result.firings;
+  }
+  state.counters["us_per_firing"] = run_us / static_cast<double>(firings);
+}
+
+void BM_SequentialCpuBound(benchmark::State& state) {
+  Catalog catalog;
+  std::vector<Rule> rules;
+  Check(LoadProgram(CpuBoundProgram(), &catalog, &rules));
+  ReteNetwork matcher(&catalog);
+  for (const Rule& r : rules) Check(matcher.AddRule(r));
+  SequentialEngine engine(&catalog, &matcher);
+  RunCpuBound<EngineRunResult>(state, &engine);
+}
+
+void BM_ConcurrentCpuBound(benchmark::State& state) {
+  const size_t workers = static_cast<size_t>(state.range(0));
+  Catalog catalog;
+  std::vector<Rule> rules;
+  Check(LoadProgram(CpuBoundProgram(), &catalog, &rules));
+  ReteNetwork matcher(&catalog);
+  for (const Rule& r : rules) Check(matcher.AddRule(r));
+  LockManager locks;
+  ConcurrentEngineOptions opts;
+  opts.workers = workers;
+  ConcurrentEngine engine(&catalog, &matcher, &locks, opts);
+  RunCpuBound<ConcurrentRunResult>(state, &engine);
+  state.counters["workers"] = static_cast<double>(workers);
+}
+
+constexpr int kCpuBoundRuns = 64;
+
+BENCHMARK(BM_SequentialCpuBound)
+    ->Iterations(kCpuBoundRuns)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ConcurrentCpuBound)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Iterations(kCpuBoundRuns)
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 // The Select step alone: drain `pending` instantiations of a rule whose

@@ -57,7 +57,8 @@ struct ProductionSystemOptions {
   StrategyKind strategy = StrategyKind::kFifo;
   uint64_t seed = 42;
   size_t max_firings = 1u << 20;
-  /// Workers for RunConcurrent().
+  /// Workers for RunConcurrent(): the most firings in flight at once.
+  /// One runs on the CPU at a time; the others wait (ConcurrentEngine).
   size_t workers = 4;
   /// Maintain the rule-base query index (RulesForTuple / RulesFor).
   bool enable_rulebase_queries = true;

@@ -5,6 +5,13 @@
 
 namespace prodb {
 
+namespace {
+// Where a writer's blocking waits are reported: a transaction's waiter,
+// when it has one. Nothing runs beside the serial cycle's writer.
+TxnWaiter* WaiterOf(Transaction* txn) { return txn->waiter(); }
+TxnWaiter* WaiterOf(WorkingMemory*) { return nullptr; }
+}  // namespace
+
 Tuple BuildMakeTuple(const CompiledAction& action, const Binding& binding) {
   std::vector<Value> values;
   values.reserve(action.values.size());
@@ -78,7 +85,14 @@ Status ExecuteRhs(const Rule& rule, const Instantiation& inst,
         for (const CompiledValue& cv : action.args) {
           args.push_back(cv.Resolve(inst.binding));
         }
-        PRODB_RETURN_IF_ERROR(functions.Invoke(action.target, args));
+        // An external procedure may block (I/O, a remote service), so it
+        // runs as a wait: other firings run meanwhile.
+        Status called;
+        {
+          WaitScope wait(WaiterOf(writer));
+          called = functions.Invoke(action.target, args);
+        }
+        PRODB_RETURN_IF_ERROR(called);
         break;
       }
     }

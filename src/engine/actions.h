@@ -58,7 +58,8 @@ bool MatchedTuplesUnchanged(const Catalog& catalog, const Rule& rule,
 /// a concurrent firing — both offer Insert/Delete/Modify. A firing is
 /// its whole RHS: a `(halt)` sets *halt and the actions after it still
 /// run. A `modify` moves its CE's tuple to a new id, which later actions
-/// on that CE use. Stops at the first failing action.
+/// on that CE use. A `call` is a wait of the transaction's TxnWaiter, when
+/// it has one. Stops at the first failing action.
 template <typename Writer>
 Status ExecuteRhs(const Rule& rule, const Instantiation& inst,
                   const FunctionRegistry& functions, Writer* writer,

@@ -35,8 +35,21 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
   // Relations are mutated eagerly (under write locks) and every write
   // lands in the transaction's ChangeSet; the matcher sees nothing until
   // the commit point. Any failure before it aborts through the one
-  // compensation, TxnManager::Abort.
-  auto txn = txn_manager_.Begin();
+  // compensation, TxnManager::Abort. Its waits hand the baton on.
+  auto txn = txn_manager_.Begin(&baton_);
+  // Aborts before the commit point. A failed firing whose rollback went
+  // through (Abort then hands the cause back) left working memory as it
+  // was, so its instantiation holds again and goes back into the
+  // conflict set; a stale one (no cause) is dropped.
+  auto abort = [&](Status cause) {
+    Status st = txn_manager_.Abort(txn.get(), cause);
+    if (!cause.ok() && st.code() == cause.code() &&
+        st.message() == cause.message()) {
+      std::unique_lock<std::mutex> hold = HoldMaintenance(maintenance_mu);
+      matcher_->conflict_set().Add(inst);
+    }
+    return st;
+  };
 
   // 1. Read locks: tuple-level for positive CEs, relation-level for
   //    negated CEs (negative dependence must block inserters, §5.2).
@@ -45,31 +58,31 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
     Status st = cond.negated
                     ? txn->ReadLockRelation(cond.relation)
                     : txn->ReadLock(cond.relation, inst.tuple_ids[ce]);
-    if (!st.ok()) return txn_manager_.Abort(txn.get(), st);
+    if (!st.ok()) return abort(st);
   }
 
   // 2. Validate against current WM: the matched tuples must still exist
   //    unchanged, and negated CEs must still have no witness.
   if (!MatchedTuplesUnchanged(*wm_.catalog(), rule, inst)) {
     *stale = true;
-    return txn_manager_.Abort(txn.get());
+    return abort(Status::OK());
   }
   for (const ConditionSpec& cond : rule.lhs.conditions) {
     if (!cond.negated) continue;
     Relation* rel = wm_.catalog()->Get(cond.relation);
     if (rel == nullptr) {
       *stale = true;
-      return txn_manager_.Abort(txn.get());
+      return abort(Status::OK());
     }
     // The executor's witness search: it probes the WM hash indexes the
     // matchers declare on equality-tested attributes.
     bool exists = false;
     Status st = FindWitness(*rel, cond, inst.binding, /*use_indexes=*/true,
                             /*stats=*/nullptr, &exists);
-    if (!st.ok()) return txn_manager_.Abort(txn.get(), st);
+    if (!st.ok()) return abort(st);
     if (exists) {
       *stale = true;
-      return txn_manager_.Abort(txn.get());
+      return abort(Status::OK());
     }
   }
 
@@ -77,7 +90,7 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
   //    serial cycle uses.
   bool halt_requested = false;
   Status rhs = ExecuteRhs(rule, inst, functions_, txn.get(), &halt_requested);
-  if (!rhs.ok()) return txn_manager_.Abort(txn.get(), rhs);
+  if (!rhs.ok()) return abort(rhs);
 
   // 4. The commit point: the matcher receives the transaction's whole ∆
   //    in one OnBatch *before* locks release — the paper's rule that "a
@@ -86,82 +99,60 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
   //    affected COND relations as well" (§5.2), made structural. Every
   //    2PL lock the firing needs is held by now, so the maintenance
   //    mutex is taken last and no lock is requested while it is held.
+  //    A failure from here on is not put back: a failed maintenance
+  //    leaves the ∆ in the relations until restart undoes it, and a
+  //    failed log force unwinds through the matcher, which re-derives
+  //    the instantiation itself.
   PRODB_RETURN_IF_ERROR(txn_manager_.Commit(
       txn.get(), [this, maintenance_mu](const ChangeSet& delta) {
         std::unique_lock<std::mutex> hold = HoldMaintenance(maintenance_mu);
         return matcher_->OnBatch(delta);
       }));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    commit_log_.push_back(inst.rule_name);
-  }
+  commit_log_.push_back(inst.rule_name);
   *fired = true;
   if (halt_requested) *halted = true;
   return Status::OK();
 }
 
-Status ConcurrentEngine::Worker(ConcurrentRunResult* result,
-                                std::mutex* maintenance_mu) {
+void ConcurrentEngine::Worker(ConcurrentRunResult* result,
+                              std::mutex* maintenance_mu) {
   ConflictSet::Chooser chooser =
       MakeStrategy(options_.strategy, &matcher_->rules(), options_.seed);
   Rng backoff(options_.seed ^ 0x9e3779b97f4a7c15ULL);
-  for (;;) {
-    if (halted_.load() || firings_.load() >= options_.max_firings) {
-      return Status::OK();
-    }
+  // Hands the baton on for one wait outside any firing.
+  auto pause = [this](std::chrono::microseconds wait) {
+    baton_.Give();
+    std::this_thread::sleep_for(wait);
+    baton_.Take();
+  };
+  while (!result->halted && error_.ok() &&
+         result->firings < options_.max_firings) {
     Instantiation inst;
-    bool got = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      got = matcher_->conflict_set().Take(chooser, &inst);
-      if (got) {
-        active_workers_.fetch_add(1);
-      } else if (active_workers_.load() == 0) {
-        return Status::OK();  // quiescent: nothing queued, nobody working
-      }
-    }
-    if (!got) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    if (!matcher_->conflict_set().Take(chooser, &inst)) {
+      if (active_workers_ == 0) break;  // quiescent: none queued or in flight
+      pause(std::chrono::microseconds(100));  // idle poll
       continue;
     }
+    ++active_workers_;
     bool fired = false, stale = false, halted = false;
     Status st =
         RunInstantiation(inst, maintenance_mu, &fired, &stale, &halted);
+    --active_workers_;
     if (st.IsDeadlock()) {
-      // Victim: changes were compensated; requeue, then stop counting as
-      // active (requeue-before-decrement keeps idle workers from
-      // observing a spuriously quiescent system).
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++result->deadlock_aborts;
-      }
-      {
-        std::unique_lock<std::mutex> hold = HoldMaintenance(maintenance_mu);
-        matcher_->conflict_set().Add(inst);
-      }
-      active_workers_.fetch_sub(1);
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(50 + backoff.Uniform(500)));
+      // A victim, compensated and requeued: retry after a backoff.
+      ++result->deadlock_aborts;
+      pause(std::chrono::microseconds(50 + backoff.Uniform(500)));
       continue;
     }
     if (!st.ok()) {
-      active_workers_.fetch_sub(1);
-      return st;
+      if (error_.ok()) error_ = st;
+      break;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stale) ++result->stale_skipped;
-      if (fired) {
-        ++result->firings;
-        firings_.fetch_add(1);
-      }
-      if (halted) {
-        result->halted = true;
-        halted_.store(true);
-      }
-    }
-    active_workers_.fetch_sub(1);
+    if (stale) ++result->stale_skipped;
+    if (fired) ++result->firings;
+    if (halted) result->halted = true;
   }
+  baton_.Give();
 }
 
 Status ConcurrentEngine::Run(ConcurrentRunResult* result,
@@ -172,33 +163,24 @@ Status ConcurrentEngine::Run(ConcurrentRunResult* result,
     // return a successful run that fired nothing.
     return Status::InvalidArgument("concurrent engine needs >= 1 worker");
   }
-  halted_.store(false);
-  firings_.store(0);
-  active_workers_.store(0);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    commit_log_.clear();
-  }
-
-  std::vector<std::thread> threads;
-  std::vector<Status> statuses(options_.workers, Status::OK());
-  threads.reserve(options_.workers);
-  for (size_t i = 0; i < options_.workers; ++i) {
-    threads.emplace_back([this, result, maintenance_mu, &statuses, i] {
-      statuses[i] = Worker(result, maintenance_mu);
+  // This thread is worker 0 and starts with the baton, so a run whose
+  // firings never wait stays on the core (and in the cache) it began on.
+  baton_.Take();
+  commit_log_.clear();
+  active_workers_ = 0;
+  error_ = Status::OK();
+  std::vector<std::thread> helpers;
+  helpers.reserve(options_.workers - 1);
+  for (size_t i = 1; i < options_.workers; ++i) {
+    helpers.emplace_back([this, result, maintenance_mu] {
+      baton_.Take();
+      Worker(result, maintenance_mu);
     });
   }
-  for (std::thread& t : threads) t.join();
-  for (const Status& st : statuses) {
-    PRODB_RETURN_IF_ERROR(st);
-  }
-  if (firings_.load() >= options_.max_firings) result->exhausted = true;
-  return Status::OK();
-}
-
-std::vector<std::string> ConcurrentEngine::commit_log() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return commit_log_;
+  Worker(result, maintenance_mu);
+  for (std::thread& t : helpers) t.join();
+  if (result->firings >= options_.max_firings) result->exhausted = true;
+  return error_;
 }
 
 }  // namespace prodb

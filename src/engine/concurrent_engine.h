@@ -1,7 +1,6 @@
 #ifndef PRODB_ENGINE_CONCURRENT_ENGINE_H_
 #define PRODB_ENGINE_CONCURRENT_ENGINE_H_
 
-#include <atomic>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -14,6 +13,8 @@
 namespace prodb {
 
 struct ConcurrentEngineOptions {
+  /// The most firings in flight at once. One runs on the CPU at a time;
+  /// the others are waiting (class comment).
   size_t workers = 4;
   StrategyKind strategy = StrategyKind::kFifo;
   uint64_t seed = 42;
@@ -56,6 +57,16 @@ struct ConcurrentRunResult {
 /// The resulting schedule is serializable by strict 2PL; tests verify
 /// that the committed firing sequence replayed serially reproduces the
 /// same final WM state.
+///
+/// What concurrency buys here is overlap of the firings' waits, so the
+/// workers share one run baton and only its holder runs. A worker keeps
+/// the baton across firings and hands it on only while its firing waits:
+/// a 2PL lock wait (the lock manager reports it through the
+/// transaction's TxnWaiter), a `call` action, the commit record's log
+/// force, a deadlock victim's backoff, and the idle poll. It takes the
+/// baton back before it touches the conflict set, a relation or the
+/// matcher again. `workers` is thus the most firings in flight at once
+/// (DESIGN.md "Engines" has the reasons and the measurements).
 class ConcurrentEngine {
  public:
   ConcurrentEngine(Catalog* catalog, Matcher* matcher, LockManager* locks,
@@ -67,14 +78,19 @@ class ConcurrentEngine {
     return wm_.Insert(cls, t, id);
   }
 
-  /// Drains the conflict set to quiescence with `workers` threads. A
-  /// firing that commits a (halt) stops the run once its whole RHS has
-  /// committed. When `maintenance_mu` is given, each firing's commit
-  /// maintenance and each deadlock victim's requeue run under it, so a
-  /// caller that serializes its own OnBatch calls (and conflict-set
-  /// listeners) under that mutex interleaves with the run per firing.
-  /// It is taken only while the firing holds every 2PL lock it will
-  /// request — never while requesting one.
+  /// Drains the conflict set to quiescence with `workers` workers: the
+  /// calling thread is worker 0, and `workers - 1` helper threads start
+  /// (none for one worker). A firing that commits a (halt) stops the run
+  /// once its whole RHS has committed. A firing that fails before its
+  /// commit point is rolled back and, when the rollback went through, its
+  /// instantiation goes back into the conflict set; the run then takes no
+  /// new firing and returns the first such error. When `maintenance_mu`
+  /// is given, each firing's commit maintenance and each requeue run
+  /// under it, so a caller that serializes its own OnBatch calls (and
+  /// conflict-set listeners) under that mutex interleaves with the run
+  /// per firing. It is taken only while the firing holds every 2PL lock
+  /// it will request — never while requesting one — and always after the
+  /// run baton.
   Status Run(ConcurrentRunResult* result,
              std::mutex* maintenance_mu = nullptr);
 
@@ -87,20 +103,41 @@ class ConcurrentEngine {
   /// uses — server batches and engine firings interleave serializably.
   TxnManager& txn_manager() { return txn_manager_; }
 
-  /// Rule names in commit order (the equivalent serial schedule).
-  std::vector<std::string> commit_log() const;
+  /// Rule names in commit order (the equivalent serial schedule) of the
+  /// last run; valid after Run returns.
+  const std::vector<std::string>& commit_log() const { return commit_log_; }
 
  private:
+  /// The run baton: a worker runs only while it holds it. It is also the
+  /// waiter every firing's transaction reports its waits to. When the
+  /// holder hands it on, whichever waiting worker the mutex wakes runs
+  /// next.
+  class Baton : public TxnWaiter {
+   public:
+    void Take() { mu_.lock(); }
+    void Give() { mu_.unlock(); }
+    void Waiting() override { Give(); }
+    void Resumed() override { Take(); }
+
+   private:
+    std::mutex mu_;
+  };
+
   /// Runs one instantiation as a transaction. Outcomes:
   ///   *fired    — committed;
   ///   *stale    — validation failed, discarded;
   ///   *halted   — a (halt) action committed;
-  /// Status::Deadlock — aborted and compensated; caller retries.
+  /// Status::Deadlock — aborted, compensated and requeued; caller retries.
+  /// Any other error before the commit point is requeued the same way
+  /// when the rollback went through.
   Status RunInstantiation(const Instantiation& inst,
                           std::mutex* maintenance_mu, bool* fired,
                           bool* stale, bool* halted);
 
-  Status Worker(ConcurrentRunResult* result, std::mutex* maintenance_mu);
+  /// Fires instantiations until the run stops: quiescence, a halt,
+  /// max_firings or a failure. Called holding the baton; gives it back on
+  /// return.
+  void Worker(ConcurrentRunResult* result, std::mutex* maintenance_mu);
 
   WorkingMemory wm_;
   Matcher* matcher_;
@@ -108,11 +145,12 @@ class ConcurrentEngine {
   ConcurrentEngineOptions options_;
   FunctionRegistry functions_;
 
-  mutable std::mutex mu_;
+  Baton baton_;
+  // The run's state, with the run's result. Only the baton holder
+  // touches it.
   std::vector<std::string> commit_log_;
-  std::atomic<size_t> firings_{0};
-  std::atomic<bool> halted_{false};
-  std::atomic<int> active_workers_{0};
+  size_t active_workers_ = 0;  // firings taken and not yet finished
+  Status error_;               // the first failed firing's
 };
 
 }  // namespace prodb

@@ -26,8 +26,16 @@ Status SequentialEngine::Step(bool* fired, EngineRunResult* result) {
     wm_.BeginBatch();
     Status st = ExecuteRhs(rule, inst, functions_, &wm_, &halted);
     // A failing action undoes the firing's whole RHS before the matcher
-    // sees any of it, as the concurrent engine's abort does.
-    if (!st.ok()) return wm_.AbortBatch(st);
+    // sees any of it, as the concurrent engine's abort does. When the
+    // rollback went through (AbortBatch then hands the cause back),
+    // working memory is as before, so the instantiation holds again.
+    if (!st.ok()) {
+      Status aborted = wm_.AbortBatch(st);
+      if (aborted.code() == st.code() && aborted.message() == st.message()) {
+        matcher_->conflict_set().Add(std::move(inst));
+      }
+      return aborted;
+    }
     PRODB_RETURN_IF_ERROR(wm_.CommitBatch());
     firing_log_.push_back(inst.rule_name);
     ++result->firings;

@@ -53,7 +53,8 @@ class SequentialEngine {
   /// eagerly, and the matcher receives the whole ∆ in one OnBatch at the
   /// end (the atomic-RHS view §5.2's commit rule requires). A failing
   /// action rolls the batch back and its error is returned: the firing
-  /// changes nothing.
+  /// changes nothing, and its instantiation goes back into the conflict
+  /// set (unless the rollback itself failed).
   Status Step(bool* fired, EngineRunResult* result);
 
   FunctionRegistry& functions() { return functions_; }

@@ -305,6 +305,7 @@ Status RuleServer::HandleRun(Socket* sock, const std::string& payload) {
     if (mode == 1) {
       // Workers take 2PL locks, so the maintenance mutex is taken per
       // firing, at its commit, like a session's (see maintenance_mu_).
+      // This session thread is worker 0.
       ConcurrentEngine& engine = system_->concurrent_engine();
       ConcurrentRunResult r;
       st = engine.Run(&r, &maintenance_mu_);

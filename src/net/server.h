@@ -121,13 +121,14 @@ class RuleServer {
   std::mutex run_mu_;
 
   /// Serializes matcher maintenance (OnBatch + its delta-listener
-  /// bracket): each session's, each concurrent firing's and its deadlock
-  /// requeue, a whole serial kRun, and kLoad installs. Commits happen
-  /// outside it so sessions group-commit concurrently. Lock-order rule:
-  /// no 2PL lock is ever requested while it is held — a session or a
-  /// firing takes it only once its locks are all granted, and the serial
-  /// engine takes no 2PL locks — so a lock wait can never hide behind
-  /// it, out of the lock manager's waits-for graph.
+  /// bracket): each session's, each concurrent firing's and its requeue,
+  /// a whole serial kRun, and kLoad installs. Commits happen outside it
+  /// so sessions group-commit concurrently. Lock-order rule: no 2PL lock
+  /// is ever requested while it is held — a session or a firing takes it
+  /// only once its locks are all granted, and the serial engine takes no
+  /// 2PL locks — so a lock wait can never hide behind it, out of the lock
+  /// manager's waits-for graph. A firing takes it after the concurrent
+  /// engine's run baton, and nobody requests the baton while holding it.
   std::mutex maintenance_mu_;
 
   Socket tcp_listener_;

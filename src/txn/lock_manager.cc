@@ -91,7 +91,7 @@ bool LockManager::HasCycleFrom(uint64_t start) const {
 }
 
 Status LockManager::Acquire(uint64_t txn, const ResourceId& res,
-                            LockMode mode) {
+                            LockMode mode, TxnWaiter* waiter) {
   std::unique_lock<std::mutex> lock(mu_);
   Queue& q = table_[res];
 
@@ -125,6 +125,8 @@ Status LockManager::Acquire(uint64_t txn, const ResourceId& res,
   }
 
   // Record waits-for edges to the conflicting holders.
+  bool told = false;  // the waiter has heard Waiting()
+  Status result;
   for (;;) {
     waits_for_[txn].clear();
     for (const Request& r : q.requests) {
@@ -138,19 +140,33 @@ Status LockManager::Acquire(uint64_t txn, const ResourceId& res,
       // Remove a pure waiter; keep an existing granted (pre-upgrade) lock.
       if (!self->granted) q.requests.erase(self);
       cv_.notify_all();
-      return Status::Deadlock("txn " + std::to_string(txn) + " on " +
-                              res.ToString());
+      result = Status::Deadlock("txn " + std::to_string(txn) + " on " +
+                                res.ToString());
+      break;
     }
-    // Re-check grantability with a bounded wait so that releases on other
-    // resources (which change the waits-for graph) are observed.
-    cv_.wait_for(lock, std::chrono::milliseconds(5));
+    if (waiter != nullptr && !told) {
+      // Outside mu_, since the waiter may block. Our request stays queued
+      // with its waits-for edges meanwhile, so `q` and `self` stay valid;
+      // a release in between is seen by the check below.
+      lock.unlock();
+      waiter->Waiting();
+      told = true;
+      lock.lock();
+    } else {
+      // Re-check grantability with a bounded wait so that releases on
+      // other resources (which change the waits-for graph) are observed.
+      cv_.wait_for(lock, std::chrono::milliseconds(5));
+    }
     if (Grantable(q, txn, mode)) {
       waits_for_.erase(txn);
       self->mode = mode;
       self->granted = true;
-      return Status::OK();
+      break;
     }
   }
+  lock.unlock();
+  if (told) waiter->Resumed();
+  return result;
 }
 
 void LockManager::ReleaseAll(uint64_t txn) {

@@ -52,6 +52,37 @@ struct ResourceId {
   std::string ToString() const;
 };
 
+/// Hears when a transaction's thread stops to wait and when it goes on.
+/// The concurrent engine hands its run baton on this way, so another
+/// firing runs while this one waits (ConcurrentEngine).
+class TxnWaiter {
+ public:
+  /// The thread is about to block.
+  virtual void Waiting() = 0;
+  /// The wait is over; returns when the thread may go on.
+  virtual void Resumed() = 0;
+
+ protected:
+  ~TxnWaiter() = default;  // never owned through this interface
+};
+
+/// Brackets one blocking wait: Waiting() on entry, Resumed() on exit.
+/// A null waiter makes it a no-op.
+class WaitScope {
+ public:
+  explicit WaitScope(TxnWaiter* waiter) : waiter_(waiter) {
+    if (waiter_ != nullptr) waiter_->Waiting();
+  }
+  ~WaitScope() {
+    if (waiter_ != nullptr) waiter_->Resumed();
+  }
+  WaitScope(const WaitScope&) = delete;
+  WaitScope& operator=(const WaitScope&) = delete;
+
+ private:
+  TxnWaiter* waiter_;
+};
+
 /// Strict two-phase lock manager with waits-for deadlock detection.
 ///
 /// Acquire blocks until the lock is granted or a deadlock involving the
@@ -64,7 +95,11 @@ struct ResourceId {
 class LockManager {
  public:
   /// Blocks until granted. Upgrades (e.g. S -> X) are performed in place.
-  Status Acquire(uint64_t txn, const ResourceId& res, LockMode mode);
+  /// A request that must wait tells `waiter` (when given) Waiting() once,
+  /// before it first blocks, and Resumed() once it is granted or picked
+  /// as the deadlock victim; neither is called under the manager's mutex.
+  Status Acquire(uint64_t txn, const ResourceId& res, LockMode mode,
+                 TxnWaiter* waiter = nullptr);
 
   /// Releases every lock `txn` holds and wakes waiters.
   void ReleaseAll(uint64_t txn);

@@ -4,22 +4,24 @@ namespace prodb {
 
 Status Transaction::ReadLock(const std::string& rel, TupleId id) {
   PRODB_RETURN_IF_ERROR(locks_->Acquire(id_, ResourceId::Rel(rel),
-                                        LockMode::kIS));
-  return locks_->Acquire(id_, ResourceId::Tup(rel, id), LockMode::kS);
+                                        LockMode::kIS, waiter_));
+  return locks_->Acquire(id_, ResourceId::Tup(rel, id), LockMode::kS,
+                         waiter_);
 }
 
 Status Transaction::ReadLockRelation(const std::string& rel) {
-  return locks_->Acquire(id_, ResourceId::Rel(rel), LockMode::kS);
+  return locks_->Acquire(id_, ResourceId::Rel(rel), LockMode::kS, waiter_);
 }
 
 Status Transaction::WriteLock(const std::string& rel, TupleId id) {
   PRODB_RETURN_IF_ERROR(locks_->Acquire(id_, ResourceId::Rel(rel),
-                                        LockMode::kIX));
-  return locks_->Acquire(id_, ResourceId::Tup(rel, id), LockMode::kX);
+                                        LockMode::kIX, waiter_));
+  return locks_->Acquire(id_, ResourceId::Tup(rel, id), LockMode::kX,
+                         waiter_);
 }
 
 Status Transaction::WriteIntent(const std::string& rel) {
-  return locks_->Acquire(id_, ResourceId::Rel(rel), LockMode::kIX);
+  return locks_->Acquire(id_, ResourceId::Rel(rel), LockMode::kIX, waiter_);
 }
 
 Status Transaction::Insert(const std::string& rel, const Tuple& t,
@@ -27,7 +29,8 @@ Status Transaction::Insert(const std::string& rel, const Tuple& t,
   PRODB_RETURN_IF_ERROR(WriteIntent(rel));
   PRODB_RETURN_IF_ERROR(writes_.Insert(rel, t, id));
   // Lock the new tuple so no reader observes it before we commit.
-  return locks_->Acquire(id_, ResourceId::Tup(rel, *id), LockMode::kX);
+  return locks_->Acquire(id_, ResourceId::Tup(rel, *id), LockMode::kX,
+                         waiter_);
 }
 
 Status Transaction::Delete(const std::string& rel, TupleId id) {
@@ -39,7 +42,8 @@ Status Transaction::Modify(const std::string& rel, TupleId id, const Tuple& t,
                            TupleId* new_id) {
   PRODB_RETURN_IF_ERROR(WriteLock(rel, id));
   PRODB_RETURN_IF_ERROR(writes_.Modify(rel, id, t, new_id));
-  return locks_->Acquire(id_, ResourceId::Tup(rel, *new_id), LockMode::kX);
+  return locks_->Acquire(id_, ResourceId::Tup(rel, *new_id), LockMode::kX,
+                         waiter_);
 }
 
 Status Transaction::Read(const std::string& rel, TupleId id, Tuple* out) {
@@ -55,7 +59,7 @@ Status Transaction::Rollback() {
   return st;
 }
 
-std::unique_ptr<Transaction> TxnManager::Begin() {
+std::unique_ptr<Transaction> TxnManager::Begin(TxnWaiter* waiter) {
   // Ids must stay above anything recorded in a recovered log: a reused id
   // would inherit the dead transaction's commit record at the next
   // restart and its losers would be redone as winners.
@@ -64,7 +68,7 @@ std::unique_ptr<Transaction> TxnManager::Begin() {
   while (cur < floor && !next_id_.compare_exchange_weak(cur, floor)) {
   }
   return std::make_unique<Transaction>(next_id_.fetch_add(1), catalog_,
-                                       locks_);
+                                       locks_, waiter);
 }
 
 Status TxnManager::Commit(Transaction* txn, const MaintainFn& maintain) {
@@ -107,7 +111,13 @@ Status TxnManager::Commit(Transaction* txn) {
     LogRecord rec;
     rec.type = LogRecordType::kCommit;
     rec.txn_id = txn->id();
-    PRODB_RETURN_IF_ERROR(wal->FlushTo(wal->Append(rec)));
+    const Lsn lsn = wal->Append(rec);
+    Status forced;
+    {
+      WaitScope wait(txn->waiter());
+      forced = wal->FlushTo(lsn);
+    }
+    PRODB_RETURN_IF_ERROR(forced);
   }
   txn->MarkCommitted();
   // Durable now: the pages this transaction dirtied may be stolen.

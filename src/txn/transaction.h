@@ -33,13 +33,20 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 /// maintenance" rule, TxnManager::Commit). Applying, recording, page
 /// placement and compensation are the WriteSet's, shared with
 /// WorkingMemory.
+///
+/// A transaction may carry a TxnWaiter that hears its waits: its lock
+/// waits, the commit record's log force (TxnManager::Commit) and a
+/// firing's `call` actions (ExecuteRhs). The concurrent engine gives its
+/// firings one; server sessions have none.
 class Transaction {
  public:
-  Transaction(uint64_t id, Catalog* catalog, LockManager* locks)
-      : id_(id), locks_(locks), writes_(catalog, id) {}
+  Transaction(uint64_t id, Catalog* catalog, LockManager* locks,
+              TxnWaiter* waiter = nullptr)
+      : id_(id), locks_(locks), waiter_(waiter), writes_(catalog, id) {}
 
   uint64_t id() const { return id_; }
   TxnState state() const { return state_; }
+  TxnWaiter* waiter() const { return waiter_; }
 
   /// --- Locking ---------------------------------------------------------
   /// Tuple read lock (takes relation IS first).
@@ -84,6 +91,7 @@ class Transaction {
  private:
   uint64_t id_;
   LockManager* locks_;
+  TxnWaiter* waiter_;
   TxnState state_ = TxnState::kActive;
   WriteSet writes_;
 };
@@ -94,7 +102,8 @@ class TxnManager {
   TxnManager(Catalog* catalog, LockManager* locks)
       : catalog_(catalog), locks_(locks) {}
 
-  std::unique_ptr<Transaction> Begin();
+  /// Starts a transaction; `waiter`, when given, hears its waits.
+  std::unique_ptr<Transaction> Begin(TxnWaiter* waiter = nullptr);
 
   /// COND maintenance over a transaction's ∆ (e.g. Matcher::OnBatch).
   using MaintainFn = std::function<Status(const ChangeSet&)>;
@@ -113,9 +122,10 @@ class TxnManager {
   Status Commit(Transaction* txn, const MaintainFn& maintain);
 
   /// Commit with no maintenance: force the WAL through a commit record
-  /// (when the catalog has one), mark committed and release locks. On a
-  /// log-flush failure the transaction is left active with locks held;
-  /// the caller should abort it.
+  /// (when the catalog has one; the force is a wait the transaction's
+  /// waiter hears), mark committed and release locks. On a log-flush
+  /// failure the transaction is left active with locks held; the caller
+  /// should abort it.
   Status Commit(Transaction* txn);
 
   /// Abort: Rollback, write the abort record, release locks. Returns the

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
+#include <thread>
 
 #include "engine/sequential_engine.h"
 #include "matcher_test_util.h"
@@ -26,6 +30,21 @@ std::map<std::string, std::multiset<std::string>> DbFingerprint(
                     .ok());
   }
   return out;
+}
+
+// The two inputs of the tests whose firings must interleave: an RHS that
+// runs straight through, and one that first waits in `(call pause)`. A
+// worker keeps the run baton until its firing waits, so only the second
+// puts several firings in flight together, their 2PL locks then deciding
+// the outcome.
+const char* const kRhsWaits[] = {"", "(call pause) "};
+
+// Registers `pause`, a call that sleeps 200 us.
+void RegisterPause(FunctionRegistry* functions) {
+  functions->Register("pause", [](const std::vector<Value>&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return Status::OK();
+  });
 }
 
 class ConcurrentEngineTest : public ::testing::Test {
@@ -80,95 +99,160 @@ TEST_F(ConcurrentEngineTest, ZeroWorkersIsRejected) {
 
 TEST_F(ConcurrentEngineTest, ConflictingRulesStaySerializable) {
   // Two rules compete for the same token; only one may consume it.
-  ConcurrentEngineOptions opts;
-  opts.workers = 4;
-  Load(R"(
+  for (const std::string wait : kRhsWaits) {
+    SCOPED_TRACE("rhs prefix '" + wait + "'");
+    MatcherHarness h;
+    ASSERT_TRUE(h.Init(R"(
 (literalize Token id)
 (literalize WonA id)
 (literalize WonB id)
-(p a (Token ^id <x>) --> (remove 1) (make WonA ^id <x>))
-(p b (Token ^id <x>) --> (remove 1) (make WonB ^id <x>))
+(p a (Token ^id <x>) --> )" + wait + R"((remove 1) (make WonA ^id <x>))
+(p b (Token ^id <x>) --> )" + wait + R"((remove 1) (make WonB ^id <x>))
 )",
-       opts);
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(engine_->Insert("Token", Tuple{Value(i)}).ok());
+                       "query")
+                    .ok());
+    LockManager locks;
+    ConcurrentEngineOptions opts;
+    opts.workers = 4;
+    ConcurrentEngine engine(h.catalog.get(), h.matcher.get(), &locks, opts);
+    RegisterPause(&engine.functions());
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(engine.Insert("Token", Tuple{Value(i)}).ok());
+    }
+    ConcurrentRunResult result;
+    ASSERT_TRUE(engine.Run(&result).ok());
+    // Exactly one winner per token: 40 firings total, 40 outputs.
+    EXPECT_EQ(result.firings, 40u);
+    size_t a = h.catalog->Get("WonA")->Count();
+    size_t b = h.catalog->Get("WonB")->Count();
+    EXPECT_EQ(a + b, 40u);
+    EXPECT_EQ(h.catalog->Get("Token")->Count(), 0u);
+    // Losers are either removed by maintenance before being taken or
+    // detected as stale at validation (or, while waiting, lose a deadlock
+    // and are requeued); either way nothing remains queued and nothing
+    // double-fires.
+    EXPECT_TRUE(h.matcher->conflict_set().empty());
+    EXPECT_EQ(locks.LockedResourceCount(), 0u);
   }
-  ConcurrentRunResult result;
-  ASSERT_TRUE(engine_->Run(&result).ok());
-  // Exactly one winner per token: 40 firings total, 40 outputs.
-  EXPECT_EQ(result.firings, 40u);
-  size_t a = harness_.catalog->Get("WonA")->Count();
-  size_t b = harness_.catalog->Get("WonB")->Count();
-  EXPECT_EQ(a + b, 40u);
-  EXPECT_EQ(harness_.catalog->Get("Token")->Count(), 0u);
-  // Losers are either removed by maintenance before being taken or
-  // detected as stale at validation; either way nothing remains queued
-  // and nothing double-fires.
-  EXPECT_TRUE(harness_.matcher->conflict_set().empty());
 }
 
 TEST_F(ConcurrentEngineTest, CommitLogReplaysSerially) {
   // Serializability witness: replaying the committed firing sequence
   // serially from the same initial WM must land in the same final state.
-  ConcurrentEngineOptions opts;
-  opts.workers = 4;
-  opts.seed = 7;
-  const char* program = R"(
+  for (const std::string wait : kRhsWaits) {
+    SCOPED_TRACE("rhs prefix '" + wait + "'");
+    const std::string program = R"(
 (literalize Queue id stage)
-(p advance1 (Queue ^id <x> ^stage 1) --> (modify 1 ^stage 2))
-(p advance2 (Queue ^id <x> ^stage 2) --> (modify 1 ^stage 3))
+(p advance1 (Queue ^id <x> ^stage 1) --> )" + wait + R"((modify 1 ^stage 2))
+(p advance2 (Queue ^id <x> ^stage 2) --> )" + wait + R"((modify 1 ^stage 3))
 )";
-  Load(program, opts);
-  std::vector<Tuple> initial;
-  for (int i = 0; i < 20; ++i) {
-    Tuple t{Value(i), Value(1)};
-    initial.push_back(t);
-    ASSERT_TRUE(engine_->Insert("Queue", t).ok());
-  }
-  ConcurrentRunResult result;
-  ASSERT_TRUE(engine_->Run(&result).ok());
-  EXPECT_EQ(result.firings, 40u);  // each item advances twice
-  auto concurrent_state =
-      DbFingerprint(harness_.catalog.get(), {"Queue"});
+    MatcherHarness h;
+    ASSERT_TRUE(h.Init(program, "query").ok());
+    LockManager locks;
+    ConcurrentEngineOptions opts;
+    opts.workers = 4;
+    opts.seed = 7;
+    ConcurrentEngine engine(h.catalog.get(), h.matcher.get(), &locks, opts);
+    RegisterPause(&engine.functions());
+    std::vector<Tuple> initial;
+    for (int i = 0; i < 20; ++i) {
+      Tuple t{Value(i), Value(1)};
+      initial.push_back(t);
+      ASSERT_TRUE(engine.Insert("Queue", t).ok());
+    }
+    ConcurrentRunResult result;
+    ASSERT_TRUE(engine.Run(&result).ok());
+    EXPECT_EQ(result.firings, 40u);  // each item advances twice
+    auto concurrent_state = DbFingerprint(h.catalog.get(), {"Queue"});
 
-  // Serial replay.
-  MatcherHarness serial;
-  ASSERT_TRUE(serial.Init(program, "query").ok());
-  SequentialEngine seq(serial.catalog.get(), serial.matcher.get());
-  for (const Tuple& t : initial) {
-    ASSERT_TRUE(seq.Insert("Queue", t).ok());
+    // Serial replay.
+    MatcherHarness serial;
+    ASSERT_TRUE(serial.Init(program, "query").ok());
+    SequentialEngine seq(serial.catalog.get(), serial.matcher.get());
+    RegisterPause(&seq.functions());
+    for (const Tuple& t : initial) {
+      ASSERT_TRUE(seq.Insert("Queue", t).ok());
+    }
+    EngineRunResult seq_result;
+    ASSERT_TRUE(seq.Run(&seq_result).ok());
+    EXPECT_EQ(seq_result.firings, 40u);
+    EXPECT_EQ(DbFingerprint(serial.catalog.get(), {"Queue"}),
+              concurrent_state);
   }
-  EngineRunResult seq_result;
-  ASSERT_TRUE(seq.Run(&seq_result).ok());
-  EXPECT_EQ(seq_result.firings, 40u);
-  EXPECT_EQ(DbFingerprint(serial.catalog.get(), {"Queue"}),
-            concurrent_state);
 }
 
 TEST_F(ConcurrentEngineTest, NegativeDependenceIsRespected) {
   // `lone` fires only while no Blocker exists; `spawn` creates Blockers.
   // Relation-level read locks (§5.2) prevent a `lone` commit from racing
-  // a Blocker insertion it should have seen.
+  // a Blocker insertion it should have seen: with waiting RHSs, a `spawn`
+  // that inserts while a `lone` is in flight blocks on its S lock.
+  for (const std::string wait : kRhsWaits) {
+    SCOPED_TRACE("rhs prefix '" + wait + "'");
+    MatcherHarness h;
+    ASSERT_TRUE(h.Init(R"(
+(literalize Seed id)
+(literalize Blocker id)
+(literalize Output id)
+(p spawn (Seed ^id <x>) --> )" + wait + R"((remove 1) (make Blocker ^id <x>))
+(p lone (Seed ^id <x>) -(Blocker ^id <x>) --> )" + wait +
+                           R"((remove 1) (make Output ^id <x>))
+)",
+                       "query")
+                    .ok());
+    LockManager locks;
+    ConcurrentEngineOptions opts;
+    opts.workers = 4;
+    ConcurrentEngine engine(h.catalog.get(), h.matcher.get(), &locks, opts);
+    RegisterPause(&engine.functions());
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(engine.Insert("Seed", Tuple{Value(i)}).ok());
+    }
+    ConcurrentRunResult result;
+    ASSERT_TRUE(engine.Run(&result).ok());
+    // Every seed was consumed exactly once.
+    EXPECT_EQ(h.catalog->Get("Seed")->Count(), 0u);
+    size_t blockers = h.catalog->Get("Blocker")->Count();
+    size_t outputs = h.catalog->Get("Output")->Count();
+    EXPECT_EQ(blockers + outputs, 30u);
+    EXPECT_TRUE(h.matcher->conflict_set().empty());
+    EXPECT_EQ(locks.LockedResourceCount(), 0u);
+  }
+}
+
+// Write skew through negated CEs: `lone` writes an Output only while no
+// Blocker exists for its id, and `block` a Blocker only while no Output
+// does, so any serial order makes exactly one of the two per id. Each RHS
+// waits first, so both firings on an id validate before either commits;
+// only the relation-level S locks their negated CEs take keep both from
+// committing, by blocking the other's insert until one aborts.
+TEST_F(ConcurrentEngineTest, NegatedReadLocksPreventWriteSkew) {
   ConcurrentEngineOptions opts;
   opts.workers = 4;
   Load(R"(
 (literalize Seed id)
+(literalize Trigger id)
 (literalize Blocker id)
 (literalize Output id)
-(p spawn (Seed ^id <x>) --> (remove 1) (make Blocker ^id <x>))
-(p lone (Seed ^id <x>) -(Blocker ^id <x>) --> (remove 1) (make Output ^id <x>))
+(p lone (Seed ^id <x>) -(Blocker ^id <x>) -->
+  (call pause) (remove 1) (make Output ^id <x>))
+(p block (Trigger ^id <x>) -(Output ^id <x>) -->
+  (call pause) (remove 1) (make Blocker ^id <x>))
 )",
        opts);
-  for (int i = 0; i < 30; ++i) {
+  RegisterPause(&engine_->functions());
+  constexpr int kIds = 20;
+  for (int i = 0; i < kIds; ++i) {
     ASSERT_TRUE(engine_->Insert("Seed", Tuple{Value(i)}).ok());
+    ASSERT_TRUE(engine_->Insert("Trigger", Tuple{Value(i)}).ok());
   }
   ConcurrentRunResult result;
   ASSERT_TRUE(engine_->Run(&result).ok());
-  // Every seed was consumed exactly once.
-  EXPECT_EQ(harness_.catalog->Get("Seed")->Count(), 0u);
-  size_t blockers = harness_.catalog->Get("Blocker")->Count();
-  size_t outputs = harness_.catalog->Get("Output")->Count();
-  EXPECT_EQ(blockers + outputs, 30u);
+  EXPECT_EQ(result.firings, static_cast<size_t>(kIds));
+  EXPECT_EQ(harness_.catalog->Get("Blocker")->Count() +
+                harness_.catalog->Get("Output")->Count(),
+            static_cast<size_t>(kIds));
+  EXPECT_TRUE(harness_.matcher->conflict_set().empty());
+  EXPECT_EQ(locks_.LockedResourceCount(), 0u);
 }
 
 // A worker revalidates a negated CE before firing with the executor's
@@ -340,6 +424,42 @@ TEST_F(ConcurrentEngineTest, HaltStopsWorkers) {
   EXPECT_TRUE(result.halted);
   // Workers stop promptly; far fewer than 100 firings.
   EXPECT_LT(result.firings, 100u);
+}
+
+// Firings overlap where they wait: a worker hands the run baton on while
+// its `call` runs. `rendezvous` returns only once both firings' calls are
+// in progress, so a call that kept the baton would leave the other firing
+// unstarted and time out.
+TEST_F(ConcurrentEngineTest, FiringsOverlapWhileTheyWait) {
+  ConcurrentEngineOptions opts;
+  opts.workers = 2;
+  Load(R"(
+(literalize Job id)
+(p meet (Job ^id <x>) --> (call rendezvous) (remove 1))
+)",
+       opts);
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  engine_->functions().Register(
+      "rendezvous", [&](const std::vector<Value>&) {
+        std::unique_lock<std::mutex> lock(mu);
+        ++arrived;
+        cv.notify_all();
+        if (!cv.wait_for(lock, std::chrono::seconds(5),
+                         [&] { return arrived >= 2; })) {
+          return Status::Internal("rendezvous timed out");
+        }
+        return Status::OK();
+      });
+  ASSERT_TRUE(engine_->Insert("Job", Tuple{Value(1)}).ok());
+  ASSERT_TRUE(engine_->Insert("Job", Tuple{Value(2)}).ok());
+  ConcurrentRunResult result;
+  Status st = engine_->Run(&result);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(result.firings, 2u);
+  EXPECT_EQ(harness_.catalog->Get("Job")->Count(), 0u);
+  EXPECT_EQ(locks_.LockedResourceCount(), 0u);
 }
 
 }  // namespace

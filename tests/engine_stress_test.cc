@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <thread>
+
 #include "engine/concurrent_engine.h"
 #include "engine/sequential_engine.h"
 #include "matcher_test_util.h"
@@ -39,6 +45,67 @@ TEST(EngineStressTest, OppositeLockOrdersResolveViaDeadlockHandling) {
   EXPECT_EQ(result.firings, 24u);
   EXPECT_EQ(h.catalog->Get("A")->Count(), 0u);
   EXPECT_EQ(h.catalog->Get("B")->Count(), 0u);
+  EXPECT_EQ(locks.LockedResourceCount(), 0u);
+}
+
+TEST(EngineStressTest, WaitingFiringsDeadlockAndCompensate) {
+  // Firings without waits no longer interleave (a worker keeps the run
+  // baton until its firing waits), so here each RHS waits in a `call`
+  // between its two removes. Other firings then read-lock the pair in the
+  // opposite order, the second remove's X lock closes the cycle, and the
+  // victim aborts, compensates and is retried. A lock wait that kept the
+  // baton would hang the run, so a missed deadline ends the process.
+  MatcherHarness h;
+  ASSERT_TRUE(h.Init(R"(
+(literalize X id)
+(literalize Y id)
+(literalize Out id)
+(p xy (X ^id <i>) (Y ^id <i>) -->
+  (remove 1) (call pause) (remove 2) (make Out ^id <i>))
+(p yx (Y ^id <i>) (X ^id <i>) -->
+  (remove 1) (call pause) (remove 2) (make Out ^id <i>))
+)",
+                     "query")
+                  .ok());
+  LockManager locks;
+  ConcurrentEngineOptions opts;
+  opts.workers = 4;
+  ConcurrentEngine engine(h.catalog.get(), h.matcher.get(), &locks, opts);
+  engine.functions().Register("pause", [](const std::vector<Value>&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return Status::OK();
+  });
+  constexpr int kPairs = 40;
+  for (int i = 0; i < kPairs; ++i) {
+    ASSERT_TRUE(engine.Insert("X", Tuple{Value(i)}).ok());
+    ASSERT_TRUE(engine.Insert("Y", Tuple{Value(i)}).ok());
+  }
+  ConcurrentRunResult result;
+  Status st;
+  std::atomic<bool> done{false};
+  std::thread run([&] {
+    st = engine.Run(&result);
+    done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done.load()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr,
+                   "WaitingFiringsDeadlockAndCompensate: the run did not "
+                   "finish within 30 s: engine hung\n");
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  run.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_GT(result.deadlock_aborts, 0u);
+  EXPECT_EQ(result.firings, static_cast<size_t>(kPairs));
+  EXPECT_EQ(h.catalog->Get("X")->Count(), 0u);
+  EXPECT_EQ(h.catalog->Get("Y")->Count(), 0u);
+  EXPECT_EQ(h.catalog->Get("Out")->Count(), static_cast<size_t>(kPairs));
+  EXPECT_TRUE(h.matcher->conflict_set().empty());
   EXPECT_EQ(locks.LockedResourceCount(), 0u);
 }
 

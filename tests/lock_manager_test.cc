@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 namespace prodb {
@@ -112,6 +113,58 @@ TEST(LockManagerTest, DeadlockDetected) {
   EXPECT_GE(lm.deadlocks_detected(), 1u);
   lm.ReleaseAll(1);
   lm.ReleaseAll(2);
+}
+
+// Counts what a request tells its waiter. Each call reads the lock
+// table, which takes the manager's mutex: a call made under that mutex
+// would self-deadlock.
+class CountingWaiter : public TxnWaiter {
+ public:
+  explicit CountingWaiter(const LockManager* lm) : lm_(lm) {}
+  void Waiting() override {
+    lm_->LockedResourceCount();
+    waiting.fetch_add(1);
+  }
+  void Resumed() override {
+    lm_->LockedResourceCount();
+    resumed.fetch_add(1);
+  }
+  std::atomic<int> waiting{0};
+  std::atomic<int> resumed{0};
+
+ private:
+  const LockManager* lm_;
+};
+
+TEST(LockManagerTest, WaiterHearsEachBlockedRequestOnce) {
+  LockManager lm;
+  ResourceId a = ResourceId::Tup("Emp", {1, 0});
+  ResourceId b = ResourceId::Tup("Emp", {2, 0});
+  CountingWaiter w1(&lm), w2(&lm);
+  // Granted at once: nothing to tell.
+  ASSERT_TRUE(lm.Acquire(1, a, LockMode::kX, &w1).ok());
+  ASSERT_TRUE(lm.Acquire(2, b, LockMode::kX, &w2).ok());
+  EXPECT_EQ(w1.waiting.load() + w1.resumed.load(), 0);
+  // Blocked: "waiting" once before the wait, however long it lasts.
+  std::thread t(
+      [&] { EXPECT_TRUE(lm.Acquire(1, b, LockMode::kX, &w1).ok()); });
+  while (w1.waiting.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(w1.waiting.load(), 1);
+  EXPECT_EQ(w1.resumed.load(), 0);
+  // The request closing the cycle is the victim before it ever blocks.
+  EXPECT_TRUE(lm.Acquire(2, a, LockMode::kX, &w2).IsDeadlock());
+  EXPECT_EQ(w2.waiting.load() + w2.resumed.load(), 0);
+  // Granted after the wait: "resumed" once.
+  lm.ReleaseAll(2);
+  t.join();
+  EXPECT_EQ(w1.waiting.load(), 1);
+  EXPECT_EQ(w1.resumed.load(), 1);
+  EXPECT_TRUE(lm.Holds(1, b, LockMode::kX));
+  lm.ReleaseAll(1);
+  EXPECT_EQ(lm.LockedResourceCount(), 0u);
 }
 
 TEST(LockManagerTest, IntentLocksAllowTupleConcurrency) {

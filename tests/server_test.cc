@@ -294,17 +294,22 @@ TEST(ServerTest, HaltEndsTheRunAfterTheWholeRhs) {
 // A firing whose RHS fails changes nothing: the serial cycle rolls back
 // the actions that ran before the failing one, as a concurrent firing's
 // abort does, and Run, RunConcurrent and both kRun modes return the
-// error with B empty and A intact.
+// error with B empty and A intact. The instantiation goes back into the
+// conflict set, which again equals what working memory implies, and the
+// run stops at the failure instead of firing it again.
 TEST(ServerTest, FailedRhsLeavesWorkingMemoryAsBefore) {
   const std::string program =
       "(literalize A x)\n(literalize B y)\n"
       "(p r (A ^x <x>) --> (make B ^y <x>) (call boom))\n";
   const Tuple a{Value(int64_t{1})};
-  const ExternalFn boom = [](const std::vector<Value>&) {
+  std::atomic<int> booms{0};
+  const ExternalFn boom = [&booms](const std::vector<Value>&) {
+    booms.fetch_add(1);
     return Status::Internal("boom");
   };
   for (bool concurrent : {false, true}) {
     SCOPED_TRACE(concurrent ? "RunConcurrent" : "Run");
+    booms.store(0);
     ProductionSystem ps;
     ASSERT_TRUE(ps.LoadString(program).ok());
     ps.RegisterFunction("boom", boom);
@@ -314,9 +319,12 @@ TEST(ServerTest, FailedRhsLeavesWorkingMemoryAsBefore) {
         << st.ToString();
     EXPECT_EQ(ps.catalog().Get("B")->Count(), 0u);
     EXPECT_EQ(ps.catalog().Get("A")->Count(), 1u);
+    EXPECT_EQ(ps.conflict_set().size(), 1u);
+    EXPECT_EQ(booms.load(), 1);
   }
   for (bool concurrent : {false, true}) {
     SCOPED_TRACE(concurrent ? "kRun concurrent" : "kRun serial");
+    booms.store(0);
     RuleServerOptions opts = TcpOptions();
     opts.preload = program;
     RuleServer server(opts);
@@ -341,6 +349,8 @@ TEST(ServerTest, FailedRhsLeavesWorkingMemoryAsBefore) {
     ASSERT_EQ(as.tuples.size(), 1u);
     EXPECT_EQ(as.tuples[0].second, a);
     EXPECT_TRUE(bs.tuples.empty());
+    EXPECT_EQ(server.system().conflict_set().size(), 1u);
+    EXPECT_EQ(booms.load(), 1);
     server.Stop();
   }
 }
