@@ -7,11 +7,14 @@
 // registered `call`), which is where worker parallelism pays off. The
 // CPU-bound rows run the serving benchmark's `fire` program, whose
 // firings never wait, to price concurrency where it has nothing to
-// overlap.
+// overlap. The lock-path rows price §5's 2PL wrapper around one
+// transaction's writes.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <deque>
+#include <memory>
 #include <thread>
 
 #include "common/rng.h"
@@ -246,6 +249,74 @@ BENCHMARK(BM_ConcurrentCpuBound)
     ->Iterations(kCpuBoundRuns)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+// The 2PL lock path of one acked batch, on the shape of the serving
+// benchmark's `ingest` request: one transaction makes 16 readings and
+// removes the 16 oldest of a 65,536-tuple memory relation, then commits
+// (no WAL, no matcher). `others` more transactions stay open throughout,
+// each holding read locks on 32 tuples the churn never touches, so the
+// lock table is larger by their locks; the transaction's own cost,
+// release included, should not grow with them. Reported as µs per
+// transaction, with the commit (lock release) alone as `commit_us`.
+void BM_LockPath(benchmark::State& state) {
+  const int others = static_cast<int>(state.range(0));
+  constexpr int kWindow = 65536;
+  constexpr int kOpsPerSide = 16;
+  constexpr int kHeldPerOther = 32;
+  Catalog catalog;
+  Relation* rel = nullptr;
+  Check(catalog.CreateRelation(Schema("Reading", {{"sensor", ValueType::kInt},
+                                                  {"kind", ValueType::kInt},
+                                                  {"val", ValueType::kInt}}),
+                               &rel));
+  int64_t next = 0;
+  auto reading = [&next] {
+    const int64_t n = next++;
+    return Tuple{Value(n), Value(n % 32), Value(n % 1000)};
+  };
+  std::deque<TupleId> window;
+  for (int i = 0; i < kWindow; ++i) {
+    TupleId id;
+    Check(rel->Insert(reading(), &id));
+    window.push_back(id);
+  }
+  LockManager locks;
+  TxnManager txns(&catalog, &locks);
+  std::vector<std::unique_ptr<Transaction>> open;
+  for (int t = 0; t < others; ++t) {
+    open.push_back(txns.Begin());
+    for (int i = 0; i < kHeldPerOther; ++i) {
+      TupleId id;
+      Check(rel->Insert(reading(), &id));
+      Check(open.back()->ReadLock("Reading", id));
+    }
+  }
+  double commit_us = 0;
+  for (auto _ : state) {
+    auto txn = txns.Begin();
+    for (int i = 0; i < kOpsPerSide; ++i) {
+      TupleId id;
+      Check(txn->Insert("Reading", reading(), &id));
+      window.push_back(id);
+    }
+    for (int i = 0; i < kOpsPerSide; ++i) {
+      Check(txn->Delete("Reading", window.front()));
+      window.pop_front();
+    }
+    const auto start = std::chrono::steady_clock::now();
+    Check(txns.Commit(txn.get()));
+    const std::chrono::duration<double, std::micro> commit =
+        std::chrono::steady_clock::now() - start;
+    commit_us += commit.count();
+  }
+  for (auto& txn : open) Check(txns.Commit(txn.get()));
+  if (locks.LockedResourceCount() != 0) std::abort();
+  state.counters["others"] = static_cast<double>(others);
+  state.counters["commit_us"] =
+      commit_us / static_cast<double>(state.iterations());
+}
+
+BENCHMARK(BM_LockPath)->Arg(0)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 // The Select step alone: drain `pending` instantiations of a rule whose
 // RHS only retracts its own tuple, so a firing is Take + one Rete delete.

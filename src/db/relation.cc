@@ -90,6 +90,16 @@ Status Relation::Get(TupleId id, Tuple* out) const {
   return heap_->Get(id, out);
 }
 
+bool Relation::Contains(TupleId id, const Tuple& tuple) const {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  if (kind_ == StorageKind::kMemory) {
+    auto it = rows_.find(id);
+    return it != rows_.end() && it->second == tuple;
+  }
+  Tuple stored;
+  return heap_->Get(id, &stored).ok() && stored == tuple;
+}
+
 Status Relation::Delete(TupleId id, Tuple* old) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   Tuple removed;

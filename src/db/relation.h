@@ -62,6 +62,9 @@ class Relation {
   /// Memory relations ignore the hint.
   Status InsertNear(TupleId near, const Tuple& tuple, TupleId* id);
   Status Get(TupleId id, Tuple* out) const;
+  /// True when `id` is live and holds `tuple`. A memory relation compares
+  /// in place, copying nothing; a paged one decodes the record once.
+  bool Contains(TupleId id, const Tuple& tuple) const;
   /// Removes the tuple at `id`; *old (when given) receives it.
   Status Delete(TupleId id, Tuple* old = nullptr);
   /// Re-inserts a previously deleted tuple under its original id.

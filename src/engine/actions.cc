@@ -38,9 +38,8 @@ bool MatchedTuplesUnchanged(const Catalog& catalog, const Rule& rule,
     const ConditionSpec& cond = rule.lhs.conditions[ce];
     if (cond.negated) continue;
     Relation* rel = catalog.Get(cond.relation);
-    Tuple t;
-    if (rel == nullptr || !rel->Get(inst.tuple_ids[ce], &t).ok() ||
-        t != inst.tuples[ce]) {
+    if (rel == nullptr ||
+        !rel->Contains(inst.tuple_ids[ce], inst.tuples[ce])) {
       return false;
     }
   }

@@ -48,7 +48,10 @@ class FunctionRegistry {
 /// True when every positive CE's tuple of `inst` is still in working
 /// memory, unchanged: the check both engines make before firing, since a
 /// concurrent commit (or a caller writing relations directly) may have
-/// deleted or replaced a matched tuple since the match.
+/// deleted or replaced a matched tuple since the match. Each tuple is
+/// compared where it is stored (Relation::Contains). Ids are never
+/// reused and a modify is a delete then an insert, so a live id's tuple
+/// never changes; the comparison stays as the defensive check.
 bool MatchedTuplesUnchanged(const Catalog& catalog, const Rule& rule,
                             const Instantiation& inst);
 

@@ -1,7 +1,6 @@
 #include "engine/concurrent_engine.h"
 
 #include <chrono>
-#include <thread>
 
 #include "common/rng.h"
 #include "db/executor.h"
@@ -114,17 +113,16 @@ Status ConcurrentEngine::RunInstantiation(const Instantiation& inst,
   return Status::OK();
 }
 
-void ConcurrentEngine::Worker(ConcurrentRunResult* result,
-                              std::mutex* maintenance_mu) {
+void ConcurrentEngine::Worker() {
   ConflictSet::Chooser chooser =
       MakeStrategy(options_.strategy, &matcher_->rules(), options_.seed);
   Rng backoff(options_.seed ^ 0x9e3779b97f4a7c15ULL);
   // Hands the baton on for one wait outside any firing.
   auto pause = [this](std::chrono::microseconds wait) {
-    baton_.Give();
+    WaitScope scope(&baton_);
     std::this_thread::sleep_for(wait);
-    baton_.Take();
   };
+  ConcurrentRunResult* result = result_;
   while (!result->halted && error_.ok() &&
          result->firings < options_.max_firings) {
     Instantiation inst;
@@ -136,7 +134,7 @@ void ConcurrentEngine::Worker(ConcurrentRunResult* result,
     ++active_workers_;
     bool fired = false, stale = false, halted = false;
     Status st =
-        RunInstantiation(inst, maintenance_mu, &fired, &stale, &halted);
+        RunInstantiation(inst, maintenance_mu_, &fired, &stale, &halted);
     --active_workers_;
     if (st.IsDeadlock()) {
       // A victim, compensated and requeued: retry after a backoff.
@@ -155,6 +153,17 @@ void ConcurrentEngine::Worker(ConcurrentRunResult* result,
   baton_.Give();
 }
 
+void ConcurrentEngine::StartHelpers() {
+  if (!helpers_.empty()) return;
+  helpers_.reserve(options_.workers - 1);
+  for (size_t i = 1; i < options_.workers; ++i) {
+    helpers_.emplace_back([this] {
+      baton_.Take();
+      Worker();
+    });
+  }
+}
+
 Status ConcurrentEngine::Run(ConcurrentRunResult* result,
                              std::mutex* maintenance_mu) {
   *result = ConcurrentRunResult{};
@@ -164,21 +173,17 @@ Status ConcurrentEngine::Run(ConcurrentRunResult* result,
     return Status::InvalidArgument("concurrent engine needs >= 1 worker");
   }
   // This thread is worker 0 and starts with the baton, so a run whose
-  // firings never wait stays on the core (and in the cache) it began on.
+  // firings never wait stays on the core (and in the cache) it began on,
+  // and starts no helper (StartHelpers).
   baton_.Take();
+  result_ = result;
+  maintenance_mu_ = maintenance_mu;
   commit_log_.clear();
   active_workers_ = 0;
   error_ = Status::OK();
-  std::vector<std::thread> helpers;
-  helpers.reserve(options_.workers - 1);
-  for (size_t i = 1; i < options_.workers; ++i) {
-    helpers.emplace_back([this, result, maintenance_mu] {
-      baton_.Take();
-      Worker(result, maintenance_mu);
-    });
-  }
-  Worker(result, maintenance_mu);
-  for (std::thread& t : helpers) t.join();
+  Worker();
+  for (std::thread& t : helpers_) t.join();
+  helpers_.clear();
   if (result->firings >= options_.max_firings) result->exhausted = true;
   return error_;
 }

@@ -3,6 +3,7 @@
 
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/actions.h"
@@ -79,18 +80,19 @@ class ConcurrentEngine {
   }
 
   /// Drains the conflict set to quiescence with `workers` workers: the
-  /// calling thread is worker 0, and `workers - 1` helper threads start
-  /// (none for one worker). A firing that commits a (halt) stops the run
-  /// once its whole RHS has committed. A firing that fails before its
-  /// commit point is rolled back and, when the rollback went through, its
-  /// instantiation goes back into the conflict set; the run then takes no
-  /// new firing and returns the first such error. When `maintenance_mu`
-  /// is given, each firing's commit maintenance and each requeue run
-  /// under it, so a caller that serializes its own OnBatch calls (and
-  /// conflict-set listeners) under that mutex interleaves with the run
-  /// per firing. It is taken only while the firing holds every 2PL lock
-  /// it will request — never while requesting one — and always after the
-  /// run baton.
+  /// calling thread is worker 0, and the `workers - 1` helper threads
+  /// start the first time a firing hands the baton on, so a run whose
+  /// firings never wait starts none. A firing that commits a (halt)
+  /// stops the run once its whole RHS has committed. A firing that fails
+  /// before its commit point is rolled back and, when the rollback went
+  /// through, its instantiation goes back into the conflict set; the run
+  /// then takes no new firing and returns the first such error. When
+  /// `maintenance_mu` is given, each firing's commit maintenance and each
+  /// requeue run under it, so a caller that serializes its own OnBatch
+  /// calls (and conflict-set listeners) under that mutex interleaves with
+  /// the run per firing. It is taken only while the firing holds every
+  /// 2PL lock it will request — never while requesting one — and always
+  /// after the run baton.
   Status Run(ConcurrentRunResult* result,
              std::mutex* maintenance_mu = nullptr);
 
@@ -114,12 +116,18 @@ class ConcurrentEngine {
   /// next.
   class Baton : public TxnWaiter {
    public:
+    explicit Baton(ConcurrentEngine* engine) : engine_(engine) {}
     void Take() { mu_.lock(); }
     void Give() { mu_.unlock(); }
-    void Waiting() override { Give(); }
+    /// Hands the baton on, first starting the run's helpers.
+    void Waiting() override {
+      engine_->StartHelpers();
+      Give();
+    }
     void Resumed() override { Take(); }
 
    private:
+    ConcurrentEngine* engine_;
     std::mutex mu_;
   };
 
@@ -137,7 +145,12 @@ class ConcurrentEngine {
   /// Fires instantiations until the run stops: quiescence, a halt,
   /// max_firings or a failure. Called holding the baton; gives it back on
   /// return.
-  void Worker(ConcurrentRunResult* result, std::mutex* maintenance_mu);
+  void Worker();
+
+  /// Starts the run's `workers - 1` helpers unless they are running.
+  /// Only the baton holder calls it, and before the helpers exist that
+  /// is always worker 0, so Run alone touches helpers_ otherwise.
+  void StartHelpers();
 
   WorkingMemory wm_;
   Matcher* matcher_;
@@ -145,9 +158,12 @@ class ConcurrentEngine {
   ConcurrentEngineOptions options_;
   FunctionRegistry functions_;
 
-  Baton baton_;
+  Baton baton_{this};
+  std::vector<std::thread> helpers_;  // this run's, once started
   // The run's state, with the run's result. Only the baton holder
   // touches it.
+  ConcurrentRunResult* result_ = nullptr;
+  std::mutex* maintenance_mu_ = nullptr;
   std::vector<std::string> commit_log_;
   size_t active_workers_ = 0;  // firings taken and not yet finished
   Status error_;               // the first failed firing's

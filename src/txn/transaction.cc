@@ -2,26 +2,49 @@
 
 namespace prodb {
 
+Transaction::RelationLock& Transaction::RelationOf(const std::string& rel) {
+  for (RelationLock& r : relations_) {
+    if (r.name == rel) return r;
+  }
+  relations_.push_back(RelationLock{rel, locks_->Intern(rel)});
+  return relations_.back();
+}
+
+Status Transaction::LockRelation(RelationLock& rel, LockMode mode) {
+  if (rel.held && LockCovers(rel.mode, mode)) return Status::OK();
+  PRODB_RETURN_IF_ERROR(
+      locks_->Acquire(id_, LockKey::Rel(rel.key), mode, waiter_));
+  rel.mode = rel.held ? LockJoin(rel.mode, mode) : mode;
+  rel.held = true;
+  return Status::OK();
+}
+
+Status Transaction::LockTuple(const std::string& rel, LockMode intent,
+                              TupleId id, LockMode mode) {
+  RelationLock& r = RelationOf(rel);
+  PRODB_RETURN_IF_ERROR(LockRelation(r, intent));
+  return locks_->Acquire(id_, LockKey::Tup(r.key, id), mode, waiter_);
+}
+
+void Transaction::ReleaseLocks() {
+  locks_->ReleaseAll(id_);
+  relations_.clear();
+}
+
 Status Transaction::ReadLock(const std::string& rel, TupleId id) {
-  PRODB_RETURN_IF_ERROR(locks_->Acquire(id_, ResourceId::Rel(rel),
-                                        LockMode::kIS, waiter_));
-  return locks_->Acquire(id_, ResourceId::Tup(rel, id), LockMode::kS,
-                         waiter_);
+  return LockTuple(rel, LockMode::kIS, id, LockMode::kS);
 }
 
 Status Transaction::ReadLockRelation(const std::string& rel) {
-  return locks_->Acquire(id_, ResourceId::Rel(rel), LockMode::kS, waiter_);
+  return LockRelation(RelationOf(rel), LockMode::kS);
 }
 
 Status Transaction::WriteLock(const std::string& rel, TupleId id) {
-  PRODB_RETURN_IF_ERROR(locks_->Acquire(id_, ResourceId::Rel(rel),
-                                        LockMode::kIX, waiter_));
-  return locks_->Acquire(id_, ResourceId::Tup(rel, id), LockMode::kX,
-                         waiter_);
+  return LockTuple(rel, LockMode::kIX, id, LockMode::kX);
 }
 
 Status Transaction::WriteIntent(const std::string& rel) {
-  return locks_->Acquire(id_, ResourceId::Rel(rel), LockMode::kIX, waiter_);
+  return LockRelation(RelationOf(rel), LockMode::kIX);
 }
 
 Status Transaction::Insert(const std::string& rel, const Tuple& t,
@@ -29,8 +52,7 @@ Status Transaction::Insert(const std::string& rel, const Tuple& t,
   PRODB_RETURN_IF_ERROR(WriteIntent(rel));
   PRODB_RETURN_IF_ERROR(writes_.Insert(rel, t, id));
   // Lock the new tuple so no reader observes it before we commit.
-  return locks_->Acquire(id_, ResourceId::Tup(rel, *id), LockMode::kX,
-                         waiter_);
+  return WriteLock(rel, *id);
 }
 
 Status Transaction::Delete(const std::string& rel, TupleId id) {
@@ -42,8 +64,7 @@ Status Transaction::Modify(const std::string& rel, TupleId id, const Tuple& t,
                            TupleId* new_id) {
   PRODB_RETURN_IF_ERROR(WriteLock(rel, id));
   PRODB_RETURN_IF_ERROR(writes_.Modify(rel, id, t, new_id));
-  return locks_->Acquire(id_, ResourceId::Tup(rel, *new_id), LockMode::kX,
-                         waiter_);
+  return WriteLock(rel, *new_id);
 }
 
 Status Transaction::Read(const std::string& rel, TupleId id, Tuple* out) {
@@ -149,7 +170,7 @@ void TxnManager::Release(Transaction* txn, bool ended) {
   if (catalog_->wal() != nullptr) {
     catalog_->buffer_pool()->ReleaseTxnPages(txn->id());
   }
-  locks_->ReleaseAll(txn->id());
+  txn->ReleaseLocks();
 }
 
 }  // namespace prodb

@@ -38,6 +38,12 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 /// waits, the commit record's log force (TxnManager::Commit) and a
 /// firing's `call` actions (ExecuteRhs). The concurrent engine gives its
 /// firings one; server sessions have none.
+///
+/// The transaction remembers the mode it holds on each relation it has
+/// locked, so the relation IS/IX that every read and write re-requests
+/// is answered here when that mode covers it; only a request it does
+/// not cover reaches the LockManager, and the mode then becomes the
+/// LockJoin of the two, as the manager's in-place upgrade does.
 class Transaction {
  public:
   Transaction(uint64_t id, Catalog* catalog, LockManager* locks,
@@ -88,12 +94,32 @@ class Transaction {
   /// transaction deleted nothing from a paged relation.
   void ReleaseReservations() { writes_.ReleaseReservations(); }
 
+  /// Releases every lock the transaction holds (TxnManager, at its end).
+  void ReleaseLocks();
+
  private:
+  /// A relation the transaction has requested a lock on.
+  struct RelationLock {
+    std::string name;
+    uint32_t key;       // LockManager::Intern(name)
+    bool held = false;  // `mode` granted
+    LockMode mode = LockMode::kIS;
+  };
+
+  /// The record of `rel`, made (and its name interned) on first use.
+  RelationLock& RelationOf(const std::string& rel);
+  /// Takes `mode` on the whole relation unless the held mode covers it.
+  Status LockRelation(RelationLock& rel, LockMode mode);
+  /// Takes relation intent `intent`, then `mode` on tuple `id`.
+  Status LockTuple(const std::string& rel, LockMode intent, TupleId id,
+                   LockMode mode);
+
   uint64_t id_;
   LockManager* locks_;
   TxnWaiter* waiter_;
   TxnState state_ = TxnState::kActive;
   WriteSet writes_;
+  std::vector<RelationLock> relations_;  // a transaction touches few
 };
 
 /// Issues transaction ids and finalizes commit/abort.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -314,6 +315,74 @@ TEST(TransactionSpaceTest, ConcurrentWritersAlwaysFindUndoRoom) {
     }
   }
   EXPECT_EQ(locks.LockedResourceCount(), 0u);
+}
+
+// The transaction answers a relation request its held mode covers, and
+// otherwise asks the manager, which upgrades in place to the join of the
+// two modes; the transaction then holds that join too.
+TEST_F(TransactionTest, RelationModesJoinLikeTheManager) {
+  TupleId id;
+  ASSERT_TRUE(rel_->Insert(Tuple{Value(1), Value("x")}, &id).ok());
+  const ResourceId rel = ResourceId::Rel("T");
+
+  auto reader = txn_manager_->Begin();
+  ASSERT_TRUE(reader->ReadLockRelation("T").ok());
+  ASSERT_TRUE(reader->WriteIntent("T").ok());  // S then IX: X
+  EXPECT_TRUE(locks_.Holds(reader->id(), rel, LockMode::kX));
+  TupleId made;
+  ASSERT_TRUE(reader->Insert("T", Tuple{Value(2), Value("y")}, &made).ok());
+  EXPECT_TRUE(locks_.Holds(reader->id(), rel, LockMode::kX));
+  ASSERT_TRUE(txn_manager_->Commit(reader.get()).ok());
+  EXPECT_EQ(locks_.LockedResourceCount(), 0u);
+
+  auto writer = txn_manager_->Begin();
+  ASSERT_TRUE(writer->ReadLock("T", id).ok());  // IS
+  EXPECT_TRUE(locks_.Holds(writer->id(), rel, LockMode::kIS));
+  EXPECT_FALSE(locks_.Holds(writer->id(), rel, LockMode::kIX));
+  ASSERT_TRUE(writer->Delete("T", id).ok());  // IS then IX: IX
+  EXPECT_TRUE(locks_.Holds(writer->id(), rel, LockMode::kIX));
+  EXPECT_FALSE(locks_.Holds(writer->id(), rel, LockMode::kS));
+  EXPECT_TRUE(locks_.Holds(writer->id(), ResourceId::Tup("T", id),
+                           LockMode::kX));
+  ASSERT_TRUE(txn_manager_->Commit(writer.get()).ok());
+  EXPECT_EQ(locks_.LockedResourceCount(), 0u);
+}
+
+// Tells when its transaction's request starts to wait.
+class FlagWaiter : public TxnWaiter {
+ public:
+  void Waiting() override { waiting.store(true); }
+  void Resumed() override {}
+  std::atomic<bool> waiting{false};
+};
+
+// Two readers of a relation both upgrade it to write: the second
+// upgrade closes the cycle and loses, keeping its S in the manager and
+// in the transaction, so asking again reaches the manager again.
+TEST_F(TransactionTest, UpgradeThatLosesADeadlockKeepsTheOldMode) {
+  const ResourceId rel = ResourceId::Rel("T");
+  FlagWaiter heard;
+  auto first = txn_manager_->Begin(&heard);
+  auto second = txn_manager_->Begin();
+  ASSERT_TRUE(first->ReadLockRelation("T").ok());
+  ASSERT_TRUE(second->ReadLockRelation("T").ok());
+  std::thread upgrade([&] { EXPECT_TRUE(first->WriteIntent("T").ok()); });
+  while (!heard.waiting.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(second->WriteIntent("T").IsDeadlock());
+  EXPECT_TRUE(locks_.Holds(second->id(), rel, LockMode::kS));
+  EXPECT_FALSE(locks_.Holds(second->id(), rel, LockMode::kX));
+  EXPECT_TRUE(second->WriteIntent("T").IsDeadlock());
+  TupleId id;
+  EXPECT_TRUE(
+      second->Insert("T", Tuple{Value(1), Value("a")}, &id).IsDeadlock());
+  EXPECT_EQ(rel_->Count(), 0u);
+  ASSERT_TRUE(txn_manager_->Abort(second.get()).ok());
+  upgrade.join();
+  EXPECT_TRUE(locks_.Holds(first->id(), rel, LockMode::kX));
+  ASSERT_TRUE(txn_manager_->Commit(first.get()).ok());
+  EXPECT_EQ(locks_.LockedResourceCount(), 0u);
 }
 
 TEST_F(TransactionTest, MissingRelationErrors) {
