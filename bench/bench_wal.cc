@@ -7,11 +7,16 @@
 // workload end-to-end versus the same workload with WAL off; (3) what
 // restart recovery costs as a function of log length, since recovery
 // runs on every open of an existing image; (4) whether a logged modify's
-// cost stays flat as the heap outgrows the buffer pool.
+// cost stays flat as the heap outgrows the buffer pool, in memory and
+// over a real file.
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <string>
 
 #include "bench_util.h"
 #include "storage/recovery.h"
@@ -186,11 +191,12 @@ BENCHMARK(BM_Recovery)->Arg(16)->Arg(64)->Arg(256);
 // then insert) per modify. Choosing the insert's page must not cost
 // O(pages), and the new version should land on the page its delete just
 // fetched, so time, pages fetched and evictions per modify should stay
-// flat from a heap inside the pool to one ~3x larger.
-void BM_PagedModifyChurn(benchmark::State& state) {
+// flat from a heap inside the pool to one ~3x larger. A new version as
+// large as the old one goes into the bytes its delete freed, so
+// compactions per modify stay far below one.
+void PagedModifyChurn(benchmark::State& state, DiskManager* disk) {
   const size_t live = static_cast<size_t>(state.range(0));
-  MemoryDiskManager disk;
-  CatalogOptions copts = WalOptions(&disk, /*wal=*/true);
+  CatalogOptions copts = WalOptions(disk, /*wal=*/true);
   copts.buffer_pool_frames = 256;
   Catalog catalog(copts);
   LockManager locks;
@@ -216,6 +222,7 @@ void BM_PagedModifyChurn(benchmark::State& state) {
     bench::Abort(tm.Commit(txn.get()), "preload commit");
   }
   const BufferPoolStats before = catalog.buffer_pool()->stats();
+  const uint64_t compactions_before = rel->compaction_count();
   for (auto _ : state) {
     const size_t pick = rng.Uniform(live);
     auto txn = tm.Begin();
@@ -233,10 +240,35 @@ void BM_PagedModifyChurn(benchmark::State& state) {
       ops;
   state.counters["evictions_per_op"] =
       static_cast<double>(after.evictions - before.evictions) / ops;
+  state.counters["compactions_per_op"] =
+      static_cast<double>(rel->compaction_count() - compactions_before) / ops;
   state.counters["heap_pages"] =
       static_cast<double>(rel->FootprintBytes() / kPageSize);
 }
+
+void BM_PagedModifyChurn(benchmark::State& state) {
+  MemoryDiskManager disk;
+  PagedModifyChurn(state, &disk);
+}
 BENCHMARK(BM_PagedModifyChurn)->Arg(1000)->Arg(16000)->Arg(100000);
+
+// The same churn over a FileDiskManager temp file: the pool's misses,
+// writebacks and log forces are pread/pwrite calls into the OS page
+// cache (no fsync), as on the served `durable` workload.
+void BM_PagedModifyChurnFile(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("prodb_bench_wal_" + std::to_string(::getpid()) + ".db"))
+          .string();
+  {
+    std::unique_ptr<FileDiskManager> disk;
+    bench::Abort(FileDiskManager::Open(path, /*truncate=*/true, &disk),
+                 "open");
+    PagedModifyChurn(state, disk.get());
+  }
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_PagedModifyChurnFile)->Arg(100000);
 
 }  // namespace
 }  // namespace prodb

@@ -151,6 +151,11 @@ size_t Relation::dead_slot_count() const {
   return kind_ == StorageKind::kMemory ? 0 : heap_->dead_slot_count();
 }
 
+uint64_t Relation::compaction_count() const {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  return kind_ == StorageKind::kMemory ? 0 : heap_->compaction_count();
+}
+
 Status Relation::Scan(
     const std::function<Status(TupleId, const Tuple&)>& fn) const {
   if (kind_ == StorageKind::kMemory) {

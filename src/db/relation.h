@@ -88,6 +88,9 @@ class Relation {
   /// directory bytes per deleted tuple — the price of TupleId stability;
   /// surfaced by bench_space.
   size_t dead_slot_count() const;
+  /// Heap-page compactions so far (0 for kMemory); see
+  /// HeapFile::compaction_count.
+  uint64_t compaction_count() const;
 
   /// Full scan. `fn` returning non-OK aborts and propagates.
   Status Scan(const std::function<Status(TupleId, const Tuple&)>& fn) const;

@@ -2,10 +2,10 @@
 #define PRODB_STORAGE_DISK_MANAGER_H_
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -68,6 +68,10 @@ class DiskManager {
 };
 
 /// DiskManager over an ordinary file. Thread-safe.
+///
+/// Pages move with pread(2)/pwrite(2) at their offset on one file
+/// descriptor: no seek, no user-space buffer, exactly kPageSize bytes per
+/// call. A write lands in the OS page cache; nothing here calls fsync.
 class FileDiskManager : public DiskManager {
  public:
   /// Creates (truncating) or opens the file at `path`.
@@ -86,17 +90,24 @@ class FileDiskManager : public DiskManager {
   uint64_t reads() const override { return reads_; }
   uint64_t writes() const override { return writes_; }
 
-  /// Puts the stream into a failed state so the next operation fails —
-  /// the only deterministic way to exercise real-fstream error paths
-  /// (failbit recovery, allocate id rollback) without faulting the OS.
-  void InjectStreamFaultForTesting();
+  /// Makes the next read, write or allocate fail in its system call —
+  /// the only deterministic way to exercise the real I/O error paths
+  /// (the manager stays usable, an allocate's id is not burned) without
+  /// faulting the OS.
+  void InjectIoFaultForTesting();
 
  private:
-  FileDiskManager() = default;
+  FileDiskManager(int fd, std::string path, uint32_t page_count)
+      : fd_(fd), path_(std::move(path)), page_count_(page_count) {}
+
+  /// The descriptor the next transfer uses: -1, once, after
+  /// InjectIoFaultForTesting. Caller holds mu_.
+  int TransferFd();
 
   mutable std::mutex mu_;
-  std::fstream file_;
-  std::string path_;
+  const int fd_;
+  const std::string path_;
+  bool fail_next_ = false;
   uint32_t page_count_ = 0;
   std::vector<uint32_t> free_list_;
   uint64_t reads_ = 0;

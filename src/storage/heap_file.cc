@@ -43,6 +43,23 @@ void LogAndStamp(BufferPool* pool, Frame* frame, LogRecordType type,
   if (rec.txn_id != 0) pool->MarkTxnPage(rec.txn_id, rec.page_id);
 }
 
+// True when no live record of `page` shares a byte with the `length`
+// bytes at `offset`, and they lie in the record area.
+bool BytesAreDead(const char* page, uint16_t offset, uint16_t length) {
+  const uint16_t slots = PageSlotCount(page);
+  if (offset < kPageHeaderSize + slots * kSlotSize ||
+      offset + length > kPageSize) {
+    return false;
+  }
+  for (uint16_t s = 0; s < slots; ++s) {
+    const uint16_t len = SlotLength(page, s);
+    if (len == kDeadSlot) continue;
+    const uint16_t off = SlotOffset(page, s);
+    if (off < offset + length && offset < off + len) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Status HeapFile::Create(BufferPool* pool, std::unique_ptr<HeapFile>* out) {
@@ -184,8 +201,31 @@ void HeapFile::SetSpace(uint32_t page_id, PageSpace space) {
   by_available_.insert(std::move(node));
 }
 
+void HeapFile::NoteCompaction(uint32_t page_id) {
+  ++space_.at(page_id).compactions;
+  ++compactions_;
+}
+
+int HeapFile::InsertIntoOwnHole(char* page, uint32_t page_id,
+                                const std::string& rec, uint64_t txn) {
+  auto it = holes_.find(txn);
+  if (it == holes_.end()) return -1;
+  const Hole& hole = it->second;
+  if (hole.page_id != page_id ||
+      hole.compactions != space_.at(page_id).compactions ||
+      rec.size() > hole.length) {
+    return -1;
+  }
+  // A smaller record leaves the rest of the hole dead until the page is
+  // next compacted.
+  int slot = InsertIntoHole(page, hole.offset, rec);
+  if (slot >= 0) holes_.erase(it);
+  return slot;
+}
+
 void HeapFile::ReleaseReservations(uint64_t txn) {
   std::lock_guard<std::mutex> lock(mu_);
+  holes_.erase(txn);
   auto it = held_.lower_bound({txn, 0});
   while (it != held_.end() && it->first.first == txn) {
     PageSpace space = space_.at(it->first.second);
@@ -206,17 +246,35 @@ Status HeapFile::VerifySpaceIndex() const {
                               std::to_string(pages_.size()) + " pages");
   }
   for (uint32_t pid : pages_) {
+    auto it = space_.find(pid);
+    if (it == space_.end()) {
+      return Status::Corruption("free-space index lacks page " +
+                                std::to_string(pid));
+    }
     Frame* frame;
     PRODB_RETURN_IF_ERROR(pool_->FetchPage(pid, &frame));
     size_t reclaimable = ReclaimableFree(frame->data);
+    // A hole the page's compactions have not invalidated must still be
+    // dead bytes: its key writes a record there without looking.
+    bool holes_dead = true;
+    for (const auto& [key, hole] : holes_) {
+      if (hole.page_id == pid &&
+          hole.compactions == it->second.compactions &&
+          !BytesAreDead(frame->data, hole.offset, hole.length)) {
+        holes_dead = false;
+      }
+    }
     PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/false));
-    auto it = space_.find(pid);
-    if (it == space_.end() || it->second.free != reclaimable ||
+    if (it->second.free != reclaimable ||
         it->second.reserved > it->second.free ||
         it->second.reserved != held_on[pid] ||
         by_available_.count({it->second.available(), pid}) == 0) {
       return Status::Corruption("free-space index disagrees with page " +
                                 std::to_string(pid));
+    }
+    if (!holes_dead) {
+      return Status::Corruption("a remembered hole overlaps a live record "
+                                "on page " + std::to_string(pid));
     }
   }
   return Status::OK();
@@ -235,9 +293,15 @@ Status HeapFile::Insert(const Tuple& tuple, TupleId* id,
   if (pid == kAnyPage) PRODB_RETURN_IF_ERROR(AppendPage(&pid));
   Frame* frame;
   PRODB_RETURN_IF_ERROR(pool_->FetchPage(pid, &frame));
-  // The index admitted the page, so the record fits (InsertIntoPage
-  // compacts first when the free bytes are scattered).
-  int slot = InsertIntoPage(frame->data, rec);
+  // The index admitted the page, so the record fits: in the bytes our
+  // latest delete freed there, or in the page's free space
+  // (InsertIntoPage compacts first when the free bytes are scattered).
+  int slot = InsertIntoOwnHole(frame->data, pid, rec, txn);
+  if (slot < 0) {
+    bool compacted = false;
+    slot = InsertIntoPage(frame->data, rec, &compacted);
+    if (compacted) NoteCompaction(pid);
+  }
   if (slot < 0) {
     PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/false));
     return Status::Internal("free-space index out of step with page " +
@@ -299,7 +363,10 @@ Status HeapFile::Delete(TupleId id, Tuple* old) {
     SetSlot(frame->data, static_cast<uint16_t>(id.slot_id), 0, kDeadSlot);
     LogAndStamp(pool_, frame, LogRecordType::kSlotDelete, id.slot_id, {},
                 UndoKind::kRestore, std::move(before));
-    Free(id.page_id, len, CurrentReservationKey());
+    const uint64_t key = CurrentReservationKey();
+    Free(id.page_id, len, key);
+    holes_.insert_or_assign(
+        key, Hole{id.page_id, space_.at(id.page_id).compactions, off, len});
     --live_tuples_;
     ++dead_slots_;
     dirty = true;
@@ -327,7 +394,10 @@ Status HeapFile::Restore(TupleId id, const Tuple& tuple) {
   } else {
     // CompactPage preserves slot ids and leaves dead slots dead, so the
     // directory entry at id.slot_id survives.
-    if (ContiguousFree(frame->data) < rec.size()) CompactPage(frame->data);
+    if (ContiguousFree(frame->data) < rec.size()) {
+      CompactPage(frame->data);
+      NoteCompaction(id.page_id);
+    }
     uint16_t free_end = GetU16(frame->data, kPageFreeEndOff);
     free_end = static_cast<uint16_t>(free_end - rec.size());
     std::memcpy(frame->data + free_end, rec.data(), rec.size());
@@ -353,6 +423,11 @@ size_t HeapFile::TupleCount() const {
 size_t HeapFile::dead_slot_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dead_slots_;
+}
+
+uint64_t HeapFile::compaction_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return compactions_;
 }
 
 Status HeapFile::Scan(

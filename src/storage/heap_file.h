@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -44,6 +45,10 @@ namespace prodb {
 /// batch's) delete frees stay reserved for it (its own inserts and
 /// restores may use them) until ReleaseReservations, so its rollback — at
 /// runtime or in restart undo — always finds room for the before-images.
+/// On the chosen page, an insert writes its record into the bytes its
+/// reservation key's latest delete freed there when it fits (a modify's
+/// new version into its old version's bytes), and otherwise compacts the
+/// page if its free bytes are scattered.
 class HeapFile {
  public:
   /// Insert's "no placement hint".
@@ -107,6 +112,11 @@ class HeapFile {
   /// stable for matcher bookkeeping and abort compensation.
   size_t dead_slot_count() const;
 
+  /// Number of times an insert or restore compacted a page to make its
+  /// free bytes contiguous. A modify whose new version fits in the bytes
+  /// its delete freed compacts nothing.
+  uint64_t compaction_count() const;
+
   /// Number of pages owned by this file.
   size_t PageCount() const { return pages_.size(); }
 
@@ -118,13 +128,25 @@ class HeapFile {
   explicit HeapFile(BufferPool* pool) : pool_(pool) {}
 
   /// A page's space: reclaimable bytes (ReclaimableFree) and the part of
-  /// them live transactions hold for their own undo.
+  /// them live transactions hold for their own undo, and how often the
+  /// page has been compacted (records moved).
   struct PageSpace {
     uint16_t free = 0;
     uint16_t reserved = 0;
+    uint32_t compactions = 0;
     uint16_t available() const {
       return static_cast<uint16_t>(free - reserved);
     }
+  };
+
+  /// The record bytes a reservation key's latest delete freed. They stay
+  /// dead, and no other writer places a record in them, until the page
+  /// is next compacted.
+  struct Hole {
+    uint32_t page_id = 0;
+    uint32_t compactions = 0;  // the page's count at the delete
+    uint16_t offset = 0;
+    uint16_t length = 0;
   };
 
   Status AppendPage(uint32_t* page_id);
@@ -145,6 +167,13 @@ class HeapFile {
   void Free(uint32_t page_id, size_t bytes, uint64_t txn);
   /// Sets a page's space and keeps the ordered index in step.
   void SetSpace(uint32_t page_id, PageSpace space);
+  /// Counts a compaction of `page_id`: every hole on it is forgotten.
+  void NoteCompaction(uint32_t page_id);
+  /// Writes `rec` into `txn`'s hole when the hole is on `page_id`, still
+  /// valid and large enough, and the directory has room for a new slot.
+  /// Returns the new slot, or -1 to take the compacting path.
+  int InsertIntoOwnHole(char* page, uint32_t page_id, const std::string& rec,
+                        uint64_t txn);
 
   BufferPool* pool_;
   mutable std::mutex mu_;
@@ -155,8 +184,11 @@ class HeapFile {
   // (txn, page id) -> bytes that transaction's deletes freed there and
   // its undo may need back.
   std::map<std::pair<uint64_t, uint32_t>, uint16_t> held_;
+  // Reservation key -> the hole its latest delete left.
+  std::unordered_map<uint64_t, Hole> holes_;
   size_t live_tuples_ = 0;
   size_t dead_slots_ = 0;
+  uint64_t compactions_ = 0;
 };
 
 }  // namespace prodb

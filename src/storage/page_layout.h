@@ -137,15 +137,19 @@ inline void CompactPage(char* page) {
 }
 
 /// Inserts an encoded record into the page if it fits. Returns the slot id
-/// or -1 if there is not enough space even after compaction. Dead slots
-/// are never reused (TupleId stability; see HeapFile).
-inline int InsertIntoPage(char* page, const std::string& rec) {
+/// or -1 if there is not enough space even after compaction; *compacted
+/// tells whether the page was compacted. Dead slots are never reused
+/// (TupleId stability; see HeapFile).
+inline int InsertIntoPage(char* page, const std::string& rec,
+                          bool* compacted) {
+  *compacted = false;
   if (rec.size() > kPageSize - kPageHeaderSize - kSlotSize) return -1;
   uint16_t slots = PageSlotCount(page);
   size_t need = rec.size() + kSlotSize;
   if (ContiguousFree(page) < need) {
     if (ReclaimableFree(page) < need) return -1;
     CompactPage(page);
+    *compacted = true;
     if (ContiguousFree(page) < need) return -1;
   }
   uint16_t free_end = GetU16(page, kPageFreeEndOff);
@@ -155,6 +159,21 @@ inline int InsertIntoPage(char* page, const std::string& rec) {
   uint16_t slot = slots;
   PutU16(page, kPageSlotCountOff, static_cast<uint16_t>(slots + 1));
   SetSlot(page, slot, free_end, static_cast<uint16_t>(rec.size()));
+  return slot;
+}
+
+/// Writes `rec` at `offset`, into dead record bytes the caller knows no
+/// live record overlaps, under a new slot at the end of the directory —
+/// the slot InsertIntoPage would have given it — without moving any
+/// record. Returns the slot id, or -1 when the directory has no room for
+/// the new entry.
+inline int InsertIntoHole(char* page, uint16_t offset,
+                          const std::string& rec) {
+  if (ContiguousFree(page) < kSlotSize) return -1;
+  uint16_t slot = PageSlotCount(page);
+  std::memcpy(page + offset, rec.data(), rec.size());
+  PutU16(page, kPageSlotCountOff, static_cast<uint16_t>(slot + 1));
+  SetSlot(page, slot, offset, static_cast<uint16_t>(rec.size()));
   return slot;
 }
 

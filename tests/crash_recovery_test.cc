@@ -151,6 +151,78 @@ void RunScript(Catalog* catalog, LockManager* locks, ScriptResult* out,
   }
 }
 
+// Same-size modify churn: 160 rows (five pages) committed in one
+// transaction, then transactions that each modify eight of them to a new
+// version of the same size and commit, except every third, which aborts.
+// The heap writes each new version into the bytes its delete freed,
+// while redo places it by slot, elsewhere on the page. The last
+// transaction's modifies are done but it never ends: it is in flight at
+// the crash. The four-frame pool steals pages uncommitted modifies
+// dirtied.
+void RunModifyChurnScript(Catalog* catalog, LockManager* locks,
+                          ScriptResult* out) {
+  out->snapshots.push_back({});
+  auto note = [&](const Status& st) {
+    if (out->first_error.ok() && !st.ok()) out->first_error = st;
+    return st.ok();
+  };
+  Relation* rel = nullptr;
+  if (!note(catalog->CreateRelation(CrashSchema(), StorageKind::kPaged,
+                                    &rel))) {
+    return;
+  }
+  out->head_page = rel->head_page_id();
+  auto row = [](int64_t k, int version) {
+    return Tuple{Value(k),
+                 Value(std::string(100, static_cast<char>('a' + version)))};
+  };
+  TxnManager tm(catalog, locks);
+  std::map<TupleId, Tuple> model;  // committed state only
+  for (int t = 0; t <= 13; ++t) {
+    std::vector<TupleId> live;  // deterministic: map order
+    for (const auto& [id, tup] : model) live.push_back(id);
+    auto txn = tm.Begin();
+    bool ok = true;
+    for (int m = 0; m < (t == 0 ? 160 : 8) && ok; ++m) {
+      TupleId id;
+      if (t == 0) {
+        ok = note(txn->Insert("WM", row(m, 0), &id));
+      } else {
+        const TupleId old = live[static_cast<size_t>(t * 37 + m * 13) % 160];
+        ok = note(txn->Modify("WM", old, row(model[old][0].as_int(), t),
+                              &id));
+      }
+    }
+    if (!ok) {
+      (void)tm.Abort(txn.get());  // disk is dying; best-effort
+      return;
+    }
+    if (t == 13) return;  // in flight at the crash
+    if (t % 3 == 2) {
+      if (!note(tm.Abort(txn.get()))) return;
+      continue;
+    }
+    if (!note(tm.Commit(txn.get()))) return;
+    for (const Delta& d : txn->changes()) {
+      if (d.is_insert()) {
+        model[d.id] = d.tuple;
+      } else {
+        model.erase(d.id);
+      }
+    }
+    out->commit_ids.push_back(txn->id());
+    out->snapshots.push_back(ModelTuples(model));
+  }
+}
+
+// A script the sweeps crash at every injectable I/O index.
+using Script = void (*)(Catalog*, LockManager*, ScriptResult*);
+
+void RunScriptWithCheckpoints(Catalog* catalog, LockManager* locks,
+                              ScriptResult* out) {
+  RunScript(catalog, locks, out, /*checkpoints=*/true);
+}
+
 std::vector<std::string> DumpPages(DiskManager* disk) {
   std::vector<std::string> pages;
   char buf[kPageSize];
@@ -271,18 +343,18 @@ void VerifyCrashImage(MemoryDiskManager* img, const ScriptResult& script) {
 }
 
 // Fault-free baseline; its I/O trace defines the sweep's index space.
-uint64_t CountScriptOps(bool auto_flush) {
+uint64_t CountScriptOps(Script run, bool auto_flush, size_t commits) {
   FaultInjectingDiskManager fault(std::make_unique<MemoryDiskManager>());
   Catalog catalog(WalCatalogOptions(&fault, auto_flush));
   LockManager locks;
   ScriptResult script;
-  RunScript(&catalog, &locks, &script, /*checkpoints=*/true);
+  run(&catalog, &locks, &script);
   EXPECT_TRUE(script.first_error.ok()) << script.first_error.ToString();
-  EXPECT_EQ(script.commit_ids.size(), 11u);  // 14 txns, 3 abort
+  EXPECT_EQ(script.commit_ids.size(), commits);
   return fault.total_ops();
 }
 
-void RunCrashCase(uint64_t index, bool auto_flush) {
+void RunCrashCase(Script run, uint64_t index, bool auto_flush) {
   FaultInjectingDiskManager fault(std::make_unique<MemoryDiskManager>());
   fault.set_freeze_on_fault(true);
   fault.FailAtOp(index, /*sticky=*/true);
@@ -290,13 +362,28 @@ void RunCrashCase(uint64_t index, bool auto_flush) {
   Catalog catalog(WalCatalogOptions(&fault, auto_flush));
   LockManager locks;
   ScriptResult script;
-  RunScript(&catalog, &locks, &script, /*checkpoints=*/true);
+  run(&catalog, &locks, &script);
   ASSERT_TRUE(fault.has_snapshot()) << "fault index never reached";
   // Locks may still be held here — they are in-memory state that dies
   // with the crashed process, so recovery owes them nothing.
 
   auto img = CrashImage(fault);
   VerifyCrashImage(img.get(), script);
+}
+
+// Crashes `run` at each of its injectable I/O indexes in turn and checks
+// every crash image; stops at the first broken index.
+void SweepCrashes(Script run, bool auto_flush, size_t commits,
+                  const char* label) {
+  uint64_t total = CountScriptOps(run, auto_flush, commits);
+  ASSERT_GT(total, 0u);
+  std::cout << "[ sweep    ] " << total << " injectable crash points ("
+            << label << ")\n";
+  for (uint64_t i = 0; i < total; ++i) {
+    SCOPED_TRACE("crash at I/O index " + std::to_string(i));
+    RunCrashCase(run, i, auto_flush);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(CrashRecoveryTest, CleanImageRecoversToFullState) {
@@ -314,29 +401,41 @@ TEST(CrashRecoveryTest, CleanImageRecoversToFullState) {
 }
 
 TEST(CrashRecoveryTest, GroupCommitCrashSweep) {
-  uint64_t total = CountScriptOps(/*auto_flush=*/false);
-  ASSERT_GT(total, 0u);
-  std::cout << "[ sweep    ] " << total
-            << " injectable crash points (group commit)\n";
-  for (uint64_t i = 0; i < total; ++i) {
-    SCOPED_TRACE("crash at I/O index " + std::to_string(i));
-    RunCrashCase(i, /*auto_flush=*/false);
-    if (HasFailure()) return;  // first broken index is enough signal
-  }
+  SweepCrashes(RunScriptWithCheckpoints, /*auto_flush=*/false,
+               /*commits=*/11, "group commit");  // 14 txns, 3 abort
 }
 
 TEST(CrashRecoveryTest, AutoFlushCrashSweep) {
   // Every log record boundary is a disk-write boundary under auto_flush,
   // so this sweep crashes between (and inside) individual records.
-  uint64_t total = CountScriptOps(/*auto_flush=*/true);
-  ASSERT_GT(total, 0u);
-  std::cout << "[ sweep    ] " << total
-            << " injectable crash points (auto-flush)\n";
-  for (uint64_t i = 0; i < total; ++i) {
-    SCOPED_TRACE("crash at I/O index " + std::to_string(i));
-    RunCrashCase(i, /*auto_flush=*/true);
-    if (HasFailure()) return;
+  SweepCrashes(RunScriptWithCheckpoints, /*auto_flush=*/true,
+               /*commits=*/11, "auto-flush");
+}
+
+// Restart after in-hole placements: the committed modifies' new versions
+// sit in their old versions' bytes on the crashed pages, redo places them
+// by slot, and the in-flight transaction's are undone.
+TEST(CrashRecoveryTest, ModifyChurnCleanImageRecoversCommittedState) {
+  auto mem = std::make_unique<MemoryDiskManager>();
+  ScriptResult script;
+  {
+    Catalog catalog(WalCatalogOptions(mem.get(), /*auto_flush=*/false));
+    LockManager locks;
+    RunModifyChurnScript(&catalog, &locks, &script);
+    ASSERT_TRUE(script.first_error.ok()) << script.first_error.ToString();
+    Relation* rel = catalog.Get("WM");
+    ASSERT_NE(rel, nullptr);
+    EXPECT_LT(rel->compaction_count(), 13u * 8u / 2u)
+        << "most same-size modifies should land in their own hole";
   }
+  // The preload, then 13 churn transactions: 4 abort, 1 is left open.
+  ASSERT_EQ(script.commit_ids.size(), 9u);
+  VerifyCrashImage(mem.get(), script);
+}
+
+TEST(CrashRecoveryTest, ModifyChurnCrashSweep) {
+  SweepCrashes(RunModifyChurnScript, /*auto_flush=*/false, /*commits=*/9,
+               "same-size modify churn");
 }
 
 // --- Torn / corrupt tail -------------------------------------------------
@@ -735,7 +834,8 @@ std::unique_ptr<MemoryDiskManager> CopyDisk(MemoryDiskManager* src) {
 // byte-level idempotence — CLRs make re-undo skip what a previous
 // recovery attempt already compensated.
 TEST(CrashRecoveryTest, CrashDuringRecoveryConvergesOnThirdRestart) {
-  uint64_t total = CountScriptOps(/*auto_flush=*/false);
+  uint64_t total = CountScriptOps(RunScriptWithCheckpoints,
+                                  /*auto_flush=*/false, /*commits=*/11);
   ASSERT_GT(total, 0u);
   // Mid-script: late enough for commits, checkpoints and in-flight work.
   uint64_t first_idx = (total * 2) / 3;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <map>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
@@ -47,22 +51,34 @@ TEST(MemoryDiskManagerTest, OutOfRangeRejected) {
 
 TEST(FileDiskManagerTest, PersistsAcrossReopen) {
   std::string path = testing::TempDir() + "/prodb_dm_test.db";
+  auto pattern = [](uint32_t page, size_t i) {
+    return static_cast<char>((page * 131 + i * 7) & 0xFF);
+  };
   {
     std::unique_ptr<FileDiskManager> dm;
     ASSERT_TRUE(FileDiskManager::Open(path, /*truncate=*/true, &dm).ok());
-    uint32_t pid;
-    ASSERT_TRUE(dm->AllocatePage(&pid).ok());
-    char buf[kPageSize] = {};
-    buf[17] = 'z';
-    ASSERT_TRUE(dm->WritePage(pid, buf).ok());
+    for (uint32_t p = 0; p < 3; ++p) {
+      uint32_t pid;
+      ASSERT_TRUE(dm->AllocatePage(&pid).ok());
+      ASSERT_EQ(pid, p);
+      char buf[kPageSize];
+      for (size_t i = 0; i < kPageSize; ++i) buf[i] = pattern(p, i);
+      ASSERT_TRUE(dm->WritePage(pid, buf).ok());
+    }
   }
   {
     std::unique_ptr<FileDiskManager> dm;
     ASSERT_TRUE(FileDiskManager::Open(path, /*truncate=*/false, &dm).ok());
-    EXPECT_EQ(dm->PageCount(), 1u);
-    char out[kPageSize];
-    ASSERT_TRUE(dm->ReadPage(0, out).ok());
-    EXPECT_EQ(out[17], 'z');
+    EXPECT_EQ(dm->PageCount(), 3u);
+    for (uint32_t p = 0; p < 3; ++p) {
+      char out[kPageSize];
+      ASSERT_TRUE(dm->ReadPage(p, out).ok());
+      size_t differing = 0;
+      for (size_t i = 0; i < kPageSize; ++i) {
+        if (out[i] != pattern(p, i)) ++differing;
+      }
+      EXPECT_EQ(differing, 0u) << "page " << p;
+    }
   }
   std::remove(path.c_str());
 }
@@ -75,12 +91,13 @@ TEST(FileDiskManagerTest, StreamFailureIsNotSticky) {
   ASSERT_TRUE(dm->AllocatePage(&pid).ok());
   char buf[kPageSize] = {};
   ASSERT_TRUE(dm->WritePage(pid, buf).ok());
-  // One failed operation must not make every later operation fail: the
-  // stream's failbit has to be cleared after the error.
-  dm->InjectStreamFaultForTesting();
+  // One failed operation must not make every later operation fail: a
+  // failed system call leaves the descriptor and the page count as they
+  // were.
+  dm->InjectIoFaultForTesting();
   EXPECT_FALSE(dm->ReadPage(pid, buf).ok());
   EXPECT_TRUE(dm->ReadPage(pid, buf).ok());
-  dm->InjectStreamFaultForTesting();
+  dm->InjectIoFaultForTesting();
   EXPECT_FALSE(dm->WritePage(pid, buf).ok());
   EXPECT_TRUE(dm->WritePage(pid, buf).ok());
   std::remove(path.c_str());
@@ -95,7 +112,7 @@ TEST(FileDiskManagerTest, FailedAllocateDoesNotBurnPageId) {
   EXPECT_EQ(pid, 0u);
   // A failed allocate must not consume a page id: the id would be
   // in-range for ReadPage but its page was never zero-filled.
-  dm->InjectStreamFaultForTesting();
+  dm->InjectIoFaultForTesting();
   EXPECT_FALSE(dm->AllocatePage(&pid).ok());
   EXPECT_EQ(dm->PageCount(), 1u);
   char buf[kPageSize];
@@ -315,6 +332,232 @@ TEST_F(HeapFileTest, InsertIntoThousandPageHeapFetchesAtMostTwoPages) {
   }
   Status st = hf_->VerifySpaceIndex();
   EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+// In-hole placement. FillHeadPage leaves the head page with exactly one
+// slot's worth of contiguous free space: 79 records of 47 bytes, one of
+// 43 and their 80 four-byte slot entries take 4,076 of its 4,080 bytes.
+class HeapFileHoleTest : public HeapFileTest {
+ protected:
+  static Tuple Row(char fill, size_t len = 38) {
+    return Tuple{Value(std::string(len, fill))};
+  }
+  void FillHeadPage() {
+    for (int i = 0; i < 80; ++i) {
+      TupleId id;
+      Tuple t = Row(static_cast<char>('a' + i % 26), i == 79 ? 34 : 38);
+      ASSERT_TRUE(hf_->Insert(t, &id).ok());
+      ASSERT_EQ(id.page_id, hf_->head_page_id());
+      rows_.emplace(id, t);
+    }
+    ASSERT_EQ(hf_->PageCount(), 1u);
+  }
+  // Every row in rows_ reads back as written.
+  void ExpectRowsIntact() {
+    for (const auto& [id, t] : rows_) {
+      Tuple out;
+      ASSERT_TRUE(hf_->Get(id, &out).ok()) << id.ToString();
+      EXPECT_EQ(out, t) << id.ToString();
+    }
+    EXPECT_EQ(hf_->TupleCount(), rows_.size());
+    Status st = hf_->VerifySpaceIndex();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  // Deletes rows_[id] under the current scope and inserts `t` near it.
+  TupleId Modify(TupleId id, const Tuple& t) {
+    TupleId nid;
+    EXPECT_TRUE(hf_->Delete(id).ok());
+    EXPECT_TRUE(hf_->Insert(t, &nid, id.page_id).ok());
+    rows_.erase(id);
+    rows_.emplace(nid, t);
+    return nid;
+  }
+  std::map<TupleId, Tuple> rows_;
+};
+
+// The page's only reclaimable record bytes are the modify's own delete's:
+// the new version of the same size goes into them, on the same page,
+// under the next slot, and nothing is compacted.
+TEST_F(HeapFileHoleTest, SameSizeModifyWritesIntoItsOwnHole) {
+  FillHeadPage();
+  const TupleId old = rows_.begin()->first;
+  const uint64_t compactions = hf_->compaction_count();
+  WalTxnScope scope(1);
+  const TupleId nid = Modify(old, Row('z'));
+  EXPECT_EQ(nid.page_id, old.page_id);
+  EXPECT_EQ(nid.slot_id, 80u);
+  EXPECT_EQ(hf_->compaction_count(), compactions);
+  ExpectRowsIntact();
+  hf_->ReleaseReservations(1);
+  ExpectRowsIntact();
+}
+
+// A larger new version does not fit the hole: the insert compacts the
+// page as before, and every other record survives the move.
+TEST_F(HeapFileHoleTest, LargerNewVersionFallsBackToCompaction) {
+  FillHeadPage();
+  auto it = rows_.begin();
+  const TupleId spare = it->first;
+  const TupleId old = (++it)->first;
+  ASSERT_TRUE(hf_->Delete(spare).ok());  // auto-commit: room for anyone
+  rows_.erase(spare);
+  const uint64_t compactions = hf_->compaction_count();
+  WalTxnScope scope(1);
+  const TupleId nid = Modify(old, Row('z', 60));
+  EXPECT_EQ(nid.page_id, old.page_id);
+  EXPECT_EQ(hf_->compaction_count(), compactions + 1);
+  ExpectRowsIntact();
+  hf_->ReleaseReservations(1);
+}
+
+// Another key's insert compacts the page between a delete and its
+// insert, moving records into the deleted bytes: the insert must not
+// write into them.
+TEST_F(HeapFileHoleTest, CompactionByAnotherKeyInvalidatesTheHole) {
+  FillHeadPage();
+  auto it = rows_.begin();
+  const TupleId spare = it->first;
+  const TupleId old = (++it)->first;
+  ASSERT_TRUE(hf_->Delete(spare).ok());
+  rows_.erase(spare);
+  TupleId id;
+  {
+    WalTxnScope first(1);
+    ASSERT_TRUE(hf_->Delete(old).ok());
+    rows_.erase(old);
+  }
+  {
+    WalTxnScope second(2);
+    const Tuple other = Row('y', 31);
+    ASSERT_TRUE(hf_->Insert(other, &id, old.page_id).ok());
+    ASSERT_EQ(id.page_id, old.page_id);
+    rows_.emplace(id, other);
+  }
+  const uint64_t compactions = hf_->compaction_count();
+  ASSERT_GE(compactions, 1u);
+  {
+    WalTxnScope first(1);
+    const Tuple next = Row('z');
+    ASSERT_TRUE(hf_->Insert(next, &id, old.page_id).ok());
+    EXPECT_EQ(id.page_id, old.page_id);
+    rows_.emplace(id, next);
+  }
+  EXPECT_EQ(hf_->compaction_count(), compactions);
+  ExpectRowsIntact();
+  hf_->ReleaseReservations(1);
+  hf_->ReleaseReservations(2);
+  ExpectRowsIntact();
+}
+
+// Rolling back an in-hole modify (delete the new version, restore the old
+// one under its id) brings the old version back.
+TEST_F(HeapFileHoleTest, AbortAfterInHoleInsertRestoresTheOldVersion) {
+  FillHeadPage();
+  const TupleId old = rows_.begin()->first;
+  const Tuple before = rows_.begin()->second;
+  const uint64_t compactions = hf_->compaction_count();
+  WalTxnScope scope(1);
+  const TupleId nid = Modify(old, Row('z'));
+  ASSERT_EQ(hf_->compaction_count(), compactions);
+  ASSERT_TRUE(hf_->Delete(nid).ok());
+  ASSERT_TRUE(hf_->Restore(old, before).ok());
+  rows_.erase(nid);
+  rows_.emplace(old, before);
+  hf_->ReleaseReservations(1);
+  Tuple out;
+  EXPECT_TRUE(hf_->Get(nid, &out).IsNotFound());
+  ASSERT_TRUE(hf_->Get(old, &out).ok());
+  EXPECT_EQ(out, before);
+  ExpectRowsIntact();
+}
+
+// Four threads modify their own rows of a three-page heap in
+// transactions that commit or roll back at random; every new version has
+// its old one's size, so most land in their own delete's hole while the
+// other threads' compactions and rollbacks move records on the same
+// pages. Each row ends as its last committed version.
+TEST(HeapFileProperty, ConcurrentSameSizeModifiesMatchModel) {
+  BufferPool pool(16, std::make_unique<MemoryDiskManager>());
+  std::unique_ptr<HeapFile> hf;
+  ASSERT_TRUE(HeapFile::Create(&pool, &hf).ok());
+  constexpr int kThreads = 4;
+  constexpr int kRows = 56;  // 224 rows of 51 bytes: three pages
+  struct Row {
+    TupleId id;
+    Tuple tuple;
+  };
+  auto version = [](int row, uint64_t n) {
+    return Tuple{Value(int64_t{row}),
+                 Value(std::string(30, static_cast<char>('a' + n % 26)))};
+  };
+  std::vector<std::vector<Row>> rows(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kRows; ++i) {
+      Row row{TupleId{}, version(t * kRows + i, 0)};
+      ASSERT_TRUE(hf->Insert(row.tuple, &row.id).ok());
+      rows[static_cast<size_t>(t)].push_back(row);
+    }
+  }
+  ASSERT_EQ(hf->PageCount(), 3u);
+  const uint64_t compactions = hf->compaction_count();
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> modifies{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 7);
+      std::vector<Row>& mine = rows[static_cast<size_t>(t)];
+      for (uint64_t n = 1; n <= 300; ++n) {
+        const uint64_t key = (static_cast<uint64_t>(t) + 1) << 32 | n;
+        WalTxnScope scope(key);
+        struct Undo {
+          size_t row;
+          Row old;
+        };
+        std::vector<Undo> undo;
+        std::vector<Row> staged = mine;
+        const size_t writes = 1 + rng.Uniform(4);
+        for (size_t m = 0; m < writes; ++m) {
+          const size_t r = rng.Uniform(staged.size());
+          Row next{TupleId{}, version(staged[r].tuple[0].as_int(), n)};
+          if (!hf->Delete(staged[r].id).ok() ||
+              !hf->Insert(next.tuple, &next.id, staged[r].id.page_id).ok()) {
+            ++failures;
+            continue;
+          }
+          undo.push_back({r, staged[r]});
+          staged[r] = next;
+          ++modifies;
+        }
+        if (rng.Chance(0.4)) {
+          for (auto u = undo.rbegin(); u != undo.rend(); ++u) {
+            if (!hf->Delete(staged[u->row].id).ok() ||
+                !hf->Restore(u->old.id, u->old.tuple).ok()) {
+              ++failures;
+            }
+            staged[u->row] = u->old;
+          }
+        }
+        hf->ReleaseReservations(key);
+        mine = std::move(staged);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(hf->TupleCount(), static_cast<size_t>(kThreads * kRows));
+  for (const std::vector<Row>& mine : rows) {
+    for (const Row& row : mine) {
+      Tuple got;
+      ASSERT_TRUE(hf->Get(row.id, &got).ok()) << row.id.ToString();
+      EXPECT_EQ(got, row.tuple);
+    }
+  }
+  Status st = hf->VerifySpaceIndex();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  // Rollbacks' restores compact; most modifies must not.
+  EXPECT_LT(hf->compaction_count() - compactions, modifies.load() / 2);
+  ExpectPoolBalanced(pool);
 }
 
 // Property: random insert/delete/modify churn by interleaved transactions

@@ -246,6 +246,51 @@ TEST(TransactionSpaceTest, PagedDeleteFetchesItsPageOnce) {
   EXPECT_TRUE(hits.empty());
 }
 
+// A same-size modify on a page whose only reclaimable bytes are its own
+// delete's writes the new version into them: same page, the next slot,
+// no compaction. Aborting it brings the old version back under its id.
+TEST(TransactionSpaceTest, SameSizeModifyStaysInItsOwnHole) {
+  CatalogOptions copts;
+  copts.default_storage = StorageKind::kPaged;
+  Catalog catalog(copts);
+  Relation* rel = nullptr;
+  ASSERT_TRUE(
+      catalog.CreateRelation(Schema("S", {{"v", ValueType::kSymbol}}), &rel)
+          .ok());
+  // 79 records of 47 bytes and one of 43 leave 4 contiguous bytes on the
+  // page: room for one more slot entry and nothing else.
+  std::vector<TupleId> ids;
+  for (int i = 0; i < 80; ++i) {
+    TupleId id;
+    ASSERT_TRUE(
+        rel->Insert(Tuple{Value(std::string(i == 79 ? 34 : 38, 's'))}, &id)
+            .ok());
+    ids.push_back(id);
+  }
+  ASSERT_EQ(rel->FootprintBytes(), kPageSize);
+  const uint64_t compactions = rel->compaction_count();
+
+  LockManager locks;
+  TxnManager tm(&catalog, &locks);
+  const Tuple next{Value(std::string(38, 'n'))};
+  auto txn = tm.Begin();
+  TupleId moved;
+  ASSERT_TRUE(txn->Modify("S", ids[5], next, &moved).ok());
+  EXPECT_EQ(moved.page_id, ids[5].page_id);
+  EXPECT_EQ(moved.slot_id, 80u);
+  EXPECT_EQ(rel->compaction_count(), compactions);
+  Tuple got;
+  ASSERT_TRUE(rel->Get(moved, &got).ok());
+  EXPECT_EQ(got, next);
+
+  ASSERT_TRUE(tm.Abort(txn.get()).ok());
+  EXPECT_TRUE(rel->Get(moved, &got).IsNotFound());
+  ASSERT_TRUE(rel->Get(ids[5], &got).ok());
+  EXPECT_EQ(got, (Tuple{Value(std::string(38, 's'))}));
+  EXPECT_EQ(rel->Count(), 80u);
+  EXPECT_EQ(locks.LockedResourceCount(), 0u);
+}
+
 // Sessions write one paged relation at once: each thread modifies its own
 // rows (so no lock waits) in transactions that commit or abort at random,
 // with record sizes that shift which pages have room. Every abort must

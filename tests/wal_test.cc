@@ -25,6 +25,32 @@ TEST(WalRecordTest, Crc32MatchesCheckValue) {
   EXPECT_EQ(Crc32("", 0), 0u);
 }
 
+// Crc32 folds eight bytes per step and the rest one at a time; a plain
+// bit-at-a-time CRC over the same polynomial must agree at every length
+// and at every alignment of the first byte.
+TEST(WalRecordTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  auto reference = [](const unsigned char* p, size_t n) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  alignas(8) unsigned char buf[64 + 8];
+  for (size_t i = 0; i < sizeof(buf); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 167 + 13);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(buf + align, len), reference(buf + align, len))
+          << "length " << len << " alignment " << align;
+    }
+  }
+}
+
 TEST(WalRecordTest, EncodeDecodeRoundtrip) {
   LogRecord rec;
   rec.type = LogRecordType::kSlotPut;
