@@ -35,9 +35,7 @@ ProductionSystem::ProductionSystem(ProductionSystemOptions options)
   concurrent_engine_ = std::make_unique<ConcurrentEngine>(
       catalog_.get(), matcher_.get(), locks_.get(), ccopts);
 
-  if (options_.enable_rulebase_queries) {
-    rulebase_index_ = std::make_unique<RuleBaseQueryIndex>(catalog_.get());
-  }
+  rulebase_index_ = std::make_unique<RuleBaseQueryIndex>(catalog_.get());
 }
 
 ProductionSystem::~ProductionSystem() = default;
@@ -76,10 +74,7 @@ Status ProductionSystem::ReseedMatcher() {
 Status ProductionSystem::AddRule(const Rule& rule) {
   int rule_id = static_cast<int>(matcher_->rules().size());
   PRODB_RETURN_IF_ERROR(matcher_->AddRule(rule));
-  if (rulebase_index_ != nullptr) {
-    PRODB_RETURN_IF_ERROR(rulebase_index_->AddRule(rule_id, rule));
-  }
-  return Status::OK();
+  return rulebase_index_->AddRule(rule_id, rule);
 }
 
 Status ProductionSystem::Insert(const std::string& cls, const Tuple& t,
@@ -120,9 +115,6 @@ void ProductionSystem::RegisterFunction(const std::string& name,
 Status ProductionSystem::RulesForTuple(const std::string& cls, const Tuple& t,
                                        std::vector<std::string>* names) const {
   names->clear();
-  if (rulebase_index_ == nullptr) {
-    return Status::NotSupported("rule-base queries disabled");
-  }
   std::vector<int> ids;
   PRODB_RETURN_IF_ERROR(rulebase_index_->RulesMatchingTuple(cls, t, &ids));
   for (int id : ids) {
@@ -136,9 +128,6 @@ Status ProductionSystem::RulesFor(const std::string& cls,
                                   double value,
                                   std::vector<std::string>* names) const {
   names->clear();
-  if (rulebase_index_ == nullptr) {
-    return Status::NotSupported("rule-base queries disabled");
-  }
   Relation* rel = catalog_->Get(cls);
   if (rel == nullptr) return Status::NotFound("relation " + cls);
   int attr_idx = rel->schema().IndexOf(attr);

@@ -60,8 +60,6 @@ struct ProductionSystemOptions {
   /// Workers for RunConcurrent(): the most firings in flight at once.
   /// One runs on the CPU at a time; the others wait (ConcurrentEngine).
   size_t workers = 4;
-  /// Maintain the rule-base query index (RulesForTuple / RulesFor).
-  bool enable_rulebase_queries = true;
 };
 
 /// The library's front door: one object owning the catalog, matcher,
@@ -129,7 +127,7 @@ class ProductionSystem {
   const ProductionSystemOptions& options() const { return options_; }
 
   /// Rule names whose numeric condition envelopes admit this tuple
-  /// (§4.2.3's rule-base queries; empty when disabled).
+  /// (§4.2.3's rule-base queries).
   Status RulesForTuple(const std::string& cls, const Tuple& t,
                        std::vector<std::string>* names) const;
   /// ... and for a single-attribute constraint such as age > 55.

@@ -47,8 +47,8 @@ void Relation::IndexRemove(const Tuple& t, TupleId id) {
   }
 }
 
-Status Relation::InsertUnlocked(const Tuple& tuple, TupleId* id,
-                                uint32_t near_page) {
+Status Relation::Insert(const Tuple& tuple, TupleId* id) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
   if (tuple.arity() != schema_.arity()) {
     return Status::InvalidArgument(
         name() + ": arity mismatch, got " + std::to_string(tuple.arity()) +
@@ -63,20 +63,10 @@ Status Relation::InsertUnlocked(const Tuple& tuple, TupleId* id,
     auto it = rows_.emplace(*id, tuple).first;
     mem_bytes_ += it->second.FootprintBytes();
   } else {
-    PRODB_RETURN_IF_ERROR(heap_->Insert(tuple, id, near_page));
+    PRODB_RETURN_IF_ERROR(heap_->Insert(tuple, id));
   }
   IndexInsert(tuple, *id);
   return Status::OK();
-}
-
-Status Relation::Insert(const Tuple& tuple, TupleId* id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return InsertUnlocked(tuple, id);
-}
-
-Status Relation::InsertNear(TupleId near, const Tuple& tuple, TupleId* id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return InsertUnlocked(tuple, id, near.page_id);
 }
 
 Status Relation::Get(TupleId id, Tuple* out) const {

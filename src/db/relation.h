@@ -55,12 +55,11 @@ class Relation {
   const std::string& name() const { return schema_.name(); }
   StorageKind storage_kind() const { return kind_; }
 
+  /// A paged relation's heap chooses the page (HeapFile "page choice"):
+  /// under a reservation key, the page of the key's latest delete first,
+  /// so a modify's new version goes beside the version its delete just
+  /// removed. The tuple always gets a new id.
   Status Insert(const Tuple& tuple, TupleId* id);
-  /// Insert that places a paged tuple on `near`'s heap page when it fits
-  /// there: a modify's new version goes beside the version its delete
-  /// just removed (HeapFile "page choice"). It still gets a new id.
-  /// Memory relations ignore the hint.
-  Status InsertNear(TupleId near, const Tuple& tuple, TupleId* id);
   Status Get(TupleId id, Tuple* out) const;
   /// True when `id` is live and holds `tuple`. A memory relation compares
   /// in place, copying nothing; a paged one decodes the record once.
@@ -119,8 +118,6 @@ class Relation {
   Relation(Schema schema, StorageKind kind)
       : schema_(std::move(schema)), kind_(kind) {}
 
-  Status InsertUnlocked(const Tuple& tuple, TupleId* id,
-                        uint32_t near_page = HeapFile::kAnyPage);
   void IndexInsert(const Tuple& t, TupleId id);
   void IndexRemove(const Tuple& t, TupleId id);
 

@@ -67,9 +67,9 @@ class WorkingMemory {
   /// Outside a batch, hands what the call that returned `st` recorded to
   /// the matcher; returns `st`, else the flush error.
   Status AutoCommit(Status st);
-  /// Hands the buffered deltas to the matcher, forgets them, the
-  /// same-page hint and the batch's heap reservations, then forces the
-  /// log.
+  /// Hands the buffered deltas to the matcher, forgets them and the
+  /// batch's heap reservations (and with them each heap's page hint),
+  /// then forces the log.
   Status Flush();
 
   Matcher* matcher_;

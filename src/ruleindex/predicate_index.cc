@@ -84,15 +84,4 @@ size_t PredicateIndex::FootprintBytes() const {
   return total;
 }
 
-std::vector<uint32_t> PredicateIndex::ConditionsOverlapping(
-    const std::string& rel, const Box& query) const {
-  std::vector<uint32_t> out;
-  auto it = trees_.find(rel);
-  if (it == trees_.end()) return out;
-  for (uint64_t id : it->second->SearchBox(query)) {
-    out.push_back(static_cast<uint32_t>(id));
-  }
-  return out;
-}
-
 }  // namespace prodb

@@ -13,10 +13,8 @@ namespace prodb {
 /// rectangles the conditions' qualifications describe (§2.3 recommends
 /// R-trees [GUTT84] / R+-trees [SELL87]). Insertions need no per-tuple
 /// bookkeeping ("no special treatment of insertions"); every update pays
-/// a point search of the tree instead.
-///
-/// The same structure answers rule-base queries — "give me all the rules
-/// that apply on employees older than 55" is a box search (§4.2.3).
+/// a point search of the tree instead. RuleBaseQueryIndex answers the
+/// rule-base queries of §4.2.3.
 class PredicateIndex : public RuleIndex {
  public:
   /// One R-tree per relation, `dims` = number of leading attributes the
@@ -31,10 +29,6 @@ class PredicateIndex : public RuleIndex {
                   std::vector<uint32_t>* affected) override;
   size_t FootprintBytes() const override;
   std::string name() const override { return "predicate-index"; }
-
-  /// Rule-base query: conditions whose box overlaps `query`.
-  std::vector<uint32_t> ConditionsOverlapping(const std::string& rel,
-                                              const Box& query) const;
 
  private:
   Status Affected(const std::string& rel, const Tuple& t,

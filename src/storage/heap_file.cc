@@ -144,19 +144,22 @@ bool HeapFile::Fits(uint32_t page_id, size_t rec, size_t dir,
   return rec + dir - own <= it->second.available();
 }
 
-uint32_t HeapFile::ChoosePage(size_t rec, uint32_t near_page,
-                              uint64_t txn) const {
-  // The caller's hint — the page the inserting transaction's latest
-  // delete freed, a modify's old page: it is hot in the pool and the
-  // transaction's own reservation there covers the record.
-  if (near_page != kAnyPage && Fits(near_page, rec, kSlotSize, txn)) {
-    return near_page;
+uint32_t HeapFile::ChoosePage(size_t rec, uint64_t txn) const {
+  // The page of the key's latest delete here — a modify's old page: it is
+  // hot in the pool and the key's own reservation there covers the
+  // record.
+  if (txn != 0) {
+    auto it = latest_deletes_.find(txn);
+    if (it != latest_deletes_.end() &&
+        Fits(it->second.page_id, rec, kSlotSize, txn)) {
+      return it->second.page_id;
+    }
   }
   if (Fits(pages_.back(), rec, kSlotSize, txn)) return pages_.back();
   // Best fit: the page with the least room that still holds the record.
   auto it = by_available_.lower_bound(
       {static_cast<uint16_t>(rec + kSlotSize), 0});
-  return it == by_available_.end() ? kAnyPage : it->second;
+  return it == by_available_.end() ? kNoPage : it->second;
 }
 
 void HeapFile::Take(uint32_t page_id, size_t rec, size_t dir, uint64_t txn) {
@@ -201,31 +204,35 @@ void HeapFile::SetSpace(uint32_t page_id, PageSpace space) {
   by_available_.insert(std::move(node));
 }
 
-void HeapFile::NoteCompaction(uint32_t page_id) {
-  ++space_.at(page_id).compactions;
-  ++compactions_;
-}
-
-int HeapFile::InsertIntoOwnHole(char* page, uint32_t page_id,
-                                const std::string& rec, uint64_t txn) {
-  auto it = holes_.find(txn);
-  if (it == holes_.end()) return -1;
-  const Hole& hole = it->second;
-  if (hole.page_id != page_id ||
-      hole.compactions != space_.at(page_id).compactions ||
-      rec.size() > hole.length) {
-    return -1;
+bool HeapFile::Place(char* page, uint32_t page_id, uint16_t slot,
+                     const std::string& rec, uint64_t txn) {
+  PageHole* hole = nullptr;
+  auto it = latest_deletes_.find(txn);
+  if (it != latest_deletes_.end() && it->second.page_id == page_id &&
+      it->second.compactions == space_.at(page_id).compactions) {
+    hole = &it->second.hole;
   }
-  // A smaller record leaves the rest of the hole dead until the page is
-  // next compacted.
-  int slot = InsertIntoHole(page, hole.offset, rec);
-  if (slot >= 0) holes_.erase(it);
-  return slot;
+  switch (PlaceRecordAtSlot(page, slot, rec, hole)) {
+    case Placed::kNoRoom:
+      return false;
+    case Placed::kInHole:
+      // A smaller record leaves the rest of the hole dead until the page
+      // is next compacted.
+      hole->length = 0;
+      break;
+    case Placed::kAfterCompaction:
+      ++space_.at(page_id).compactions;
+      ++compactions_;
+      break;
+    case Placed::kInFreeSpace:
+      break;
+  }
+  return true;
 }
 
 void HeapFile::ReleaseReservations(uint64_t txn) {
   std::lock_guard<std::mutex> lock(mu_);
-  holes_.erase(txn);
+  latest_deletes_.erase(txn);
   auto it = held_.lower_bound({txn, 0});
   while (it != held_.end() && it->first.first == txn) {
     PageSpace space = space_.at(it->first.second);
@@ -257,10 +264,11 @@ Status HeapFile::VerifySpaceIndex() const {
     // A hole the page's compactions have not invalidated must still be
     // dead bytes: its key writes a record there without looking.
     bool holes_dead = true;
-    for (const auto& [key, hole] : holes_) {
-      if (hole.page_id == pid &&
-          hole.compactions == it->second.compactions &&
-          !BytesAreDead(frame->data, hole.offset, hole.length)) {
+    for (const auto& [key, latest] : latest_deletes_) {
+      if (latest.page_id == pid &&
+          latest.compactions == it->second.compactions &&
+          !BytesAreDead(frame->data, latest.hole.offset,
+                        latest.hole.length)) {
         holes_dead = false;
       }
     }
@@ -280,8 +288,7 @@ Status HeapFile::VerifySpaceIndex() const {
   return Status::OK();
 }
 
-Status HeapFile::Insert(const Tuple& tuple, TupleId* id,
-                        uint32_t near_page) {
+Status HeapFile::Insert(const Tuple& tuple, TupleId* id) {
   std::lock_guard<std::mutex> lock(mu_);
   std::string rec;
   tuple.SerializeTo(&rec);
@@ -289,32 +296,26 @@ Status HeapFile::Insert(const Tuple& tuple, TupleId* id,
     return Status::InvalidArgument("tuple larger than a page");
   }
   const uint64_t txn = CurrentReservationKey();
-  uint32_t pid = ChoosePage(rec.size(), near_page, txn);
-  if (pid == kAnyPage) PRODB_RETURN_IF_ERROR(AppendPage(&pid));
+  uint32_t pid = ChoosePage(rec.size(), txn);
+  if (pid == kNoPage) PRODB_RETURN_IF_ERROR(AppendPage(&pid));
   Frame* frame;
   PRODB_RETURN_IF_ERROR(pool_->FetchPage(pid, &frame));
-  // The index admitted the page, so the record fits: in the bytes our
-  // latest delete freed there, or in the page's free space
-  // (InsertIntoPage compacts first when the free bytes are scattered).
-  int slot = InsertIntoOwnHole(frame->data, pid, rec, txn);
-  if (slot < 0) {
-    bool compacted = false;
-    slot = InsertIntoPage(frame->data, rec, &compacted);
-    if (compacted) NoteCompaction(pid);
-  }
-  if (slot < 0) {
+  // The index admitted the page, so the record fits, under a new slot at
+  // the end of the directory.
+  const uint16_t slot = PageSlotCount(frame->data);
+  if (!Place(frame->data, pid, slot, rec, txn)) {
     PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/false));
     return Status::Internal("free-space index out of step with page " +
                             std::to_string(pid));
   }
-  // InsertIntoPage never reuses dead slots, so the slot was absent
-  // before: undo is "clear it".
-  LogAndStamp(pool_, frame, LogRecordType::kSlotPut,
-              static_cast<uint32_t>(slot), rec, UndoKind::kClearSlot);
+  // Dead slots are never reused, so the slot was absent before: undo is
+  // "clear it".
+  LogAndStamp(pool_, frame, LogRecordType::kSlotPut, slot, rec,
+              UndoKind::kClearSlot);
   Take(pid, rec.size(), kSlotSize, txn);
   PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/true));
   id->page_id = pid;
-  id->slot_id = static_cast<uint32_t>(slot);
+  id->slot_id = slot;
   ++live_tuples_;
   return Status::OK();
 }
@@ -365,8 +366,9 @@ Status HeapFile::Delete(TupleId id, Tuple* old) {
                 UndoKind::kRestore, std::move(before));
     const uint64_t key = CurrentReservationKey();
     Free(id.page_id, len, key);
-    holes_.insert_or_assign(
-        key, Hole{id.page_id, space_.at(id.page_id).compactions, off, len});
+    latest_deletes_.insert_or_assign(
+        key, LatestDelete{id.page_id, space_.at(id.page_id).compactions,
+                          PageHole{off, len}});
     --live_tuples_;
     ++dead_slots_;
     dirty = true;
@@ -389,21 +391,11 @@ Status HeapFile::Restore(TupleId id, const Tuple& tuple) {
     st = Status::InvalidArgument("no slot " + id.ToString());
   } else if (SlotLength(frame->data, id.slot_id) != kDeadSlot) {
     st = Status::AlreadyExists("slot live " + id.ToString());
-  } else if (!Fits(id.page_id, rec.size(), 0, txn)) {
+  } else if (!Fits(id.page_id, rec.size(), 0, txn) ||
+             !Place(frame->data, id.page_id,
+                    static_cast<uint16_t>(id.slot_id), rec, txn)) {
     st = Status::IOError("page full restoring " + id.ToString());
   } else {
-    // CompactPage preserves slot ids and leaves dead slots dead, so the
-    // directory entry at id.slot_id survives.
-    if (ContiguousFree(frame->data) < rec.size()) {
-      CompactPage(frame->data);
-      NoteCompaction(id.page_id);
-    }
-    uint16_t free_end = GetU16(frame->data, kPageFreeEndOff);
-    free_end = static_cast<uint16_t>(free_end - rec.size());
-    std::memcpy(frame->data + free_end, rec.data(), rec.size());
-    PutU16(frame->data, kPageFreeEndOff, free_end);
-    SetSlot(frame->data, static_cast<uint16_t>(id.slot_id), free_end,
-            static_cast<uint16_t>(rec.size()));
     LogAndStamp(pool_, frame, LogRecordType::kSlotPut, id.slot_id, rec,
                 UndoKind::kClearSlot);
     Take(id.page_id, rec.size(), 0, txn);

@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "common/tuple.h"
 #include "storage/buffer_pool.h"
+#include "storage/page_layout.h"
 
 namespace prodb {
 
@@ -36,24 +37,26 @@ namespace prodb {
 /// Pages of one heap file form a singly linked list through next_page_id,
 /// so a file can be reopened from its head page id after restart.
 ///
-/// Page choice (DESIGN.md "Heap page choice"): each page's reclaimable
-/// bytes are kept incrementally, minus the bytes live transactions hold
-/// for their own undo, in an index ordered by (available bytes, page).
-/// An insert tries the caller's hint page (a modify's old page), then the
-/// tail page, then the best-fitting page, then a new page: O(log pages)
-/// whatever the file size. Bytes a transaction's (or a working-memory
-/// batch's) delete frees stay reserved for it (its own inserts and
-/// restores may use them) until ReleaseReservations, so its rollback — at
-/// runtime or in restart undo — always finds room for the before-images.
-/// On the chosen page, an insert writes its record into the bytes its
-/// reservation key's latest delete freed there when it fits (a modify's
-/// new version into its old version's bytes), and otherwise compacts the
-/// page if its free bytes are scattered.
+/// Placement (DESIGN.md "Heap page choice") is decided here alone. Each
+/// page's reclaimable bytes are kept incrementally, minus the bytes live
+/// reservation keys hold for their own undo, in an index ordered by
+/// (available bytes, page). Per reservation key the file also keeps the
+/// key's latest delete in it: the page, and the record bytes it freed
+/// there (the hole). An insert under a key tries that page first (a
+/// modify's old page), then the tail page, then the best-fitting page,
+/// then a new page: O(log pages) whatever the file size. Key 0
+/// (auto-commit outside any scope) reserves nothing and gets no page
+/// hint. Bytes a key's delete frees stay reserved for it (its own
+/// inserts and restores may use them) until ReleaseReservations, which
+/// also forgets its latest delete, so its rollback — at runtime or in
+/// restart undo — always finds room for the before-images. On the chosen
+/// page, an insert or restore writes its record into the key's hole when
+/// it fits there (a modify's new version into its old version's bytes,
+/// a rolled-back modify's old version back into them), and otherwise
+/// into the free space, compacting the page if its free bytes are
+/// scattered; PlaceRecordAtSlot (page_layout.h) does both.
 class HeapFile {
  public:
-  /// Insert's "no placement hint".
-  static constexpr uint32_t kAnyPage = UINT32_MAX;
-
   /// Creates a new heap file: allocates the head page.
   static Status Create(BufferPool* pool, std::unique_ptr<HeapFile>* out);
 
@@ -63,11 +66,10 @@ class HeapFile {
 
   uint32_t head_page_id() const { return pages_.front(); }
 
-  /// Appends `tuple`; returns its TupleId via *id. The tuple goes on
-  /// `near_page` when it fits there (see class comment), always under a
-  /// new slot.
-  Status Insert(const Tuple& tuple, TupleId* id,
-                uint32_t near_page = kAnyPage);
+  /// Appends `tuple`; returns its TupleId via *id. The tuple goes on the
+  /// page of the current reservation key's latest delete when it fits
+  /// there (see class comment), always under a new slot.
+  Status Insert(const Tuple& tuple, TupleId* id);
 
   /// Reads the tuple at `id` into *out.
   Status Get(TupleId id, Tuple* out) const;
@@ -81,16 +83,17 @@ class HeapFile {
 
   /// Revives the tombstoned slot at `id` with `tuple` (abort
   /// compensation). The slot directory entry must still exist and be
-  /// dead; the record is rewritten into the page's free space, compacting
-  /// first if needed. Fails with AlreadyExists if the slot is live, and
-  /// with IOError if the page lacks room — which cannot happen to a
-  /// transaction restoring its own deletes in reverse order.
+  /// dead; the record is placed as an insert's is, into the key's hole
+  /// when it fits there, else into the free space. Fails with
+  /// AlreadyExists if the slot is live, and with IOError if the page
+  /// lacks room — which cannot happen to a transaction restoring its own
+  /// deletes in reverse order.
   Status Restore(TupleId id, const Tuple& tuple);
 
   /// Ends reservation key `txn`'s reservations in this file: the bytes
-  /// its deletes freed become available to every inserter. Called when
-  /// the transaction (or working-memory batch) commits or finishes
-  /// aborting.
+  /// its deletes freed become available to every inserter, and its latest
+  /// delete (page hint and hole) is forgotten. Called when the
+  /// transaction (or working-memory batch) commits or finishes aborting.
   void ReleaseReservations(uint64_t txn);
 
   /// Checks the free-space index against the pages: for every page, the
@@ -102,8 +105,6 @@ class HeapFile {
 
   /// Number of live tuples.
   size_t TupleCount() const;
-  /// Alias of TupleCount, paired with dead_slot_count for space reports.
-  size_t live_tuple_count() const { return TupleCount(); }
 
   /// Number of tombstoned slot-directory entries. Dead slots are never
   /// reused (see class comment), so a churn-heavy workload accumulates
@@ -114,7 +115,7 @@ class HeapFile {
 
   /// Number of times an insert or restore compacted a page to make its
   /// free bytes contiguous. A modify whose new version fits in the bytes
-  /// its delete freed compacts nothing.
+  /// its delete freed compacts nothing, and neither does its rollback.
   uint64_t compaction_count() const;
 
   /// Number of pages owned by this file.
@@ -139,14 +140,15 @@ class HeapFile {
     }
   };
 
-  /// The record bytes a reservation key's latest delete freed. They stay
-  /// dead, and no other writer places a record in them, until the page
-  /// is next compacted.
-  struct Hole {
+  /// A reservation key's latest delete in this file: its page, the key's
+  /// page hint, and the record bytes it freed there. The bytes stay dead,
+  /// and no other writer places a record in them, until the page is next
+  /// compacted; once the key writes a record into them the hole's length
+  /// drops to 0, and the page stays the hint.
+  struct LatestDelete {
     uint32_t page_id = 0;
     uint32_t compactions = 0;  // the page's count at the delete
-    uint16_t offset = 0;
-    uint16_t length = 0;
+    PageHole hole;
   };
 
   Status AppendPage(uint32_t* page_id);
@@ -156,9 +158,9 @@ class HeapFile {
   /// bytes on `page_id`: its own reservation covers up to `rec` bytes,
   /// the rest must be available to everyone.
   bool Fits(uint32_t page_id, size_t rec, size_t dir, uint64_t txn) const;
-  /// The page an insert of `rec` bytes by `txn` goes to, or kAnyPage
-  /// when none fits (append a page).
-  uint32_t ChoosePage(size_t rec, uint32_t near_page, uint64_t txn) const;
+  /// The page an insert of `rec` bytes by `txn` goes to, or kNoPage when
+  /// none fits (append a page).
+  uint32_t ChoosePage(size_t rec, uint64_t txn) const;
   /// Accounts a placement Fits admitted: consumes `txn`'s reservation
   /// first.
   void Take(uint32_t page_id, size_t rec, size_t dir, uint64_t txn);
@@ -167,13 +169,12 @@ class HeapFile {
   void Free(uint32_t page_id, size_t bytes, uint64_t txn);
   /// Sets a page's space and keeps the ordered index in step.
   void SetSpace(uint32_t page_id, PageSpace space);
-  /// Counts a compaction of `page_id`: every hole on it is forgotten.
-  void NoteCompaction(uint32_t page_id);
-  /// Writes `rec` into `txn`'s hole when the hole is on `page_id`, still
-  /// valid and large enough, and the directory has room for a new slot.
-  /// Returns the new slot, or -1 to take the compacting path.
-  int InsertIntoOwnHole(char* page, uint32_t page_id, const std::string& rec,
-                        uint64_t txn);
+  /// Places `rec` under `slot` on the pinned page `page_id`, in `txn`'s
+  /// hole when it is on that page and the record fits (PlaceRecordAtSlot),
+  /// and counts a compaction (which forgets every hole on the page).
+  /// False when the page lacks room.
+  bool Place(char* page, uint32_t page_id, uint16_t slot,
+             const std::string& rec, uint64_t txn);
 
   BufferPool* pool_;
   mutable std::mutex mu_;
@@ -184,8 +185,8 @@ class HeapFile {
   // (txn, page id) -> bytes that transaction's deletes freed there and
   // its undo may need back.
   std::map<std::pair<uint64_t, uint32_t>, uint16_t> held_;
-  // Reservation key -> the hole its latest delete left.
-  std::unordered_map<uint64_t, Hole> holes_;
+  // Reservation key -> its latest delete in this file.
+  std::unordered_map<uint64_t, LatestDelete> latest_deletes_;
   size_t live_tuples_ = 0;
   size_t dead_slots_ = 0;
   uint64_t compactions_ = 0;

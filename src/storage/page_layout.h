@@ -136,81 +136,67 @@ inline void CompactPage(char* page) {
   PutU16(page, kPageFreeEndOff, static_cast<uint16_t>(write_end));
 }
 
-/// Inserts an encoded record into the page if it fits. Returns the slot id
-/// or -1 if there is not enough space even after compaction; *compacted
-/// tells whether the page was compacted. Dead slots are never reused
-/// (TupleId stability; see HeapFile).
-inline int InsertIntoPage(char* page, const std::string& rec,
-                          bool* compacted) {
-  *compacted = false;
-  if (rec.size() > kPageSize - kPageHeaderSize - kSlotSize) return -1;
-  uint16_t slots = PageSlotCount(page);
-  size_t need = rec.size() + kSlotSize;
-  if (ContiguousFree(page) < need) {
-    if (ReclaimableFree(page) < need) return -1;
-    CompactPage(page);
-    *compacted = true;
-    if (ContiguousFree(page) < need) return -1;
-  }
-  uint16_t free_end = GetU16(page, kPageFreeEndOff);
-  free_end = static_cast<uint16_t>(free_end - rec.size());
-  std::memcpy(page + free_end, rec.data(), rec.size());
-  PutU16(page, kPageFreeEndOff, free_end);
-  uint16_t slot = slots;
-  PutU16(page, kPageSlotCountOff, static_cast<uint16_t>(slots + 1));
-  SetSlot(page, slot, free_end, static_cast<uint16_t>(rec.size()));
-  return slot;
-}
+/// Record bytes on a page that the caller knows no live record overlaps:
+/// the bytes a delete freed, until the page is next compacted.
+struct PageHole {
+  uint16_t offset = 0;
+  uint16_t length = 0;
+};
 
-/// Writes `rec` at `offset`, into dead record bytes the caller knows no
-/// live record overlaps, under a new slot at the end of the directory —
-/// the slot InsertIntoPage would have given it — without moving any
-/// record. Returns the slot id, or -1 when the directory has no room for
-/// the new entry.
-inline int InsertIntoHole(char* page, uint16_t offset,
-                          const std::string& rec) {
-  if (ContiguousFree(page) < kSlotSize) return -1;
-  uint16_t slot = PageSlotCount(page);
-  std::memcpy(page + offset, rec.data(), rec.size());
-  PutU16(page, kPageSlotCountOff, static_cast<uint16_t>(slot + 1));
-  SetSlot(page, slot, offset, static_cast<uint16_t>(rec.size()));
-  return slot;
-}
+/// Where PlaceRecordAtSlot put a record.
+enum class Placed {
+  kNoRoom,           // too big for the page even after compaction
+  kInHole,           // into the caller's hole; no record moved
+  kInFreeSpace,      // into the contiguous free space
+  kAfterCompaction,  // into the free space, after compacting the page
+};
 
-/// Places `rec` into the directory entry `slot`, creating the entry (and
-/// any missing lower entries, as dead slots) if the directory is shorter.
-/// This is the redo form of insert/restore/in-place update: the slot id
-/// comes from the log record, not from allocation order, so replay stays
-/// correct even when records of uncommitted transactions are skipped.
-/// A live slot is tombstoned first (update-in-place redo). Returns false
-/// when the record cannot fit even after compaction.
-inline bool PlaceRecordAtSlot(char* page, uint16_t slot,
-                              const std::string& rec) {
+/// The one placement routine: puts `rec` under directory entry `slot`
+/// for an insert (slot = the slot count, a new entry), a restore (the
+/// dead slot it revives), WAL redo and CLR undo (the slot the log record
+/// names). A directory shorter than `slot` grows, the entries in between
+/// dead. A live slot is tombstoned first. The record goes into `hole`
+/// when one is given and the record fits it (the rest of the hole stays
+/// dead), else into the free space, compacting the page first when the
+/// free bytes are scattered. Slot ids survive compaction. Dead slots are
+/// never reused by allocation (TupleId stability; see HeapFile); redo
+/// takes the slot id from the log record, so replay stays correct even
+/// when records of uncommitted transactions are skipped.
+inline Placed PlaceRecordAtSlot(char* page, uint16_t slot,
+                                const std::string& rec,
+                                const PageHole* hole = nullptr) {
   uint16_t slots = PageSlotCount(page);
   if (slot < slots && SlotLength(page, slot) != kDeadSlot) {
     SetSlot(page, slot, 0, kDeadSlot);  // old version dies; space reclaimed
   }
-  // Grow the directory up to `slot`, dead entries in between.
   size_t dir_need = slot >= slots
                         ? static_cast<size_t>(slot - slots + 1) * kSlotSize
                         : 0;
-  if (ContiguousFree(page) < dir_need + rec.size()) {
-    if (ReclaimableFree(page) < dir_need + rec.size()) return false;
-    CompactPage(page);
-    if (ContiguousFree(page) < dir_need + rec.size()) return false;
+  Placed placed = Placed::kInFreeSpace;
+  uint16_t offset = 0;
+  if (hole != nullptr && rec.size() <= hole->length &&
+      ContiguousFree(page) >= dir_need) {
+    placed = Placed::kInHole;
+    offset = hole->offset;
+  } else {
+    if (ContiguousFree(page) < dir_need + rec.size()) {
+      if (ReclaimableFree(page) < dir_need + rec.size()) {
+        return Placed::kNoRoom;
+      }
+      CompactPage(page);
+      placed = Placed::kAfterCompaction;
+    }
+    offset = static_cast<uint16_t>(GetU16(page, kPageFreeEndOff) -
+                                   rec.size());
+    PutU16(page, kPageFreeEndOff, offset);
   }
-  for (uint16_t s = slots; s <= slot && slot >= slots; ++s) {
-    SetSlot(page, s, 0, kDeadSlot);
-  }
+  for (uint16_t s = slots; s < slot; ++s) SetSlot(page, s, 0, kDeadSlot);
   if (slot >= slots) {
     PutU16(page, kPageSlotCountOff, static_cast<uint16_t>(slot + 1));
   }
-  uint16_t free_end = GetU16(page, kPageFreeEndOff);
-  free_end = static_cast<uint16_t>(free_end - rec.size());
-  std::memcpy(page + free_end, rec.data(), rec.size());
-  PutU16(page, kPageFreeEndOff, free_end);
-  SetSlot(page, slot, free_end, static_cast<uint16_t>(rec.size()));
-  return true;
+  std::memcpy(page + offset, rec.data(), rec.size());
+  SetSlot(page, slot, offset, static_cast<uint16_t>(rec.size()));
+  return placed;
 }
 
 }  // namespace prodb

@@ -92,7 +92,6 @@ bool IsDataRecord(LogRecordType type) {
     case LogRecordType::kSlotDelete:
     case LogRecordType::kPageFormat:
     case LogRecordType::kPageLink:
-    case LogRecordType::kPageImage:
       return true;
     case LogRecordType::kCommit:
     case LogRecordType::kAbort:
@@ -120,7 +119,8 @@ Status ApplyUndoOp(UndoKind op, uint32_t page_id, uint32_t slot,
       return Status::OK();
     }
     case UndoKind::kRestore:
-      if (!PlaceRecordAtSlot(data, static_cast<uint16_t>(slot), bytes)) {
+      if (PlaceRecordAtSlot(data, static_cast<uint16_t>(slot), bytes) ==
+          Placed::kNoRoom) {
         return Status::Corruption("undo: before-image does not fit in page " +
                                   std::to_string(page_id) + " slot " +
                                   std::to_string(slot));
@@ -155,15 +155,9 @@ Status RedoOnPage(const ScannedRecord& sr, char* data) {
       SetPageNext(data, next);
       break;
     }
-    case LogRecordType::kPageImage:
-      if (rec.data.size() != kPageSize) {
-        return Status::Corruption("bad page-image record size");
-      }
-      std::memcpy(data, rec.data.data(), kPageSize);
-      break;
     case LogRecordType::kSlotPut:
-      if (!PlaceRecordAtSlot(data, static_cast<uint16_t>(rec.slot),
-                             rec.data)) {
+      if (PlaceRecordAtSlot(data, static_cast<uint16_t>(rec.slot),
+                            rec.data) == Placed::kNoRoom) {
         return Status::Corruption(
             "redo: record does not fit in page " +
             std::to_string(rec.page_id) + " slot " +
@@ -376,7 +370,7 @@ Status RecoverLog(BufferPool* pool, RecoveryResult* out) {
     if (committed.count(sr.rec.txn_id) != 0) continue;
     if (aborted.count(sr.rec.txn_id) != 0) continue;
     losers.insert(sr.rec.txn_id);
-    if (sr.rec.undo_kind == UndoKind::kNone) continue;  // e.g. page images
+    if (sr.rec.undo_kind == UndoKind::kNone) continue;
     auto comp = compensated.find(sr.rec.txn_id);
     if (comp != compensated.end() && comp->second.count(sr.lsn) != 0) {
       continue;

@@ -63,7 +63,6 @@ bool IsTxnDataRecord(LogRecordType type) {
     case LogRecordType::kSlotDelete:
     case LogRecordType::kPageFormat:
     case LogRecordType::kPageLink:
-    case LogRecordType::kPageImage:
       return true;
     case LogRecordType::kCommit:
     case LogRecordType::kAbort:

@@ -67,13 +67,13 @@ inline constexpr size_t kLogPagePayload = kPageSize - kLogPageHeaderSize;
 /// intact physical record is redone in log order regardless of its
 /// transaction's fate — then rolls back losers using the before-image
 /// (`undo`) payload each data record carries, writing kClr compensation
-/// records so a crash during recovery itself still converges.
+/// records so a crash during recovery itself still converges. The values
+/// are the on-disk format; 5 is unassigned.
 enum class LogRecordType : uint8_t {
   kSlotPut = 1,     // slot now holds `data` (insert / restore / update)
   kSlotDelete = 2,  // slot tombstoned
   kPageFormat = 3,  // fresh heap page formatted (always txn 0: structural)
   kPageLink = 4,    // next-page pointer set to u32 in `data` (structural)
-  kPageImage = 5,   // full 4 KiB page image in `data`
   kCommit = 6,      // transaction commit — the winner/loser cutoff
   kAbort = 7,       // transaction abort (hygiene; absence of commit suffices)
   kCheckpoint = 8,  // fuzzy checkpoint: redo LSN + active-txn table
@@ -106,7 +106,7 @@ struct LogRecord {
 inline constexpr size_t kLogRecordHeader = 8;  // len + crc
 inline constexpr size_t kLogRecordBodyFixed = 26;
 /// Body length ceiling used as a corruption sanity check when scanning:
-/// data and undo can each approach a full page image.
+/// data and undo can each approach a page in size.
 inline constexpr uint32_t kMaxLogRecordBody =
     kLogRecordBodyFixed + 2 * static_cast<uint32_t>(kPageSize);
 

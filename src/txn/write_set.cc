@@ -43,14 +43,11 @@ Status WriteSet::Insert(const std::string& rel, const Tuple& t,
   PRODB_RETURN_IF_ERROR(Find(rel, &r));
   // Attribute the WAL records this mutation generates to our transaction;
   // restart recovery redoes them only if its commit record made it to
-  // disk (always, for auto-commit id 0).
+  // disk (always, for auto-commit id 0). Under our reservation key, a
+  // heap tries the page of our latest delete in it first.
   WalTxnScope wal_scope(wal_txn_, reservation_key_);
-  // Same-page placement: the page our latest delete freed is hot in the
-  // pool and our own reservation there covers the record (a page of
-  // another relation's heap is simply not a candidate).
   TupleId nid;
-  PRODB_RETURN_IF_ERROR(last_delete_ ? r->InsertNear(*last_delete_, t, &nid)
-                                     : r->Insert(t, &nid));
+  PRODB_RETURN_IF_ERROR(r->Insert(t, &nid));
   changes_.AddInsert(rel, t, nid);
   if (id != nullptr) *id = nid;
   return Status::OK();
@@ -63,7 +60,6 @@ Status WriteSet::Delete(const std::string& rel, TupleId id) {
   Tuple old;
   PRODB_RETURN_IF_ERROR(DeleteFrom(r, id, &old));
   changes_.AddDelete(rel, id, std::move(old));
-  last_delete_ = id;
   return Status::OK();
 }
 
@@ -72,28 +68,25 @@ Status WriteSet::Modify(const std::string& rel, TupleId id, const Tuple& t,
   // §3.1: a modification is a deletion followed by an insertion, and
   // maintenance sees it exactly that way. The pair propagates even when
   // the new tuple equals the old one: OPS5 refraction counts the modify
-  // as fresh WM activity. The new version goes on the old one's page when
-  // it fits, under a new id.
+  // as fresh WM activity. The heap puts the new version on the old one's
+  // page when it fits — in the old version's bytes, when it fits them —
+  // under a new id.
   Relation* r;
   PRODB_RETURN_IF_ERROR(Find(rel, &r));
   WalTxnScope wal_scope(wal_txn_, reservation_key_);
   Tuple old;
   PRODB_RETURN_IF_ERROR(DeleteFrom(r, id, &old));
   TupleId nid;
-  Status st = r->InsertNear(id, t, &nid);
+  Status st = r->Insert(t, &nid);
   if (!st.ok()) {
     // Put the old version back under its id, so the failed modify changes
     // nothing. Should even that fail, the delete has landed and is
     // recorded like any other, for Rollback and maintenance to see; the
     // insert error still wins — it is what the caller can act on.
-    if (!r->Restore(id, old).ok()) {
-      changes_.AddDelete(rel, id, std::move(old));
-      last_delete_ = id;
-    }
+    if (!r->Restore(id, old).ok()) changes_.AddDelete(rel, id, std::move(old));
     return st;
   }
   changes_.AddModify(rel, id, old, t, nid);
-  last_delete_ = id;
   if (new_id != nullptr) *new_id = nid;
   return Status::OK();
 }
@@ -138,10 +131,7 @@ Status WriteSet::Rollback() {
                           first_error.ToString());
 }
 
-void WriteSet::Reset() {
-  changes_.clear();
-  last_delete_.reset();
-}
+void WriteSet::Reset() { changes_.clear(); }
 
 void WriteSet::ReleaseReservations() {
   for (const std::string& rel : reserving_) {

@@ -2,7 +2,6 @@
 #define PRODB_TXN_WRITE_SET_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,11 +23,12 @@ namespace prodb {
 /// linked pair. If the insertion fails, the deletion is undone before
 /// Modify returns and nothing is recorded: a failed modify changes
 /// nothing (should the undo fail too, the deletion is recorded like any
-/// other that landed). An insert on a paged relation goes on the page the
-/// latest delete freed when it fits there — for a modify, the old
-/// version's page — always under a new id. The choice follows the
-/// operation sequence alone, so a modify spelled Delete then Insert
-/// places exactly like Modify.
+/// other that landed). Where a paged relation's tuples go is its heap's
+/// decision (HeapFile "page choice"): an insert goes on the page of this
+/// WriteSet's latest delete in that relation when it fits there — for a
+/// modify, the old version's page — always under a new id. The choice
+/// follows the operation sequence alone, so a modify spelled Delete then
+/// Insert places exactly like Modify.
 ///
 /// Not thread-safe: one thread writes through a WriteSet at a time.
 class WriteSet {
@@ -55,12 +55,13 @@ class WriteSet {
   /// with changes() empty.
   Status Rollback();
 
-  /// Forgets changes() and the same-page hint once the batch they make up
-  /// has been handed on; the next mutation starts a fresh batch.
+  /// Forgets changes() once the batch they make up has been handed on;
+  /// the next mutation starts a fresh batch.
   void Reset();
 
   /// Hands the heap space this WriteSet's deletes reserved back to every
-  /// inserter; free when nothing paged was deleted.
+  /// inserter, and has each heap forget this WriteSet's latest delete (its
+  /// page hint); free when nothing paged was deleted.
   void ReleaseReservations();
 
   /// The mutations that have landed, in application order.
@@ -78,8 +79,6 @@ class WriteSet {
   uint64_t wal_txn_;
   uint64_t reservation_key_;
   ChangeSet changes_;
-  // The latest forward delete: later inserts prefer its page.
-  std::optional<TupleId> last_delete_;
   // Paged relations whose heap holds bytes this WriteSet's deletes
   // freed, by name (a relation may be dropped meanwhile).
   std::vector<std::string> reserving_;

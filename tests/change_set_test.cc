@@ -438,6 +438,54 @@ TEST_P(WriterEquivalenceTest, WorkingMemoryAndTransactionWriteAlike) {
   EXPECT_EQ(by_txn.locks.LockedResourceCount(), 0u);
 }
 
+// A modify spelled Delete then Insert places exactly like Modify: on twin
+// catalogs, transactions that spell every modify one way and the other
+// give each new version the same id, through commits and aborts.
+// perfbench replays a modify in the second spelling and checks the replay
+// against the live run on this.
+TEST_P(WriterEquivalenceTest, DeleteThenInsertPlacesLikeModify) {
+  Twin by_modify(GetParam()), by_pair(GetParam());
+  Rng rng(34);
+  std::vector<TupleId> live;
+  auto a = by_modify.tm.Begin();
+  auto b = by_pair.tm.Begin();
+  for (int64_t k = 0; k < 200; ++k) {
+    const Tuple t{Value(k), Value(std::string(rng.Uniform(120), 'v'))};
+    TupleId x, y;
+    ASSERT_TRUE(a->Insert("R", t, &x).ok());
+    ASSERT_TRUE(b->Insert("R", t, &y).ok());
+    ASSERT_EQ(x, y);
+    live.push_back(x);
+  }
+  ASSERT_TRUE(by_modify.tm.Commit(a.get()).ok());
+  ASSERT_TRUE(by_pair.tm.Commit(b.get()).ok());
+  for (int64_t round = 0; round < 100; ++round) {
+    a = by_modify.tm.Begin();
+    b = by_pair.tm.Begin();
+    std::vector<TupleId> staged = live;
+    const size_t ops = 1 + rng.Uniform(6);
+    for (size_t n = 0; n < ops; ++n) {
+      const size_t at = rng.Uniform(staged.size());
+      const Tuple next{Value(round), Value(std::string(rng.Uniform(120), 'm'))};
+      TupleId x, y;
+      ASSERT_TRUE(a->Modify("R", staged[at], next, &x).ok());
+      ASSERT_TRUE(b->Delete("R", staged[at]).ok());
+      ASSERT_TRUE(b->Insert("R", next, &y).ok());
+      ASSERT_EQ(x, y) << "round " << round;
+      staged[at] = x;
+    }
+    if (rng.Chance(0.3)) {
+      ASSERT_TRUE(by_modify.tm.Abort(a.get()).ok());
+      ASSERT_TRUE(by_pair.tm.Abort(b.get()).ok());
+    } else {
+      ASSERT_TRUE(by_modify.tm.Commit(a.get()).ok());
+      ASSERT_TRUE(by_pair.tm.Commit(b.get()).ok());
+      live = staged;
+    }
+  }
+  EXPECT_EQ(by_modify.Contents(), by_pair.Contents());
+}
+
 INSTANTIATE_TEST_SUITE_P(Storage, WriterEquivalenceTest,
                          ::testing::Values(StorageKind::kMemory,
                                            StorageKind::kPaged),
@@ -446,6 +494,71 @@ INSTANTIATE_TEST_SUITE_P(Storage, WriterEquivalenceTest,
                                       ? std::string("Memory")
                                       : std::string("Paged");
                          });
+
+// Each paged relation's heap keeps the writer's latest delete in it: a
+// transaction that deletes in A, then in B, then inserts into A puts the
+// new tuple on the page of its delete in A — where a twin that never
+// touches B puts it — and not on A's tail page.
+TEST(WriterPlacementTest, InsertGoesToTheLatestDeletePageOfItsRelation) {
+  struct Twin {
+    Twin()
+        : catalog([] {
+            CatalogOptions o;
+            o.default_storage = StorageKind::kPaged;
+            o.buffer_pool_frames = 16;
+            return o;
+          }()),
+          tm(&catalog, &locks) {}
+    Catalog catalog;
+    LockManager locks;
+    TxnManager tm;
+  };
+  Twin via_b, a_only;
+  std::vector<TupleId> in_a, in_b;
+  for (Twin* twin : {&via_b, &a_only}) {
+    Relation* rel = nullptr;
+    for (const char* name : {"A", "B"}) {
+      ASSERT_TRUE(twin->catalog
+                      .CreateRelation(Schema(name, {{"k", ValueType::kInt},
+                                                    {"v", ValueType::kSymbol}}),
+                                      &rel)
+                      .ok());
+    }
+    in_a.clear();
+    in_b.clear();
+    auto load = twin->tm.Begin();
+    for (int64_t k = 0; k < 120; ++k) {
+      TupleId id;
+      ASSERT_TRUE(
+          load->Insert("A", Tuple{Value(k), Value(std::string(100, 'a'))}, &id)
+              .ok());
+      in_a.push_back(id);
+    }
+    for (int64_t k = 0; k < 4; ++k) {
+      TupleId id;
+      ASSERT_TRUE(
+          load->Insert("B", Tuple{Value(k), Value(std::string(100, 'b'))}, &id)
+              .ok());
+      in_b.push_back(id);
+    }
+    ASSERT_TRUE(twin->tm.Commit(load.get()).ok());
+  }
+  ASSERT_NE(in_a.front().page_id, in_a.back().page_id);  // A has a tail
+
+  const Tuple next{Value(int64_t{-1}), Value(std::string(100, 'n'))};
+  TupleId x, y;
+  auto t1 = via_b.tm.Begin();
+  ASSERT_TRUE(t1->Delete("A", in_a.front()).ok());
+  ASSERT_TRUE(t1->Delete("B", in_b.front()).ok());
+  ASSERT_TRUE(t1->Insert("A", next, &x).ok());
+  auto t2 = a_only.tm.Begin();
+  ASSERT_TRUE(t2->Delete("A", in_a.front()).ok());
+  ASSERT_TRUE(t2->Insert("A", next, &y).ok());
+  EXPECT_EQ(x.page_id, in_a.front().page_id);
+  EXPECT_EQ(x, y);
+  ASSERT_TRUE(via_b.tm.Commit(t1.get()).ok());
+  ASSERT_TRUE(a_only.tm.Commit(t2.get()).ok());
+}
 
 }  // namespace
 }  // namespace prodb

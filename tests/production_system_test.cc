@@ -148,15 +148,5 @@ TEST(ProductionSystemRuleQueries, AnswersPaperQuery) {
           .IsInvalidArgument());
 }
 
-TEST(ProductionSystemRuleQueries, DisabledReportsNotSupported) {
-  ProductionSystemOptions opts;
-  opts.enable_rulebase_queries = false;
-  ProductionSystem ps(opts);
-  ASSERT_TRUE(ps.LoadString("(literalize E v)").ok());
-  std::vector<std::string> names;
-  EXPECT_EQ(ps.RulesForTuple("E", Tuple{Value(1)}, &names).code(),
-            Status::Code::kNotSupported);
-}
-
 }  // namespace
 }  // namespace prodb

@@ -116,19 +116,6 @@ TEST_F(RuleIndexTest, PredicateIndexPointQueries) {
   EXPECT_TRUE(affected.empty());
 }
 
-TEST_F(RuleIndexTest, PredicateIndexAnswersRuleBaseQueries) {
-  // §4.2.3: "give me all the rules that apply on employees older than 55".
-  PredicateIndex index(2);
-  ASSERT_TRUE(index.AddCondition(RangeCond(1, "Emp", 50, 70, 0, 1e9)).ok());
-  ASSERT_TRUE(index.AddCondition(RangeCond(2, "Emp", 0, 30, 0, 1e9)).ok());
-  ASSERT_TRUE(index.AddCondition(RangeCond(3, "Emp", 60, 1e9, 0, 1e9)).ok());
-  Box query = Box::Infinite(2);
-  query.lo[0] = 55;  // age > 55
-  auto hits = index.ConditionsOverlapping("Emp", query);
-  std::set<uint32_t> got(hits.begin(), hits.end());
-  EXPECT_EQ(got, (std::set<uint32_t>{1, 3}));
-}
-
 // Property: both schemes report exactly the true affected set on random
 // workloads (basic locking verifies candidates; predicate boxes are exact
 // for interval conditions).

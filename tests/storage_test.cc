@@ -363,11 +363,12 @@ class HeapFileHoleTest : public HeapFileTest {
     Status st = hf_->VerifySpaceIndex();
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
-  // Deletes rows_[id] under the current scope and inserts `t` near it.
+  // Deletes rows_[id] under the current scope and inserts `t`, which the
+  // heap places on the deleted row's page first.
   TupleId Modify(TupleId id, const Tuple& t) {
     TupleId nid;
     EXPECT_TRUE(hf_->Delete(id).ok());
-    EXPECT_TRUE(hf_->Insert(t, &nid, id.page_id).ok());
+    EXPECT_TRUE(hf_->Insert(t, &nid).ok());
     rows_.erase(id);
     rows_.emplace(nid, t);
     return nid;
@@ -429,7 +430,7 @@ TEST_F(HeapFileHoleTest, CompactionByAnotherKeyInvalidatesTheHole) {
   {
     WalTxnScope second(2);
     const Tuple other = Row('y', 31);
-    ASSERT_TRUE(hf_->Insert(other, &id, old.page_id).ok());
+    ASSERT_TRUE(hf_->Insert(other, &id).ok());
     ASSERT_EQ(id.page_id, old.page_id);
     rows_.emplace(id, other);
   }
@@ -438,7 +439,7 @@ TEST_F(HeapFileHoleTest, CompactionByAnotherKeyInvalidatesTheHole) {
   {
     WalTxnScope first(1);
     const Tuple next = Row('z');
-    ASSERT_TRUE(hf_->Insert(next, &id, old.page_id).ok());
+    ASSERT_TRUE(hf_->Insert(next, &id).ok());
     EXPECT_EQ(id.page_id, old.page_id);
     rows_.emplace(id, next);
   }
@@ -450,7 +451,8 @@ TEST_F(HeapFileHoleTest, CompactionByAnotherKeyInvalidatesTheHole) {
 }
 
 // Rolling back an in-hole modify (delete the new version, restore the old
-// one under its id) brings the old version back.
+// one under its id) brings the old version back, into the bytes undoing
+// the insert freed: nothing is compacted.
 TEST_F(HeapFileHoleTest, AbortAfterInHoleInsertRestoresTheOldVersion) {
   FillHeadPage();
   const TupleId old = rows_.begin()->first;
@@ -461,6 +463,7 @@ TEST_F(HeapFileHoleTest, AbortAfterInHoleInsertRestoresTheOldVersion) {
   ASSERT_EQ(hf_->compaction_count(), compactions);
   ASSERT_TRUE(hf_->Delete(nid).ok());
   ASSERT_TRUE(hf_->Restore(old, before).ok());
+  EXPECT_EQ(hf_->compaction_count(), compactions);
   rows_.erase(nid);
   rows_.emplace(old, before);
   hf_->ReleaseReservations(1);
@@ -521,7 +524,7 @@ TEST(HeapFileProperty, ConcurrentSameSizeModifiesMatchModel) {
           const size_t r = rng.Uniform(staged.size());
           Row next{TupleId{}, version(staged[r].tuple[0].as_int(), n)};
           if (!hf->Delete(staged[r].id).ok() ||
-              !hf->Insert(next.tuple, &next.id, staged[r].id.page_id).ok()) {
+              !hf->Insert(next.tuple, &next.id).ok()) {
             ++failures;
             continue;
           }
@@ -555,7 +558,7 @@ TEST(HeapFileProperty, ConcurrentSameSizeModifiesMatchModel) {
   }
   Status st = hf->VerifySpaceIndex();
   EXPECT_TRUE(st.ok()) << st.ToString();
-  // Rollbacks' restores compact; most modifies must not.
+  // Most modifies, and the rollbacks' restores, write into a hole.
   EXPECT_LT(hf->compaction_count() - compactions, modifies.load() / 2);
   ExpectPoolBalanced(pool);
 }
@@ -629,12 +632,12 @@ TEST(HeapFileProperty, RandomChurnMatchesReference) {
       if (op < 8) {
         ASSERT_TRUE(hf->Delete(id).ok());
       } else {
-        // A modify, under either writer: delete, then insert near the
-        // old page.
+        // A modify, under either writer: delete, then insert (under a
+        // transaction, on the old page first).
         Tuple t = random_tuple(80, 'u');
         TupleId nid;
         ASSERT_TRUE(hf->Delete(id).ok());
-        ASSERT_TRUE(hf->Insert(t, &nid, id.page_id).ok());
+        ASSERT_TRUE(hf->Insert(t, &nid).ok());
         if (txn != 0) {
           undo[txn].push_back({true, nid, t});
           owner[nid] = txn;

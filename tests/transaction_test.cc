@@ -248,7 +248,8 @@ TEST(TransactionSpaceTest, PagedDeleteFetchesItsPageOnce) {
 
 // A same-size modify on a page whose only reclaimable bytes are its own
 // delete's writes the new version into them: same page, the next slot,
-// no compaction. Aborting it brings the old version back under its id.
+// no compaction. Aborting it brings the old version back under its id,
+// into the bytes undoing the insert freed: still no compaction.
 TEST(TransactionSpaceTest, SameSizeModifyStaysInItsOwnHole) {
   CatalogOptions copts;
   copts.default_storage = StorageKind::kPaged;
@@ -284,6 +285,7 @@ TEST(TransactionSpaceTest, SameSizeModifyStaysInItsOwnHole) {
   EXPECT_EQ(got, next);
 
   ASSERT_TRUE(tm.Abort(txn.get()).ok());
+  EXPECT_EQ(rel->compaction_count(), compactions);
   EXPECT_TRUE(rel->Get(moved, &got).IsNotFound());
   ASSERT_TRUE(rel->Get(ids[5], &got).ok());
   EXPECT_EQ(got, (Tuple{Value(std::string(38, 's'))}));

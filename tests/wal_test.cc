@@ -187,10 +187,10 @@ TEST(WalLogManagerTest, StreamSpansPages) {
   std::unique_ptr<LogManager> wal;
   ASSERT_TRUE(LogManager::Create(&disk, {}, &wal).ok());
 
-  // A full page image cannot fit in one log page; plus enough small
+  // A page-sized record cannot fit in one log page; plus enough small
   // records to cross another boundary.
   LogRecord big;
-  big.type = LogRecordType::kPageImage;
+  big.type = LogRecordType::kSlotPut;
   big.page_id = 9;
   big.data.assign(kPageSize, 'z');
   wal->Append(big);
@@ -327,35 +327,53 @@ TEST(WalBufferPoolTest, StealWritesTxnDirtyPagesAfterLogForce) {
 TEST(WalRedoTest, PlaceRecordAtSlotGrowsDirectoryWithDeadSlots) {
   char page[kPageSize] = {};
   InitHeapPage(page);
-  ASSERT_TRUE(PlaceRecordAtSlot(page, 3, "cccc"));
+  ASSERT_EQ(PlaceRecordAtSlot(page, 3, "cccc"), Placed::kInFreeSpace);
   EXPECT_EQ(PageSlotCount(page), 4u);
   EXPECT_EQ(SlotLength(page, 0), kDeadSlot);
   EXPECT_EQ(SlotLength(page, 2), kDeadSlot);
   EXPECT_EQ(SlotLength(page, 3), 4u);
   EXPECT_EQ(std::memcmp(page + SlotOffset(page, 3), "cccc", 4), 0);
 
-  // Replacing a live slot (update-in-place redo) keeps the directory size.
-  ASSERT_TRUE(PlaceRecordAtSlot(page, 3, "dd"));
+  // Replacing a live slot keeps the directory size.
+  ASSERT_EQ(PlaceRecordAtSlot(page, 3, "dd"), Placed::kInFreeSpace);
   EXPECT_EQ(PageSlotCount(page), 4u);
   EXPECT_EQ(SlotLength(page, 3), 2u);
   EXPECT_EQ(std::memcmp(page + SlotOffset(page, 3), "dd", 2), 0);
 }
 
-TEST(WalRedoTest, RecoverLogAppliesPageImageRecords) {
+// A record that fits the caller's hole goes there, moving nothing and
+// leaving the free space alone; one that does not takes the free space.
+TEST(WalRedoTest, PlaceRecordAtSlotUsesAHoleTheRecordFits) {
+  char page[kPageSize] = {};
+  InitHeapPage(page);
+  ASSERT_EQ(PlaceRecordAtSlot(page, 0, "aaaaaa"), Placed::kInFreeSpace);
+  const PageHole hole{SlotOffset(page, 0), SlotLength(page, 0)};
+  SetSlot(page, 0, 0, kDeadSlot);
+  const uint16_t free_end = GetU16(page, kPageFreeEndOff);
+
+  ASSERT_EQ(PlaceRecordAtSlot(page, 1, "bbbbbbb", &hole),
+            Placed::kInFreeSpace);
+  EXPECT_EQ(GetU16(page, kPageFreeEndOff), free_end - 7);
+  ASSERT_EQ(PlaceRecordAtSlot(page, 2, "cccc", &hole), Placed::kInHole);
+  EXPECT_EQ(GetU16(page, kPageFreeEndOff), free_end - 7);
+  EXPECT_EQ(PageSlotCount(page), 3u);
+  EXPECT_EQ(SlotOffset(page, 2), hole.offset);
+  EXPECT_EQ(std::memcmp(page + hole.offset, "cccc", 4), 0);
+  EXPECT_EQ(std::memcmp(page + SlotOffset(page, 1), "bbbbbbb", 7), 0);
+}
+
+TEST(WalRedoTest, RecoverLogFormatsAndFillsANeverWrittenPage) {
   MemoryDiskManager disk;
   std::unique_ptr<LogManager> wal;
   ASSERT_TRUE(LogManager::Create(&disk, {}, &wal).ok());
   uint32_t data_pid;
   ASSERT_TRUE(disk.AllocatePage(&data_pid).ok());
 
-  // Log a full formatted page image (never written to the page itself —
-  // redo must materialize it) followed by a slot put on top of it.
-  std::string image(kPageSize, '\0');
-  InitHeapPage(image.data());
+  // Log a page format (never written to the page itself — redo must
+  // materialize it) followed by a slot put on top of it.
   LogRecord rec;
-  rec.type = LogRecordType::kPageImage;
+  rec.type = LogRecordType::kPageFormat;
   rec.page_id = data_pid;
-  rec.data = image;
   wal->Append(rec);
   rec.type = LogRecordType::kSlotPut;
   rec.slot = 0;
