@@ -321,8 +321,9 @@ BENCHMARK(BM_LockPath)->Arg(0)->Arg(64)->Unit(benchmark::kMicrosecond);
 // The Select step alone: drain `pending` instantiations of a rule whose
 // RHS only retracts its own tuple, so a firing is Take + one Rete delete.
 // The pending sets run well past the 128 a serving `fire` cycle holds;
-// FIFO and recency select through the recency index and should cost the
-// same per firing at every size, priority and random walk the set.
+// FIFO and recency read an end of the recency list and should cost the
+// same per firing at every size; priority walks the set, and random
+// walks the key-order index to its pick.
 void BM_SequentialSelection(benchmark::State& state) {
   const int pending = static_cast<int>(state.range(0));
   const auto strategy = static_cast<StrategyKind>(state.range(1));

@@ -1,6 +1,5 @@
 #include "engine/strategy.h"
 
-#include <iterator>
 #include <memory>
 
 #include "common/rng.h"
@@ -46,8 +45,7 @@ ConflictSet::Chooser MakeStrategy(StrategyKind kind,
       auto rng = std::make_shared<Rng>(seed);
       return [rng](const View& view) {
         if (view.empty()) return view.end();
-        return std::next(view.begin(),
-                         static_cast<ptrdiff_t>(rng->Uniform(view.size())));
+        return view.NthInKeyOrder(rng->Uniform(view.size()));
       };
     }
   }

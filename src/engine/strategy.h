@@ -23,9 +23,11 @@ const char* StrategyName(StrategyKind kind);
 
 /// Builds a chooser usable with ConflictSet::Take. `rules` backs the
 /// priority strategy; `seed` feeds the random strategy (deterministic).
-/// Cost per selection over n pending members: FIFO and recency are
-/// O(log n) recency-index lookups; priority walks all n members; random
-/// walks to the k-th member in key order (O(k)). None copies a member.
+/// Cost per selection over n pending members: FIFO and recency read an
+/// end of the conflict set's recency list (O(1)); priority walks all n
+/// members (O(n)); random walks the set's key-order index to the drawn
+/// k-th member (O(min(k, n - k)); the index, built on the first random
+/// pick, then costs O(log n) per add and remove). None copies a member.
 ConflictSet::Chooser MakeStrategy(StrategyKind kind,
                                   const std::vector<Rule>* rules,
                                   uint64_t seed = 42);

@@ -1,5 +1,8 @@
 #include "match/conflict_set.h"
 
+#include <algorithm>
+#include <charconv>
+
 namespace prodb {
 
 constexpr TupleId Instantiation::kNoTuple;
@@ -8,9 +11,19 @@ std::string Instantiation::Key() const { return KeyOf(rule_index, tuple_ids); }
 
 std::string Instantiation::KeyOf(int rule_index,
                                  const std::vector<TupleId>& tuple_ids) {
-  std::string key = std::to_string(rule_index);
+  // "rule|page.slot|page.slot...", written in place: no temporaries.
+  std::string key;
+  char digits[16];
+  auto append = [&](auto number) {
+    key.append(digits,
+               std::to_chars(digits, digits + sizeof(digits), number).ptr);
+  };
+  append(rule_index);
   for (const TupleId& id : tuple_ids) {
-    key += "|" + std::to_string(id.page_id) + "." + std::to_string(id.slot_id);
+    key += '|';
+    append(id.page_id);
+    key += '.';
+    append(id.slot_id);
   }
   return key;
 }
@@ -30,22 +43,59 @@ void ConflictSet::SetDeltaListener(DeltaListener listener) {
 }
 
 bool ConflictSet::InsertLocked(Instantiation inst) {
-  std::string key = inst.Key();
-  auto hint = items_.lower_bound(key);
-  if (hint != items_.end() && hint->first == key) return false;
-  inst.recency = next_recency_++;
-  auto it = items_.emplace_hint(hint, std::move(key), std::move(inst));
-  // Stamps only grow, so the new member is always the index's last.
-  by_recency_.emplace_hint(by_recency_.end(), it->second.recency, it);
+  auto [it, added] = items_.try_emplace(inst.Key(), std::move(inst));
+  if (!added) return false;
+  Entry* entry = &*it;
+  Member& member = entry->second;
+  member.recency = next_recency_++;
+  // Stamps only grow, so the new member is always the list's newest.
+  member.older_ = newest_;
+  (newest_ != nullptr ? newest_->second.newer_ : oldest_) = entry;
+  newest_ = entry;
+  if (key_order_) key_order_->insert(entry);
   ++total_added_;
-  NotifyLocked(/*added=*/true, it->first, &it->second);
+  NotifyLocked(/*added=*/true, entry->first, &member);
   return true;
 }
 
-ConflictSet::Items::node_type ConflictSet::ExtractLocked(
-    Items::const_iterator it) {
-  by_recency_.erase(it->second.recency);
+ConflictSet::Items::node_type ConflictSet::ExtractLocked(Items::iterator it) {
+  Member& member = it->second;
+  (member.older_ != nullptr ? member.older_->second.newer_ : oldest_) =
+      member.newer_;
+  (member.newer_ != nullptr ? member.newer_->second.older_ : newest_) =
+      member.older_;
+  if (key_order_) key_order_->erase(&*it);
   return items_.extract(it);
+}
+
+std::vector<const ConflictSet::Entry*> ConflictSet::SortedByKeyLocked()
+    const {
+  std::vector<const Entry*> out;
+  out.reserve(items_.size());
+  for (const Entry& entry : items_) out.push_back(&entry);
+  std::sort(out.begin(), out.end(), KeyLess());
+  return out;
+}
+
+const ConflictSet::KeyOrder& ConflictSet::KeyOrderLocked() const {
+  if (!key_order_) {
+    std::vector<const Entry*> sorted = SortedByKeyLocked();
+    key_order_.emplace(sorted.begin(), sorted.end());
+  }
+  return *key_order_;
+}
+
+ConflictSet::View::const_iterator ConflictSet::View::NthInKeyOrder(
+    size_t k) const {
+  const size_t n = size();
+  if (k >= n) return end();
+  const KeyOrder& order = set_->KeyOrderLocked();
+  if (k < n - k) {
+    return const_iterator(*std::next(order.begin(),
+                                     static_cast<std::ptrdiff_t>(k)));
+  }
+  return const_iterator(*std::prev(order.end(),
+                                   static_cast<std::ptrdiff_t>(n - k)));
 }
 
 bool ConflictSet::Add(Instantiation inst) {
@@ -84,17 +134,16 @@ bool ConflictSet::RemoveByKey(const std::string& key) {
 size_t ConflictSet::RemoveIf(
     const std::function<bool(const Instantiation&)>& pred) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t removed = 0;
-  for (auto it = items_.begin(); it != items_.end();) {
-    if (pred(it->second)) {
-      NotifyLocked(/*added=*/false, it->first, nullptr);
-      ExtractLocked(it++);
-      ++removed;
-    } else {
-      ++it;
-    }
+  std::vector<const Entry*> removed;
+  for (const Entry* e = oldest_; e != nullptr; e = e->second.newer_) {
+    if (pred(e->second)) removed.push_back(e);
   }
-  return removed;
+  std::sort(removed.begin(), removed.end(), KeyLess());
+  for (const Entry* e : removed) {
+    NotifyLocked(/*added=*/false, e->first, nullptr);
+    ExtractLocked(items_.find(e->first));
+  }
+  return removed.size();
 }
 
 bool ConflictSet::Contains(const std::string& key) const {
@@ -116,7 +165,7 @@ std::vector<Instantiation> ConflictSet::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Instantiation> out;
   out.reserve(items_.size());
-  for (const auto& [key, inst] : items_) out.push_back(inst);
+  for (const Entry* e : SortedByKeyLocked()) out.push_back(e->second);
   return out;
 }
 
@@ -135,16 +184,17 @@ std::vector<uint64_t> ConflictSet::CountByRule(size_t num_rules) const {
 bool ConflictSet::Take(const Chooser& chooser, Instantiation* out) {
   std::lock_guard<std::mutex> lock(mu_);
   if (items_.empty()) return false;
-  View::const_iterator pick = chooser(View(&items_, &by_recency_));
-  if (pick == items_.end()) return false;
-  *out = std::move(ExtractLocked(pick).mapped());
+  View::const_iterator pick = chooser(View(this));
+  if (pick == View::const_iterator()) return false;
+  *out = std::move(ExtractLocked(items_.find(pick->first)).mapped());
   return true;
 }
 
 void ConflictSet::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  by_recency_.clear();
   items_.clear();
+  oldest_ = newest_ = nullptr;
+  if (key_order_) key_order_->clear();
 }
 
 uint64_t ConflictSet::total_added() const {

@@ -1,11 +1,16 @@
 #ifndef PRODB_MATCH_CONFLICT_SET_H_
 #define PRODB_MATCH_CONFLICT_SET_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <iterator>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/tuple.h"
@@ -64,45 +69,83 @@ class ConflictOpBuffer {
   std::vector<Op> ops_;
 };
 
-/// The conflict set: satisfied instantiations keyed for O(log n) dedup
-/// and removal, plus a recency index so the Select step reaches the
-/// oldest and newest members in O(log n) without copying the set. All
-/// matchers maintain one of these; the execution engine drains it.
-/// Thread-safe (concurrent execution mutates it from worker threads
-/// during maintenance).
+/// The conflict set: satisfied instantiations in a hash map on their
+/// Key(), for O(1) dedup and removal, threaded on a recency list (oldest
+/// to newest) so the Select step reaches the oldest and newest members
+/// in O(1) without copying the set. All matchers maintain one of these;
+/// the execution engine drains it. Thread-safe (concurrent execution
+/// mutates it from worker threads during maintenance).
 class ConflictSet {
-  using Items = std::map<std::string, Instantiation>;
-  using ByRecency = std::map<uint64_t, Items::const_iterator>;
-
  public:
+  class Member;
+  /// A live member: its key and the instantiation.
+  using Entry = std::pair<const std::string, Member>;
+
+  /// An instantiation in the set, with its place on the set's recency
+  /// list.
+  class Member : public Instantiation {
+   public:
+    explicit Member(Instantiation inst) : Instantiation(std::move(inst)) {}
+
+   private:
+    friend class ConflictSet;
+    Entry* older_ = nullptr;
+    Entry* newer_ = nullptr;
+  };
+
   /// A read-only view of the live members, handed to a Chooser while
   /// Take holds the set's mutex. Nothing is copied; the view and its
   /// iterators are valid only during that call.
   class View {
    public:
-    using const_iterator = Items::const_iterator;
+    class const_iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Entry;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Entry*;
+      using reference = const Entry&;
 
-    size_t size() const { return items_->size(); }
-    bool empty() const { return items_->empty(); }
-    /// Members in key order (the order Snapshot() returns them in).
-    const_iterator begin() const { return items_->begin(); }
-    const_iterator end() const { return items_->end(); }
+      const_iterator() = default;
+      reference operator*() const { return *entry_; }
+      pointer operator->() const { return entry_; }
+      const_iterator& operator++() {
+        entry_ = entry_->second.newer_;
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator was = *this;
+        ++*this;
+        return was;
+      }
+      bool operator==(const const_iterator&) const = default;
+
+     private:
+      friend class ConflictSet;
+      explicit const_iterator(const Entry* entry) : entry_(entry) {}
+      const Entry* entry_ = nullptr;
+    };
+
+    size_t size() const { return set_->items_.size(); }
+    bool empty() const { return set_->items_.empty(); }
+    /// Every member once, in no particular order.
+    const_iterator begin() const { return const_iterator(set_->oldest_); }
+    const_iterator end() const { return const_iterator(); }
     /// The member with the lowest / highest recency stamp; end() when
     /// the set is empty.
-    const_iterator Oldest() const {
-      return by_recency_->empty() ? end() : by_recency_->begin()->second;
-    }
-    const_iterator Newest() const {
-      return by_recency_->empty() ? end() : by_recency_->rbegin()->second;
-    }
+    const_iterator Oldest() const { return begin(); }
+    const_iterator Newest() const { return const_iterator(set_->newest_); }
+    /// The k-th member in key order (the order Snapshot() returns them
+    /// in), or end() when k >= size(). The first call builds the set's
+    /// key-order index, which the set then keeps in step; each call
+    /// walks it from its nearer end, O(min(k, size() - k)).
+    const_iterator NthInKeyOrder(size_t k) const;
 
    private:
     friend class ConflictSet;
-    View(const Items* items, const ByRecency* by_recency)
-        : items_(items), by_recency_(by_recency) {}
+    explicit View(const ConflictSet* set) : set_(set) {}
 
-    const Items* items_;
-    const ByRecency* by_recency_;
+    const ConflictSet* set_;
   };
 
   /// Picks the member Take removes, or returns the view's end() to
@@ -138,8 +181,9 @@ class ConflictSet {
   void ApplyOps(ConflictOpBuffer* buf);
 
   /// Removes every instantiation for which `pred` returns true; returns
-  /// the number removed. Used on WM deletions (tuple ids are unique only
-  /// within a relation, so callers match on rule/CE position too).
+  /// the number removed. The listener hears the removals in key order.
+  /// Used on WM deletions (tuple ids are unique only within a relation,
+  /// so callers match on rule/CE position too).
   size_t RemoveIf(const std::function<bool(const Instantiation&)>& pred);
 
   bool Contains(const std::string& key) const;
@@ -147,7 +191,7 @@ class ConflictSet {
   size_t size() const;
 
   /// Snapshot of current members in key order (copies; the set may
-  /// change under a concurrent engine).
+  /// change under a concurrent engine). Sorts the members: O(n log n).
   std::vector<Instantiation> Snapshot() const;
 
   /// Live members per rule index in [0, num_rules), counted in place;
@@ -165,24 +209,46 @@ class ConflictSet {
   uint64_t total_added() const;
 
  private:
+  using Items = std::unordered_map<std::string, Member>;
+  struct KeyLess {
+    bool operator()(const Entry* a, const Entry* b) const {
+      return a->first < b->first;
+    }
+  };
+  using KeyOrder = std::set<const Entry*, KeyLess>;
+
   /// Notifies the listener, if any. Caller holds mu_.
   void NotifyLocked(bool added, const std::string& key,
                     const Instantiation* inst) {
     if (listener_) listener_(added, key, inst);
   }
 
-  /// The one insert path: dedups on Key(), stamps recency, indexes the
-  /// member, counts and notifies. Caller holds mu_.
+  /// The one insert path: dedups on Key(), stamps recency, links the
+  /// member as the newest, indexes it, counts and notifies. Caller holds
+  /// mu_.
   bool InsertLocked(Instantiation inst);
 
-  /// The one erase path: unindexes `it` and removes it from the set,
-  /// returning its node (so Take can move the member out). Caller holds
-  /// mu_.
-  Items::node_type ExtractLocked(Items::const_iterator it);
+  /// The one erase path: unlinks and unindexes `it` and removes it from
+  /// the set, returning its node (so Take can move the member out).
+  /// Caller holds mu_.
+  Items::node_type ExtractLocked(Items::iterator it);
+
+  /// The members sorted by key. Caller holds mu_.
+  std::vector<const Entry*> SortedByKeyLocked() const;
+
+  /// The key-order index, built from the members on first use. Caller
+  /// holds mu_.
+  const KeyOrder& KeyOrderLocked() const;
 
   mutable std::mutex mu_;
   Items items_;
-  ByRecency by_recency_;  // recency stamp -> member; in step with items_
+  // The recency list: stamps only grow, so appending keeps it in stamp
+  // order.
+  Entry* oldest_ = nullptr;
+  Entry* newest_ = nullptr;
+  // Built by the first NthInKeyOrder (the random chooser), then kept in
+  // step with items_.
+  mutable std::optional<KeyOrder> key_order_;
   uint64_t next_recency_ = 1;
   uint64_t total_added_ = 0;
   DeltaListener listener_;

@@ -25,12 +25,39 @@ std::map<int, int> FirstEqAttrByVar(const ConditionSpec& cond) {
   return first_eq_attr;
 }
 
-/// Hash of a token's tuple ids (keys of negated-node match counts).
+/// Hash of a token's tuple ids (keys of negated-node match counts),
+/// alike for the stored id vector and a token looked up in place.
 struct TupleIdsHash {
+  using is_transparent = void;
   size_t operator()(const std::vector<TupleId>& ids) const {
     uint64_t h = 0;
     for (const TupleId& id : ids) h = h * 0x9e3779b97f4a7c15ull + HashId(id);
     return static_cast<size_t>(h);
+  }
+  size_t operator()(TokenView token) const {
+    uint64_t h = 0;
+    for (const TokenSlot& s : token) {
+      h = h * 0x9e3779b97f4a7c15ull + HashId(s.id);
+    }
+    return static_cast<size_t>(h);
+  }
+};
+
+/// Equality of stored id vectors and tokens by their tuple ids.
+struct TupleIdsEq {
+  using is_transparent = void;
+  bool operator()(const std::vector<TupleId>& a,
+                  const std::vector<TupleId>& b) const {
+    return a == b;
+  }
+  bool operator()(TokenView token, const std::vector<TupleId>& ids) const {
+    return std::equal(token.begin(), token.end(), ids.begin(), ids.end(),
+                      [](const TokenSlot& s, const TupleId& id) {
+                        return s.id == id;
+                      });
+  }
+  bool operator()(const std::vector<TupleId>& ids, TokenView token) const {
+    return (*this)(token, ids);
   }
 };
 
@@ -147,7 +174,10 @@ struct ReteNetwork::JoinNode {
   // unbound variable is not an equality, which OPS5 cannot satisfy.
   std::vector<Test> tests;
   bool never = false;
-  std::unordered_map<std::vector<TupleId>, int, TupleIdsHash> neg_counts;
+  // Looked up by a token in place; the id vector is built only when a
+  // new count is stored.
+  std::unordered_map<std::vector<TupleId>, int, TupleIdsHash, TupleIdsEq>
+      neg_counts;
   std::vector<JoinNode*> children;
   std::vector<int> productions;  // rule indices satisfied at this node
 
@@ -658,7 +688,7 @@ Status ReteNetwork::ActivateLeft(Shard* shard, JoinNode* node,
 
   if (node->negated) {
     if (!positive) {
-      auto it = node->neg_counts.find(IdsOf(token));
+      auto it = node->neg_counts.find(token);
       int count = it == node->neg_counts.end() ? 0 : it->second;
       if (it != node->neg_counts.end()) node->neg_counts.erase(it);
       if (count == 0) return Descend(shard, node, token, false);
@@ -749,7 +779,11 @@ Status ReteNetwork::JoinRight(Shard* shard, JoinNode* node) {
   auto pair_one = [&](TokenView l, const RightActivation& a) -> Status {
     if (!node->Joins(l, a.tuple())) return Status::OK();
     if (node->negated) {
-      int& count = node->neg_counts[IdsOf(l)];
+      auto it = node->neg_counts.find(l);
+      if (it == node->neg_counts.end()) {
+        it = node->neg_counts.emplace(IdsOf(l), 0).first;
+      }
+      int& count = it->second;
       if (a.positive) {
         if (++count == 1) {
           PRODB_RETURN_IF_ERROR(Descend(shard, node, l, false));

@@ -1,6 +1,7 @@
 #include "rete/token_store.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace prodb {
 
@@ -51,9 +52,63 @@ uint64_t MemoryTokenStore::HashOf(TokenView token) const {
   return h;
 }
 
+size_t MemoryTokenStore::Home(uint64_t hash) const {
+  // Fibonacci hashing: the top bits of the product spread keys whose
+  // hashes differ only in high or only in low bits.
+  return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ull) >> shift_);
+}
+
+size_t MemoryTokenStore::Probe(uint64_t hash) const {
+  const size_t mask = table_.size() - 1;
+  size_t at = Home(hash);
+  while (!table_[at].slots.empty() && table_[at].hash != hash) {
+    at = (at + 1) & mask;
+  }
+  return at;
+}
+
+void MemoryTokenStore::Grow() {
+  std::vector<Bucket> old = std::move(table_);
+  const size_t size = old.empty() ? 8 : 2 * old.size();
+  table_ = std::vector<Bucket>(size);
+  shift_ = 64 - std::countr_zero(size);
+  for (Bucket& b : old) {
+    if (!b.slots.empty()) table_[Probe(b.hash)] = std::move(b);
+  }
+}
+
+void MemoryTokenStore::EraseAt(size_t at) {
+  // Free the emptied bucket's slot storage: a drained key holds none.
+  std::vector<TokenSlot>().swap(table_[at].slots);
+  --buckets_used_;
+  // Backward-shift deletion: walk the rest of the probe run and move
+  // back into the hole each bucket whose home is not after the hole, so
+  // every bucket stays reachable from its home without tombstones.
+  const size_t mask = table_.size() - 1;
+  size_t hole = at;
+  for (size_t i = (at + 1) & mask; !table_[i].slots.empty();
+       i = (i + 1) & mask) {
+    if (((i - Home(table_[i].hash)) & mask) >= ((i - hole) & mask)) {
+      std::swap(table_[hole], table_[i]);
+      hole = i;
+    }
+  }
+}
+
 Status MemoryTokenStore::Add(TokenView token) {
   if (token.size() != width_) return WidthMismatch(token.size(), width_);
-  std::vector<TokenSlot>& bucket = buckets_[HashOf(token)];
+  const uint64_t h = HashOf(token);
+  size_t at = table_.empty() ? 0 : Probe(h);
+  if (table_.empty() || table_[at].slots.empty()) {
+    // A new key: keep the table at most 3/4 full.
+    if (4 * (buckets_used_ + 1) > 3 * table_.size()) {
+      Grow();
+      at = Probe(h);
+    }
+    table_[at].hash = h;
+    ++buckets_used_;
+  }
+  std::vector<TokenSlot>& bucket = table_[at].slots;
   bucket.insert(bucket.end(), token.begin(), token.end());
   ++size_;
   return Status::OK();
@@ -62,22 +117,22 @@ Status MemoryTokenStore::Add(TokenView token) {
 Status MemoryTokenStore::RemoveExact(TokenView token, bool* found) {
   *found = false;
   if (token.size() != width_) return WidthMismatch(token.size(), width_);
+  if (table_.empty()) return Status::OK();
   // A tuple id never changes value (ids are not reused), so tokens with
   // equal id combinations carry equal key values and share a bucket.
-  auto it = buckets_.find(HashOf(token));
-  if (it == buckets_.end()) return Status::OK();
-  std::vector<TokenSlot>& bucket = it->second;
+  const size_t bucket_at = Probe(HashOf(token));
+  std::vector<TokenSlot>& bucket = table_[bucket_at].slots;
   for (size_t at = 0; at < bucket.size(); at += width_) {
     if (!SameIds(TokenView(bucket).subspan(at, width_), token)) continue;
-    // Fill the hole with the bucket's last token; order within a bucket
-    // carries no meaning.
+    // Fill the hole with the bucket's last token, the order every probe
+    // of this key then visits (see the class comment).
     const size_t last = bucket.size() - width_;
     if (at != last) {
       std::move(bucket.begin() + static_cast<ptrdiff_t>(last), bucket.end(),
                 bucket.begin() + static_cast<ptrdiff_t>(at));
     }
     bucket.resize(last);
-    if (bucket.empty()) buckets_.erase(it);
+    if (bucket.empty()) EraseAt(bucket_at);
     --size_;
     *found = true;
     return Status::OK();
@@ -86,10 +141,9 @@ Status MemoryTokenStore::RemoveExact(TokenView token, bool* found) {
 }
 
 Status MemoryTokenStore::Scan(const Visitor& fn) const {
-  for (const auto& [hash, bucket] : buckets_) {
-    (void)hash;
-    for (size_t at = 0; at < bucket.size(); at += width_) {
-      PRODB_RETURN_IF_ERROR(fn(TokenView(bucket).subspan(at, width_)));
+  for (const Bucket& b : table_) {
+    for (size_t at = 0; at < b.slots.size(); at += width_) {
+      PRODB_RETURN_IF_ERROR(fn(TokenView(b.slots).subspan(at, width_)));
     }
   }
   return Status::OK();
@@ -98,11 +152,10 @@ Status MemoryTokenStore::Scan(const Visitor& fn) const {
 Status MemoryTokenStore::ScanMatching(const std::vector<Value>& key,
                                       const Visitor& fn) const {
   if (!keyed() || key.size() != key_cols_.size()) return Scan(fn);
+  if (table_.empty()) return Status::OK();
   uint64_t h = 0;
   for (const Value& v : key) h = MixKey(h, v);
-  auto it = buckets_.find(h);
-  if (it == buckets_.end()) return Status::OK();
-  const std::vector<TokenSlot>& bucket = it->second;
+  const std::vector<TokenSlot>& bucket = table_[Probe(h)].slots;
   for (size_t at = 0; at < bucket.size(); at += width_) {
     PRODB_RETURN_IF_ERROR(fn(TokenView(bucket).subspan(at, width_)));
   }
@@ -111,16 +164,12 @@ Status MemoryTokenStore::ScanMatching(const std::vector<Value>& key,
 
 size_t MemoryTokenStore::FootprintBytes(
     std::unordered_set<const Tuple*>* counted) const {
-  // A hash node holds the key, the bucket vector and a next pointer; a
-  // make_shared payload adds its control block to the tuple.
-  constexpr size_t kNodeBytes =
-      sizeof(uint64_t) + sizeof(std::vector<TokenSlot>) + sizeof(void*);
+  // A make_shared payload adds its control block to the tuple.
   constexpr size_t kControlBlockBytes = 16;
-  size_t total = sizeof(*this) + buckets_.bucket_count() * sizeof(void*);
-  for (const auto& [hash, bucket] : buckets_) {
-    (void)hash;
-    total += kNodeBytes + bucket.capacity() * sizeof(TokenSlot);
-    for (const TokenSlot& s : bucket) {
+  size_t total = sizeof(*this) + table_.capacity() * sizeof(Bucket);
+  for (const Bucket& b : table_) {
+    total += b.slots.capacity() * sizeof(TokenSlot);
+    for (const TokenSlot& s : b.slots) {
       if (counted->insert(s.tuple.get()).second) {
         total += kControlBlockBytes + s.tuple->FootprintBytes();
       }

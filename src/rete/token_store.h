@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -82,6 +81,13 @@ class TokenStore {
 /// tokens' slots in place, `width` per token, so adding, removing (by
 /// tuple ids) and probing each cost one bucket lookup. An unkeyed store
 /// is one bucket.
+///
+/// The buckets live in one open-addressed table of 32-byte entries (the
+/// key hash and the slot vector), a power of two long and at most 3/4
+/// full, probed linearly; removing a bucket shifts the rest of its probe
+/// run back, so no tombstones accumulate. Within a bucket, Add appends
+/// and RemoveExact moves the bucket's last token into the hole, so a
+/// probe visits a key's tokens in that order.
 class MemoryTokenStore : public TokenStore {
  public:
   explicit MemoryTokenStore(size_t width,
@@ -98,12 +104,31 @@ class MemoryTokenStore : public TokenStore {
       std::unordered_set<const Tuple*>* counted) const override;
 
  private:
+  // One table entry: the slots of every token filed under key hash
+  // `hash`, `width_` each. An entry with no slots is empty.
+  struct Bucket {
+    uint64_t hash = 0;
+    std::vector<TokenSlot> slots;
+  };
+
   uint64_t HashOf(TokenView token) const;
+  // The entry a bucket for `hash` starts its probe run at.
+  size_t Home(uint64_t hash) const;
+  // The entry holding the bucket for `hash`, or the empty entry that
+  // ends its probe run. The table must not be empty.
+  size_t Probe(uint64_t hash) const;
+  // Doubles the table (or makes its first 8 entries) and refiles every
+  // bucket.
+  void Grow();
+  // Empties the bucket at entry `at` and shifts the rest of its probe
+  // run back.
+  void EraseAt(size_t at);
 
   size_t width_;
   std::vector<TokenKeyCol> key_cols_;
-  // Key hash -> the slots of every token filed under it, `width_` each.
-  std::unordered_map<uint64_t, std::vector<TokenSlot>> buckets_;
+  std::vector<Bucket> table_;  // empty, or a power of two long
+  int shift_ = 64;             // 64 - log2(table_.size())
+  size_t buckets_used_ = 0;
   size_t size_ = 0;
 };
 

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
+#include <atomic>
+#include <thread>
 
 #include "common/rng.h"
 #include "engine/strategy.h"
@@ -85,7 +86,7 @@ TEST(ConflictSetTest, TakeWithChooser) {
   Instantiation out;
   // Chooser picks the second member in key order.
   ASSERT_TRUE(cs.Take(
-      [](const ConflictSet::View& view) { return std::next(view.begin()); },
+      [](const ConflictSet::View& view) { return view.NthInKeyOrder(1); },
       &out));
   EXPECT_EQ(out.rule_name, "R1");
   EXPECT_EQ(cs.size(), 1u);
@@ -103,6 +104,32 @@ TEST(ConflictSetTest, TakeWithChooser) {
       },
       &out));
   EXPECT_FALSE(asked);
+}
+
+TEST(ConflictSetTest, RemoveIfNotifiesInKeyOrder) {
+  ConflictSet cs;
+  // Added out of key order, so neither insertion nor recency order is
+  // key order.
+  for (uint32_t page : {7u, 3u, 12u, 5u, 40u, 1u, 9u}) {
+    ASSERT_TRUE(cs.Add(Make(static_cast<int>(page % 3), {page})));
+  }
+  std::vector<std::string> heard;
+  cs.SetDeltaListener(
+      [&](bool added, const std::string& key, const Instantiation* inst) {
+        EXPECT_FALSE(added);
+        EXPECT_EQ(inst, nullptr);
+        heard.push_back(key);
+      });
+  const size_t removed = cs.RemoveIf([](const Instantiation& inst) {
+    return inst.tuple_ids[0].page_id != 12;
+  });
+  cs.SetDeltaListener(nullptr);
+  EXPECT_EQ(removed, 6u);
+  ASSERT_EQ(heard.size(), 6u);
+  EXPECT_TRUE(std::is_sorted(heard.begin(), heard.end()));
+  EXPECT_EQ(std::adjacent_find(heard.begin(), heard.end()), heard.end());
+  EXPECT_EQ(cs.size(), 1u);
+  EXPECT_TRUE(cs.Contains(Make(0, {12}).Key()));
 }
 
 // The selection logic strategies had when a chooser received a copy of
@@ -153,8 +180,29 @@ std::string RandomKey(const ConflictSet& cs, Rng* rng) {
   return RandomInst(rng).Key();
 }
 
-// The view's recency ends are the min/max-recency members, its key-order
-// walk is Snapshot()'s order, and CountByRule agrees with the members.
+// The keys a walk of the view visits, sorted.
+std::vector<std::string> WalkedKeys(const ConflictSet::View& view) {
+  std::vector<std::string> keys;
+  for (const auto& [key, inst] : view) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// The keys of NthInKeyOrder(0), NthInKeyOrder(1), ... up to the first
+// end().
+std::vector<std::string> KeysByNth(const ConflictSet::View& view) {
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < view.size(); ++i) {
+    const ConflictSet::View::const_iterator nth = view.NthInKeyOrder(i);
+    if (nth == view.end()) break;
+    keys.push_back(nth->first);
+  }
+  return keys;
+}
+
+// The view's recency ends are the min/max-recency members, its walk
+// visits every member once, its k-th member in key order is Snapshot()'s
+// k-th, and CountByRule agrees with the members.
 void ExpectIndexesInStep(ConflictSet& cs) {
   const std::vector<Instantiation> members = cs.Snapshot();
   std::vector<std::string> member_keys;
@@ -174,9 +222,9 @@ void ExpectIndexesInStep(ConflictSet& cs) {
       [&](const ConflictSet::View& view) {
         viewed = true;
         EXPECT_EQ(view.size(), members.size());
-        std::vector<std::string> keys;
-        for (const auto& [key, inst] : view) keys.push_back(key);
-        EXPECT_EQ(keys, member_keys);
+        EXPECT_EQ(WalkedKeys(view), member_keys);
+        EXPECT_EQ(KeysByNth(view), member_keys);
+        EXPECT_EQ(view.NthInKeyOrder(view.size()), view.end());
         auto [lo, hi] = std::minmax_element(members.begin(), members.end(),
                                             by_recency);
         EXPECT_EQ(view.Oldest()->first, lo->Key());
@@ -190,8 +238,8 @@ void ExpectIndexesInStep(ConflictSet& cs) {
 }
 
 // A seeded mix of every mutation, with each strategy's Take checked
-// against the copying reference and the recency index checked after
-// every operation.
+// against the copying reference and the recency ends and the key-order
+// index checked after every operation.
 TEST(ConflictSetTest, StrategiesMatchCopyingReference) {
   std::vector<Rule> rules(kRandomRules);
   for (size_t r = 0; r < rules.size(); ++r) {
@@ -253,6 +301,89 @@ TEST(ConflictSetTest, StrategiesMatchCopyingReference) {
     EXPECT_GT(taken, 500u);
     EXPECT_GT(max_size, 20u);
   }
+}
+
+// Four maintainers Add, RemoveByKey and ApplyOps over disjoint key ranges
+// (one rule index each) while two takers drain with the FIFO and random
+// choosers, so the recency list and the key-order index the random
+// chooser builds are mutated from six threads. Afterwards both must still
+// hold exactly the members.
+TEST(ConflictSetTest, ConcurrentMaintenanceKeepsRecencyList) {
+  constexpr int kMaintainers = 4;
+  constexpr int kSteps = 3000;
+  const std::vector<Rule> rules(kMaintainers);
+  ConflictSet cs;
+  // Maintenance steps done so far; the takers stop at three quarters, so
+  // the set ends with members in it.
+  std::atomic<int> progress{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kMaintainers; ++t) {
+    threads.emplace_back([&cs, &progress, t] {
+      Rng rng(100 + static_cast<uint64_t>(t));
+      auto inst = [&] {
+        return Make(t, {static_cast<uint32_t>(rng.Uniform(48))});
+      };
+      for (int step = 0; step < kSteps; ++step) {
+        const uint64_t dice = rng.Uniform(10);
+        if (dice < 5) {
+          cs.Add(inst());
+        } else if (dice < 8) {
+          cs.RemoveByKey(inst().Key());
+        } else {
+          ConflictOpBuffer buf;
+          for (int k = 0; k < 4; ++k) {
+            if (rng.Chance(0.5)) {
+              buf.Add(inst());
+            } else {
+              buf.RemoveByKey(inst().Key());
+            }
+          }
+          cs.ApplyOps(&buf);
+        }
+        progress.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (StrategyKind kind : {StrategyKind::kFifo, StrategyKind::kRandom}) {
+    threads.emplace_back([&cs, &progress, &rules, kind] {
+      const ConflictSet::Chooser chooser = MakeStrategy(kind, &rules, 11);
+      Instantiation out;
+      while (progress.load(std::memory_order_relaxed) <
+             kMaintainers * kSteps * 3 / 4) {
+        cs.Take(chooser, &out);
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::vector<std::string> member_keys;
+  for (const Instantiation& inst : cs.Snapshot()) {
+    member_keys.push_back(inst.Key());
+  }
+  ASSERT_FALSE(member_keys.empty());
+  Instantiation out;
+  EXPECT_FALSE(cs.Take(
+      [&](const ConflictSet::View& view) {
+        EXPECT_EQ(view.size(), member_keys.size());
+        EXPECT_EQ(WalkedKeys(view), member_keys);
+        EXPECT_EQ(KeysByNth(view), member_keys);
+        return view.end();
+      },
+      &out));
+  // Draining oldest first walks the recency list from its oldest member
+  // to its newest: every member once, in increasing stamp order.
+  const ConflictSet::Chooser fifo = MakeStrategy(StrategyKind::kFifo, &rules);
+  std::vector<std::string> drained;
+  uint64_t last_stamp = 0;
+  while (cs.Take(fifo, &out)) {
+    EXPECT_GT(out.recency, last_stamp);
+    last_stamp = out.recency;
+    drained.push_back(out.Key());
+  }
+  std::sort(drained.begin(), drained.end());
+  EXPECT_EQ(drained, member_keys);
+  EXPECT_TRUE(cs.empty());
 }
 
 TEST(ConflictSetTest, NegatedPositionsInKey) {

@@ -119,6 +119,97 @@ TEST(MemoryTokenStoreTest, SharedPayloadCountsOnce) {
   EXPECT_EQ(counted.size(), 1u);
 }
 
+// Grows the bucket table through several doublings, drains it in random
+// order and refills it, checking after every step that the touched key's
+// probe visits that key's tokens in the order a reference model gives
+// (Add appends; RemoveExact moves the key's last token into the hole).
+// Removing buckets in random order exercises the backward shift of
+// probe runs that wrap and that hold buckets from several homes.
+TEST(MemoryTokenStoreTest, GrowDrainRefillKeepsBucketOrder) {
+  constexpr int kKeys = 5000;
+  constexpr int kTokens = 20000;
+  // MakeToken(k, n) is the token of key k and serial n: slot 0 holds
+  // tuple k, keyed on its first value; slot 1 holds tuple n, so (k, n) is
+  // its id combination.
+  MemoryTokenStore store(2, {TokenKeyCol{0, 0}});
+  // Per key, the serials of its tokens in bucket order.
+  std::vector<std::vector<int>> model(kKeys);
+  std::vector<std::pair<int, int>> live;  // (key, serial)
+  int next_serial = kKeys;
+  std::mt19937 rng(2024);
+
+  auto visits = [&](int key) {
+    std::vector<int> got;
+    EXPECT_TRUE(store
+                    .ScanMatching({Value(key)},
+                                  [&](TokenView t) {
+                                    got.push_back(
+                                        static_cast<int>(t[1].id.page_id));
+                                    return Status::OK();
+                                  })
+                    .ok());
+    return got;
+  };
+  auto check_all = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    ASSERT_EQ(store.size(), live.size());
+    size_t scanned = 0;
+    ASSERT_TRUE(store
+                    .Scan([&](TokenView) {
+                      ++scanned;
+                      return Status::OK();
+                    })
+                    .ok());
+    EXPECT_EQ(scanned, store.size());
+    for (int key = 0; key < kKeys; ++key) {
+      ASSERT_EQ(visits(key), model[static_cast<size_t>(key)]) << "key " << key;
+    }
+  };
+  auto add = [&](int step) {
+    const int key = static_cast<int>(rng() % kKeys);
+    const int serial = next_serial++;
+    ASSERT_TRUE(store.Add(MakeToken(key, serial)).ok());
+    model[static_cast<size_t>(key)].push_back(serial);
+    live.emplace_back(key, serial);
+    ASSERT_EQ(visits(key), model[static_cast<size_t>(key)])
+        << "add, step " << step;
+  };
+
+  for (int step = 0; step < kTokens; ++step) {
+    add(step);
+    if (step % 1000 == 999) check_all("growing");
+  }
+  check_all("grown");
+
+  std::shuffle(live.begin(), live.end(), rng);
+  for (int step = 0; !live.empty(); ++step) {
+    const auto [key, serial] = live.back();
+    live.pop_back();
+    bool found = false;
+    ASSERT_TRUE(store.RemoveExact(MakeToken(key, serial), &found).ok());
+    ASSERT_TRUE(found) << "drain, step " << step;
+    std::vector<int>& tokens = model[static_cast<size_t>(key)];
+    auto at = std::find(tokens.begin(), tokens.end(), serial);
+    *at = tokens.back();
+    tokens.pop_back();
+    ASSERT_EQ(visits(key), tokens) << "drain, step " << step;
+    // The same combination again, and one never added, find nothing.
+    ASSERT_TRUE(store.RemoveExact(MakeToken(key, serial), &found).ok());
+    EXPECT_FALSE(found);
+    ASSERT_TRUE(store.RemoveExact(MakeToken(key, next_serial), &found).ok());
+    EXPECT_FALSE(found);
+    ASSERT_EQ(store.size(), live.size());
+    if (step % 1000 == 999) check_all("draining");
+  }
+  check_all("drained");
+
+  for (int step = 0; step < kTokens; ++step) {
+    add(step);
+    if (step % 1000 == 999) check_all("refilling");
+  }
+  check_all("refilled");
+}
+
 // --- Keyed stores: ScanMatching vs filtered Scan --------------------------
 
 // Same two-backend parameterization, but the store carries a key schema
