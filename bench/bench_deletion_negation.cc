@@ -64,9 +64,14 @@ void BM_Mix_Pattern(benchmark::State& state) { RunMix(state, "pattern"); }
 void BM_Mix_Rete(benchmark::State& state) { RunMix(state, "rete"); }
 void BM_Mix_Query(benchmark::State& state) { RunMix(state, "query"); }
 
-// {delete%, negation?}
-#define MIX_ARGS \
-  Args({0, 0})->Args({25, 0})->Args({50, 0})->Args({25, 1})->Args({50, 1})
+// {delete%, negation?}. Every row runs the same number of operations:
+// working memory grows for as long as a row runs, so with an iteration
+// count google-benchmark picks, a faster build would run more operations
+// over a larger memory and read slower per operation.
+constexpr int kMixIterations = 2000;
+#define MIX_ARGS                                                           \
+  Args({0, 0})->Args({25, 0})->Args({50, 0})->Args({25, 1})->Args({50, 1}) \
+      ->Iterations(kMixIterations)
 
 BENCHMARK(BM_Mix_Pattern)->MIX_ARGS;
 BENCHMARK(BM_Mix_Rete)->MIX_ARGS;

@@ -59,6 +59,9 @@ Status MatcherSpec::Parse(const std::string& name, MatcherSpec* out) {
       spec.indexes = tok != "scan";
       spec.discriminate = false;
     } else if (tok == "plan") {
+      if (spec.kind == MatcherKind::kPattern) {
+        return BadToken(name, tok, "the pattern matcher has no join planner");
+      }
       spec.planner.enable = true;
     } else if (is_shard) {
       const char* last = tok.data() + tok.size();

@@ -32,7 +32,8 @@ inline constexpr size_t kMaxThreads = 256;
 ///   mod   scan      join-key / WM indexes and constant-test
 ///                   discrimination off (the linear-walk baseline)
 ///         nodisc    constant-test discrimination off
-///         plan      cost-based join planning (planner.enable)
+///         plan      cost-based join planning (planner.enable); not
+///                   on pattern, which has no join planner
 ///         shard<N>  N working-memory shards, one thread per shard,
 ///                   2 <= N <= kMaxThreads
 ///

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "match/matcher.h"
+#include "plan/planner.h"
 
 namespace prodb {
 
@@ -70,6 +71,13 @@ bool BindSingle(const ConditionSpec& cond, const Tuple& t, int num_vars,
 }
 
 struct Executor::Partial {
+  Partial() = default;
+  /// The empty match of `query`: nothing bound, no tuple chosen.
+  explicit Partial(const ConjunctiveQuery& query)
+      : binding(static_cast<size_t>(query.num_vars), std::nullopt),
+        ids(query.conditions.size(), QueryMatch::kNoTuple),
+        tuples(query.conditions.size()) {}
+
   Binding binding;
   std::vector<TupleId> ids;
   std::vector<Tuple> tuples;
@@ -77,17 +85,6 @@ struct Executor::Partial {
   // DeferredTest); settled as extension proceeds.
   std::vector<DeferredTest> deferred;
 };
-
-std::vector<size_t> Executor::LhsOrder(const ConjunctiveQuery& query,
-                                        int skip_idx) {
-  std::vector<size_t> positives;
-  for (size_t i = 0; i < query.conditions.size(); ++i) {
-    if (!query.conditions[i].negated && static_cast<int>(i) != skip_idx) {
-      positives.push_back(i);
-    }
-  }
-  return positives;
-}
 
 Status Executor::ExtendPositive(const ConditionSpec& cond, size_t cond_idx,
                                 std::vector<Partial>* partials) const {
@@ -260,33 +257,11 @@ Status Executor::EvaluateBound(const ConjunctiveQuery& query,
                                const Binding& initial,
                                std::vector<QueryMatch>* out) const {
   out->clear();
-  const size_t n = query.conditions.size();
-  Partial init;
-  init.binding.assign(static_cast<size_t>(query.num_vars), std::nullopt);
+  Partial init(query);
   for (size_t i = 0; i < initial.size() && i < init.binding.size(); ++i) {
     init.binding[i] = initial[i];
   }
-  init.ids.assign(n, QueryMatch::kNoTuple);
-  init.tuples.assign(n, Tuple());
-
-  std::vector<Partial> partials{std::move(init)};
-  for (size_t idx : LhsOrder(query, -1)) {
-    PRODB_RETURN_IF_ERROR(
-        ExtendPositive(query.conditions[idx], idx, &partials));
-    if (partials.empty()) return Status::OK();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!query.conditions[i].negated) continue;
-    PRODB_RETURN_IF_ERROR(FilterNegative(query.conditions[i], &partials));
-    if (partials.empty()) return Status::OK();
-  }
-  out->reserve(partials.size());
-  for (Partial& p : partials) {
-    if (!p.deferred.empty()) continue;  // variable never bound: malformed
-    out->push_back(QueryMatch{std::move(p.ids), std::move(p.tuples),
-                              std::move(p.binding)});
-  }
-  return Status::OK();
+  return Run(query, std::move(init), SIZE_MAX, nullptr, out);
 }
 
 Status Executor::EvaluateSeeded(const ConjunctiveQuery& query,
@@ -296,15 +271,9 @@ Status Executor::EvaluateSeeded(const ConjunctiveQuery& query,
                                 const std::vector<size_t>* forced_order)
     const {
   out->clear();
-  const size_t n = query.conditions.size();
-  Partial init;
-  init.binding.assign(static_cast<size_t>(query.num_vars), std::nullopt);
-  init.ids.assign(n, QueryMatch::kNoTuple);
-  init.tuples.assign(n, Tuple());
-
-  int skip = -1;
+  Partial init(query);
   if (seed_idx != SIZE_MAX) {
-    if (seed_idx >= n) {
+    if (seed_idx >= query.conditions.size()) {
       return Status::InvalidArgument("seed index out of range");
     }
     const ConditionSpec& sc = query.conditions[seed_idx];
@@ -316,27 +285,25 @@ Status Executor::EvaluateSeeded(const ConjunctiveQuery& query,
     }
     init.ids[seed_idx] = seed_id;
     init.tuples[seed_idx] = seed;
-    skip = static_cast<int>(seed_idx);
   }
+  return Run(query, std::move(init), seed_idx, forced_order, out);
+}
 
-  // A planner-supplied order overrides LhsOrder; deferred tests settle
-  // ordered comparisons whose binder the plan placed later, so any
-  // positive-CE permutation evaluates to the same match set.
-  std::vector<size_t> order;
-  if (forced_order != nullptr) {
-    order.reserve(forced_order->size());
-    for (size_t idx : *forced_order) {
-      if (static_cast<int>(idx) != skip && idx < n &&
-          !query.conditions[idx].negated) {
-        order.push_back(idx);
-      }
-    }
-  } else {
-    order = LhsOrder(query, skip);
-  }
-
+Status Executor::Run(const ConjunctiveQuery& query, Partial init,
+                     size_t skip_idx, const std::vector<size_t>* order,
+                     std::vector<QueryMatch>* out) const {
+  // A planner-supplied order overrides the syntactic one; deferred tests
+  // settle ordered comparisons whose binder the plan placed later, so
+  // any positive-CE permutation evaluates to the same match set.
+  const JoinPlan syntactic =
+      order == nullptr ? JoinPlanner::Syntactic(query) : JoinPlan();
+  if (order == nullptr) order = &syntactic.order;
+  const size_t n = query.conditions.size();
   std::vector<Partial> partials{std::move(init)};
-  for (size_t idx : order) {
+  for (size_t idx : *order) {
+    if (idx == skip_idx || idx >= n || query.conditions[idx].negated) {
+      continue;
+    }
     PRODB_RETURN_IF_ERROR(
         ExtendPositive(query.conditions[idx], idx, &partials));
     if (partials.empty()) return Status::OK();

@@ -56,7 +56,8 @@ class Executor {
   /// All matches of `query` against current WM contents. When
   /// `forced_order` is non-null it fixes the positive-condition
   /// evaluation order (a planner-chosen sequence of positive CE indices;
-  /// must cover every positive CE exactly once) instead of LhsOrder.
+  /// must cover every positive CE exactly once) instead of the syntactic
+  /// order (JoinPlanner::Syntactic).
   Status Evaluate(const ConjunctiveQuery& query, std::vector<QueryMatch>* out,
                   const std::vector<size_t>* forced_order = nullptr) const;
 
@@ -107,10 +108,13 @@ class Executor {
   Status FilterNegative(const ConditionSpec& cond,
                         std::vector<Partial>* partials) const;
 
-  /// Positive condition indices in LHS order, minus `skip_idx` (the
-  /// order when no planner-chosen `forced_order` is given).
-  static std::vector<size_t> LhsOrder(const ConjunctiveQuery& query,
-                                       int skip_idx);
+  /// The one evaluation loop: extends `init` by the positive CEs in
+  /// `order` (the syntactic order when null) except `skip_idx`, filters
+  /// by the negated CEs, and appends every match with no test left
+  /// pending to *out.
+  Status Run(const ConjunctiveQuery& query, Partial init, size_t skip_idx,
+             const std::vector<size_t>* order,
+             std::vector<QueryMatch>* out) const;
 
   Catalog* catalog_;
   ExecutorOptions options_;

@@ -17,77 +17,25 @@ Status QueryMatcher::AddRule(const Rule& rule) {
   }
   for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
     const ConditionSpec& c = rule.lhs.conditions[ce];
-    Relation* rel = catalog_->Get(c.relation);
-    // Register statistics for every LHS relation while registration is
-    // still single-threaded (seeding from current contents, so rules
-    // added after a preload see real cardinalities); the map is then
-    // frozen and OnBatch updates it lock-free from engine threads.
-    cat_stats_.Register(c.relation, rel);
     if (executor_.options().use_indexes) {
       // Seeded re-evaluation then touches only the joining tuples
       // instead of scanning each WM relation.
-      PRODB_RETURN_IF_ERROR(DeclareEqualityIndexes(c, rel));
+      PRODB_RETURN_IF_ERROR(
+          DeclareEqualityIndexes(c, catalog_->Get(c.relation)));
     }
     dispatch_.Add(rule_index, static_cast<int>(ce), c);
   }
   rules_.push_back(rule);
-  // Plan the rule's join sequence (syntactic when stats are empty — the
-  // usual case at registration time; the drift check upgrades it once
-  // data arrives). Copy-on-write republication keeps readers lock-free.
-  auto cur = plans_.load();
-  auto next = std::make_shared<std::vector<JoinPlan>>(*cur);
-  next->push_back(planner_.Plan(rule.lhs));
-  ++stats_.plans_built;
-  plans_.store(std::shared_ptr<const std::vector<JoinPlan>>(std::move(next)));
+  plans_.AddNewest();
   return Status::OK();
-}
-
-void QueryMatcher::MaybeReplan(size_t deltas) {
-  if (!planner_.options().enable || rules_.empty()) return;
-  const uint64_t pending =
-      deltas_since_plan_check_.fetch_add(deltas, std::memory_order_relaxed) +
-      deltas;
-  if (pending < 64) return;  // rate-limit the drift scan
-  std::unique_lock<std::mutex> lock(replan_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return;  // another thread is already checking
-  deltas_since_plan_check_.store(0, std::memory_order_relaxed);
-  auto cur = plans_.load();
-  bool drift = false;
-  for (const JoinPlan& p : *cur) {
-    if (planner_.NeedsReplan(p)) {
-      drift = true;
-      break;
-    }
-  }
-  if (!drift) return;
-  // Off the batch counter path: re-sketch aged histograms/distinct
-  // bitmaps, then recompute every plan against the fresh statistics.
-  cat_stats_.RefreshStale(catalog_);
-  auto next = std::make_shared<std::vector<JoinPlan>>();
-  next->reserve(rules_.size());
-  for (const Rule& r : rules_) {
-    next->push_back(planner_.Plan(r.lhs));
-    ++stats_.plans_built;
-  }
-  ++stats_.replans;
-  plans_.store(std::shared_ptr<const std::vector<JoinPlan>>(std::move(next)));
-}
-
-const JoinPlan* QueryMatcher::PlanOf(
-    int rule_index,
-    std::shared_ptr<const std::vector<JoinPlan>>* hold) const {
-  if (!planner_.options().enable) return nullptr;
-  *hold = plans_.load();
-  if (static_cast<size_t>(rule_index) >= (*hold)->size()) return nullptr;
-  return &(**hold)[static_cast<size_t>(rule_index)];
 }
 
 Status QueryMatcher::SeedMatches(int rule_index, int ce, TupleId id,
                                  const Tuple& t,
                                  std::vector<Instantiation>* out) {
   const Rule& rule = rules_[static_cast<size_t>(rule_index)];
-  std::shared_ptr<const std::vector<JoinPlan>> hold;
-  const JoinPlan* plan = PlanOf(rule_index, &hold);
+  const JoinPlan* plan =
+      plans_.enabled() ? &plans_[static_cast<size_t>(rule_index)] : nullptr;
   std::vector<QueryMatch> matches;
   PRODB_RETURN_IF_ERROR(executor_.EvaluateSeeded(
       rule.lhs, static_cast<size_t>(ce), id, t, &matches,
@@ -95,8 +43,8 @@ Status QueryMatcher::SeedMatches(int rule_index, int ce, TupleId id,
   if (plan != nullptr) {
     // Estimator quality: a seed pins one tuple of its relation, so the
     // expected match count is est_final / |seed relation|.
-    const RelationStats* rs =
-        cat_stats_.Get(rule.lhs.conditions[static_cast<size_t>(ce)].relation);
+    const RelationStats* rs = plans_.stats().Get(
+        rule.lhs.conditions[static_cast<size_t>(ce)].relation);
     const double card =
         rs == nullptr ? 1.0
                       : static_cast<double>(std::max<int64_t>(
@@ -115,8 +63,8 @@ Status QueryMatcher::SeedMatches(int rule_index, int ce, TupleId id,
 Status QueryMatcher::EvaluateRule(int rule_index,
                                   std::vector<Instantiation>* out) {
   const Rule& rule = rules_[static_cast<size_t>(rule_index)];
-  std::shared_ptr<const std::vector<JoinPlan>> hold;
-  const JoinPlan* plan = PlanOf(rule_index, &hold);
+  const JoinPlan* plan =
+      plans_.enabled() ? &plans_[static_cast<size_t>(rule_index)] : nullptr;
   std::vector<QueryMatch> matches;
   PRODB_RETURN_IF_ERROR(executor_.Evaluate(
       rule.lhs, &matches, plan == nullptr ? nullptr : &plan->order));
@@ -132,11 +80,10 @@ Status QueryMatcher::EvaluateRule(int rule_index,
 }
 
 Status QueryMatcher::OnBatch(const ChangeSet& batch) {
+  std::lock_guard<std::mutex> lock(batch_mu_);
   ++stats_.batches;
-  if (planner_.options().enable) cat_stats_.OnBatch(batch);
+  plans_.OnBatch(batch);
   const bool sharded = sharding_.enabled();
-  std::unique_lock<std::mutex> lock(batch_mu_, std::defer_lock);
-  if (sharded) lock.lock();
 
   // 1–2. The two shared conflict-set passes: instantiations holding a
   //      deleted tuple, then instantiations an inserted tuple blocks
@@ -246,7 +193,7 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
       }
     }
   }
-  MaybeReplan(batch.size());
+  plans_.MaybeReplan(batch.size());
   return Status::OK();
 }
 

@@ -1,17 +1,14 @@
 #ifndef PRODB_MATCH_QUERY_MATCHER_H_
 #define PRODB_MATCH_QUERY_MATCHER_H_
 
-#include <atomic>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "db/executor.h"
-#include "db/stats.h"
 #include "match/dispatch.h"
 #include "match/matcher.h"
 #include "plan/planner.h"
+#include "plan/rule_plans.h"
 
 namespace prodb {
 
@@ -24,6 +21,9 @@ namespace prodb {
 /// and re-runs each affected rule's LHS join seeded with W; "the join
 /// degenerates into a selection" when only two CEs exist, and multi-way
 /// joins are re-computed — exactly the cost §4.2 sets out to remove.
+///
+/// OnBatch runs under the matcher's batch lock, as the Rete network's
+/// does; the join orders it evaluates in come from its RulePlans.
 class QueryMatcher : public Matcher {
  public:
   /// `sharding` (when enabled) partitions a batch's seeded evaluations
@@ -41,14 +41,13 @@ class QueryMatcher : public Matcher {
                         PlannerOptions planner = {})
       : catalog_(catalog),
         executor_(catalog, exec_options),
-        planner_(&cat_stats_, planner),
+        plans_(catalog, &rules_, planner, &stats_),
         dispatch_(&rules_, exec_options.discriminate_dispatch),
         sharding_(sharding),
         shard_map_(sharding),
         fan_out_(FanOut::Workers(sharding)) {
     executor_.set_stats(&stats_);
-    if (planner.enable) executor_.set_planner_stats(&cat_stats_);
-    plans_.store(std::make_shared<const std::vector<JoinPlan>>());
+    if (planner.enable) executor_.set_planner_stats(&plans_.stats());
     if (sharding_.enabled()) shard_stats_.resize(shard_map_.num_shards());
   }
 
@@ -64,11 +63,9 @@ class QueryMatcher : public Matcher {
   size_t AuxiliaryFootprintBytes() const override;
   const MatcherStats& stats() const override { return stats_; }
 
-  /// Current per-rule plans (read-only snapshot; tests/benchmarks).
-  std::shared_ptr<const std::vector<JoinPlan>> plans() const {
-    return plans_.load();
-  }
-  const CatalogStats& catalog_stats() const { return cat_stats_; }
+  /// Current per-rule plans (index = rule; tests). Read only while no
+  /// batch runs.
+  const RulePlans& plans() const { return plans_; }
   const std::vector<Rule>& rules() const override { return rules_; }
   std::vector<ShardStats> ShardStatsSnapshot() const override;
 
@@ -80,33 +77,14 @@ class QueryMatcher : public Matcher {
                      std::vector<Instantiation>* out);
   /// Full re-evaluation of `rule_index` into *out (step-4 helper).
   Status EvaluateRule(int rule_index, std::vector<Instantiation>* out);
-  /// The current plan of `rule_index`, or nullptr when the planner is
-  /// off; `*hold` keeps the snapshot alive (replans swap the vector).
-  const JoinPlan* PlanOf(
-      int rule_index,
-      std::shared_ptr<const std::vector<JoinPlan>>* hold) const;
-
-  /// Drift check + re-plan, rate-limited and serialized by replan_mu_
-  /// (try_lock: concurrent callers skip rather than queue). New plans
-  /// publish through the atomic shared_ptr, so readers mid-evaluation
-  /// keep a consistent snapshot.
-  void MaybeReplan(size_t deltas);
 
   Catalog* catalog_;
   Executor executor_;
-  // Incremental catalog statistics over the rules' LHS relations,
-  // registered at AddRule (single-threaded) and updated lock-free from
-  // OnBatch — the Seal()-style publication contract documented on
-  // CatalogStats.
-  CatalogStats cat_stats_;
-  JoinPlanner planner_;
-  // Per-rule plans (index = rule). Copy-on-write: replans build a fresh
-  // vector and swap; the concurrent engine's worker threads load
-  // without a lock.
-  std::atomic<std::shared_ptr<const std::vector<JoinPlan>>> plans_;
-  std::mutex replan_mu_;
-  std::atomic<uint64_t> deltas_since_plan_check_{0};
   std::vector<Rule> rules_;
+  // Per rule, the current JoinPlan, and the statistics it is planned
+  // from (also the executor's access-path statistics); updated under
+  // batch_mu_ and read by the evaluation parts it fans out.
+  RulePlans plans_;
   // Each class's positive and negated condition elements (§4.1's COND
   // search) behind the shared dispatch step.
   CeDispatch dispatch_;
@@ -115,10 +93,9 @@ class QueryMatcher : public Matcher {
   // Runs OnBatch's steps 3 and 4 over the shards: one part, inline, when
   // unsharded.
   FanOut fan_out_;
-  // Guards shard_stats_; taken only when sharding is enabled (the
-  // unsharded matcher is lock-free by design — ConflictSet and the
-  // atomic counters carry their own safety, and a one-part FanOut
-  // shares nothing between calls).
+  // Serializes OnBatch (the plans, their statistics and shard_stats_).
+  // The engine's run baton and the server's maintenance mutex already
+  // serialize its callers, so it is uncontended there.
   mutable std::mutex batch_mu_;
   std::vector<ShardStats> shard_stats_;
   ConflictSet conflict_set_;

@@ -9,6 +9,9 @@ namespace prodb {
 namespace {
 /// Exhaustive left-deep DP up to this many positive CEs; greedy above.
 constexpr size_t kDpMaxConditions = 9;
+/// Below this many total tuples across the LHS relations the planner
+/// keeps the syntactic order (no evidence to beat it with).
+constexpr double kMinCard = 2.0;
 }  // namespace
 
 bool JoinPlanner::Eligible(const ConditionSpec& c,
@@ -167,7 +170,7 @@ JoinPlan JoinPlanner::Plan(const ConjunctiveQuery& q) const {
   }
   JoinPlan plan;
   if (!options_.enable || positives.size() < 2 ||
-      total_card < options_.min_card) {
+      total_card < kMinCard) {
     plan = Syntactic(q);
   } else {
     plan = positives.size() <= kDpMaxConditions

@@ -11,10 +11,11 @@
 namespace prodb {
 
 /// Knobs for statistics-driven join planning, plumbed from
-/// ProductionSystemOptions into both planning consumers (the Rete
-/// network's beta-chain compiler and the query matcher's seeded
-/// evaluation). Off (the default) preserves the syntactic textual-order
-/// plans exactly — the equivalence baseline and the ablation switch.
+/// ProductionSystemOptions into the RulePlans of both planning consumers
+/// (the Rete network's beta-chain compiler and the query matcher's
+/// seeded evaluation). Off (the default) preserves the syntactic
+/// textual-order plans exactly — the equivalence baseline and the
+/// ablation switch.
 struct PlannerOptions {
   bool enable = false;
   /// Re-plan a rule when some LHS relation's cardinality has drifted by
@@ -22,9 +23,6 @@ struct PlannerOptions {
   /// geometric spacing amortizes Rete's rebuild-and-reseed: over a load
   /// of N tuples the reseeds replay ~N·d/(d-1) tuples total.
   double replan_drift = 4.0;
-  /// Below this many total tuples across the LHS relations the planner
-  /// keeps the syntactic order (no evidence to beat it with).
-  double min_card = 2.0;
 
   bool operator==(const PlannerOptions&) const = default;
 };
@@ -39,7 +37,7 @@ struct JoinPlan {
   double est_final = 0.0;  // estimated instantiations of the rule
   double cost = 0.0;       // CostModel::ChainCost of level_cards
   /// True when the order came from the cost model (false: syntactic
-  /// fallback — planning off, no stats, or below min_card).
+  /// fallback — planning off, or too few tuples to plan from).
   bool planned = false;
   /// Per-LHS-relation cardinality at plan time; NeedsReplan compares
   /// against live values.

@@ -224,17 +224,11 @@ struct ReteNetwork::Shard {
   bool buffered = false;
 };
 
-namespace {
-/// Deltas between drift checks: cheap enough to keep replans timely,
-/// coarse enough that the check never shows on the per-delta path.
-constexpr uint64_t kReplanCheckInterval = 64;
-}  // namespace
-
 ReteNetwork::ReteNetwork(Catalog* catalog, ReteOptions options)
     : catalog_(catalog),
       options_(options),
       shard_map_(options.sharding),
-      planner_(&cat_stats_, options.planner),
+      plans_(catalog, &rules_, options.planner, &stats_),
       // DBMS-backed memories route every token movement through the
       // shared catalog/buffer-pool/WAL stack; shards still partition the
       // work (and merge deterministically) but execute serially — the
@@ -255,20 +249,14 @@ ReteNetwork::~ReteNetwork() = default;
 
 Status ReteNetwork::AddRule(const Rule& rule) {
   int rule_index = static_cast<int>(rules_.size());
-  // Register LHS relations with the stats catalog (seeding from current
-  // contents) before planning, so an AddRule after a WM preload already
-  // plans against real cardinalities.
   for (const ConditionSpec& c : rule.lhs.conditions) {
-    Relation* rel = catalog_->Get(c.relation);
-    if (rel == nullptr) {
+    if (catalog_->Get(c.relation) == nullptr) {
       return Status::NotFound("rule " + rule.name + ": relation " +
                               c.relation);
     }
-    cat_stats_.Register(c.relation, rel);
   }
   rules_.push_back(rule);
-  plans_.push_back(planner_.Plan(rule.lhs));
-  ++stats_.plans_built;
+  plans_.AddNewest();
   Status st = BuildRule(rule, rule_index);
   if (st.ok()) {
     if (rule.lhs.conditions.size() >= 2) {
@@ -285,7 +273,7 @@ Status ReteNetwork::AddRule(const Rule& rule) {
   // token relation the shards own — the failed build's included — and
   // the rules that remain are recompiled and reseeded.
   rules_.pop_back();
-  plans_.pop_back();
+  plans_.DropNewest();
   PRODB_RETURN_IF_ERROR(RebuildAndReseed());
   return st;
 }
@@ -905,7 +893,7 @@ TupleRef ReteNetwork::HandleFor(const std::string& rel, const Tuple& t,
 Status ReteNetwork::OnBatch(const ChangeSet& batch) {
   std::lock_guard<std::mutex> lock(batch_mu_);
   ++stats_.batches;
-  if (options_.planner.enable) cat_stats_.OnBatch(batch);
+  plans_.OnBatch(batch);
   // Group same-relation deltas, preserving their relative order (ids are
   // never reused, so cross-relation reordering cannot invert an
   // insert/delete pair of the same tuple). Groups run in first-appearance
@@ -957,54 +945,28 @@ Status ReteNetwork::OnBatch(const ChangeSet& batch) {
     }
   }
   PRODB_RETURN_IF_ERROR(st);
-  return MaybeReplan(batch.size());
-}
-
-Status ReteNetwork::MaybeReplan(size_t deltas) {
-  if (!options_.planner.enable || rules_.empty()) return Status::OK();
-  deltas_since_plan_check_ += deltas;
-  if (deltas_since_plan_check_ < kReplanCheckInterval) return Status::OK();
-  deltas_since_plan_check_ = 0;
-  bool drift = false;
-  for (const JoinPlan& p : plans_) {
-    if (planner_.NeedsReplan(p)) {
-      drift = true;
-      break;
-    }
-  }
-  if (!drift) return Status::OK();
-  return ReplanAll();
+  return AfterReplan(plans_.MaybeReplan(batch.size()));
 }
 
 Status ReteNetwork::ForceReplan() {
   std::lock_guard<std::mutex> lock(batch_mu_);
   if (rules_.empty()) return Status::OK();
-  return ReplanAll();
+  return AfterReplan(plans_.Replan());
 }
 
-Status ReteNetwork::ReplanAll() {
-  // Off the per-delta counter path: re-sketch aged histograms / distinct
-  // bitmaps, then recompute every plan against the fresh statistics.
-  cat_stats_.RefreshStale(catalog_);
+Status ReteNetwork::AfterReplan(RulePlans::Outcome outcome) {
+  if (outcome == RulePlans::Outcome::kKept) return Status::OK();
   // Estimator accounting: compare each rule's live instantiation count
   // against the fresh estimate (same stats either way, so the sample
   // measures the estimator, not plan staleness).
   std::vector<uint64_t> actual = conflict_set_.CountByRule(rules_.size());
-  bool changed = false;
-  std::vector<JoinPlan> next;
-  next.reserve(rules_.size());
   for (size_t i = 0; i < rules_.size(); ++i) {
-    next.push_back(planner_.Plan(rules_[i].lhs));
-    ++stats_.plans_built;
-    stats_.ObserveCardEstimate(next[i].est_final,
+    stats_.ObserveCardEstimate(plans_[i].est_final,
                                static_cast<double>(actual[i]));
-    if (next[i].order != plans_[i].order) changed = true;
   }
-  plans_ = std::move(next);
-  ++stats_.replans;
   // Unchanged orders only refresh the drift snapshots — the compiled
   // network is still the cheapest known, keep its token memories.
-  if (!changed) return Status::OK();
+  if (outcome != RulePlans::Outcome::kReordered) return Status::OK();
   return RebuildAndReseed();
 }
 

@@ -8,11 +8,11 @@
 #include <unordered_set>
 #include <vector>
 
-#include "db/stats.h"
 #include "match/dispatch.h"
 #include "match/matcher.h"
 #include "match/sharding.h"
 #include "plan/planner.h"
+#include "plan/rule_plans.h"
 #include "rete/token_store.h"
 
 namespace prodb {
@@ -127,9 +127,9 @@ class ReteNetwork : public Matcher {
   /// over shards; a shared RIGHT memory counts once.
   size_t TokenCount() const;
 
-  /// Current per-rule plans (index = rule; tests/benchmarks).
-  const std::vector<JoinPlan>& plans() const { return plans_; }
-  const CatalogStats& catalog_stats() const { return cat_stats_; }
+  /// Current per-rule plans (index = rule; tests). Read only while no
+  /// batch runs.
+  const RulePlans& plans() const { return plans_; }
   /// Re-plans every rule against refreshed statistics immediately and
   /// rebuilds + reseeds the join network if any order changed
   /// (tests/benchmarks; the production trigger is cardinality drift,
@@ -213,13 +213,10 @@ class ReteNetwork : public Matcher {
   /// batch; suppressed during reseeds — the set is already correct).
   Status Produce(Shard* shard, int rule, TokenView token, bool positive);
 
-  /// Drift check + re-plan, rate-limited to every kReplanCheckInterval
-  /// deltas. Called at the end of OnBatch under batch_mu_, when WM
-  /// relations and token memories agree.
-  Status MaybeReplan(size_t deltas);
-  /// Re-plans all rules against fresh stats; rebuilds when an order
-  /// changed. Observes est-vs-actual accuracy of the outgoing plans.
-  Status ReplanAll();
+  /// Follows a re-plan of plans_ (run under batch_mu_, when WM relations
+  /// and token memories agree): samples the estimator against the live
+  /// conflict set, and rebuilds when an order changed.
+  Status AfterReplan(RulePlans::Outcome outcome);
   /// Tears down the compiled network (dropping DBMS-backed token
   /// relations), recompiles every rule under plans_, and replays WM
   /// through the fresh network with Produce suppressed.
@@ -229,19 +226,13 @@ class ReteNetwork : public Matcher {
   Catalog* catalog_;
   ReteOptions options_;
   ShardMap shard_map_;
-  // Incremental catalog statistics over the rules' LHS relations,
-  // registered at AddRule (single-threaded per the Matcher contract) and
-  // updated from the propagation entry points under batch_mu_.
-  CatalogStats cat_stats_;
-  JoinPlanner planner_;
   std::vector<Rule> rules_;
-  // Per rule, the current JoinPlan (order + estimates + drift snapshot).
-  std::vector<JoinPlan> plans_;
+  // Per rule, the current JoinPlan (order + estimates + drift snapshot),
+  // and the statistics it is planned from; updated under batch_mu_.
+  RulePlans plans_;
   // Classes of rules with two or more CEs: the only tuples a memory can
   // hold, so the only inserts that get an owning handle.
   std::unordered_set<std::string> memory_classes_;
-  // Deltas since the last drift check (guarded by batch_mu_).
-  uint64_t deltas_since_plan_check_ = 0;
   // True while ReseedFromRelations replays WM: Produce becomes a no-op.
   bool reseeding_ = false;
   // Runs OnBatch's per-shard propagation (inline when serial or

@@ -59,7 +59,7 @@ TEST(MatcherSpecTest, RejectsMalformedNamesByToken) {
         "rete-plan-plan", "rete-shard2-shard4", "rete-scan-nodisc",
         "query-nodisc-scan", "rete-shard", "rete-shard0", "rete-shard1",
         "rete-shard257", "rete-shardx", "rete-shard+4", "rete-shard4x",
-        "rete-", "rete--plan"}) {
+        "rete-", "rete--plan", "pattern-plan"}) {
     MatcherSpec s;
     EXPECT_TRUE(MatcherSpec::Parse(name, &s).IsInvalidArgument())
         << "\"" << name << "\"";

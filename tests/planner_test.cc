@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -297,6 +298,94 @@ TEST(JoinPlanning, DriftTriggersReplan) {
         << (variant == 0 ? "rete" : "query");
     EXPECT_GE(h.matcher->stats().plans_built.load(), 2u);
   }
+}
+
+// Both consumers decide join orders through the same RulePlans, so a
+// planned Rete network and a planned query matcher fed one trace build
+// and re-plan at the same batches and hold the same orders after each.
+// The trace grows one relation after another, so the orders change.
+TEST(JoinPlanning, ConsumersReplanInStep) {
+  const char* program = R"(
+(literalize A k v)
+(literalize B k v)
+(literalize C k v)
+(p AB
+  (A ^k <x>)
+  (B ^k <x>)
+  -->
+  (remove 1))
+(p BCA
+  (B ^k <x> ^v <y>)
+  (C ^k <y>)
+  (A ^k <x>)
+  -->
+  (remove 1))
+(p CAnotB
+  (C ^k <x>)
+  (A ^k <x>)
+  -(B ^k <x>)
+  -->
+  (remove 1))
+)";
+  auto planned = [](const std::string& name) {
+    return [name](Catalog* c) {
+      MatcherSpec spec;
+      EXPECT_TRUE(MatcherSpec::Parse(name, &spec).ok());
+      spec.planner.replan_drift = 2.0;
+      return MakeMatcher(spec, c);
+    };
+  };
+  MatcherHarness rete_h, query_h;
+  ASSERT_TRUE(rete_h.Init(program, planned("rete-plan")).ok());
+  ASSERT_TRUE(query_h.Init(program, planned("query-plan")).ok());
+  auto* rete = dynamic_cast<ReteNetwork*>(rete_h.matcher.get());
+  auto* query = dynamic_cast<QueryMatcher*>(query_h.matcher.get());
+  ASSERT_NE(rete, nullptr);
+  ASSERT_NE(query, nullptr);
+
+  // Each phase mostly grows one relation: A, then C, then B.
+  const char* const kLead[] = {"A", "C", "B"};
+  const size_t kBatchSizes[] = {1, 3, 64, 7, 130, 2, 33, 250, 5, 90};
+  const size_t kTuples = 1500;
+  Rng rng(2027);
+  std::set<std::vector<std::vector<size_t>>> seen_orders;
+  size_t done = 0;
+  for (size_t b = 0; done < kTuples; ++b) {
+    const size_t size =
+        std::min(kBatchSizes[b % std::size(kBatchSizes)], kTuples - done);
+    rete_h.wm->BeginBatch();
+    query_h.wm->BeginBatch();
+    for (size_t i = 0; i < size; ++i, ++done) {
+      const char* lead = kLead[done * std::size(kLead) / kTuples];
+      const char* cls =
+          rng.Chance(0.8) ? lead : kLead[rng.Uniform(std::size(kLead))];
+      const Tuple t = Row(static_cast<int64_t>(rng.Uniform(128)),
+                          static_cast<int64_t>(rng.Uniform(128)));
+      ASSERT_TRUE(rete_h.wm->Insert(cls, t).ok());
+      ASSERT_TRUE(query_h.wm->Insert(cls, t).ok());
+    }
+    ASSERT_TRUE(rete_h.wm->CommitBatch().ok());
+    ASSERT_TRUE(query_h.wm->CommitBatch().ok());
+
+    EXPECT_EQ(rete->stats().plans_built.load(),
+              query->stats().plans_built.load())
+        << "batch " << b;
+    EXPECT_EQ(rete->stats().replans.load(), query->stats().replans.load())
+        << "batch " << b;
+    ASSERT_EQ(rete->plans().size(), query->plans().size());
+    std::vector<std::vector<size_t>> orders;
+    for (size_t r = 0; r < rete->plans().size(); ++r) {
+      EXPECT_EQ(rete->plans()[r].order, query->plans()[r].order)
+          << "batch " << b << ", rule " << r;
+      orders.push_back(query->plans()[r].order);
+    }
+    seen_orders.insert(std::move(orders));
+  }
+  // The trace re-planned, and changed orders twice (B leads AB once A
+  // is fat; A leads CAnotB once C is fat too).
+  EXPECT_GE(query->stats().replans.load(), 2u);
+  EXPECT_GE(seen_orders.size(), 3u);
+  EXPECT_EQ(CanonicalConflictSet(*rete), CanonicalConflictSet(*query));
 }
 
 // The executor consumer: planned evaluation order must not change the

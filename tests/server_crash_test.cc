@@ -323,6 +323,8 @@ TEST(ServerCrashTest, MalformedFlagsExitWithUsage) {
       {"--matcher=bogus"}, {"--matcher=rete-shard0"},
       {"--matcher=rete-shard257"}, {"--matcher=rete-shardx"},
       {"--matcher=rete-scan"}, {"--matcher=query-nodisc"},
+      // The pattern matcher has no join planner, under either spelling.
+      {"--matcher=pattern-plan"}, {"--matcher=pattern", "--planner"},
   };
   const std::string log = TempPath("prodb_flags_log_");
   for (const std::vector<std::string>& flags : bad) {

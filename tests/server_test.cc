@@ -709,7 +709,6 @@ TEST(ServerTest, ShardingAndPlannerPlumbedThrough) {
   opts.system.sharding.num_shards = 4;
   opts.system.sharding.threads = 2;
   opts.system.planner.enable = true;
-  opts.system.planner.min_card = 0.0;
   RuleServer server(opts);
   ASSERT_TRUE(server.Start().ok());
   RuleClient client;

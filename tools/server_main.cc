@@ -49,7 +49,8 @@ int Usage(const char* argv0) {
       "          [--rules=FILE] [--matcher=SPEC] [--planner]\n"
       "          [--workers=1..%zu] [--frames=N>=1] [--no_load]\n"
       "  SPEC = ARCH[-plan][-shard<N>], ARCH = rete|rete-dbms|query|pattern,\n"
-      "  2 <= N <= %zu; --planner is an alias for -plan\n",
+      "  2 <= N <= %zu; --planner is an alias for -plan; pattern takes\n"
+      "  neither\n",
       argv0, prodb::kMaxThreads, prodb::kMaxThreads);
   return 2;
 }
@@ -108,7 +109,10 @@ int main(int argc, char** argv) {
       return Usage(argv[0]);
     }
   }
-  if (planner) spec.planner.enable = true;
+  if (planner) {
+    if (spec.kind == prodb::MatcherKind::kPattern) return Usage(argv[0]);
+    spec.planner.enable = true;
+  }
   opts.system.matcher = spec.kind;
   opts.system.sharding = spec.sharding;
   opts.system.planner = spec.planner;
