@@ -246,11 +246,21 @@ void PagedModifyChurn(benchmark::State& state, DiskManager* disk) {
       static_cast<double>(rel->FootprintBytes() / kPageSize);
 }
 
+// Every modify adds a 4-byte dead slot (ids are never reused), so the
+// heap grows for as long as a row runs; with an iteration count
+// google-benchmark picks, a faster build would run more modifies over a
+// larger heap. Every churn row runs the same fixed count instead.
+constexpr int kChurnIterations = 100000;
+
 void BM_PagedModifyChurn(benchmark::State& state) {
   MemoryDiskManager disk;
   PagedModifyChurn(state, &disk);
 }
-BENCHMARK(BM_PagedModifyChurn)->Arg(1000)->Arg(16000)->Arg(100000);
+BENCHMARK(BM_PagedModifyChurn)
+    ->Arg(1000)
+    ->Arg(16000)
+    ->Arg(100000)
+    ->Iterations(kChurnIterations);
 
 // The same churn over a FileDiskManager temp file: the pool's misses,
 // writebacks and log forces are pread/pwrite calls into the OS page
@@ -268,7 +278,7 @@ void BM_PagedModifyChurnFile(benchmark::State& state) {
   }
   std::filesystem::remove(path);
 }
-BENCHMARK(BM_PagedModifyChurnFile)->Arg(100000);
+BENCHMARK(BM_PagedModifyChurnFile)->Arg(100000)->Iterations(kChurnIterations);
 
 }  // namespace
 }  // namespace prodb

@@ -299,7 +299,7 @@ DurabilityStats Catalog::GetDurabilityStats() {
   std::lock_guard<std::mutex> lock(mu_);
   DurabilityStats out;
   if (wal_ != nullptr) {
-    const LogManagerStats& ws = wal_->stats();
+    const LogManagerStats ws = wal_->stats();
     out.wal_records_appended = ws.records_appended;
     out.wal_bytes_appended = ws.bytes_appended;
     out.wal_flushes = ws.flushes;
@@ -309,7 +309,7 @@ DurabilityStats Catalog::GetDurabilityStats() {
     out.log_pages_recycled = ws.pages_recycled;
   }
   if (pool_ != nullptr) {
-    const BufferPoolStats& ps = pool_->stats();
+    const BufferPoolStats ps = pool_->stats();
     out.pages_stolen = ps.pages_stolen;
     out.log_forces = ps.log_forces;
     out.disk_pages_reused = pool_->disk()->pages_reused();

@@ -169,6 +169,10 @@ struct ReteNetwork::JoinNode {
   // no equality join test (or indexing is off) — memories are scanned.
   std::vector<TokenKeyCol> left_key;
   std::vector<int> right_attrs;
+  // ActivateLeft's probe key, kept so a probe allocates nothing. A
+  // probe's visits descend only into deeper nodes, so none of them
+  // overwrites it while it is in use.
+  std::vector<Value> probe_key;
   // Every test the CE's variables make against earlier levels; a pair
   // joins iff all hold. `never` marks a CE whose first occurrence of an
   // unbound variable is not an equality, which OPS5 cannot satisfy.
@@ -619,13 +623,15 @@ Status ReteNetwork::Descend(Shard* shard, JoinNode* node, TokenView token,
 
 bool ReteNetwork::ProbeKeyFromToken(const JoinNode& node, TokenView token,
                                     std::vector<Value>* key) {
-  key->clear();
-  key->reserve(node.left_key.size());
-  for (const TokenKeyCol& c : node.left_key) {
+  // Assigned in place: a key value of the previous probe's type keeps
+  // its storage.
+  key->resize(node.left_key.size());
+  for (size_t i = 0; i < node.left_key.size(); ++i) {
+    const TokenKeyCol& c = node.left_key[i];
     if (c.pos >= token.size()) return false;
     const Tuple& t = *token[c.pos].tuple;
     if (static_cast<size_t>(c.attr) >= t.arity()) return false;
-    key->push_back(t[static_cast<size_t>(c.attr)]);
+    (*key)[i] = t[static_cast<size_t>(c.attr)];
   }
   return !key->empty();
 }
@@ -650,10 +656,9 @@ Status ReteNetwork::ActivateLeft(Shard* shard, JoinNode* node,
   // probe when the node has an equality key derivable from the token,
   // else the §3.2 full scan.
   auto for_each_right = [&](const TokenStore::Visitor& fn) -> Status {
-    std::vector<Value> key;
-    if (ProbeKeyFromToken(*node, token, &key)) {
+    if (ProbeKeyFromToken(*node, token, &node->probe_key)) {
       ++stats_.index_probes;
-      return right.ScanMatching(key, [&](TokenView r) {
+      return right.ScanMatching(node->probe_key, [&](TokenView r) {
         ++stats_.probe_tokens_visited;
         return fn(r);
       });

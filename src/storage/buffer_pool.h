@@ -2,7 +2,6 @@
 #define PRODB_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -25,6 +24,11 @@ struct Frame {
   /// all frames is the checkpoint redo point: restart redo may skip
   /// everything below it.
   uint64_t rec_lsn = 0;
+  /// Replacement-list links, kept by the pool: an unpinned resident
+  /// frame sits between its less (`lru_prev`) and more recently used
+  /// neighbours; other frames are not on the list.
+  Frame* lru_prev = nullptr;
+  Frame* lru_next = nullptr;
   char data[kPageSize] = {};
 };
 
@@ -55,6 +59,12 @@ struct BufferPoolStats {
 /// unpinned frame enters the LRU list and may be written back and reused.
 /// Thread-safe via a single pool latch — adequate at our scale, and it
 /// keeps the eviction logic obviously correct.
+///
+/// Nothing on the pin path allocates. The frames are one array; the page
+/// table is an open-addressed array of (page id, frame) entries at least
+/// twice the frame count, probed linearly, and since at most `capacity`
+/// pages are resident it never fills and never grows. The LRU list is
+/// threaded through the frames themselves (Frame::lru_prev/lru_next).
 class BufferPool {
  public:
   /// `capacity` frames over `disk` (not owned unless passed as unique_ptr
@@ -98,8 +108,9 @@ class BufferPool {
   Status VerifyCleanFramesMatchDisk() const;
 
   size_t capacity() const { return frames_.size(); }
-  const BufferPoolStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = BufferPoolStats{}; }
+  /// A snapshot of the counters, taken under the pool latch.
+  BufferPoolStats stats() const;
+  void ResetStats();
   DiskManager* disk() const { return disk_; }
 
   /// --- Write-ahead logging hooks ---------------------------------------
@@ -110,20 +121,19 @@ class BufferPool {
   void SetWal(LogManager* wal);
   LogManager* wal() const { return wal_; }
 
-  /// Steal accounting: marks `page_id` as dirtied by in-flight
-  /// transaction `txn_id`, until ReleaseTxnPages(txn_id) at commit or
-  /// after abort compensation. Unlike the old no-steal rule this no
-  /// longer blocks eviction — undo logging made stealing safe, so a
+  /// Records that the WAL record starting at `rec_start_lsn`, written by
+  /// transaction `txn_id` (0 for auto-commit), dirtied `f` (caller holds
+  /// the pin), under one latch acquisition. Keeps the frame's
+  /// first-dirtier LSN for MinDirtyRecLsn; cleared whenever the frame's
+  /// bytes reach disk. Steal accounting: a transaction's page stays
+  /// marked as dirtied by it until ReleaseTxnPages(txn_id) at commit or
+  /// after abort compensation. Unlike the old no-steal rule the mark does
+  /// not block eviction — undo logging made stealing safe, so a
   /// transaction's write set may exceed pool capacity — it only
   /// attributes writebacks of such pages to the pages_stolen counter.
-  void MarkTxnPage(uint64_t txn_id, uint32_t page_id);
+  void NoteLoggedUpdate(Frame* f, uint64_t rec_start_lsn, uint64_t txn_id);
   void ReleaseTxnPages(uint64_t txn_id);
   size_t TxnDirtyPageCount() const;
-
-  /// Records that the WAL record starting at `rec_start_lsn` dirtied
-  /// `f` (caller holds the pin). Keeps the frame's first-dirtier LSN for
-  /// MinDirtyRecLsn; cleared whenever the frame's bytes reach disk.
-  void NoteLoggedUpdate(Frame* f, uint64_t rec_start_lsn);
 
   /// Redo low-water mark: the smallest first-dirtier start LSN over
   /// frames with logged updates not yet written back, or UINT64_MAX when
@@ -140,6 +150,31 @@ class BufferPool {
   /// Flushes the WAL up to `page`'s LSN (no-op without a WAL) and then
   /// writes the page. Shared by eviction and the flush entry points.
   Status WritePageWithWalRule(const Frame* f);
+  /// Writes `f` back under the WAL rule and marks it clean, counting a
+  /// steal when an in-flight transaction dirtied it.
+  Status Clean(Frame* f);
+
+  /// One page-table entry; `page_id == kEmptySlot` marks a free entry.
+  struct Slot {
+    uint32_t page_id;
+    uint32_t frame;  // index into frames_
+  };
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+  // The entry page `page_id`'s probe run starts at.
+  size_t Home(uint32_t page_id) const;
+  // The entry holding `page_id`, or the free entry ending its probe run.
+  size_t Probe(uint32_t page_id) const;
+  // The resident frame holding `page_id`, or nullptr.
+  Frame* Lookup(uint32_t page_id) const;
+  // Files `f` under its page id, which must not be resident.
+  void MapPage(Frame* f);
+  // Drops `f`'s page-table entry and shifts the rest of its probe run
+  // back, so no tombstones accumulate.
+  void UnmapPage(const Frame* f);
+
+  // The LRU list: `lru_head_` is the least recently used frame.
+  void LruPushBack(Frame* f);
+  void LruUnlink(Frame* f);
 
   mutable std::mutex mu_;
   DiskManager* disk_;
@@ -149,10 +184,13 @@ class BufferPool {
   // per-transaction page lists that release those holds.
   std::unordered_map<uint32_t, int> unstealable_;
   std::unordered_map<uint64_t, std::vector<uint32_t>> txn_pages_;
-  std::vector<std::unique_ptr<Frame>> frames_;
-  std::unordered_map<uint32_t, Frame*> page_table_;
-  std::list<Frame*> lru_;  // front = least recently used; unpinned only
-  std::unordered_map<Frame*, std::list<Frame*>::iterator> lru_pos_;
+  std::vector<Frame> frames_;  // never resized: frames stay put
+  std::vector<Slot> table_;    // a power of two, >= 2 * capacity
+  int shift_ = 64;             // 64 - log2(table_.size())
+  size_t resident_ = 0;        // occupied page-table entries
+  Frame* lru_head_ = nullptr;
+  Frame* lru_tail_ = nullptr;
+  size_t lru_size_ = 0;
   std::vector<Frame*> free_frames_;
   BufferPoolStats stats_;
 };

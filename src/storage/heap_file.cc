@@ -1,6 +1,7 @@
 #include "storage/heap_file.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "storage/page_layout.h"
@@ -39,8 +40,7 @@ void LogAndStamp(BufferPool* pool, Frame* frame, LogRecordType type,
   Lsn start = 0;
   Lsn lsn = wal->Append(rec, &start);
   SetPageLsn(frame->data, lsn);
-  pool->NoteLoggedUpdate(frame, start);
-  if (rec.txn_id != 0) pool->MarkTxnPage(rec.txn_id, rec.page_id);
+  pool->NoteLoggedUpdate(frame, start, rec.txn_id);
 }
 
 // True when no live record of `page` shares a byte with the `length`
@@ -71,9 +71,7 @@ Status HeapFile::Create(BufferPool* pool, std::unique_ptr<HeapFile>* out) {
   LogAndStamp(pool, frame, LogRecordType::kPageFormat, 0, {},
               UndoKind::kNone, {}, /*structural=*/true);
   PRODB_RETURN_IF_ERROR(pool->UnpinPage(page_id, /*dirty=*/true));
-  hf->pages_.push_back(page_id);
-  hf->SetSpace(page_id,
-               PageSpace{static_cast<uint16_t>(kPageSize - kPageHeaderSize)});
+  hf->AddPage(page_id, static_cast<uint16_t>(kPageSize - kPageHeaderSize));
   *out = std::move(hf);
   return Status::OK();
 }
@@ -85,9 +83,7 @@ Status HeapFile::Open(BufferPool* pool, uint32_t head_page_id,
   while (pid != kNoPage) {
     Frame* frame;
     PRODB_RETURN_IF_ERROR(pool->FetchPage(pid, &frame));
-    hf->pages_.push_back(pid);
-    hf->SetSpace(pid, PageSpace{static_cast<uint16_t>(
-                          ReclaimableFree(frame->data))});
+    hf->AddPage(pid, static_cast<uint16_t>(ReclaimableFree(frame->data)));
     uint16_t slots = PageSlotCount(frame->data);
     for (uint16_t s = 0; s < slots; ++s) {
       if (SlotLength(frame->data, s) != kDeadSlot) {
@@ -107,41 +103,55 @@ Status HeapFile::Open(BufferPool* pool, uint32_t head_page_id,
   return Status::OK();
 }
 
-Status HeapFile::AppendPage(uint32_t* page_id) {
+Status HeapFile::AppendPage(uint32_t* pos) {
+  uint32_t page_id;
   Frame* frame;
-  PRODB_RETURN_IF_ERROR(pool_->NewPage(page_id, &frame));
+  PRODB_RETURN_IF_ERROR(pool_->NewPage(&page_id, &frame));
   InitHeapPage(frame->data);
   LogAndStamp(pool_, frame, LogRecordType::kPageFormat, 0, {},
               UndoKind::kNone, {}, /*structural=*/true);
-  PRODB_RETURN_IF_ERROR(pool_->UnpinPage(*page_id, /*dirty=*/true));
+  PRODB_RETURN_IF_ERROR(pool_->UnpinPage(page_id, /*dirty=*/true));
   // Link from the current tail.
   uint32_t tail = pages_.back();
   Frame* tail_frame;
   PRODB_RETURN_IF_ERROR(pool_->FetchPage(tail, &tail_frame));
-  SetPageNext(tail_frame->data, *page_id);
+  SetPageNext(tail_frame->data, page_id);
   std::string link(4, '\0');
-  std::memcpy(link.data(), page_id, 4);
+  std::memcpy(link.data(), &page_id, 4);
   LogAndStamp(pool_, tail_frame, LogRecordType::kPageLink, 0,
               std::move(link), UndoKind::kNone, {}, /*structural=*/true);
   PRODB_RETURN_IF_ERROR(pool_->UnpinPage(tail, /*dirty=*/true));
-  pages_.push_back(*page_id);
-  SetSpace(*page_id,
-           PageSpace{static_cast<uint16_t>(kPageSize - kPageHeaderSize)});
+  *pos = static_cast<uint32_t>(pages_.size());
+  AddPage(page_id, static_cast<uint16_t>(kPageSize - kPageHeaderSize));
   return Status::OK();
 }
 
-uint16_t HeapFile::Held(uint64_t txn, uint32_t page_id) const {
-  if (txn == 0) return 0;
-  auto it = held_.find({txn, page_id});
-  return it == held_.end() ? 0 : it->second;
+uint32_t HeapFile::PositionOf(uint32_t page_id) const {
+  auto it = position_.find(page_id);
+  return it == position_.end() ? kNone : it->second;
 }
 
-bool HeapFile::Fits(uint32_t page_id, size_t rec, size_t dir,
+void HeapFile::AddPage(uint32_t page_id, uint16_t free) {
+  const uint32_t pos = static_cast<uint32_t>(pages_.size());
+  pages_.push_back(page_id);
+  position_.emplace(page_id, pos);
+  spaces_.push_back(PageSpace{free});
+  File(pos, free);
+}
+
+uint16_t HeapFile::Held(uint64_t txn, uint32_t pos) const {
+  if (txn == 0) return 0;
+  for (uint32_t h = spaces_[pos].holds; h != kNone;
+       h = holds_[h].next_on_page) {
+    if (holds_[h].key == txn) return holds_[h].bytes;
+  }
+  return 0;
+}
+
+bool HeapFile::Fits(uint32_t pos, size_t rec, size_t dir,
                     uint64_t txn) const {
-  auto it = space_.find(page_id);
-  if (it == space_.end()) return false;
-  size_t own = std::min<size_t>(Held(txn, page_id), rec);
-  return rec + dir - own <= it->second.available();
+  size_t own = std::min<size_t>(Held(txn, pos), rec);
+  return rec + dir - own <= spaces_[pos].available();
 }
 
 uint32_t HeapFile::ChoosePage(size_t rec, uint64_t txn) const {
@@ -149,68 +159,130 @@ uint32_t HeapFile::ChoosePage(size_t rec, uint64_t txn) const {
   // hot in the pool and the key's own reservation there covers the
   // record.
   if (txn != 0) {
-    auto it = latest_deletes_.find(txn);
-    if (it != latest_deletes_.end() &&
-        Fits(it->second.page_id, rec, kSlotSize, txn)) {
-      return it->second.page_id;
+    auto it = keys_.find(txn);
+    if (it != keys_.end() &&
+        Fits(it->second.latest.page, rec, kSlotSize, txn)) {
+      return it->second.latest.page;
     }
   }
-  if (Fits(pages_.back(), rec, kSlotSize, txn)) return pages_.back();
-  // Best fit: the page with the least room that still holds the record.
-  auto it = by_available_.lower_bound(
-      {static_cast<uint16_t>(rec + kSlotSize), 0});
-  return it == by_available_.end() ? kNoPage : it->second;
+  const uint32_t tail = static_cast<uint32_t>(pages_.size() - 1);
+  if (Fits(tail, rec, kSlotSize, txn)) return tail;
+  return BestFit(static_cast<uint16_t>(rec + kSlotSize));
 }
 
-void HeapFile::Take(uint32_t page_id, size_t rec, size_t dir, uint64_t txn) {
-  PageSpace space = space_.at(page_id);
-  auto held = txn == 0 ? held_.end() : held_.find({txn, page_id});
-  if (held != held_.end()) {
-    uint16_t own = static_cast<uint16_t>(std::min<size_t>(held->second, rec));
-    held->second = static_cast<uint16_t>(held->second - own);
+uint32_t HeapFile::BestFit(uint16_t need) const {
+  // The first non-empty bucket at or above `need`: within need's group,
+  // then the first group after it with a non-empty bucket.
+  size_t group = need / 64;
+  uint64_t bits = bucket_bits_[group] & (~uint64_t{0} << (need % 64));
+  if (bits == 0) {
+    const uint64_t later =
+        group + 1 < kBucketGroups
+            ? bucket_groups_ & (~uint64_t{0} << (group + 1))
+            : 0;
+    if (later == 0) return kNone;
+    group = static_cast<size_t>(std::countr_zero(later));
+    bits = bucket_bits_[group];
+  }
+  const size_t bucket = group * 64 + std::countr_zero(bits);
+  // The lowest page id among the bucket's pages.
+  uint32_t best = bucket_heads_[group][bucket % 64];
+  for (uint32_t pos = spaces_[best].next; pos != kNone;
+       pos = spaces_[pos].next) {
+    if (pages_[pos] < pages_[best]) best = pos;
+  }
+  return best;
+}
+
+void HeapFile::Take(uint32_t pos, size_t rec, size_t dir, uint64_t txn) {
+  PageSpace& space = spaces_[pos];
+  const uint16_t before = space.available();
+  for (uint32_t h = txn == 0 ? kNone : space.holds; h != kNone;
+       h = holds_[h].next_on_page) {
+    Hold& held = holds_[h];
+    if (held.key != txn) continue;
+    // A hold drained to 0 stays listed until the key's release.
+    const uint16_t own =
+        static_cast<uint16_t>(std::min<size_t>(held.bytes, rec));
+    held.bytes = static_cast<uint16_t>(held.bytes - own);
     space.reserved = static_cast<uint16_t>(space.reserved - own);
-    if (held->second == 0) held_.erase(held);
+    break;
   }
   space.free = static_cast<uint16_t>(space.free - rec - dir);
-  SetSpace(page_id, space);
+  Refile(pos, before);
 }
 
-void HeapFile::Free(uint32_t page_id, size_t bytes, uint64_t txn) {
+void HeapFile::Free(uint32_t pos, size_t bytes, uint64_t txn, KeyState* key) {
   if (bytes == 0) return;
-  PageSpace space = space_.at(page_id);
+  PageSpace& space = spaces_[pos];
+  const uint16_t before = space.available();
   space.free = static_cast<uint16_t>(space.free + bytes);
   if (txn != 0) {
-    uint16_t& held = held_[{txn, page_id}];
-    held = static_cast<uint16_t>(held + bytes);
+    uint32_t h = space.holds;
+    while (h != kNone && holds_[h].key != txn) h = holds_[h].next_on_page;
+    if (h == kNone) {
+      if (free_holds_ != kNone) {
+        h = free_holds_;
+        free_holds_ = holds_[h].next_of_key;
+      } else {
+        h = static_cast<uint32_t>(holds_.size());
+        holds_.emplace_back();
+      }
+      holds_[h] = Hold{txn, pos, 0, space.holds, key->holds};
+      space.holds = h;
+      key->holds = h;
+    }
+    holds_[h].bytes = static_cast<uint16_t>(holds_[h].bytes + bytes);
     space.reserved = static_cast<uint16_t>(space.reserved + bytes);
   }
-  SetSpace(page_id, space);
+  Refile(pos, before);  // a reserving delete leaves it where it is
 }
 
-void HeapFile::SetSpace(uint32_t page_id, PageSpace space) {
-  auto [it, fresh] = space_.try_emplace(page_id, space);
-  if (fresh) {
-    by_available_.emplace(space.available(), page_id);
-    return;
-  }
-  if (it->second.available() == space.available()) {  // e.g. a reserving delete
-    it->second = space;
-    return;
-  }
-  // Re-key the page's index entry in place: no allocation per mutation.
-  auto node = by_available_.extract({it->second.available(), page_id});
-  it->second = space;
-  node.value().first = space.available();
-  by_available_.insert(std::move(node));
+void HeapFile::Refile(uint32_t pos, uint16_t before) {
+  const uint16_t now = spaces_[pos].available();
+  if (now == before) return;
+  Unfile(pos, before);
+  File(pos, now);
 }
 
-bool HeapFile::Place(char* page, uint32_t page_id, uint16_t slot,
+uint32_t& HeapFile::BucketHead(uint16_t available) {
+  std::unique_ptr<uint32_t[]>& group = bucket_heads_[available / 64];
+  if (group == nullptr) {
+    group = std::make_unique<uint32_t[]>(64);
+    std::fill_n(group.get(), 64, kNone);
+  }
+  return group[available % 64];
+}
+
+void HeapFile::File(uint32_t pos, uint16_t available) {
+  uint32_t& head = BucketHead(available);
+  PageSpace& space = spaces_[pos];
+  space.prev = kNone;
+  space.next = head;
+  if (head != kNone) spaces_[head].prev = pos;
+  head = pos;
+  bucket_bits_[available / 64] |= uint64_t{1} << (available % 64);
+  bucket_groups_ |= uint64_t{1} << (available / 64);
+}
+
+void HeapFile::Unfile(uint32_t pos, uint16_t available) {
+  uint32_t& head = BucketHead(available);
+  PageSpace& space = spaces_[pos];
+  (space.prev != kNone ? spaces_[space.prev].next : head) = space.next;
+  if (space.next != kNone) spaces_[space.next].prev = space.prev;
+  if (head != kNone) return;
+  uint64_t& bits = bucket_bits_[available / 64];
+  bits &= ~(uint64_t{1} << (available % 64));
+  if (bits == 0) bucket_groups_ &= ~(uint64_t{1} << (available / 64));
+}
+
+bool HeapFile::Place(char* page, uint32_t pos, uint16_t slot,
                      const std::string& rec, uint64_t txn) {
   PageHole* hole = nullptr;
-  auto it = latest_deletes_.find(txn);
-  if (it != latest_deletes_.end() && it->second.page_id == page_id &&
-      it->second.compactions == space_.at(page_id).compactions) {
-    hole = &it->second.hole;
+  auto it = keys_.find(txn);
+  if (it != keys_.end() && it->second.latest.page == pos &&
+      it->second.latest.compactions == spaces_[pos].compactions) {
+    hole = &it->second.latest.hole;
   }
   switch (PlaceRecordAtSlot(page, slot, rec, hole)) {
     case Placed::kNoRoom:
@@ -221,7 +293,7 @@ bool HeapFile::Place(char* page, uint32_t page_id, uint16_t slot,
       hole->length = 0;
       break;
     case Placed::kAfterCompaction:
-      ++space_.at(page_id).compactions;
+      ++spaces_[pos].compactions;
       ++compactions_;
       break;
     case Placed::kInFreeSpace:
@@ -232,31 +304,95 @@ bool HeapFile::Place(char* page, uint32_t page_id, uint16_t slot,
 
 void HeapFile::ReleaseReservations(uint64_t txn) {
   std::lock_guard<std::mutex> lock(mu_);
-  latest_deletes_.erase(txn);
-  auto it = held_.lower_bound({txn, 0});
-  while (it != held_.end() && it->first.first == txn) {
-    PageSpace space = space_.at(it->first.second);
-    space.reserved = static_cast<uint16_t>(space.reserved - it->second);
-    SetSpace(it->first.second, space);
-    it = held_.erase(it);
+  auto it = keys_.find(txn);
+  if (it == keys_.end()) return;
+  for (uint32_t h = it->second.holds; h != kNone;) {
+    Hold& held = holds_[h];
+    PageSpace& space = spaces_[held.page];
+    const uint16_t before = space.available();
+    space.reserved = static_cast<uint16_t>(space.reserved - held.bytes);
+    uint32_t* link = &space.holds;
+    while (*link != h) link = &holds_[*link].next_on_page;
+    *link = held.next_on_page;
+    Refile(held.page, before);
+    const uint32_t next = held.next_of_key;
+    held.next_of_key = free_holds_;
+    free_holds_ = h;
+    h = next;
   }
+  keys_.erase(it);
 }
 
 Status HeapFile::VerifySpaceIndex() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::unordered_map<uint32_t, size_t> held_on;
-  for (const auto& [key, bytes] : held_) held_on[key.second] += bytes;
-  if (space_.size() != pages_.size() ||
-      by_available_.size() != pages_.size()) {
+  if (spaces_.size() != pages_.size() || position_.size() != pages_.size()) {
     return Status::Corruption("free-space index tracks " +
-                              std::to_string(by_available_.size()) + " of " +
+                              std::to_string(spaces_.size()) + " of " +
                               std::to_string(pages_.size()) + " pages");
   }
-  for (uint32_t pid : pages_) {
-    auto it = space_.find(pid);
-    if (it == space_.end()) {
+  // The reservations, summed per page over the keys' lists; each hold is
+  // also on its page's list, and the page lists hold nothing else.
+  std::vector<size_t> held_on(pages_.size(), 0);
+  size_t live_holds = 0;
+  for (const auto& [key, state] : keys_) {
+    for (uint32_t h = state.holds; h != kNone; h = holds_[h].next_of_key) {
+      const Hold& held = holds_[h];
+      bool listed = false;
+      if (held.key == key && held.page < pages_.size()) {
+        for (uint32_t o = spaces_[held.page].holds; o != kNone && !listed;
+             o = holds_[o].next_on_page) {
+          listed = o == h;
+        }
+      }
+      if (!listed || ++live_holds > holds_.size()) {
+        return Status::Corruption("a reservation of key " +
+                                  std::to_string(key) +
+                                  " is not on its page's list");
+      }
+      held_on[held.page] += held.bytes;
+    }
+  }
+  // The buckets: every page filed once, under its available bytes, and
+  // the bitmaps mark exactly the non-empty buckets.
+  constexpr size_t kUnfiled = SIZE_MAX;
+  std::vector<size_t> filed_under(pages_.size(), kUnfiled);
+  for (size_t b = 0; b < kBuckets; ++b) {
+    const auto& group = bucket_heads_[b / 64];
+    const uint32_t head = group == nullptr ? kNone : group[b % 64];
+    if (((bucket_bits_[b / 64] >> (b % 64)) & 1) != (head != kNone)) {
+      return Status::Corruption("free-space bitmap disagrees with bucket " +
+                                std::to_string(b));
+    }
+    uint32_t prev = kNone;
+    for (uint32_t pos = head; pos != kNone; pos = spaces_[pos].next) {
+      if (pos >= pages_.size() || filed_under[pos] != kUnfiled ||
+          spaces_[pos].prev != prev) {
+        return Status::Corruption("free-space bucket " + std::to_string(b) +
+                                  " is not a list of distinct pages");
+      }
+      filed_under[pos] = b;
+      prev = pos;
+    }
+  }
+  for (size_t g = 0; g < kBucketGroups; ++g) {
+    if (((bucket_groups_ >> g) & 1) != (bucket_bits_[g] != 0)) {
+      return Status::Corruption("free-space summary disagrees with group " +
+                                std::to_string(g));
+    }
+  }
+  size_t page_holds = 0;
+  for (uint32_t pos = 0; pos < pages_.size(); ++pos) {
+    const uint32_t pid = pages_[pos];
+    const PageSpace& space = spaces_[pos];
+    if (PositionOf(pid) != pos) {
       return Status::Corruption("free-space index lacks page " +
                                 std::to_string(pid));
+    }
+    for (uint32_t h = space.holds; h != kNone; h = holds_[h].next_on_page) {
+      if (holds_[h].page != pos || ++page_holds > live_holds) {
+        return Status::Corruption("page " + std::to_string(pid) +
+                                  " lists a reservation not its own");
+      }
     }
     Frame* frame;
     PRODB_RETURN_IF_ERROR(pool_->FetchPage(pid, &frame));
@@ -264,19 +400,18 @@ Status HeapFile::VerifySpaceIndex() const {
     // A hole the page's compactions have not invalidated must still be
     // dead bytes: its key writes a record there without looking.
     bool holes_dead = true;
-    for (const auto& [key, latest] : latest_deletes_) {
-      if (latest.page_id == pid &&
-          latest.compactions == it->second.compactions &&
+    for (const auto& [key, state] : keys_) {
+      const LatestDelete& latest = state.latest;
+      if (latest.page == pos && latest.compactions == space.compactions &&
           !BytesAreDead(frame->data, latest.hole.offset,
                         latest.hole.length)) {
         holes_dead = false;
       }
     }
     PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/false));
-    if (it->second.free != reclaimable ||
-        it->second.reserved > it->second.free ||
-        it->second.reserved != held_on[pid] ||
-        by_available_.count({it->second.available(), pid}) == 0) {
+    if (space.free != reclaimable || space.reserved > space.free ||
+        space.reserved != held_on[pos] ||
+        filed_under[pos] != space.available()) {
       return Status::Corruption("free-space index disagrees with page " +
                                 std::to_string(pid));
     }
@@ -284,6 +419,11 @@ Status HeapFile::VerifySpaceIndex() const {
       return Status::Corruption("a remembered hole overlaps a live record "
                                 "on page " + std::to_string(pid));
     }
+  }
+  if (page_holds != live_holds) {
+    return Status::Corruption("page lists hold " +
+                              std::to_string(page_holds) + " of " +
+                              std::to_string(live_holds) + " reservations");
   }
   return Status::OK();
 }
@@ -296,14 +436,15 @@ Status HeapFile::Insert(const Tuple& tuple, TupleId* id) {
     return Status::InvalidArgument("tuple larger than a page");
   }
   const uint64_t txn = CurrentReservationKey();
-  uint32_t pid = ChoosePage(rec.size(), txn);
-  if (pid == kNoPage) PRODB_RETURN_IF_ERROR(AppendPage(&pid));
+  uint32_t pos = ChoosePage(rec.size(), txn);
+  if (pos == kNone) PRODB_RETURN_IF_ERROR(AppendPage(&pos));
+  const uint32_t pid = pages_[pos];
   Frame* frame;
   PRODB_RETURN_IF_ERROR(pool_->FetchPage(pid, &frame));
   // The index admitted the page, so the record fits, under a new slot at
   // the end of the directory.
   const uint16_t slot = PageSlotCount(frame->data);
-  if (!Place(frame->data, pid, slot, rec, txn)) {
+  if (!Place(frame->data, pos, slot, rec, txn)) {
     PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/false));
     return Status::Internal("free-space index out of step with page " +
                             std::to_string(pid));
@@ -312,7 +453,7 @@ Status HeapFile::Insert(const Tuple& tuple, TupleId* id) {
   // "clear it".
   LogAndStamp(pool_, frame, LogRecordType::kSlotPut, slot, rec,
               UndoKind::kClearSlot);
-  Take(pid, rec.size(), kSlotSize, txn);
+  Take(pos, rec.size(), kSlotSize, txn);
   PRODB_RETURN_IF_ERROR(pool_->UnpinPage(pid, /*dirty=*/true));
   id->page_id = pid;
   id->slot_id = slot;
@@ -342,18 +483,20 @@ Status HeapFile::Get(TupleId id, Tuple* out) const {
 
 Status HeapFile::Delete(TupleId id, Tuple* old) {
   std::lock_guard<std::mutex> lock(mu_);
+  const uint32_t pos = PositionOf(id.page_id);
+  if (pos == kNone) return Status::NotFound("tuple " + id.ToString());
   Frame* frame;
   PRODB_RETURN_IF_ERROR(pool_->FetchPage(id.page_id, &frame));
   Status st = Status::OK();
   bool dirty = false;
   uint16_t slots = PageSlotCount(frame->data);
-  size_t pos = 0;
+  size_t decoded = 0;
   if (id.slot_id >= slots || SlotLength(frame->data, id.slot_id) == kDeadSlot) {
     st = Status::NotFound("tuple " + id.ToString());
   } else if (old != nullptr &&
              !Tuple::DeserializeFrom(
                  frame->data + SlotOffset(frame->data, id.slot_id),
-                 SlotLength(frame->data, id.slot_id), &pos, old)) {
+                 SlotLength(frame->data, id.slot_id), &decoded, old)) {
     st = Status::Corruption("bad tuple encoding at " + id.ToString());
   } else {
     // Before-image first: once the slot is tombstoned the bytes are
@@ -365,10 +508,10 @@ Status HeapFile::Delete(TupleId id, Tuple* old) {
     LogAndStamp(pool_, frame, LogRecordType::kSlotDelete, id.slot_id, {},
                 UndoKind::kRestore, std::move(before));
     const uint64_t key = CurrentReservationKey();
-    Free(id.page_id, len, key);
-    latest_deletes_.insert_or_assign(
-        key, LatestDelete{id.page_id, space_.at(id.page_id).compactions,
-                          PageHole{off, len}});
+    KeyState& state = keys_[key];
+    Free(pos, len, key, &state);
+    state.latest =
+        LatestDelete{pos, spaces_[pos].compactions, PageHole{off, len}};
     --live_tuples_;
     ++dead_slots_;
     dirty = true;
@@ -382,6 +525,8 @@ Status HeapFile::Restore(TupleId id, const Tuple& tuple) {
   std::string rec;
   tuple.SerializeTo(&rec);
   const uint64_t txn = CurrentReservationKey();
+  const uint32_t pos = PositionOf(id.page_id);
+  if (pos == kNone) return Status::InvalidArgument("no slot " + id.ToString());
   Frame* frame;
   PRODB_RETURN_IF_ERROR(pool_->FetchPage(id.page_id, &frame));
   Status st = Status::OK();
@@ -391,14 +536,14 @@ Status HeapFile::Restore(TupleId id, const Tuple& tuple) {
     st = Status::InvalidArgument("no slot " + id.ToString());
   } else if (SlotLength(frame->data, id.slot_id) != kDeadSlot) {
     st = Status::AlreadyExists("slot live " + id.ToString());
-  } else if (!Fits(id.page_id, rec.size(), 0, txn) ||
-             !Place(frame->data, id.page_id,
-                    static_cast<uint16_t>(id.slot_id), rec, txn)) {
+  } else if (!Fits(pos, rec.size(), 0, txn) ||
+             !Place(frame->data, pos, static_cast<uint16_t>(id.slot_id), rec,
+                    txn)) {
     st = Status::IOError("page full restoring " + id.ToString());
   } else {
     LogAndStamp(pool_, frame, LogRecordType::kSlotPut, id.slot_id, rec,
                 UndoKind::kClearSlot);
-    Take(id.page_id, rec.size(), 0, txn);
+    Take(pos, rec.size(), 0, txn);
     ++live_tuples_;
     if (dead_slots_ > 0) --dead_slots_;
     dirty = true;

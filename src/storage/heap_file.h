@@ -1,12 +1,11 @@
 #ifndef PRODB_STORAGE_HEAP_FILE_H_
 #define PRODB_STORAGE_HEAP_FILE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -39,12 +38,13 @@ namespace prodb {
 ///
 /// Placement (DESIGN.md "Heap page choice") is decided here alone. Each
 /// page's reclaimable bytes are kept incrementally, minus the bytes live
-/// reservation keys hold for their own undo, in an index ordered by
-/// (available bytes, page). Per reservation key the file also keeps the
-/// key's latest delete in it: the page, and the record bytes it freed
-/// there (the hole). An insert under a key tries that page first (a
-/// modify's old page), then the tail page, then the best-fitting page,
-/// then a new page: O(log pages) whatever the file size. Key 0
+/// reservation keys hold for their own undo, and the page is filed in
+/// the bucket of that available-byte count. Per reservation key the file
+/// also keeps the key's latest delete in it: the page, and the record
+/// bytes it freed there (the hole). An insert under a key tries that
+/// page first (a modify's old page), then the tail page, then the
+/// best-fitting page (the fullest that fits, the lowest page id among
+/// equals), then a new page; no choice reads a page. Key 0
 /// (auto-commit outside any scope) reserves nothing and gets no page
 /// hint. Bytes a key's delete frees stay reserved for it (its own
 /// inserts and restores may use them) until ReleaseReservations, which
@@ -98,8 +98,9 @@ class HeapFile {
 
   /// Checks the free-space index against the pages: for every page, the
   /// kept free bytes equal ReclaimableFree, the reserved bytes equal the
-  /// sum of the transactions' reservations, and the ordered index holds
-  /// (free − reserved, page). Corruption names the first page that
+  /// sum of the transactions' reservations, and the page is filed once,
+  /// in the bucket of free − reserved, whose bitmap bits are set exactly
+  /// for the non-empty buckets. Corruption names the first page that
   /// disagrees. Reads every page; meant for tests.
   Status VerifySpaceIndex() const;
 
@@ -128,16 +129,40 @@ class HeapFile {
  private:
   explicit HeapFile(BufferPool* pool) : pool_(pool) {}
 
+  static constexpr uint32_t kNone = UINT32_MAX;
+  /// One free-space bucket per available-byte count a page can have.
+  static constexpr size_t kBuckets = kPageSize - kPageHeaderSize + 1;
+  static constexpr size_t kBucketGroups = (kBuckets + 63) / 64;
+  static_assert(kBucketGroups <= 64, "one summary word covers the groups");
+
   /// A page's space: reclaimable bytes (ReclaimableFree) and the part of
   /// them live transactions hold for their own undo, and how often the
-  /// page has been compacted (records moved).
+  /// page has been compacted (records moved). `prev`/`next` link the page
+  /// into the bucket of its available bytes (positions in spaces_);
+  /// `holds` heads the list of the reservations on it (indices into
+  /// holds_).
   struct PageSpace {
     uint16_t free = 0;
     uint16_t reserved = 0;
     uint32_t compactions = 0;
+    uint32_t prev = kNone;
+    uint32_t next = kNone;
+    uint32_t holds = kNone;
     uint16_t available() const {
       return static_cast<uint16_t>(free - reserved);
     }
+  };
+
+  /// The bytes one reservation key's deletes freed on one page and its
+  /// undo may need back. A hold is on its page's list and on its key's
+  /// list until ReleaseReservations; a released hold is on the free list
+  /// (through `next_of_key`) for the next reserving delete to reuse.
+  struct Hold {
+    uint64_t key = 0;
+    uint32_t page = 0;  // position in spaces_
+    uint16_t bytes = 0;
+    uint32_t next_on_page = kNone;
+    uint32_t next_of_key = kNone;
   };
 
   /// A reservation key's latest delete in this file: its page, the key's
@@ -146,47 +171,78 @@ class HeapFile {
   /// compacted; once the key writes a record into them the hole's length
   /// drops to 0, and the page stays the hint.
   struct LatestDelete {
-    uint32_t page_id = 0;
+    uint32_t page = 0;         // position in spaces_
     uint32_t compactions = 0;  // the page's count at the delete
     PageHole hole;
   };
 
-  Status AppendPage(uint32_t* page_id);
-  /// Bytes of `txn`'s reservation on `page_id` (0 for auto-commit).
-  uint16_t Held(uint64_t txn, uint32_t page_id) const;
+  /// What the file keeps per reservation key between its first delete
+  /// here and its ReleaseReservations.
+  struct KeyState {
+    LatestDelete latest;
+    uint32_t holds = kNone;  // the key's holds, most recent first
+  };
+
+  Status AppendPage(uint32_t* pos);
+  /// The position of `page_id` in this file, or kNone.
+  uint32_t PositionOf(uint32_t page_id) const;
+  /// Adds page `page_id` with `free` reclaimable bytes at the end.
+  void AddPage(uint32_t page_id, uint16_t free);
+  /// Bytes of `txn`'s reservation on page `pos` (0 for auto-commit).
+  uint16_t Held(uint64_t txn, uint32_t pos) const;
   /// True when `txn` can place `rec` record bytes plus `dir` directory
-  /// bytes on `page_id`: its own reservation covers up to `rec` bytes,
+  /// bytes on page `pos`: its own reservation covers up to `rec` bytes,
   /// the rest must be available to everyone.
-  bool Fits(uint32_t page_id, size_t rec, size_t dir, uint64_t txn) const;
-  /// The page an insert of `rec` bytes by `txn` goes to, or kNoPage when
-  /// none fits (append a page).
+  bool Fits(uint32_t pos, size_t rec, size_t dir, uint64_t txn) const;
+  /// The position of the page an insert of `rec` bytes by `txn` goes
+  /// to, or kNone when none fits (append a page).
   uint32_t ChoosePage(size_t rec, uint64_t txn) const;
+  /// Best fit: the page with the least available bytes that still holds
+  /// `need`, the lowest page id among equals; kNone when none does.
+  uint32_t BestFit(uint16_t need) const;
   /// Accounts a placement Fits admitted: consumes `txn`'s reservation
   /// first.
-  void Take(uint32_t page_id, size_t rec, size_t dir, uint64_t txn);
-  /// Accounts `bytes` freed on `page_id`, reserved for `txn` unless it is
-  /// auto-commit.
-  void Free(uint32_t page_id, size_t bytes, uint64_t txn);
-  /// Sets a page's space and keeps the ordered index in step.
-  void SetSpace(uint32_t page_id, PageSpace space);
-  /// Places `rec` under `slot` on the pinned page `page_id`, in `txn`'s
+  void Take(uint32_t pos, size_t rec, size_t dir, uint64_t txn);
+  /// Accounts `bytes` freed on page `pos`, reserved for `txn` (whose
+  /// state is `key`) unless it is auto-commit.
+  void Free(uint32_t pos, size_t bytes, uint64_t txn, KeyState* key);
+  /// Moves page `pos` to the bucket of its available bytes, which were
+  /// `before` until its space changed.
+  void Refile(uint32_t pos, uint16_t before);
+  /// Links page `pos` into / out of the bucket for `available` bytes.
+  void File(uint32_t pos, uint16_t available);
+  void Unfile(uint32_t pos, uint16_t available);
+  /// The head of the bucket for `available` bytes (allocating its group
+  /// of 64 heads on first use).
+  uint32_t& BucketHead(uint16_t available);
+  /// Places `rec` under `slot` on the pinned page at `pos`, in `txn`'s
   /// hole when it is on that page and the record fits (PlaceRecordAtSlot),
   /// and counts a compaction (which forgets every hole on the page).
   /// False when the page lacks room.
-  bool Place(char* page, uint32_t page_id, uint16_t slot,
-             const std::string& rec, uint64_t txn);
+  bool Place(char* page, uint32_t pos, uint16_t slot, const std::string& rec,
+             uint64_t txn);
 
   BufferPool* pool_;
   mutable std::mutex mu_;
   std::vector<uint32_t> pages_;
-  std::unordered_map<uint32_t, PageSpace> space_;
-  // (available bytes, page id), for best fit.
-  std::set<std::pair<uint16_t, uint32_t>> by_available_;
-  // (txn, page id) -> bytes that transaction's deletes freed there and
-  // its undo may need back.
-  std::map<std::pair<uint64_t, uint32_t>, uint16_t> held_;
-  // Reservation key -> its latest delete in this file.
-  std::unordered_map<uint64_t, LatestDelete> latest_deletes_;
+  // Per page, in pages_ order (its position): space, links and holds.
+  std::vector<PageSpace> spaces_;
+  std::unordered_map<uint32_t, uint32_t> position_;  // page id -> position
+  // The free-space index: a list of pages per available-byte count,
+  // whose heads come in groups of 64 allocated on first use (a file of
+  // a few pages, such as a paged token memory, holds a few groups, not
+  // all 16 KB of heads); bit i of bucket_bits_[g] is set while bucket
+  // 64g+i is non-empty, and bit g of bucket_groups_ while
+  // bucket_bits_[g] is non-zero. Moving a page costs O(1); the best fit
+  // is the first non-empty bucket at or above the need, two word scans
+  // away.
+  std::array<std::unique_ptr<uint32_t[]>, kBucketGroups> bucket_heads_;
+  std::array<uint64_t, kBucketGroups> bucket_bits_{};
+  uint64_t bucket_groups_ = 0;
+  // Every hold, live or free; free ones chain from free_holds_.
+  std::vector<Hold> holds_;
+  uint32_t free_holds_ = kNone;
+  std::unordered_map<uint64_t, KeyState> keys_;
   size_t live_tuples_ = 0;
   size_t dead_slots_ = 0;
   uint64_t compactions_ = 0;

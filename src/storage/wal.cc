@@ -467,6 +467,11 @@ std::map<uint64_t, Lsn> LogManager::ActiveTxns() const {
   return active_txns_;
 }
 
+LogManagerStats LogManager::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
+}
+
 uint64_t CurrentWalTxn() { return g_wal_txn; }
 
 uint64_t CurrentReservationKey() { return g_reservation_key; }

@@ -248,7 +248,8 @@ class LogManager {
   std::vector<uint32_t> PageChain() const;
   /// Active-transaction table: id -> start LSN of first data record.
   std::map<uint64_t, Lsn> ActiveTxns() const;
-  const LogManagerStats& stats() const { return stats_; }
+  /// A snapshot of the counters, taken under the log latch.
+  LogManagerStats stats() const;
 
  private:
   LogManager(DiskManager* disk, LogManagerOptions options)

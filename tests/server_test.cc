@@ -703,6 +703,70 @@ TEST(ServerTest, DurableAckAndEmptyBatchBarrier) {
   std::filesystem::remove(db);
 }
 
+// kStats reads the WAL's and the buffer pool's counters while another
+// session's durable batches write them; each is read under its owner's
+// latch. Working memory outgrows the 4-frame pool, so the batches also
+// evict and write back dirty pages, forcing the log first.
+TEST(ServerTest, StatsWhileDurableBatchesApply) {
+  std::string db = TempPath("prodb_srv_stats_");
+  std::filesystem::remove(db);
+  RuleServerOptions opts = TcpOptions();
+  opts.system.wm_storage = StorageKind::kPaged;
+  opts.system.db_path = db;
+  opts.system.enable_wal = true;
+  opts.system.durable_directory = true;
+  opts.system.buffer_pool_frames = 4;
+  RuleServer server(opts);
+  ASSERT_TRUE(server.Start().ok());
+  RuleClient writer;
+  ASSERT_TRUE(writer.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+  ASSERT_TRUE(writer.Load(Program(1)).ok());
+  RuleClient reader;
+  ASSERT_TRUE(reader.ConnectTcp("127.0.0.1", server.tcp_port()).ok());
+
+  constexpr int kBatches = 300;
+  std::atomic<bool> done{false};
+  std::atomic<int> failed{0};
+  std::thread t([&] {
+    for (int i = 0; i < kBatches; ++i) {
+      WireBatch batch;
+      WireOp op = Make("C0", i, 0);
+      op.tuple = Tuple{Value(std::string(400, 'v')), Value(int64_t{0})};
+      batch.ops.push_back(op);
+      WireBatchAck ack;
+      if (!writer.Apply(batch, &ack).ok() || !ack.durable) ++failed;
+    }
+    done = true;
+  });
+  auto find = [](const WireStatsReply& stats, const std::string& key) {
+    for (const auto& [k, v] : stats.counters) {
+      if (k == key) return v;
+    }
+    return UINT64_MAX;
+  };
+  uint64_t polls = 0;
+  uint64_t last_appended = 0;
+  bool last_poll = false;
+  while (!last_poll) {
+    last_poll = done.load();
+    WireStatsReply stats;
+    EXPECT_TRUE(reader.GetStats(&stats).ok());
+    const uint64_t appended = find(stats, "wal_records_appended");
+    EXPECT_NE(appended, UINT64_MAX);
+    EXPECT_GE(appended, last_appended);
+    last_appended = appended;
+    ++polls;
+    if (HasFailure()) break;  // the writer is still joined below
+  }
+  t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_GE(polls, 2u);
+  EXPECT_GE(last_appended, static_cast<uint64_t>(kBatches));
+  EXPECT_GT(server.system().catalog().buffer_pool()->stats().evictions, 0u);
+  server.Stop();
+  std::filesystem::remove(db);
+}
+
 TEST(ServerTest, ShardingAndPlannerPlumbedThrough) {
   RuleServerOptions opts = TcpOptions();
   opts.system.matcher = MatcherKind::kRete;

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <list>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -189,6 +192,244 @@ TEST(BufferPoolTest, UnpinErrorsOnBadCalls) {
   ExpectPoolBalanced(pool);
 }
 
+// The replacement order the pool keeps, as the std::list LRU it
+// replaced kept it: a reference model of residency, pins, dirty bits
+// and the counters, for a disk whose writes never fail.
+class ReferencePool {
+ public:
+  explicit ReferencePool(size_t capacity) : free_(capacity) {}
+
+  // False when every frame is pinned (the pool's fetch fails too).
+  bool Fetch(uint32_t pid) {
+    auto it = pages_.find(pid);
+    if (it != pages_.end()) {
+      if (it->second.pins++ == 0) lru_.remove(pid);
+      ++stats_.hits;
+      return true;
+    }
+    ++stats_.misses;
+    if (!Victim()) return false;
+    pages_[pid] = Page{1, false, 0};
+    return true;
+  }
+  bool New(uint32_t pid) {
+    if (!Victim()) return false;
+    pages_[pid] = Page{1, true, 0};
+    return true;
+  }
+  void Unpin(uint32_t pid, bool dirty) {
+    Page& p = pages_.at(pid);
+    p.dirty = p.dirty || dirty;
+    if (--p.pins == 0) lru_.push_back(pid);
+  }
+  void NoteLogged(uint32_t pid, uint64_t start) {
+    Page& p = pages_.at(pid);
+    if (p.rec_lsn == 0) p.rec_lsn = start + 1;
+  }
+  void Flush(uint32_t pid) {
+    auto it = pages_.find(pid);
+    if (it != pages_.end()) Clean(&it->second);
+  }
+  void FlushAll() {
+    for (auto& [pid, p] : pages_) Clean(&p);
+  }
+  void FlushDirtyBefore(uint64_t lsn) {
+    for (auto& [pid, p] : pages_) {
+      if (p.dirty && p.rec_lsn != 0 && p.rec_lsn - 1 < lsn) Clean(&p);
+    }
+  }
+  const BufferPoolStats& stats() const { return stats_; }
+
+ private:
+  struct Page {
+    int pins = 0;
+    bool dirty = false;
+    uint64_t rec_lsn = 0;
+  };
+  static void Clean(Page* p) {
+    p->dirty = false;
+    p->rec_lsn = 0;
+  }
+  bool Victim() {
+    if (free_ > 0) {
+      --free_;
+      return true;
+    }
+    if (lru_.empty()) return false;
+    const uint32_t pid = lru_.front();
+    lru_.pop_front();
+    if (pages_.at(pid).dirty) ++stats_.dirty_writebacks;
+    pages_.erase(pid);
+    ++stats_.evictions;
+    return true;
+  }
+
+  size_t free_;
+  std::map<uint32_t, Page> pages_;
+  std::list<uint32_t> lru_;  // front = least recently used
+  BufferPoolStats stats_;
+};
+
+// A small pool over more pages than frames, driven by a random mix of
+// every entry point, keeps the reference model's counters after every
+// step: the same hits, misses, evictions and dirty writebacks mean the
+// same page was the victim at every miss. Every page also reads back
+// the last bytes written to it.
+TEST(BufferPoolTest, RandomOpsMatchListLru) {
+  BufferPool pool(6, std::make_unique<MemoryDiskManager>());
+  ReferencePool model(6);
+  Rng rng(17);
+  std::vector<uint32_t> pages;           // every page allocated
+  std::map<uint32_t, uint32_t> written;  // page -> last stamp written
+  std::multiset<uint32_t> pinned;
+  std::map<uint32_t, Frame*> frames;     // pinned page -> its frame
+  uint32_t stamp = 0;
+  uint64_t lsn = 0;
+  auto stamp_of = [](const Frame* f) {
+    uint32_t v;
+    std::memcpy(&v, f->data, sizeof(v));
+    return v;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = rng.Uniform(100);
+    if (op < 6 || pages.size() < 3) {
+      uint32_t pid;
+      Frame* f;
+      const bool ok = pool.NewPage(&pid, &f).ok();
+      if (ok) {
+        ASSERT_TRUE(model.New(pid)) << "step " << step;
+        pages.push_back(pid);
+        written[pid] = 0;
+        pinned.insert(pid);
+        frames[pid] = f;
+      } else {
+        ASSERT_FALSE(model.New(UINT32_MAX)) << "step " << step;
+      }
+    } else if (op < 50) {
+      const uint32_t pid = pages[rng.Uniform(pages.size())];
+      Frame* f;
+      const bool ok = pool.FetchPage(pid, &f).ok();
+      ASSERT_EQ(ok, model.Fetch(pid)) << "step " << step;
+      if (ok) {
+        ASSERT_EQ(stamp_of(f), written[pid]) << "page " << pid;
+        pinned.insert(pid);
+        frames[pid] = f;
+      }
+    } else if (op < 85) {
+      if (pinned.empty()) continue;
+      auto it = pinned.begin();
+      std::advance(it, rng.Uniform(pinned.size()));
+      const uint32_t pid = *it;
+      const bool dirty = rng.Chance(0.5);
+      if (dirty) {
+        std::memcpy(frames[pid]->data, &++stamp, sizeof(stamp));
+        written[pid] = stamp;
+        if (rng.Chance(0.5)) {
+          lsn += 1 + rng.Uniform(50);
+          pool.NoteLoggedUpdate(frames[pid], lsn, /*txn_id=*/0);
+          model.NoteLogged(pid, lsn);
+        }
+      }
+      ASSERT_TRUE(pool.UnpinPage(pid, dirty).ok());
+      model.Unpin(pid, dirty);
+      pinned.erase(it);
+    } else if (op < 93) {
+      const uint32_t pid = pages[rng.Uniform(pages.size())];
+      ASSERT_TRUE(pool.FlushPage(pid).ok());
+      model.Flush(pid);
+    } else if (op < 96) {
+      ASSERT_TRUE(pool.FlushAll().ok());
+      model.FlushAll();
+    } else {
+      const uint64_t before = rng.Uniform(lsn + 1);
+      ASSERT_TRUE(pool.FlushPagesDirtyBefore(before).ok());
+      model.FlushDirtyBefore(before);
+    }
+    const BufferPoolStats got = pool.stats();
+    const BufferPoolStats& want = model.stats();
+    ASSERT_EQ(got.hits, want.hits) << "step " << step;
+    ASSERT_EQ(got.misses, want.misses) << "step " << step;
+    ASSERT_EQ(got.evictions, want.evictions) << "step " << step;
+    ASSERT_EQ(got.dirty_writebacks, want.dirty_writebacks) << "step " << step;
+    Status st = pool.VerifyFrameAccounting();
+    ASSERT_TRUE(st.ok()) << "step " << step << ": " << st.ToString();
+  }
+  EXPECT_GT(pool.stats().evictions, 1000u);
+  EXPECT_GT(pool.stats().dirty_writebacks, 100u);
+  for (uint32_t pid : pinned) ASSERT_TRUE(pool.UnpinPage(pid, false).ok());
+  for (uint32_t pid : pages) {
+    Frame* f;
+    ASSERT_TRUE(pool.FetchPage(pid, &f).ok());
+    EXPECT_EQ(stamp_of(f), written[pid]) << "page " << pid;
+    ASSERT_TRUE(pool.UnpinPage(pid, false).ok());
+  }
+  ExpectPoolBalanced(pool);
+}
+
+// Four threads pin, write and unpin pages of a 16-frame pool over 64
+// pages, each thread holding up to two pins and writing only its own
+// bytes of a page while it holds it pinned. Every thread reads back what
+// it last wrote however often the page was evicted in between, and the
+// pool's accounting balances at the end.
+TEST(BufferPoolTest, ConcurrentPinUnpinDirtyStress) {
+  BufferPool pool(16, std::make_unique<MemoryDiskManager>());
+  constexpr int kThreads = 4;
+  constexpr uint32_t kPages = 64;
+  std::vector<uint32_t> pages;
+  for (uint32_t i = 0; i < kPages; ++i) {
+    uint32_t pid;
+    Frame* f;
+    ASSERT_TRUE(pool.NewPage(&pid, &f).ok());
+    ASSERT_TRUE(pool.UnpinPage(pid, true).ok());
+    pages.push_back(pid);
+  }
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> fetches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 41);
+      std::vector<uint64_t> mine(kPages, 0);  // last value written per page
+      const size_t at = static_cast<size_t>(t) * sizeof(uint64_t);
+      for (int i = 0; i < 4000; ++i) {
+        const uint32_t a = static_cast<uint32_t>(rng.Uniform(kPages));
+        const uint32_t b = static_cast<uint32_t>(rng.Uniform(kPages));
+        Frame* fa;
+        Frame* fb;
+        if (!pool.FetchPage(pages[a], &fa).ok()) {
+          ++failures;
+          continue;
+        }
+        ++fetches;
+        const bool two = a != b && rng.Chance(0.5);
+        if (two) {
+          if (!pool.FetchPage(pages[b], &fb).ok()) {
+            ++failures;
+            break;
+          }
+          ++fetches;
+        }
+        uint64_t seen;
+        std::memcpy(&seen, fa->data + at, sizeof(seen));
+        if (seen != mine[a]) ++failures;
+        const bool dirty = rng.Chance(0.5);
+        if (dirty) {
+          ++mine[a];
+          std::memcpy(fa->data + at, &mine[a], sizeof(mine[a]));
+        }
+        if (two && !pool.UnpinPage(pages[b], false).ok()) ++failures;
+        if (!pool.UnpinPage(pages[a], dirty).ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  const BufferPoolStats st = pool.stats();
+  EXPECT_EQ(st.hits + st.misses, fetches.load());
+  EXPECT_GT(st.evictions, 0u);
+  ExpectPoolBalanced(pool);
+}
+
 class HeapFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -301,6 +542,25 @@ TEST_F(HeapFileTest, ReopenFindsSameTuples) {
     Tuple out;
     ASSERT_TRUE(reopened->Get(id, &out).ok());
     EXPECT_EQ(out, t);
+  }
+}
+
+// A TupleId names a page, not a file: handed another file's id (a
+// client's remove of a tuple of another class), Delete and Restore
+// refuse it without touching the page, which belongs to the other file.
+TEST_F(HeapFileTest, AnotherFilesTupleIdIsRefused) {
+  std::unique_ptr<HeapFile> other;
+  ASSERT_TRUE(HeapFile::Create(pool_.get(), &other).ok());
+  TupleId id;
+  ASSERT_TRUE(hf_->Insert(MakeTuple(1), &id).ok());
+  EXPECT_TRUE(other->Delete(id).IsNotFound());
+  EXPECT_FALSE(other->Restore(id, MakeTuple(2)).ok());
+  Tuple out;
+  ASSERT_TRUE(hf_->Get(id, &out).ok());
+  EXPECT_EQ(out, MakeTuple(1));
+  for (HeapFile* hf : {hf_.get(), other.get()}) {
+    Status st = hf->VerifySpaceIndex();
+    EXPECT_TRUE(st.ok()) << st.ToString();
   }
 }
 
@@ -474,6 +734,83 @@ TEST_F(HeapFileHoleTest, AbortAfterInHoleInsertRestoresTheOldVersion) {
   ExpectRowsIntact();
 }
 
+// Best fit, on pages the tail page cannot stand in for. FillPages
+// leaves `n` pages exactly full (80 records of 47 bytes and their 80
+// slot entries take all 4,080 bytes of each); deleting k records of a
+// page, outside any transaction, makes 47k bytes available there. An
+// insert of 43 bytes needs 47 (its slot entry included).
+class HeapFileBestFitTest : public HeapFileTest {
+ protected:
+  static Tuple Row(size_t len) { return Tuple{Value(std::string(len, 'r'))}; }
+  void FillPages(size_t n) {
+    for (size_t i = 0; i < 80 * n; ++i) {
+      TupleId id;
+      ASSERT_TRUE(hf_->Insert(Row(38), &id).ok());
+      on_page_[id.page_id].push_back(id);
+    }
+    ASSERT_EQ(hf_->PageCount(), n);
+    ASSERT_EQ(on_page_.size(), n);
+    for (const auto& [pid, ids] : on_page_) pages_.push_back(pid);
+  }
+  // Deletes k records of the i-th page (in page id order).
+  void Free(size_t i, size_t k) {
+    std::vector<TupleId>& ids = on_page_[pages_[i]];
+    for (size_t j = 0; j < k; ++j) {
+      ASSERT_TRUE(hf_->Delete(ids.back()).ok());
+      ids.pop_back();
+    }
+  }
+  // The page an insert of a `need`-byte record (slot entry included)
+  // lands on.
+  uint32_t InsertNeeding(size_t need) {
+    TupleId id;
+    EXPECT_TRUE(hf_->Insert(Row(need - 4 - 9), &id).ok());
+    Status st = hf_->VerifySpaceIndex();
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return id.page_id;
+  }
+  std::map<uint32_t, std::vector<TupleId>> on_page_;
+  std::vector<uint32_t> pages_;  // ascending page ids
+};
+
+TEST_F(HeapFileBestFitTest, EqualAvailableBytesPickTheLowestPageId) {
+  FillPages(4);
+  // Pages 1 and 2 end with 47 bytes each, filed in either order.
+  Free(2, 1);
+  Free(1, 1);
+  EXPECT_EQ(InsertNeeding(47), pages_[1]);
+  EXPECT_EQ(InsertNeeding(47), pages_[2]);
+  Free(1, 1);
+  Free(2, 1);
+  EXPECT_EQ(InsertNeeding(47), pages_[1]);
+  EXPECT_EQ(InsertNeeding(47), pages_[2]);
+}
+
+TEST_F(HeapFileBestFitTest, SmallerFitBeatsLargerFit) {
+  FillPages(4);
+  Free(1, 2);  // 94 bytes
+  Free(2, 1);  // 47 bytes: the fullest page that still fits
+  EXPECT_EQ(InsertNeeding(47), pages_[2]);
+  EXPECT_EQ(InsertNeeding(47), pages_[1]);
+  EXPECT_EQ(InsertNeeding(47), pages_[1]);
+}
+
+TEST_F(HeapFileBestFitTest, ChangedPageIsChosenByItsNewValue) {
+  FillPages(4);
+  Free(1, 2);  // 94 bytes
+  Free(2, 3);  // 141 bytes
+  EXPECT_EQ(InsertNeeding(47), pages_[1]);  // page 1 now has 47
+  Free(1, 3);                               // and now 188
+  EXPECT_EQ(InsertNeeding(47), pages_[2]);  // 141 < 188
+  EXPECT_EQ(InsertNeeding(94), pages_[2]);  // 94 < 188; page 2 spent
+  EXPECT_EQ(InsertNeeding(141), pages_[1]);
+  EXPECT_EQ(InsertNeeding(47), pages_[1]);
+  // No page has room left: a new page.
+  const uint32_t fresh = InsertNeeding(47);
+  EXPECT_EQ(hf_->PageCount(), 5u);
+  EXPECT_EQ(on_page_.count(fresh), 0u);
+}
+
 // Four threads modify their own rows of a three-page heap in
 // transactions that commit or roll back at random; every new version has
 // its old one's size, so most land in their own delete's hole while the
@@ -623,7 +960,12 @@ TEST(HeapFileProperty, RandomChurnMatchesReference) {
       auto it = reference.begin();
       std::advance(it, rng.Uniform(reference.size()));
       auto own = owner.find(it->first);
-      if (own != owner.end() && own->second != txn) continue;  // X-locked
+      if (own != owner.end() && own->second != txn) {
+        // X-locked by another transaction: this step writes nothing.
+        Status inv = hf->VerifySpaceIndex();
+        ASSERT_TRUE(inv.ok()) << "step " << step << ": " << inv.ToString();
+        continue;
+      }
       const TupleId id = it->first;
       const Tuple old = it->second;
       reference.erase(it);

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -247,6 +249,58 @@ TEST(WalLogManagerTest, ResumeContinuesMidPage) {
   EXPECT_EQ(scan.records[1].lsn, l2);
 }
 
+// One thread appends and flushes while another reads the counters and
+// the log's extent, as a kStats request does beside a committing
+// session. Every reader takes the log latch, so each counter snapshot is
+// consistent (all records are the same size) and nothing runs backwards.
+TEST(WalLogManagerTest, StatsReadWhileAppendingAndFlushing) {
+  MemoryDiskManager disk;
+  std::unique_ptr<LogManager> wal;
+  ASSERT_TRUE(LogManager::Create(&disk, {}, &wal).ok());
+  LogRecord rec;
+  rec.type = LogRecordType::kSlotPut;
+  rec.page_id = 1;
+  rec.data.assign(100, 'w');
+  const size_t record_bytes = EncodedLogRecordSize(rec);
+  constexpr uint64_t kRecords = 3000;
+  std::atomic<bool> done{false};
+  std::atomic<int> flush_failures{0};
+  std::thread writer([&] {
+    for (uint64_t i = 1; i <= kRecords; ++i) {
+      wal->Append(rec);
+      if (i % 8 == 0 && !wal->Flush().ok()) ++flush_failures;
+    }
+    if (!wal->Flush().ok()) ++flush_failures;
+    done = true;
+  });
+  LogManagerStats last;
+  Lsn last_flushed = 0;
+  size_t last_pages = 0;
+  bool last_read = false;
+  while (!last_read) {
+    last_read = done.load();
+    const LogManagerStats st = wal->stats();
+    const Lsn flushed = wal->flushed_lsn();
+    const size_t pages = wal->live_log_pages();
+    EXPECT_EQ(st.bytes_appended, st.records_appended * record_bytes);
+    EXPECT_GE(st.records_appended, last.records_appended);
+    EXPECT_GE(st.flushes, last.flushes);
+    EXPECT_GE(st.pages_written, last.pages_written);
+    EXPECT_GE(flushed, last_flushed);
+    EXPECT_GE(pages, last_pages);
+    last = st;
+    last_flushed = flushed;
+    last_pages = pages;
+    if (HasFailure()) break;  // the writer is still joined below
+  }
+  writer.join();
+  if (HasFailure()) return;
+  EXPECT_EQ(flush_failures.load(), 0);
+  EXPECT_EQ(last.records_appended, kRecords);
+  EXPECT_EQ(last_flushed, wal->next_lsn());
+  EXPECT_GT(last_pages, 1u);
+}
+
 TEST(WalBufferPoolTest, WalRuleForcesLogBeforeWriteback) {
   auto owned = std::make_unique<MemoryDiskManager>();
   MemoryDiskManager* disk = owned.get();
@@ -297,10 +351,9 @@ TEST(WalBufferPoolTest, StealWritesTxnDirtyPagesAfterLogForce) {
   Lsn start = 0;
   Lsn lsn = wal->Append(rec, &start);
   SetPageLsn(f->data, lsn);
-  pool.NoteLoggedUpdate(f, start);
+  pool.NoteLoggedUpdate(f, start, 7);
+  pool.NoteLoggedUpdate(f, start, 7);  // one mark per transaction and page
   ASSERT_TRUE(pool.UnpinPage(pa, /*dirty=*/true).ok());
-  pool.MarkTxnPage(7, pa);
-  pool.MarkTxnPage(7, pa);  // idempotent per transaction
   EXPECT_EQ(pool.TxnDirtyPageCount(), 1u);
   // The first append of a fresh log starts at LSN 0 and must still count
   // as a redo constraint (not read as "clean").
