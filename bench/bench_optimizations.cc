@@ -31,13 +31,10 @@ WorkloadSpec SharedPrefixSpec(size_t rules) {
   return spec;
 }
 
-void RunSharing(benchmark::State& state, bool share) {
+void RunSharing(benchmark::State& state, const std::string& spec) {
   const size_t rules = static_cast<size_t>(state.range(0));
-  ReteOptions opts;
-  opts.share_alpha = share;
-  opts.share_beta = share;
   auto setup = bench::MakeSetup(SharedPrefixSpec(rules), [&](Catalog* c) {
-    return std::make_unique<ReteNetwork>(c, opts);
+    return bench::MakeMatcherByName(spec, c);
   });
   bench::Preload(*setup, 32, 3);
   auto* rete = static_cast<ReteNetwork*>(setup->matcher.get());
@@ -61,8 +58,10 @@ void RunSharing(benchmark::State& state, bool share) {
       static_cast<double>(rete->AuxiliaryFootprintBytes());
 }
 
-void BM_Rete_Shared(benchmark::State& state) { RunSharing(state, true); }
-void BM_Rete_Unshared(benchmark::State& state) { RunSharing(state, false); }
+void BM_Rete_Shared(benchmark::State& state) { RunSharing(state, "rete"); }
+void BM_Rete_Unshared(benchmark::State& state) {
+  RunSharing(state, "rete-noshare");
+}
 
 BENCHMARK(BM_Rete_Shared)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Rete_Unshared)->Arg(16)->Arg(64)->Arg(256);

@@ -51,7 +51,8 @@ std::unique_ptr<Setup> MakeSetup(WorkloadSpec spec,
 }
 
 /// Parses a matcher spec name (src/core/matcher_spec.h: the four
-/// architectures, "-scan" / "-nodisc" ablations, "-plan", "-shard<N>");
+/// architectures, "-scan" / "-nodisc" / "-noshare" ablations, "-plan",
+/// "-shard<N>");
 /// aborts on a name the parser rejects.
 inline MatcherSpec ParseSpec(const std::string& name) {
   MatcherSpec spec;

@@ -12,23 +12,18 @@
 
 namespace prodb {
 
-/// Minimal fixed-size thread pool.
-///
-/// Used for the paper's parallel propagation of matching patterns to the
-/// COND relations (§4.2.3: "propagation of changes can be performed in
-/// parallel to all the COND relations") and for the concurrent execution
-/// engine's workers (§5).
-///
-/// A task that throws does not take the process down: the first exception
-/// is captured and rethrown from the next Wait(), and `pending_` stays
-/// balanced so Wait() cannot hang on the lost decrement.
+/// Minimal fixed-size thread pool behind FanOut (match/sharding.h): the
+/// parallel propagation of matching patterns to the COND relations
+/// (§4.2.3: "propagation of changes can be performed in parallel to all
+/// the COND relations"), Rete's shards and the query matcher's
+/// evaluations. Its one entry point is ParallelFor.
 ///
 /// Re-entrancy: ParallelFor() called from one of this pool's own worker
-/// threads (a task that fans out again, or a server session handler that
-/// is itself pool-hosted) runs the loop inline instead of enqueueing.
-/// Enqueueing would let every worker block inside the latch wait on tasks
-/// queued behind the very tasks doing the waiting — with one worker that
-/// is a guaranteed deadlock, with several it is starvation under load.
+/// threads (an index that fans out again) runs the loop inline instead
+/// of enqueueing. Enqueueing would let every worker block inside the
+/// latch wait on tasks queued behind the very tasks doing the waiting —
+/// with one worker that is a guaranteed deadlock, with several it is
+/// starvation under load.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t threads) {
@@ -51,39 +46,12 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task.
-  void Submit(std::function<void()> task) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      tasks_.push(std::move(task));
-      ++pending_;
-    }
-    cv_.notify_one();
-  }
-
-  /// Blocks until every submitted task has finished. If any task threw
-  /// since the last Wait(), rethrows the first such exception here (on
-  /// the submitting thread) after the drain completes.
-  void Wait() {
-    std::exception_ptr failure;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [this] { return pending_ == 0; });
-      failure = std::exchange(first_failure_, nullptr);
-    }
-    if (failure) std::rethrow_exception(failure);
-  }
-
-  size_t size() const { return workers_.size(); }
-
   /// Runs fn(0), ..., fn(n-1) across the pool and blocks until every call
-  /// has finished — a reusable fork/join barrier, so callers stop hand-
-  /// rolling Submit loops with ad-hoc error plumbing. The barrier is a
-  /// private latch rather than the pool-wide Wait(), so concurrent
-  /// Submit()/ParallelFor() calls from other threads neither extend nor
-  /// truncate this join. Exception semantics match Wait(): the first
-  /// exception any index throws is rethrown here, on the calling thread,
-  /// after all n calls have completed. n <= 1 runs inline.
+  /// has finished — a reusable fork/join barrier with a private latch, so
+  /// concurrent ParallelFor() calls from other threads neither extend nor
+  /// truncate this join. The first exception any index throws is rethrown
+  /// here, on the calling thread, after all n calls have completed.
+  /// n <= 1 runs inline.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     if (n == 0) return;
     if (n == 1 || current_pool_ == this) {
@@ -108,21 +76,26 @@ class ThreadPool {
       std::exception_ptr failure;
     } latch;
     latch.remaining = n;
-    for (size_t i = 0; i < n; ++i) {
-      Submit([&latch, &fn, i] {
-        std::exception_ptr failure;
-        try {
-          fn(i);
-        } catch (...) {
-          failure = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(latch.mu);
-        if (failure && latch.failure == nullptr) {
-          latch.failure = std::move(failure);
-        }
-        if (--latch.remaining == 0) latch.cv.notify_all();
-      });
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (size_t i = 0; i < n; ++i) {
+        // A task never throws: it hands its failure to the latch.
+        tasks_.push([&latch, &fn, i] {
+          std::exception_ptr failure;
+          try {
+            fn(i);
+          } catch (...) {
+            failure = std::current_exception();
+          }
+          std::lock_guard<std::mutex> lock(latch.mu);
+          if (failure && latch.failure == nullptr) {
+            latch.failure = std::move(failure);
+          }
+          if (--latch.remaining == 0) latch.cv.notify_all();
+        });
+      }
     }
+    cv_.notify_all();
     std::exception_ptr failure;
     {
       std::unique_lock<std::mutex> lock(latch.mu);
@@ -144,21 +117,7 @@ class ThreadPool {
         task = std::move(tasks_.front());
         tasks_.pop();
       }
-      std::exception_ptr failure;
-      try {
-        task();
-      } catch (...) {
-        // Letting the exception escape would std::terminate the worker;
-        // skipping the decrement below would wedge Wait() forever.
-        failure = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (failure && first_failure_ == nullptr) {
-          first_failure_ = std::move(failure);
-        }
-        if (--pending_ == 0) done_cv_.notify_all();
-      }
+      task();
     }
   }
 
@@ -169,12 +128,9 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::condition_variable done_cv_;
   std::queue<std::function<void()>> tasks_;
   std::vector<std::thread> workers_;
-  size_t pending_ = 0;
   bool stop_ = false;
-  std::exception_ptr first_failure_;
 };
 
 }  // namespace prodb

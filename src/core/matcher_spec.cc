@@ -58,6 +58,12 @@ Status MatcherSpec::Parse(const std::string& name, MatcherSpec* out) {
       }
       spec.indexes = tok != "scan";
       spec.discriminate = false;
+    } else if (tok == "noshare") {
+      if (spec.kind == MatcherKind::kQuery ||
+          spec.kind == MatcherKind::kPattern) {
+        return BadToken(name, tok, "only a Rete network shares nodes");
+      }
+      spec.share = false;
     } else if (tok == "plan") {
       if (spec.kind == MatcherKind::kPattern) {
         return BadToken(name, tok, "the pattern matcher has no join planner");
@@ -92,6 +98,7 @@ std::string MatcherSpec::Name() const {
   } else if (!discriminate) {
     name += "-nodisc";
   }
+  if (!share) name += "-noshare";
   if (planner.enable) name += "-plan";
   if (sharding.enabled()) {
     name += "-shard" + std::to_string(sharding.num_shards);
@@ -104,35 +111,12 @@ std::unique_ptr<Matcher> MakeMatcher(const MatcherSpec& spec,
                                      StorageKind aux_storage) {
   switch (spec.kind) {
     case MatcherKind::kRete:
-    case MatcherKind::kReteDbms: {
-      ReteOptions opts;
-      if (spec.kind == MatcherKind::kReteDbms) {
-        opts.dbms_backed = true;
-        opts.memory_storage = aux_storage;
-      }
-      opts.index_memories = spec.indexes;
-      opts.discriminate_alpha = spec.discriminate;
-      opts.sharding = spec.sharding;
-      opts.planner = spec.planner;
-      return std::make_unique<ReteNetwork>(catalog, opts);
-    }
-    case MatcherKind::kQuery: {
-      ExecutorOptions eo;
-      eo.use_indexes = spec.indexes;
-      eo.discriminate_dispatch = spec.discriminate;
-      return std::make_unique<QueryMatcher>(catalog, eo, spec.sharding,
-                                            spec.planner);
-    }
-    case MatcherKind::kPattern: {
-      PatternMatcherOptions po;
-      po.declare_wm_indexes = spec.indexes;
-      po.discriminate_dispatch = spec.discriminate;
-      po.cond_storage = aux_storage;
-      // The pattern matcher's per-class COND propagation is already the
-      // sharded fan-out (§4.2.3); the sharding options just size it.
-      po.propagation_threads = FanOut::Workers(spec.sharding);
-      return std::make_unique<PatternMatcher>(catalog, po);
-    }
+    case MatcherKind::kReteDbms:
+      return std::make_unique<ReteNetwork>(catalog, spec, aux_storage);
+    case MatcherKind::kQuery:
+      return std::make_unique<QueryMatcher>(catalog, spec);
+    case MatcherKind::kPattern:
+      return std::make_unique<PatternMatcher>(catalog, spec, aux_storage);
   }
   return nullptr;
 }

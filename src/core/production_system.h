@@ -44,9 +44,8 @@ struct ProductionSystemOptions {
   /// and the query matcher's seeded and full re-evaluations fan out,
   /// merging deterministically (results are byte-identical to serial at
   /// any thread count). Relations are written serially.
-  /// Default-constructed = off, the serial path. kPattern translates the
-  /// option into propagation_threads (its §4.2.3 per-class fan-out is the
-  /// paper's own sharding).
+  /// Default-constructed = off, the serial path. kPattern sizes its
+  /// §4.2.3 per-class COND propagation (the paper's own sharding) by it.
   ShardingOptions sharding;
   /// Cost-based join planning from incremental catalog statistics
   /// (kRete/kReteDbms: beta-chain order + drift-triggered rebuilds;

@@ -22,12 +22,6 @@ struct ExecutorOptions {
   /// identify the tuples"). Off preserves an index-free baseline for the
   /// ablation benchmarks.
   bool use_indexes = true;
-  /// Consumed by the matchers driving this executor (not the executor
-  /// itself): route per-delta rule dispatch through the constant-test
-  /// discrimination index instead of walking every condition element
-  /// registered on the delta's relation (§2.3 / [STON86a]). Off restores
-  /// the linear walk for the ablation benchmarks.
-  bool discriminate_dispatch = true;
 };
 
 /// One satisfying combination of WM tuples for a conjunctive query.

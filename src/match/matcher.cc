@@ -13,6 +13,16 @@ void MatcherStats::ObserveCardEstimate(double estimated, double actual) {
   est_card_samples.fetch_add(1, std::memory_order_relaxed);
 }
 
+Status Matcher::CheckClasses(const Rule& rule) const {
+  for (const ConditionSpec& c : rule.lhs.conditions) {
+    if (catalog_->Get(c.relation) == nullptr) {
+      return Status::NotFound("rule " + rule.name + ": relation " +
+                              c.relation);
+    }
+  }
+  return Status::OK();
+}
+
 Instantiation InstantiationOf(int rule_index, const Rule& rule,
                               QueryMatch&& m) {
   Instantiation inst;

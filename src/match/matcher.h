@@ -79,7 +79,9 @@ struct MatcherStats {
 /// compares: in-memory Rete (§3.1), DBMS-backed Rete (§3.2), the query
 /// ("simplified") matcher (§4.1), and the matching-pattern matcher
 /// (§4.2). The execution engine mutates WM relations and notifies the
-/// matcher, which maintains the conflict set incrementally.
+/// matcher, which maintains the conflict set incrementally. The state
+/// every architecture keeps — its catalog, its rules, its conflict set
+/// and its counters — lives here.
 class Matcher {
  public:
   virtual ~Matcher() = default;
@@ -95,20 +97,34 @@ class Matcher {
   /// matcher propagates it set-at-a-time.
   virtual Status OnBatch(const ChangeSet& batch) = 0;
 
-  virtual ConflictSet& conflict_set() = 0;
+  ConflictSet& conflict_set() { return conflict_set_; }
 
   /// Bytes of auxiliary matcher state (Rete memories, COND relations,
   /// matching patterns) — the space axis of §4.2.3.
   virtual size_t AuxiliaryFootprintBytes() const = 0;
 
-  virtual const MatcherStats& stats() const = 0;
+  const MatcherStats& stats() const { return stats_; }
 
   /// Per-shard counters for matchers running partitioned match (empty
   /// for serial matchers / serial configurations). Index = shard.
   virtual std::vector<ShardStats> ShardStatsSnapshot() const { return {}; }
 
   /// Registered rules (shared helper for engines).
-  virtual const std::vector<Rule>& rules() const = 0;
+  const std::vector<Rule>& rules() const { return rules_; }
+
+ protected:
+  explicit Matcher(Catalog* catalog) : catalog_(catalog) {}
+
+  /// NotFound naming the first CE of `rule` whose class is not in the
+  /// catalog. AddRule checks this before registering anything: the next
+  /// rule reuses the index, so a half-registered rule would leave its
+  /// earlier CEs matching under that rule's name.
+  Status CheckClasses(const Rule& rule) const;
+
+  Catalog* catalog_;
+  std::vector<Rule> rules_;
+  ConflictSet conflict_set_;
+  MatcherStats stats_;
 };
 
 /// The instantiation of rule `rule_index` that query match `m` forms

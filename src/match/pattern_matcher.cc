@@ -4,13 +4,14 @@
 
 namespace prodb {
 
-PatternMatcher::PatternMatcher(Catalog* catalog,
-                               PatternMatcherOptions options)
-    : catalog_(catalog),
-      options_(options),
+PatternMatcher::PatternMatcher(Catalog* catalog, const MatcherSpec& spec,
+                               StorageKind aux_storage)
+    : Matcher(catalog),
+      indexes_(spec.indexes),
+      cond_storage_(aux_storage),
       executor_(catalog),
-      dispatch_(&rules_, options.discriminate_dispatch),
-      fan_out_(options.propagation_threads) {
+      dispatch_(&rules_, spec.discriminate),
+      fan_out_(FanOut::Workers(spec.sharding)) {
   executor_.set_stats(&stats_);
 }
 
@@ -31,57 +32,36 @@ Status PatternMatcher::EnsureCondStore(const std::string& cls,
   attrs.push_back(Attribute{"__cen", ValueType::kInt});
   for (const Attribute& a : wm->schema().attributes()) attrs.push_back(a);
   PRODB_RETURN_IF_ERROR(catalog_->CreateRelation(
-      Schema("COND-" + cls, attrs), options_.cond_storage, &store->cond_rel));
+      Schema("COND-" + cls, attrs), cond_storage_, &store->cond_rel));
   *out = store.get();
   cond_stores_.emplace(cls, std::move(store));
   return Status::OK();
 }
 
 Status PatternMatcher::AddRule(const Rule& rule) {
-  int rule_index = static_cast<int>(rules_.size());
+  const int rule_index = static_cast<int>(rules_.size());
   const size_t n = rule.lhs.conditions.size();
-  // Every CE's class must exist before anything is registered: a later
-  // rule reuses this index, so a half-registered rule would leave its
-  // earlier CEs' dispatch entries and COND rows behind under it.
-  for (const ConditionSpec& c : rule.lhs.conditions) {
-    if (catalog_->Get(c.relation) == nullptr) {
-      return Status::NotFound("rule " + rule.name + ": relation " +
-                              c.relation);
-    }
-  }
+  PRODB_RETURN_IF_ERROR(CheckClasses(rule));
 
-  // Precompute shared (kEq) variables between every ordered CE pair.
-  std::vector<std::set<int>> eq_vars(n);
-  for (size_t ce = 0; ce < n; ++ce) {
-    for (const VarUse& u : rule.lhs.conditions[ce].var_uses) {
-      if (u.op == CompareOp::kEq) eq_vars[ce].insert(u.var);
-    }
-  }
-  std::vector<std::vector<std::vector<int>>> shared(
-      n, std::vector<std::vector<int>>(n));
-  for (size_t a = 0; a < n; ++a) {
-    for (size_t b = 0; b < n; ++b) {
-      if (a == b) continue;
-      for (int v : eq_vars[a]) {
-        if (eq_vars[b].count(v)) shared[a][b].push_back(v);
-      }
-    }
-  }
-  shared_vars_.push_back(std::move(shared));
-
-  // Register CEs, create COND relations, write the original rows.
+  // Every step that can fail runs for all CEs before the first CE is
+  // dispatched: COND relations, WM index declarations, then the original
+  // COND rows and the RULE-DEF rows. A CE dispatched under an index no
+  // rule holds would be matched against the next rule, or past the end
+  // of rules_.
+  std::vector<CondStore*> stores(n);
   for (size_t ce = 0; ce < n; ++ce) {
     const ConditionSpec& c = rule.lhs.conditions[ce];
-    CondStore* store;
-    PRODB_RETURN_IF_ERROR(EnsureCondStore(c.relation, &store));
-    dispatch_.Add(rule_index, static_cast<int>(ce), c);
-
-    // Original COND row: constants where the CE tests equality against a
-    // constant, null (variable / don't-care) elsewhere.
-    Relation* wm = catalog_->Get(c.relation);
-    if (options_.declare_wm_indexes) {
-      PRODB_RETURN_IF_ERROR(DeclareEqualityIndexes(c, wm));
+    PRODB_RETURN_IF_ERROR(EnsureCondStore(c.relation, &stores[ce]));
+    if (indexes_) {
+      PRODB_RETURN_IF_ERROR(
+          DeclareEqualityIndexes(c, catalog_->Get(c.relation)));
     }
+  }
+  // Original COND rows: constants where the CE tests equality against a
+  // constant, null (variable / don't-care) elsewhere.
+  for (size_t ce = 0; ce < n; ++ce) {
+    const ConditionSpec& c = rule.lhs.conditions[ce];
+    Relation* wm = catalog_->Get(c.relation);
     Tuple row;
     auto& vals = row.mutable_values();
     vals.emplace_back(static_cast<int64_t>(rule_index));
@@ -97,9 +77,8 @@ Status PatternMatcher::AddRule(const Rule& rule) {
       vals.push_back(std::move(v));
     }
     TupleId id;
-    PRODB_RETURN_IF_ERROR(store->cond_rel->Insert(row, &id));
+    PRODB_RETURN_IF_ERROR(stores[ce]->cond_rel->Insert(row, &id));
   }
-
   // RULE-DEF rows (one per condition element, §4.1.1).
   if (rule_def_ == nullptr) {
     rule_def_ = catalog_->Get("RULE-DEF");
@@ -119,6 +98,27 @@ Status PatternMatcher::AddRule(const Rule& rule) {
         &id));
   }
 
+  // Shared (kEq) variables between every ordered CE pair.
+  std::vector<std::set<int>> eq_vars(n);
+  for (size_t ce = 0; ce < n; ++ce) {
+    for (const VarUse& u : rule.lhs.conditions[ce].var_uses) {
+      if (u.op == CompareOp::kEq) eq_vars[ce].insert(u.var);
+    }
+  }
+  std::vector<std::vector<std::vector<int>>> shared(
+      n, std::vector<std::vector<int>>(n));
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = 0; b < n; ++b) {
+      if (a == b) continue;
+      for (int v : eq_vars[a]) {
+        if (eq_vars[b].count(v)) shared[a][b].push_back(v);
+      }
+    }
+  }
+  shared_vars_.push_back(std::move(shared));
+  for (size_t ce = 0; ce < n; ++ce) {
+    dispatch_.Add(rule_index, static_cast<int>(ce), rule.lhs.conditions[ce]);
+  }
   rules_.push_back(rule);
   return Status::OK();
 }

@@ -7,32 +7,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/matcher_spec.h"
 #include "db/executor.h"
 #include "match/dispatch.h"
 #include "match/matcher.h"
 #include "match/sharding.h"
 
 namespace prodb {
-
-/// Options for the matching-pattern matcher.
-struct PatternMatcherOptions {
-  /// Propagate matching patterns to the COND relations of related classes
-  /// on `threads` worker threads (§4.2.3/§6: "our scheme can be fully
-  /// parallelized"). 0 or 1 = sequential propagation.
-  size_t propagation_threads = 0;
-  /// Storage for the COND relations (paged exercises the secondary-
-  /// storage path the paper assumes).
-  StorageKind cond_storage = StorageKind::kMemory;
-  /// Declare hash indexes at rule registration on WM attributes appearing
-  /// in equality tests, so materialization and seeded re-evaluation probe
-  /// the WM relations through Relation::Select's index path (§4.1.2).
-  bool declare_wm_indexes = true;
-  /// Route per-delta CE dispatch through the constant-test discrimination
-  /// index (eq-hash / interval-tree / residual tiers) instead of walking
-  /// every condition element registered on the delta's relation. Off
-  /// restores the linear walk for the ablation benchmarks.
-  bool discriminate_dispatch = true;
-};
 
 /// The paper's new approach (§4.2): COND relations with matching
 /// patterns.
@@ -64,8 +45,21 @@ struct PatternMatcherOptions {
 /// materialization, which the paper prescribes anyway (§5.1).
 class PatternMatcher : public Matcher {
  public:
-  explicit PatternMatcher(Catalog* catalog,
-                          PatternMatcherOptions options = {});
+  /// The spec's settings, as this matcher reads them (it has no join
+  /// planner and no network to share):
+  ///  - indexes: AddRule declares WM hash indexes on the attributes each
+  ///    CE tests for equality, so materialization and seeded evaluation
+  ///    probe through Relation::Select's index path (§4.1.2).
+  ///  - discriminate: the CE dispatch step's discrimination index.
+  ///  - sharding: FanOut::Workers(sharding) threads propagate matching
+  ///    patterns to the COND relations of different classes at once
+  ///    (§4.2.3/§6: "our scheme can be fully parallelized").
+  /// `aux_storage` holds the COND relations (kPaged exercises the
+  /// secondary-storage path the paper assumes).
+  explicit PatternMatcher(
+      Catalog* catalog,
+      const MatcherSpec& spec = {.kind = MatcherKind::kPattern},
+      StorageKind aux_storage = StorageKind::kMemory);
   ~PatternMatcher() override;
 
   Status AddRule(const Rule& rule) override;
@@ -77,10 +71,7 @@ class PatternMatcher : public Matcher {
   /// wave (§4.2.3).
   Status OnBatch(const ChangeSet& batch) override;
 
-  ConflictSet& conflict_set() override { return conflict_set_; }
   size_t AuxiliaryFootprintBytes() const override;
-  const MatcherStats& stats() const override { return stats_; }
-  const std::vector<Rule>& rules() const override { return rules_; }
 
   /// Number of matching-pattern rows currently stored for class `cls`
   /// (excludes the original condition rows).
@@ -145,10 +136,9 @@ class PatternMatcher : public Matcher {
   /// positive RCE some pattern consistent with `beta` has support.
   bool Supported(int rule, int ce, const Binding& beta) const;
 
-  Catalog* catalog_;
-  PatternMatcherOptions options_;
+  const bool indexes_;
+  const StorageKind cond_storage_;
   Executor executor_;
-  std::vector<Rule> rules_;
   // Each class's positive and negated condition elements (the COND-C
   // search) behind the shared dispatch step.
   CeDispatch dispatch_;
@@ -156,9 +146,7 @@ class PatternMatcher : public Matcher {
   std::vector<std::vector<std::vector<std::vector<int>>>> shared_vars_;
   std::unordered_map<std::string, std::unique_ptr<CondStore>> cond_stores_;
   Relation* rule_def_ = nullptr;
-  ConflictSet conflict_set_;
-  MatcherStats stats_;
-  // Runs FlushOps' per-class parts on propagation_threads workers.
+  // Runs FlushOps' per-class parts.
   FanOut fan_out_;
 };
 

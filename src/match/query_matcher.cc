@@ -5,25 +5,19 @@
 namespace prodb {
 
 Status QueryMatcher::AddRule(const Rule& rule) {
-  int rule_index = static_cast<int>(rules_.size());
-  // Every CE's class must exist before anything is registered: a later
-  // rule reuses this index, so a half-registered rule would leave its
-  // earlier CEs dispatching under the next rule's name.
-  for (const ConditionSpec& c : rule.lhs.conditions) {
-    if (catalog_->Get(c.relation) == nullptr) {
-      return Status::NotFound("rule " + rule.name + ": relation " +
-                              c.relation);
-    }
-  }
-  for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
-    const ConditionSpec& c = rule.lhs.conditions[ce];
-    if (executor_.options().use_indexes) {
-      // Seeded re-evaluation then touches only the joining tuples
-      // instead of scanning each WM relation.
+  const int rule_index = static_cast<int>(rules_.size());
+  PRODB_RETURN_IF_ERROR(CheckClasses(rule));
+  // Seeded re-evaluation probes these instead of scanning each WM
+  // relation. Declared for every CE before any CE is dispatched: a
+  // declaration scans its relation and can fail.
+  if (executor_.options().use_indexes) {
+    for (const ConditionSpec& c : rule.lhs.conditions) {
       PRODB_RETURN_IF_ERROR(
           DeclareEqualityIndexes(c, catalog_->Get(c.relation)));
     }
-    dispatch_.Add(rule_index, static_cast<int>(ce), c);
+  }
+  for (size_t ce = 0; ce < rule.lhs.conditions.size(); ++ce) {
+    dispatch_.Add(rule_index, static_cast<int>(ce), rule.lhs.conditions[ce]);
   }
   rules_.push_back(rule);
   plans_.AddNewest();
@@ -83,7 +77,6 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
   std::lock_guard<std::mutex> lock(batch_mu_);
   ++stats_.batches;
   plans_.OnBatch(batch);
-  const bool sharded = sharding_.enabled();
 
   // 1–2. The two shared conflict-set passes: instantiations holding a
   //      deleted tuple, then instantiations an inserted tuple blocks
@@ -144,7 +137,7 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
         },
         &shard_stats_));
     for (size_t i = 0; i < seeds.size(); ++i) {
-      if (sharded) {
+      if (sharded()) {
         ++shard_stats_[seeds[i].part].deltas_routed;
         shard_stats_[seeds[i].part].conflict_ops += found[i].size();
       }
@@ -183,7 +176,7 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
         &shard_stats_));
     for (size_t i = 0; i < reeval.size(); ++i) {
       ++stats_.propagations;
-      if (sharded) {
+      if (sharded()) {
         const size_t part = static_cast<size_t>(reeval[i]) % parts;
         ++shard_stats_[part].deltas_routed;
         shard_stats_[part].conflict_ops += results[i].size();
@@ -198,7 +191,7 @@ Status QueryMatcher::OnBatch(const ChangeSet& batch) {
 }
 
 std::vector<ShardStats> QueryMatcher::ShardStatsSnapshot() const {
-  if (!sharding_.enabled()) return {};
+  if (!sharded()) return {};
   std::lock_guard<std::mutex> lock(batch_mu_);
   return shard_stats_;
 }

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <vector>
 
+#include "core/matcher_spec.h"
 #include "db/executor.h"
 #include "match/dispatch.h"
 #include "match/matcher.h"
@@ -26,29 +27,34 @@ namespace prodb {
 /// does; the join orders it evaluates in come from its RulePlans.
 class QueryMatcher : public Matcher {
  public:
-  /// `sharding` (when enabled) partitions a batch's seeded evaluations
-  /// (by seed-tuple shard) and full re-evaluations (by rule) into parts
-  /// and runs them through a FanOut; conflict-set commits stay in
-  /// collection order, so results and recency stamps are byte-identical
-  /// to the serial path. Evaluation is read-only against post-batch WM,
-  /// which is what makes the fan-out safe.
-  /// `planner` (when enabled) plans each rule's join sequence from
-  /// catalog statistics at AddRule time and re-plans when cardinalities
-  /// drift past planner.replan_drift; off, evaluation order is exactly
-  /// the LHS order.
-  explicit QueryMatcher(Catalog* catalog, ExecutorOptions exec_options = {},
-                        ShardingOptions sharding = {},
-                        PlannerOptions planner = {})
-      : catalog_(catalog),
-        executor_(catalog, exec_options),
-        plans_(catalog, &rules_, planner, &stats_),
-        dispatch_(&rules_, exec_options.discriminate_dispatch),
-        sharding_(sharding),
-        shard_map_(sharding),
-        fan_out_(FanOut::Workers(sharding)) {
+  /// The spec's settings, as this matcher reads them (it stores no
+  /// intermediate results, so it has no auxiliary storage and nothing to
+  /// share):
+  ///  - indexes: AddRule declares WM hash indexes on the attributes each
+  ///    CE tests for equality, and the executor probes them.
+  ///  - discriminate: the CE dispatch step's discrimination index.
+  ///  - sharding: a batch's seeded evaluations (by seed-tuple shard) and
+  ///    full re-evaluations (by rule) run as parts of a FanOut;
+  ///    conflict-set commits stay in collection order, so results and
+  ///    recency stamps are byte-identical to the serial path. Evaluation
+  ///    is read-only against post-batch WM, which is what makes the
+  ///    fan-out safe.
+  ///  - planner: each rule's join sequence is planned from catalog
+  ///    statistics at AddRule time and re-planned when cardinalities
+  ///    drift past planner.replan_drift; off, evaluation order is exactly
+  ///    the LHS order.
+  explicit QueryMatcher(
+      Catalog* catalog,
+      const MatcherSpec& spec = {.kind = MatcherKind::kQuery})
+      : Matcher(catalog),
+        executor_(catalog, ExecutorOptions{spec.indexes}),
+        plans_(catalog, &rules_, spec.planner, &stats_),
+        dispatch_(&rules_, spec.discriminate),
+        shard_map_(spec.sharding),
+        fan_out_(FanOut::Workers(spec.sharding)) {
     executor_.set_stats(&stats_);
-    if (planner.enable) executor_.set_planner_stats(&plans_.stats());
-    if (sharding_.enabled()) shard_stats_.resize(shard_map_.num_shards());
+    if (spec.planner.enable) executor_.set_planner_stats(&plans_.stats());
+    if (sharded()) shard_stats_.resize(shard_map_.num_shards());
   }
 
   Status AddRule(const Rule& rule) override;
@@ -59,14 +65,11 @@ class QueryMatcher : public Matcher {
   /// re-computation, amortized over the whole ∆).
   Status OnBatch(const ChangeSet& batch) override;
 
-  ConflictSet& conflict_set() override { return conflict_set_; }
   size_t AuxiliaryFootprintBytes() const override;
-  const MatcherStats& stats() const override { return stats_; }
 
   /// Current per-rule plans (index = rule; tests). Read only while no
   /// batch runs.
   const RulePlans& plans() const { return plans_; }
-  const std::vector<Rule>& rules() const override { return rules_; }
   std::vector<ShardStats> ShardStatsSnapshot() const override;
 
  private:
@@ -78,9 +81,9 @@ class QueryMatcher : public Matcher {
   /// Full re-evaluation of `rule_index` into *out (step-4 helper).
   Status EvaluateRule(int rule_index, std::vector<Instantiation>* out);
 
-  Catalog* catalog_;
+  bool sharded() const { return shard_map_.num_shards() > 1; }
+
   Executor executor_;
-  std::vector<Rule> rules_;
   // Per rule, the current JoinPlan, and the statistics it is planned
   // from (also the executor's access-path statistics); updated under
   // batch_mu_ and read by the evaluation parts it fans out.
@@ -88,7 +91,6 @@ class QueryMatcher : public Matcher {
   // Each class's positive and negated condition elements (§4.1's COND
   // search) behind the shared dispatch step.
   CeDispatch dispatch_;
-  ShardingOptions sharding_;
   ShardMap shard_map_;
   // Runs OnBatch's steps 3 and 4 over the shards: one part, inline, when
   // unsharded.
@@ -98,8 +100,6 @@ class QueryMatcher : public Matcher {
   // serialize its callers, so it is uncontended there.
   mutable std::mutex batch_mu_;
   std::vector<ShardStats> shard_stats_;
-  ConflictSet conflict_set_;
-  MatcherStats stats_;
 };
 
 }  // namespace prodb

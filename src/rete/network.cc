@@ -228,17 +228,20 @@ struct ReteNetwork::Shard {
   bool buffered = false;
 };
 
-ReteNetwork::ReteNetwork(Catalog* catalog, ReteOptions options)
-    : catalog_(catalog),
-      options_(options),
-      shard_map_(options.sharding),
-      plans_(catalog, &rules_, options.planner, &stats_),
+ReteNetwork::ReteNetwork(Catalog* catalog, const MatcherSpec& spec,
+                         StorageKind aux_storage)
+    : Matcher(catalog),
+      spec_(spec),
+      dbms_backed_(spec.kind == MatcherKind::kReteDbms),
+      aux_storage_(aux_storage),
+      shard_map_(spec.sharding),
+      plans_(catalog, &rules_, spec.planner, &stats_),
       // DBMS-backed memories route every token movement through the
       // shared catalog/buffer-pool/WAL stack; shards still partition the
       // work (and merge deterministically) but execute serially — the
       // conservative gate until that stack is certified for intra-batch
       // parallelism.
-      fan_out_(options.dbms_backed ? 1 : FanOut::Workers(options.sharding)),
+      fan_out_(dbms_backed_ ? 1 : FanOut::Workers(spec.sharding)),
       shard_stats_(shard_map_.num_shards()) {
   const size_t n = shard_map_.num_shards();
   shards_.reserve(n);
@@ -253,12 +256,7 @@ ReteNetwork::~ReteNetwork() = default;
 
 Status ReteNetwork::AddRule(const Rule& rule) {
   int rule_index = static_cast<int>(rules_.size());
-  for (const ConditionSpec& c : rule.lhs.conditions) {
-    if (catalog_->Get(c.relation) == nullptr) {
-      return Status::NotFound("rule " + rule.name + ": relation " +
-                              c.relation);
-    }
-  }
+  PRODB_RETURN_IF_ERROR(CheckClasses(rule));
   rules_.push_back(rule);
   plans_.AddNewest();
   Status st = BuildRule(rule, rule_index);
@@ -341,7 +339,7 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
                         std::vector<size_t> arities,
                         const std::vector<TokenKeyCol>& key_cols,
                         std::unique_ptr<TokenStore>* out) -> Status {
-    if (!options_.dbms_backed) {
+    if (!dbms_backed_) {
       *out = std::make_unique<MemoryTokenStore>(arities.size(), key_cols);
       return Status::OK();
     }
@@ -349,7 +347,7 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
     std::string name = kind + std::to_string(store_counter_++) + "-" +
                        rule.name + "-L" + std::to_string(level);
     PRODB_RETURN_IF_ERROR(RelationTokenStore::Create(
-        catalog_, name, std::move(arities), options_.memory_storage, &store,
+        catalog_, name, std::move(arities), aux_storage_, &store,
         key_cols));
     *out = std::move(store);
     return Status::OK();
@@ -398,7 +396,7 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
         local.insert(u.var);
       }
     }
-    if (!options_.index_memories) return;
+    if (!spec_.indexes) return;
     for (const auto& [var, attr] : binder[ce]) {
       auto it = bound.find(var);
       if (it == bound.end()) continue;
@@ -431,7 +429,7 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
     }
     AlphaNode* alpha = nullptr;
     std::string sig = probe.Signature();
-    if (options_.share_alpha) {
+    if (spec_.share) {
       auto it = shard->alpha_index.find(sig);
       if (it != shard->alpha_index.end()) alpha = it->second;
     }
@@ -442,7 +440,7 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
       // Indexed by its constant tests; intra-CE attr pairs are
       // unclassifiable and re-checked by Matches on candidates.
       shard->alpha_by_class[cond.relation].Add(alpha, alpha->tests);
-      if (options_.share_alpha) shard->alpha_index[sig] = alpha;
+      if (spec_.share) shard->alpha_index[sig] = alpha;
     }
     // Deepest level first, stable among equal levels.
     auto pos = std::find_if(
@@ -455,13 +453,13 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
   // The RIGHT memory of `node` at level `k` (> 0): WMEs of `ce`'s class
   // keyed on the node's right attributes. Shared with every node of the
   // shard that reads the same alpha node with the same CE and key, when
-  // alpha sharing is on.
+  // the spec shares.
   auto attach_right = [&](size_t k, size_t ce, JoinNode* node,
                           AlphaNode* alpha) -> Status {
     const ConditionSpec& cond = rule.lhs.conditions[ce];
     auto index_key = std::make_tuple(static_cast<const AlphaNode*>(alpha),
                                      cond.ToString(), node->right_attrs);
-    if (options_.share_alpha) {
+    if (spec_.share) {
       auto it = shard->right_index.find(index_key);
       if (it != shard->right_index.end()) {
         node->right = it->second;
@@ -477,7 +475,7 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
                                      &memory->store));
     node->right = memory.get();
     alpha->memories.push_back(memory.get());
-    if (options_.share_alpha) shard->right_index[index_key] = memory.get();
+    if (spec_.share) shard->right_index[index_key] = memory.get();
     shard->right_memories.push_back(std::move(memory));
     return Status::OK();
   };
@@ -509,7 +507,7 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
   for (size_t k = 0; k < num_positive; ++k) {
     size_t ce = order[k];
     prefix_sig += "@" + rule.lhs.conditions[ce].ToString() + "|";
-    if (options_.share_beta) {
+    if (spec_.share) {
       auto it = shard->beta_index.find(prefix_sig);
       if (it != shard->beta_index.end()) {
         tail = it->second;
@@ -535,7 +533,7 @@ Status ReteNetwork::BuildRuleInShard(const Rule& rule, int rule_index,
       PRODB_RETURN_IF_ERROR(attach_right(k, ce, node, alpha));
     }
     tail = node;
-    if (options_.share_beta) shard->beta_index[prefix_sig] = tail;
+    if (spec_.share) shard->beta_index[prefix_sig] = tail;
   }
 
   // Negated suffix: never shared (per-rule match counts). Left tokens
@@ -868,7 +866,7 @@ Status ReteNetwork::PropagateGroup(Shard* shard, const std::string& rel,
   for (uint32_t i = 0; i < group.size(); ++i) {
     const Tuple& t = group[i].tuple();
     sstats.candidates_visited += dispatch.Candidates(
-        t, options_.discriminate_alpha, &stats_, &cands);
+        t, spec_.discriminate, &stats_, &cands);
     for (uint32_t pos : cands) {
       if (dispatch.entries[pos]->Matches(t)) hits.emplace_back(pos, i);
     }
@@ -980,7 +978,7 @@ Status ReteNetwork::RebuildAndReseed() {
   // it and carry over). The DBMS-backed token relations must be dropped
   // from the catalog before the stores that own them go away.
   for (auto& shard : shards_) {
-    if (options_.dbms_backed) {
+    if (dbms_backed_) {
       std::vector<TokenStore*> stores;
       for (const auto& node : shard->join_nodes) {
         stores.push_back(node->left.get());

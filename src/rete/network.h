@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/matcher_spec.h"
 #include "match/dispatch.h"
 #include "match/matcher.h"
 #include "match/sharding.h"
@@ -16,57 +17,6 @@
 #include "rete/token_store.h"
 
 namespace prodb {
-
-/// Configuration of a Rete network build.
-struct ReteOptions {
-  /// Store LEFT/RIGHT two-input-node memories in catalog relations (the
-  /// straightforward DBMS implementation of §3.2) instead of process
-  /// memory (the OPS5 situation of §3.1).
-  bool dbms_backed = false;
-  /// Share one-input (alpha) test chains across rules with identical
-  /// class + constant tests — the multiple-query-optimization idea the
-  /// paper cites ([SELL86]); toggled off for the ablation benchmark.
-  bool share_alpha = true;
-  /// Share two-input join-chain *prefixes* across rules whose leading
-  /// positive condition elements are structurally identical — the
-  /// "global compiled plan that avoids multiple relation accesses" the
-  /// paper asks multiple-query processing to provide (§3.2, [SELL88],
-  /// §6 future work). Rules must be added before WM activity for shared
-  /// chains to be populated consistently.
-  bool share_beta = true;
-  /// Storage backend for LEFT/RIGHT relations when dbms_backed.
-  StorageKind memory_storage = StorageKind::kMemory;
-  /// Cost-based beta-chain ordering from incremental catalog statistics:
-  /// each rule's positive CEs compile in the planner's order instead of
-  /// LHS order — lifting the "fixed access plan" limitation the paper
-  /// pins on Rete (§3.2). Cardinality drift past planner.replan_drift
-  /// triggers a rebuild of the join network under fresh plans, with token
-  /// memories reseeded from WM (conflict set untouched). Off preserves
-  /// the syntactic textual order exactly.
-  PlannerOptions planner;
-  /// Maintain equality-join-key indexes on LEFT/RIGHT memories and probe
-  /// them instead of scanning — §4.1.2's indexing idea applied to the
-  /// token memories. Off reproduces the "access of the opposite memory"
-  /// full scan the paper complains about (§3.2); the ablation benchmark
-  /// compares both.
-  bool index_memories = true;
-  /// Dispatch each WM delta through a per-class constant-test
-  /// discrimination index (eq-hash / interval-tree / residual tiers, §2.3
-  /// / [STON86a]) instead of testing it against every alpha node of its
-  /// class — the remaining linear walk on the §3.2 hot path. Off restores
-  /// the full per-class walk for the ablation benchmarks.
-  bool discriminate_alpha = true;
-  /// Partitioned multi-core match (§4.2.3's parallel-propagation claim
-  /// taken to the whole network): the network is replicated into
-  /// `sharding.num_shards` independent sub-networks — a rule compiles
-  /// into the shard owning its head class, or into *every* shard with a
-  /// head-tuple partition filter when the head class is hot — and
-  /// OnBatch runs the shards through a FanOut, merging buffered
-  /// conflict-set deltas at a barrier in fixed shard order so the merged
-  /// set is byte-identical at any thread count. Disabled (or
-  /// dbms_backed, where shards run serially) preserves the serial path.
-  ShardingOptions sharding;
-};
 
 /// Structural counters (Figure 1/3 analyses, E1).
 struct ReteTopology {
@@ -91,18 +41,38 @@ struct ReteTopology {
 ///
 /// Memories reference WM tuples through shared handles (token.h) instead
 /// of copying them, and two-input nodes that read the same alpha node
-/// with the same condition and join key share one RIGHT memory (when
-/// share_alpha is on): an alpha activation mutates each distinct RIGHT
-/// memory once, then joins its successors deepest level first, so every
-/// new pair is produced exactly once (DESIGN.md).
+/// with the same condition and join key share one RIGHT memory (unless
+/// the spec says noshare): an alpha activation mutates each distinct
+/// RIGHT memory once, then joins its successors deepest level first, so
+/// every new pair is produced exactly once (DESIGN.md).
 ///
-/// With sharding enabled the network is a vector of such sub-networks,
-/// one per working-memory partition (see ReteOptions::sharding).
+/// The spec's settings, as this network reads them:
+///  - kind: rete-dbms stores the LEFT/RIGHT memories in catalog relations
+///    of `aux_storage` (the straightforward DBMS implementation of
+///    §3.2), rete in process memory (the OPS5 situation of §3.1).
+///  - indexes: equality-join-key indexes on the memories, probed instead
+///    of scanning the opposite memory (§3.2's complaint; §4.1.2's idea).
+///  - discriminate: the alpha dispatch step's discrimination index.
+///  - share: alpha nodes, RIGHT memories and beta prefixes shared across
+///    rules. Rules must be added before WM activity for shared chains
+///    to be populated consistently.
+///  - planner: each rule's positive CEs compile in the planner's order,
+///    lifting the "fixed access plan" the paper pins on Rete (§3.2);
+///    cardinality drift past planner.replan_drift rebuilds the join
+///    network under fresh plans and reseeds the memories from WM.
+///  - sharding: the network is replicated into num_shards sub-networks —
+///    a rule compiles into the shard owning its head class, or into
+///    every shard behind a head-tuple partition filter when the head
+///    class is hot — and OnBatch runs the shards through a FanOut,
+///    merging buffered conflict-set deltas in fixed shard order, so the
+///    merged set is byte-identical at any thread count. DBMS-backed
+///    shards run serially.
 class ReteNetwork : public Matcher {
  public:
-  /// `catalog` supplies the WM relations and, when dbms_backed, hosts the
+  /// `catalog` supplies the WM relations and, for rete-dbms, hosts the
   /// LEFT/RIGHT memory relations.
-  explicit ReteNetwork(Catalog* catalog, ReteOptions options = {});
+  explicit ReteNetwork(Catalog* catalog, const MatcherSpec& spec = {},
+                       StorageKind aux_storage = StorageKind::kMemory);
   ~ReteNetwork() override;
 
   Status AddRule(const Rule& rule) override;
@@ -116,10 +86,7 @@ class ReteNetwork : public Matcher {
   /// the barrier in shard order.
   Status OnBatch(const ChangeSet& batch) override;
 
-  ConflictSet& conflict_set() override { return conflict_set_; }
   size_t AuxiliaryFootprintBytes() const override;
-  const MatcherStats& stats() const override { return stats_; }
-  const std::vector<Rule>& rules() const override { return rules_; }
   std::vector<ShardStats> ShardStatsSnapshot() const override;
 
   ReteTopology Topology() const;
@@ -223,10 +190,11 @@ class ReteNetwork : public Matcher {
   Status RebuildAndReseed();
   Status ReseedFromRelations();
 
-  Catalog* catalog_;
-  ReteOptions options_;
+  const MatcherSpec spec_;
+  const bool dbms_backed_;
+  // Backs the memory relations when dbms_backed_.
+  const StorageKind aux_storage_;
   ShardMap shard_map_;
-  std::vector<Rule> rules_;
   // Per rule, the current JoinPlan (order + estimates + drift snapshot),
   // and the statistics it is planned from; updated under batch_mu_.
   RulePlans plans_;
@@ -246,8 +214,6 @@ class ReteNetwork : public Matcher {
   // batches from worker threads with no external lock, and the token
   // memories / alpha scratch state are single-writer by design.
   mutable std::mutex batch_mu_;
-  ConflictSet conflict_set_;
-  MatcherStats stats_;
   size_t store_counter_ = 0;
 };
 

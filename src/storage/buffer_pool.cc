@@ -114,7 +114,7 @@ Frame* BufferPool::Victim(Status* status) {
         continue;
       }
       ++stats_.dirty_writebacks;
-      if (unstealable_.count(f->page_id) != 0) ++stats_.pages_stolen;
+      if (Stolen(f)) ++stats_.pages_stolen;
       f->dirty = false;
       f->rec_lsn = 0;
     }
@@ -146,33 +146,17 @@ void BufferPool::SetWal(LogManager* wal) {
   wal_ = wal;
 }
 
-void BufferPool::ReleaseTxnPages(uint64_t txn_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = txn_pages_.find(txn_id);
-  if (it == txn_pages_.end()) return;
-  for (uint32_t p : it->second) {
-    auto u = unstealable_.find(p);
-    if (u != unstealable_.end() && --u->second <= 0) unstealable_.erase(u);
-  }
-  txn_pages_.erase(it);
-}
-
-size_t BufferPool::TxnDirtyPageCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unstealable_.size();
+bool BufferPool::Stolen(const Frame* f) const {
+  // The pool latch is held; the log's latch nests inside it, as in
+  // WritePageWithWalRule.
+  return f->txn_id != 0 && wal_ != nullptr && wal_->IsActive(f->txn_id);
 }
 
 void BufferPool::NoteLoggedUpdate(Frame* f, uint64_t rec_start_lsn,
                                   uint64_t txn_id) {
   std::lock_guard<std::mutex> lock(mu_);
   if (f->rec_lsn == 0) f->rec_lsn = rec_start_lsn + 1;
-  if (txn_id == 0) return;
-  auto& pages = txn_pages_[txn_id];
-  for (uint32_t p : pages) {
-    if (p == f->page_id) return;  // this transaction already holds the page
-  }
-  pages.push_back(f->page_id);
-  ++unstealable_[f->page_id];
+  if (txn_id != 0) f->txn_id = txn_id;
 }
 
 uint64_t BufferPool::MinDirtyRecLsn() const {
@@ -189,11 +173,6 @@ uint64_t BufferPool::MinDirtyRecLsn() const {
 BufferPoolStats BufferPool::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void BufferPool::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = BufferPoolStats{};
 }
 
 Status BufferPool::FetchPage(uint32_t page_id, Frame** frame) {
@@ -223,6 +202,7 @@ Status BufferPool::FetchPage(uint32_t page_id, Frame** frame) {
   f->pin_count = 1;
   f->dirty = false;
   f->rec_lsn = 0;
+  f->txn_id = 0;
   MapPage(f);
   *frame = f;
   return Status::OK();
@@ -243,6 +223,7 @@ Status BufferPool::NewPage(uint32_t* page_id, Frame** frame) {
   f->pin_count = 1;
   f->dirty = true;
   f->rec_lsn = 0;
+  f->txn_id = 0;
   MapPage(f);
   *frame = f;
   return Status::OK();
@@ -266,7 +247,7 @@ Status BufferPool::UnpinPage(uint32_t page_id, bool dirty) {
 
 Status BufferPool::Clean(Frame* f) {
   PRODB_RETURN_IF_ERROR(WritePageWithWalRule(f));
-  if (unstealable_.count(f->page_id) != 0) ++stats_.pages_stolen;
+  if (Stolen(f)) ++stats_.pages_stolen;
   f->dirty = false;
   f->rec_lsn = 0;
   return Status::OK();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -24,6 +23,11 @@ struct Frame {
   /// all frames is the checkpoint redo point: restart redo may skip
   /// everything below it.
   uint64_t rec_lsn = 0;
+  /// The latest transaction whose logged update dirtied this page since
+  /// it was read in (0 = none; auto-commit and structural records leave
+  /// it as it is). Its writeback is a steal while that transaction has
+  /// no commit or abort record.
+  uint64_t txn_id = 0;
   /// Replacement-list links, kept by the pool: an unpinned resident
   /// frame sits between its less (`lru_prev`) and more recently used
   /// neighbours; other frames are not on the list.
@@ -45,7 +49,8 @@ struct BufferPoolStats {
   uint64_t writeback_failures = 0;
   /// WAL-rule log flushes forced by a page writeback.
   uint64_t log_forces = 0;
-  /// Writebacks of pages dirtied by a still-in-flight transaction
+  /// Writebacks of a page whose latest dirtying transaction
+  /// (Frame::txn_id) had no commit or abort record in the log yet
   /// (steal). Safe because the WAL rule forces the log — including the
   /// record's inline before-image — before the page reaches disk, so
   /// restart undo can always roll the transaction back.
@@ -110,7 +115,6 @@ class BufferPool {
   size_t capacity() const { return frames_.size(); }
   /// A snapshot of the counters, taken under the pool latch.
   BufferPoolStats stats() const;
-  void ResetStats();
   DiskManager* disk() const { return disk_; }
 
   /// --- Write-ahead logging hooks ---------------------------------------
@@ -124,16 +128,13 @@ class BufferPool {
   /// Records that the WAL record starting at `rec_start_lsn`, written by
   /// transaction `txn_id` (0 for auto-commit), dirtied `f` (caller holds
   /// the pin), under one latch acquisition. Keeps the frame's
-  /// first-dirtier LSN for MinDirtyRecLsn; cleared whenever the frame's
-  /// bytes reach disk. Steal accounting: a transaction's page stays
-  /// marked as dirtied by it until ReleaseTxnPages(txn_id) at commit or
-  /// after abort compensation. Unlike the old no-steal rule the mark does
-  /// not block eviction — undo logging made stealing safe, so a
-  /// transaction's write set may exceed pool capacity — it only
-  /// attributes writebacks of such pages to the pages_stolen counter.
+  /// first-dirtier LSN for MinDirtyRecLsn, cleared whenever the frame's
+  /// bytes reach disk, and a nonzero `txn_id` as the frame's latest
+  /// dirtying transaction. That id does not block eviction — undo
+  /// logging made stealing safe, so a transaction's write set may exceed
+  /// pool capacity — it only attributes writebacks to pages_stolen,
+  /// which asks the log whether the transaction has ended.
   void NoteLoggedUpdate(Frame* f, uint64_t rec_start_lsn, uint64_t txn_id);
-  void ReleaseTxnPages(uint64_t txn_id);
-  size_t TxnDirtyPageCount() const;
 
   /// Redo low-water mark: the smallest first-dirtier start LSN over
   /// frames with logged updates not yet written back, or UINT64_MAX when
@@ -151,8 +152,11 @@ class BufferPool {
   /// writes the page. Shared by eviction and the flush entry points.
   Status WritePageWithWalRule(const Frame* f);
   /// Writes `f` back under the WAL rule and marks it clean, counting a
-  /// steal when an in-flight transaction dirtied it.
+  /// steal.
   Status Clean(Frame* f);
+  /// Whether writing `f` back now is a steal: its latest dirtying
+  /// transaction has no commit or abort record in the log yet.
+  bool Stolen(const Frame* f) const;
 
   /// One page-table entry; `page_id == kEmptySlot` marks a free entry.
   struct Slot {
@@ -180,10 +184,6 @@ class BufferPool {
   DiskManager* disk_;
   LogManager* wal_ = nullptr;
   std::unique_ptr<DiskManager> owned_disk_;
-  // page id -> number of in-flight transactions that dirtied it, plus the
-  // per-transaction page lists that release those holds.
-  std::unordered_map<uint32_t, int> unstealable_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> txn_pages_;
   std::vector<Frame> frames_;  // never resized: frames stay put
   std::vector<Slot> table_;    // a power of two, >= 2 * capacity
   int shift_ = 64;             // 64 - log2(table_.size())
@@ -193,47 +193,6 @@ class BufferPool {
   size_t lru_size_ = 0;
   std::vector<Frame*> free_frames_;
   BufferPoolStats stats_;
-};
-
-/// RAII pin guard: unpins on destruction.
-class PageGuard {
- public:
-  PageGuard() = default;
-  PageGuard(BufferPool* pool, Frame* frame, bool dirty = false)
-      : pool_(pool), frame_(frame), dirty_(dirty) {}
-  PageGuard(PageGuard&& o) noexcept { *this = std::move(o); }
-  PageGuard& operator=(PageGuard&& o) noexcept {
-    Release();
-    pool_ = o.pool_;
-    frame_ = o.frame_;
-    dirty_ = o.dirty_;
-    o.pool_ = nullptr;
-    o.frame_ = nullptr;
-    return *this;
-  }
-  PageGuard(const PageGuard&) = delete;
-  PageGuard& operator=(const PageGuard&) = delete;
-  ~PageGuard() { Release(); }
-
-  Frame* frame() const { return frame_; }
-  char* data() const { return frame_->data; }
-  void MarkDirty() { dirty_ = true; }
-
-  void Release() {
-    if (pool_ && frame_) {
-      // Unpin of a resident pinned page cannot fail; the guard has no
-      // channel to report one from a destructor anyway.
-      Status st = pool_->UnpinPage(frame_->page_id, dirty_);
-      (void)st;
-      pool_ = nullptr;
-      frame_ = nullptr;
-    }
-  }
-
- private:
-  BufferPool* pool_ = nullptr;
-  Frame* frame_ = nullptr;
-  bool dirty_ = false;
 };
 
 }  // namespace prodb

@@ -86,22 +86,6 @@ Status ScanLog(DiskManager* disk, LogScanResult* out) {
 
 namespace {
 
-bool IsDataRecord(LogRecordType type) {
-  switch (type) {
-    case LogRecordType::kSlotPut:
-    case LogRecordType::kSlotDelete:
-    case LogRecordType::kPageFormat:
-    case LogRecordType::kPageLink:
-      return true;
-    case LogRecordType::kCommit:
-    case LogRecordType::kAbort:
-    case LogRecordType::kCheckpoint:
-    case LogRecordType::kClr:
-      return false;
-  }
-  return false;
-}
-
 // Applies the physical undo operation shared by CLR replay (redo pass)
 // and fresh undo: tombstone the slot, or put the before-image bytes
 // back.

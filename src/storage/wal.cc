@@ -53,11 +53,9 @@ void AppendU64(std::string* out, uint64_t v) {
   out->append(scratch, 8);
 }
 
-// Whether a record registers its transaction in the active-transaction
-// table. Commit/abort settle the transaction, checkpoints are not txn
-// work, and CLRs belong to recovery — a loser must not re-enter the
-// table just because restart undo wrote compensation on its behalf.
-bool IsTxnDataRecord(LogRecordType type) {
+}  // namespace
+
+bool IsDataRecord(LogRecordType type) {
   switch (type) {
     case LogRecordType::kSlotPut:
     case LogRecordType::kSlotDelete:
@@ -72,8 +70,6 @@ bool IsTxnDataRecord(LogRecordType type) {
   }
   return false;
 }
-
-}  // namespace
 
 uint32_t Crc32(const void* data, size_t n) {
   static const Crc32Tables tables;
@@ -269,7 +265,7 @@ Lsn LogManager::Append(const LogRecord& rec, Lsn* start) {
     if (start != nullptr) *start = rec_start;
     ++stats_.records_appended;
     stats_.bytes_appended += lsn - rec_start;
-    if (rec.txn_id != 0 && IsTxnDataRecord(rec.type)) {
+    if (rec.txn_id != 0 && IsDataRecord(rec.type)) {
       active_txns_.emplace(rec.txn_id, rec_start);  // keep first start LSN
     } else if (rec.type == LogRecordType::kCommit ||
                rec.type == LogRecordType::kAbort) {
@@ -465,6 +461,11 @@ std::vector<uint32_t> LogManager::PageChain() const {
 std::map<uint64_t, Lsn> LogManager::ActiveTxns() const {
   std::lock_guard<std::mutex> lock(mu_);
   return active_txns_;
+}
+
+bool LogManager::IsActive(uint64_t txn_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return active_txns_.count(txn_id) != 0;
 }
 
 LogManagerStats LogManager::stats() const {

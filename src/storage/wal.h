@@ -80,6 +80,15 @@ enum class LogRecordType : uint8_t {
   kClr = 9,         // compensation: physical undo applied during recovery
 };
 
+/// Data records: the physical page changes a transaction's work writes
+/// (slot put / delete, page format / link). Only they register their
+/// transaction in the active-transaction table, are redone as history,
+/// and are undone for a loser. Commit/abort settle a transaction,
+/// checkpoints are not transaction work, and CLRs belong to recovery — a
+/// loser must not re-enter the table because restart undo wrote
+/// compensation on its behalf.
+bool IsDataRecord(LogRecordType type);
+
 /// How to roll a data record back. kNone marks records that are never
 /// undone (structural records, commit/abort/checkpoint, and CLRs — undo
 /// of an undo would defeat convergence).
@@ -248,6 +257,9 @@ class LogManager {
   std::vector<uint32_t> PageChain() const;
   /// Active-transaction table: id -> start LSN of first data record.
   std::map<uint64_t, Lsn> ActiveTxns() const;
+  /// Whether `txn_id` is in that table: it appended a data record and no
+  /// commit or abort record since.
+  bool IsActive(uint64_t txn_id) const;
   /// A snapshot of the counters, taken under the log latch.
   LogManagerStats stats() const;
 

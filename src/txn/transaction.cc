@@ -98,9 +98,9 @@ Status TxnManager::Commit(Transaction* txn, const MaintainFn& maintain) {
     if (!st.ok()) {
       // Maintenance failed mid-batch: matcher state cannot be unwound
       // cleanly, so surface the error (relations keep the ∆; with no end
-      // record, restart undoes it as a loser). The page holds and locks
-      // must still drop or the pool and the lock table wedge; the heap
-      // space its deletes freed stays reserved for that restart undo.
+      // record, restart undoes it as a loser). The locks must still drop
+      // or the lock table wedges; the heap space its deletes freed stays
+      // reserved for that restart undo.
       Release(txn, /*ended=*/false);
       return st;
     }
@@ -141,7 +141,6 @@ Status TxnManager::Commit(Transaction* txn) {
     PRODB_RETURN_IF_ERROR(forced);
   }
   txn->MarkCommitted();
-  // Durable now: the pages this transaction dirtied may be stolen.
   Release(txn);
   return Status::OK();
 }
@@ -155,8 +154,8 @@ Status TxnManager::Abort(Transaction* txn, Status cause) {
 void TxnManager::EndAborted(Transaction* txn) {
   if (LogManager* wal = catalog_->wal()) {
     // The abort record is hygiene (absence of a commit already dooms the
-    // transaction at restart); no flush needed. The undo restored
-    // pre-transaction state, so the pages may reach disk again.
+    // transaction at restart); no flush needed. It ends the transaction
+    // in the log, so a later writeback of its pages is no steal.
     LogRecord rec;
     rec.type = LogRecordType::kAbort;
     rec.txn_id = txn->id();
@@ -167,9 +166,6 @@ void TxnManager::EndAborted(Transaction* txn) {
 
 void TxnManager::Release(Transaction* txn, bool ended) {
   if (ended) txn->ReleaseReservations();
-  if (catalog_->wal() != nullptr) {
-    catalog_->buffer_pool()->ReleaseTxnPages(txn->id());
-  }
   txn->ReleaseLocks();
 }
 

@@ -136,8 +136,8 @@ class TxnManager {
 
   /// The §5.2 commit point: runs `maintain` on the whole of
   /// txn->changes() (skipped when empty), then forces the commit record.
-  ///   - maintenance fails: the error is returned with the page holds and
-  ///     locks dropped and no end record written (restart treats the
+  ///   - maintenance fails: the error is returned with the locks
+  ///     dropped and no end record written (restart treats the
   ///     transaction as a loser; live relations keep the ∆);
   ///   - the commit force fails: the relations are compensated first
   ///     (Rollback), then the inverse ∆ goes through `maintain`, then the
@@ -165,11 +165,10 @@ class TxnManager {
  private:
   /// Appends the abort record (when the catalog logs) and releases.
   void EndAborted(Transaction* txn);
-  /// Drops the transaction's page holds (when the catalog logs) and
-  /// releases its locks. A transaction that `ended` (committed, or
-  /// aborted with its undo done) also returns its heap-space
-  /// reservations; one that did neither keeps them, because restart
-  /// undo will need the bytes.
+  /// Releases the transaction's locks. A transaction that `ended`
+  /// (committed, or aborted with its undo done) also returns its
+  /// heap-space reservations; one that did neither keeps them, because
+  /// restart undo will need the bytes.
   void Release(Transaction* txn, bool ended = true);
 
   Catalog* catalog_;

@@ -21,6 +21,7 @@ namespace {
 // "-rel:values" strings, and a copy of each batch; counts the batches.
 class RecordingMatcher : public Matcher {
  public:
+  RecordingMatcher() : Matcher(nullptr) {}
   Status AddRule(const Rule& rule) override {
     rules_.push_back(rule);
     return Status::OK();
@@ -34,18 +35,10 @@ class RecordingMatcher : public Matcher {
     batches.push_back(batch);
     return Status::OK();
   }
-  ConflictSet& conflict_set() override { return conflict_set_; }
   size_t AuxiliaryFootprintBytes() const override { return 0; }
-  const MatcherStats& stats() const override { return stats_; }
-  const std::vector<Rule>& rules() const override { return rules_; }
 
   std::vector<std::string> events;
   std::vector<ChangeSet> batches;
-
- private:
-  ConflictSet conflict_set_;
-  MatcherStats stats_;
-  std::vector<Rule> rules_;
 };
 
 std::multiset<std::string> Fingerprint(Relation* rel) {

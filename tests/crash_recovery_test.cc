@@ -963,10 +963,9 @@ TEST(CrashRecoveryTest, EngineWorkloadSurvivesRestartFromLogAlone) {
     Catalog catalog(copts);
     ASSERT_TRUE(gen.CreateClasses(&catalog, StorageKind::kPaged).ok());
 
-    ReteOptions ropts;
-    ropts.dbms_backed = true;
-    ropts.memory_storage = StorageKind::kPaged;
-    ReteNetwork matcher(&catalog, ropts);
+    ReteNetwork matcher(&catalog,
+                        MatcherSpec{.kind = MatcherKind::kReteDbms},
+                        StorageKind::kPaged);
     for (const Rule& r : gen.GenerateRules()) {
       ASSERT_TRUE(matcher.AddRule(r).ok());
     }

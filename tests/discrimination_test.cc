@@ -221,16 +221,9 @@ TEST(DiscriminationIndexTest, ReteAlphaDispatchShrinksWithSharing) {
                  " ^weight <w>) --> (remove 1))\n";
     }
   }
-  auto run = [&](bool disc, bool share, uint64_t* tests, size_t* alphas) {
+  auto run = [&](const std::string& spec, uint64_t* tests, size_t* alphas) {
     MatcherHarness h;
-    ASSERT_TRUE(h.Init(program,
-                       [&](Catalog* c) {
-                         ReteOptions opts;
-                         opts.discriminate_alpha = disc;
-                         opts.share_alpha = share;
-                         return std::make_unique<ReteNetwork>(c, opts);
-                       })
-                    .ok());
+    ASSERT_TRUE(h.Init(program, spec).ok());
     Rng rng(6);
     for (int i = 0; i < 100; ++i) {
       Tuple t{Value("k" + std::to_string(rng.Uniform(16))),
@@ -242,9 +235,9 @@ TEST(DiscriminationIndexTest, ReteAlphaDispatchShrinksWithSharing) {
         static_cast<ReteNetwork*>(h.matcher.get())->Topology().alpha_nodes;
   };
   uint64_t with, without;
-  size_t alphas_shared, alphas_unshared;
-  run(true, true, &with, &alphas_shared);
-  run(false, true, &without, &alphas_unshared);
+  size_t alphas_shared, alphas_nodisc;
+  run("rete", &with, &alphas_shared);
+  run("rete-nodisc", &without, &alphas_nodisc);
   EXPECT_EQ(alphas_shared, 16u);  // sharing deduplicates the 32 rules
   // Linear walk: 16 shared alphas tested per delta.
   EXPECT_EQ(without, 100u * 16u);

@@ -58,10 +58,8 @@ Status RunCanonicalWorkload(Catalog* catalog, LockManager* locks) {
                                                {"s", ValueType::kSymbol}}),
                                StorageKind::kPaged, &txn_rel));
 
-  ReteOptions ropts;
-  ropts.dbms_backed = true;
-  ropts.memory_storage = StorageKind::kPaged;
-  ReteNetwork matcher(catalog, ropts);
+  ReteNetwork matcher(catalog, MatcherSpec{.kind = MatcherKind::kReteDbms},
+                      StorageKind::kPaged);
   if (classes_ok) {
     bool rules_ok = true;
     for (const Rule& r : gen.GenerateRules()) {

@@ -9,8 +9,8 @@ namespace prodb {
 namespace {
 
 TEST(MatcherSpecTest, NamesRoundTrip) {
-  // The 22 configurations of the equivalence suite, then the 10 names
-  // the E-series benchmarks use.
+  // The 22 configurations of the equivalence suite, the 10 names the
+  // E-series benchmarks use, then the unshared Rete networks.
   const std::vector<std::string> names = {
       "query", "pattern", "rete", "rete-dbms", "query-scan", "pattern-scan",
       "rete-scan", "rete-dbms-scan", "query-nodisc", "pattern-nodisc",
@@ -18,7 +18,8 @@ TEST(MatcherSpecTest, NamesRoundTrip) {
       "rete-shard4", "rete-shard4", "rete-dbms-shard4", "query-plan",
       "rete-plan", "rete-dbms-plan", "query-plan-shard8", "rete-plan-shard8",
       "rete", "rete-dbms", "query", "pattern", "rete-plan", "query-plan",
-      "query-scan", "pattern-scan", "rete-scan", "rete-dbms-scan"};
+      "query-scan", "pattern-scan", "rete-scan", "rete-dbms-scan",
+      "rete-noshare", "rete-dbms-noshare-plan"};
   for (const std::string& name : names) {
     MatcherSpec spec, again;
     ASSERT_TRUE(MatcherSpec::Parse(name, &spec).ok()) << name;
@@ -59,7 +60,8 @@ TEST(MatcherSpecTest, RejectsMalformedNamesByToken) {
         "rete-plan-plan", "rete-shard2-shard4", "rete-scan-nodisc",
         "query-nodisc-scan", "rete-shard", "rete-shard0", "rete-shard1",
         "rete-shard257", "rete-shardx", "rete-shard+4", "rete-shard4x",
-        "rete-", "rete--plan", "pattern-plan"}) {
+        "rete-", "rete--plan", "pattern-plan", "query-noshare",
+        "pattern-noshare", "rete-noshare-noshare"}) {
     MatcherSpec s;
     EXPECT_TRUE(MatcherSpec::Parse(name, &s).IsInvalidArgument())
         << "\"" << name << "\"";

@@ -15,14 +15,19 @@
 
 namespace prodb {
 
-/// The matcher a spec name (core/matcher_spec.h) names over `catalog`;
-/// a name the parser rejects fails the calling test.
-inline std::unique_ptr<Matcher> MakeNamedMatcher(const std::string& name,
-                                                 Catalog* catalog) {
+/// The configuration a spec name (core/matcher_spec.h) names; a name the
+/// parser rejects fails the calling test.
+inline MatcherSpec NamedSpec(const std::string& name) {
   MatcherSpec spec;
   Status st = MatcherSpec::Parse(name, &spec);
   EXPECT_TRUE(st.ok()) << st.ToString();
-  return MakeMatcher(spec, catalog);
+  return spec;
+}
+
+/// The matcher a spec name names over `catalog`.
+inline std::unique_ptr<Matcher> MakeNamedMatcher(const std::string& name,
+                                                 Catalog* catalog) {
+  return MakeMatcher(NamedSpec(name), catalog);
 }
 
 /// gtest parameter name for a suite parameterized over matcher spec

@@ -152,10 +152,9 @@ TEST(PagedSystemTest, DbmsRetePagedMemoriesEndToEnd) {
   Catalog catalog(copts);
   std::vector<Rule> rules;
   ASSERT_TRUE(LoadProgram(kThreeWayJoin, &catalog, &rules).ok());
-  ReteOptions ropts;
-  ropts.dbms_backed = true;
-  ropts.memory_storage = StorageKind::kPaged;
-  ReteNetwork matcher(&catalog, ropts);
+  ReteNetwork matcher(&catalog,
+                      MatcherSpec{.kind = MatcherKind::kReteDbms},
+                      StorageKind::kPaged);
   for (const Rule& r : rules) {
     ASSERT_TRUE(matcher.AddRule(r).ok());
   }

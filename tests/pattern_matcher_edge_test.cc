@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/production_system.h"
 #include "match/pattern_matcher.h"
 #include "matcher_test_util.h"
 
@@ -137,6 +138,23 @@ TEST_F(PatternEdgeTest, RandomChurnAgainstOracleWithDuplicates) {
               CanonicalConflictSet(*oracle.matcher))
         << "step " << step;
   }
+}
+
+// A rule whose second CE cannot get its COND relation (a WM class is
+// already named COND-B) must install nothing. The failed load used to
+// leave CE 0 dispatched under a rule index no rule holds, and the next
+// insert into A read past the end of the rule list. The pattern matcher
+// is the default, so this is the default server's kLoad then kBatch.
+TEST(PatternEdgeFailureTest, FailedAddRuleDispatchesNothing) {
+  ProductionSystem ps;
+  Status st = ps.LoadString(
+      "(literalize A k) (literalize B k) (literalize COND-B k)"
+      " (p bad (A ^k <x>) (B ^k <x>) --> (remove 1))");
+  EXPECT_TRUE(st.IsAlreadyExists()) << st.ToString();
+  EXPECT_TRUE(ps.rules().empty());
+  EXPECT_TRUE(ps.Insert("A", Tuple{Value(1)}).ok());
+  EXPECT_TRUE(ps.Insert("B", Tuple{Value(1)}).ok());
+  EXPECT_TRUE(ps.conflict_set().empty());
 }
 
 }  // namespace

@@ -11,11 +11,13 @@ namespace {
 
 class PatternMatcherTest : public ::testing::Test {
  protected:
-  void Load(const std::string& source, PatternMatcherOptions opts = {}) {
+  void Load(const std::string& source, const std::string& spec = "pattern",
+            StorageKind cond_storage = StorageKind::kMemory) {
     ASSERT_TRUE(harness_
                     .Init(source,
-                          [opts](Catalog* c) {
-                            return std::make_unique<PatternMatcher>(c, opts);
+                          [&](Catalog* c) {
+                            return MakeMatcher(NamedSpec(spec), c,
+                                               cond_storage);
                           })
                     .ok());
     pm_ = static_cast<PatternMatcher*>(harness_.matcher.get());
@@ -161,9 +163,7 @@ TEST_F(PatternMatcherTest, RuleDefSyncReflectsSatisfaction) {
 }
 
 TEST_F(PatternMatcherTest, ParallelPropagationMatchesSequential) {
-  PatternMatcherOptions par;
-  par.propagation_threads = 4;
-  Load(kThreeWayJoin, par);
+  Load(kThreeWayJoin, "pattern-shard4");  // 4 propagation threads
   MatcherHarness seq;
   ASSERT_TRUE(seq.Init(kThreeWayJoin,
                        [](Catalog* c) {
@@ -193,9 +193,7 @@ TEST_F(PatternMatcherTest, ParallelPropagationMatchesSequential) {
 }
 
 TEST_F(PatternMatcherTest, PagedCondStorageWorks) {
-  PatternMatcherOptions opts;
-  opts.cond_storage = StorageKind::kPaged;
-  Load(kThreeWayJoin, opts);
+  Load(kThreeWayJoin, "pattern", StorageKind::kPaged);
   ASSERT_TRUE(wm().Insert("B", Tuple{Value(4), Value(7), Value("b")}).ok());
   ASSERT_TRUE(wm().Insert("C", Tuple{Value("c"), Value(7), Value(8)}).ok());
   ASSERT_TRUE(wm().Insert("A", Tuple{Value(4), Value("a"), Value(8)}).ok());

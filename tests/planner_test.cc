@@ -213,13 +213,7 @@ TEST(JoinPlanning, BetaPrefixSharesAfterReorder) {
   (remove 1))
 )";
   MatcherHarness h;
-  ASSERT_TRUE(h.Init(program,
-                     [](Catalog* c) {
-                       ReteOptions opts;
-                       opts.planner.enable = true;
-                       return std::make_unique<ReteNetwork>(c, opts);
-                     })
-                  .ok());
+  ASSERT_TRUE(h.Init(program, "rete-plan").ok());
   auto* rete = dynamic_cast<ReteNetwork*>(h.matcher.get());
   ASSERT_NE(rete, nullptr);
   // Both rules planned at AddRule on an empty WM: syntactic fallback,
@@ -272,17 +266,12 @@ TEST(JoinPlanning, DriftTriggersReplan) {
   for (int variant = 0; variant < 2; ++variant) {
     MatcherHarness h;
     ASSERT_TRUE(h.Init(program,
-                       [&](Catalog* c) -> std::unique_ptr<Matcher> {
-                         PlannerOptions po;
-                         po.enable = true;
-                         po.replan_drift = 2.0;
-                         if (variant == 0) {
-                           ReteOptions opts;
-                           opts.planner = po;
-                           return std::make_unique<ReteNetwork>(c, opts);
-                         }
-                         return std::make_unique<QueryMatcher>(
-                             c, ExecutorOptions{}, ShardingOptions{}, po);
+                       [&](Catalog* c) {
+                         MatcherSpec spec =
+                             NamedSpec(variant == 0 ? "rete-plan"
+                                                    : "query-plan");
+                         spec.planner.replan_drift = 2.0;
+                         return MakeMatcher(spec, c);
                        })
                     .ok());
     EXPECT_EQ(h.matcher->stats().replans.load(), 0u);
@@ -410,11 +399,9 @@ TEST(JoinPlanning, QueryMatcherPlannedEqualsSyntactic) {
                   .ok());
   ASSERT_TRUE(planned.Init(program,
                            [](Catalog* c) {
-                             PlannerOptions po;
-                             po.enable = true;
-                             po.replan_drift = 2.0;
-                             return std::make_unique<QueryMatcher>(
-                                 c, ExecutorOptions{}, ShardingOptions{}, po);
+                             MatcherSpec spec = NamedSpec("query-plan");
+                             spec.planner.replan_drift = 2.0;
+                             return MakeMatcher(spec, c);
                            })
                     .ok());
   Rng rng(91);

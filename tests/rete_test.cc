@@ -12,14 +12,8 @@ namespace {
 
 class ReteTest : public ::testing::TestWithParam<bool> {
  protected:
-  void Load(const std::string& source, ReteOptions opts = {}) {
-    opts.dbms_backed = GetParam();
-    ASSERT_TRUE(harness_
-                    .Init(source,
-                          [opts](Catalog* c) {
-                            return std::make_unique<ReteNetwork>(c, opts);
-                          })
-                    .ok());
+  void Load(const std::string& source) {
+    ASSERT_TRUE(harness_.Init(source, GetParam() ? "rete-dbms" : "rete").ok());
     rete_ = static_cast<ReteNetwork*>(harness_.matcher.get());
   }
   WorkingMemory& wm() { return *harness_.wm; }
@@ -128,21 +122,8 @@ TEST(ReteTopologyTest, AlphaSharingReducesNodes) {
 (p r2 (E ^k 1 ^v <y>) (F ^v <y>) --> (remove 2))
 )";
   MatcherHarness shared, unshared;
-  ReteOptions on, off;
-  off.share_alpha = false;
-  off.share_beta = false;  // isolate the alpha-sharing effect
-  ASSERT_TRUE(shared
-                  .Init(source,
-                        [on](Catalog* c) {
-                          return std::make_unique<ReteNetwork>(c, on);
-                        })
-                  .ok());
-  ASSERT_TRUE(unshared
-                  .Init(source,
-                        [off](Catalog* c) {
-                          return std::make_unique<ReteNetwork>(c, off);
-                        })
-                  .ok());
+  ASSERT_TRUE(shared.Init(source, "rete").ok());
+  ASSERT_TRUE(unshared.Init(source, "rete-noshare").ok());
   auto topo_on = static_cast<ReteNetwork*>(shared.matcher.get())->Topology();
   auto topo_off =
       static_cast<ReteNetwork*>(unshared.matcher.get())->Topology();
@@ -162,20 +143,8 @@ TEST(ReteTopologyTest, BetaPrefixSharingMergesChains) {
 (p r2 (E ^k 1 ^v <x>) (F ^k <x> ^v <y>) (G ^v <y>) --> (remove 1))
 )";
   MatcherHarness shared, unshared;
-  ReteOptions on, off;
-  off.share_beta = false;
-  ASSERT_TRUE(shared
-                  .Init(source,
-                        [on](Catalog* c) {
-                          return std::make_unique<ReteNetwork>(c, on);
-                        })
-                  .ok());
-  ASSERT_TRUE(unshared
-                  .Init(source,
-                        [off](Catalog* c) {
-                          return std::make_unique<ReteNetwork>(c, off);
-                        })
-                  .ok());
+  ASSERT_TRUE(shared.Init(source, "rete").ok());
+  ASSERT_TRUE(unshared.Init(source, "rete-noshare").ok());
   auto topo_on = static_cast<ReteNetwork*>(shared.matcher.get())->Topology();
   auto topo_off =
       static_cast<ReteNetwork*>(unshared.matcher.get())->Topology();
@@ -235,41 +204,31 @@ constexpr const char* kSharedRightProgram = R"(
 (p r4 (A ^z <w>) -(A ^y <w>) --> (remove 1))
 )";
 
-struct SharedRightVariant {
-  std::string name;
-  ReteOptions options;
-};
-
-std::vector<SharedRightVariant> SharedRightVariants() {
-  ReteOptions beta, nobeta, hot, dbms;
-  nobeta.share_beta = false;
-  hot.sharding.num_shards = 4;
+std::vector<MatcherSpec> SharedRightVariants() {
+  MatcherSpec hot = NamedSpec("rete-shard4");
   hot.sharding.hot_classes = {"A"};
-  dbms.dbms_backed = true;
-  return {{"share_beta", beta},
-          {"no_share_beta", nobeta},
-          {"shard4_hot", hot},
-          {"dbms", dbms}};
+  return {NamedSpec("rete"), NamedSpec("rete-noshare"), hot,
+          NamedSpec("rete-dbms")};
 }
 
 TEST(ReteSharedRightTest, EveryPairFormsExactlyOnce) {
-  for (const SharedRightVariant& variant : SharedRightVariants()) {
-    SCOPED_TRACE(variant.name);
+  for (const MatcherSpec& variant : SharedRightVariants()) {
+    SCOPED_TRACE(variant.Name());
     MatcherHarness rete, query;
     ASSERT_TRUE(rete.Init(kSharedRightProgram,
                           [&](Catalog* c) {
-                            return std::make_unique<ReteNetwork>(
-                                c, variant.options);
+                            return std::make_unique<ReteNetwork>(c, variant);
                           })
                     .ok());
     ASSERT_TRUE(query.Init(kSharedRightProgram, "query").ok());
     // The level-1 CEs of r1 and r2 and the level-2 CE of r3 share one
     // memory (and r3's level-1 CE and r4's negated CE have their own) —
-    // unless the hot variant replicates the chains per shard.
+    // unless the hot variant replicates the chains per shard. Unshared,
+    // each of the five nodes keeps its own.
     const ReteTopology topo =
         static_cast<ReteNetwork*>(rete.matcher.get())->Topology();
-    if (!variant.options.sharding.enabled()) {
-      EXPECT_EQ(topo.right_memories, 3u);
+    if (!variant.sharding.enabled()) {
+      EXPECT_EQ(topo.right_memories, variant.share ? 3u : 5u);
     }
 
     // Live tuples: class, tuple, and their ids in (rete, query).
@@ -332,7 +291,7 @@ TEST(ReteSharedRightTest, EveryPairFormsExactlyOnce) {
 // planner picks (Customer, Order, Item) and compiled without it: every
 // rule reads the shared Order and Item alpha nodes with the same CE and
 // join key after its own Customer head, so 16 join nodes read 2 RIGHT
-// memories. Without alpha sharing each node keeps its own.
+// memories. Unshared (rete-noshare), each node keeps its own.
 TEST(ReteTopologyTest, JoinRulesShareTwoRightMemories) {
   std::string source =
       "(literalize Customer id region tier)\n"
@@ -345,20 +304,8 @@ TEST(ReteTopologyTest, JoinRulesShareTwoRightMemories) {
               " --> (remove 1))\n";
   }
   MatcherHarness shared, unshared;
-  ReteOptions off;
-  off.share_alpha = false;
-  ASSERT_TRUE(shared
-                  .Init(source,
-                        [](Catalog* c) {
-                          return std::make_unique<ReteNetwork>(c);
-                        })
-                  .ok());
-  ASSERT_TRUE(unshared
-                  .Init(source,
-                        [off](Catalog* c) {
-                          return std::make_unique<ReteNetwork>(c, off);
-                        })
-                  .ok());
+  ASSERT_TRUE(shared.Init(source, "rete").ok());
+  ASSERT_TRUE(unshared.Init(source, "rete-noshare").ok());
   auto* on_net = static_cast<ReteNetwork*>(shared.matcher.get());
   auto* off_net = static_cast<ReteNetwork*>(unshared.matcher.get());
   EXPECT_EQ(on_net->Topology().beta_nodes, 16u);
@@ -525,13 +472,7 @@ TEST(ReteLifetimeTest, FailedAddRuleLeavesNetworkAsBefore) {
 TEST(ReteDbmsTest, LeftRightRelationsMaterializeInCatalog) {
   // §3.2: the DBMS implementation stores LEFT/RIGHT as relations.
   MatcherHarness h;
-  ReteOptions opts;
-  opts.dbms_backed = true;
-  ASSERT_TRUE(h.Init(kThreeWayJoin,
-                     [opts](Catalog* c) {
-                       return std::make_unique<ReteNetwork>(c, opts);
-                     })
-                  .ok());
+  ASSERT_TRUE(h.Init(kThreeWayJoin, "rete-dbms").ok());
   int memory_relations = 0;
   for (const std::string& name : h.catalog->RelationNames()) {
     if (name.rfind("LEFT", 0) == 0 || name.rfind("RIGHT", 0) == 0) {

@@ -323,6 +323,7 @@ TEST(ServerCrashTest, MalformedFlagsExitWithUsage) {
       {"--matcher=bogus"}, {"--matcher=rete-shard0"},
       {"--matcher=rete-shard257"}, {"--matcher=rete-shardx"},
       {"--matcher=rete-scan"}, {"--matcher=query-nodisc"},
+      {"--matcher=rete-noshare"},
       // The pattern matcher has no join planner, under either spelling.
       {"--matcher=pattern-plan"}, {"--matcher=pattern", "--planner"},
   };

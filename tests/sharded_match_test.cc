@@ -161,13 +161,12 @@ TEST(ShardedMatchTest, BatchedChurnMatchesSerialAcrossThreadCounts) {
       ASSERT_TRUE(sharded
                       .Init(program,
                             [&](Catalog* c) {
-                              ReteOptions opts;
-                              opts.sharding.num_shards = 8;
-                              opts.sharding.threads = threads;
+                              MatcherSpec spec = NamedSpec("rete-shard8");
+                              spec.sharding.threads = threads;
                               if (hot) {
-                                opts.sharding.hot_classes = {"A", "B", "C"};
+                                spec.sharding.hot_classes = {"A", "B", "C"};
                               }
-                              return std::make_unique<ReteNetwork>(c, opts);
+                              return MakeMatcher(spec, c);
                             })
                       .ok());
       ASSERT_EQ(sharded.matcher->ShardStatsSnapshot().size(), 8u);
@@ -250,11 +249,10 @@ TEST(ShardedMatchTest, RecencyFiringOrderIndependentOfThreadCount) {
     MatcherHarness h;
     ASSERT_TRUE(h.Init(program,
                        [&](Catalog* c) {
-                         ReteOptions opts;
-                         opts.sharding.num_shards = 8;
-                         opts.sharding.threads = threads;
-                         opts.sharding.hot_classes = {"A", "B"};
-                         return std::make_unique<ReteNetwork>(c, opts);
+                         MatcherSpec spec = NamedSpec("rete-shard8");
+                         spec.sharding.threads = threads;
+                         spec.sharding.hot_classes = {"A", "B"};
+                         return MakeMatcher(spec, c);
                        })
                     .ok());
     SequentialEngineOptions sopts;
@@ -291,11 +289,10 @@ TEST(ShardedMatchTest, ShardStatsAccountForRoutingAndMerge) {
   MatcherHarness h;
   ASSERT_TRUE(h.Init(program,
                      [](Catalog* c) {
-                       ReteOptions opts;
-                       opts.sharding.num_shards = 4;
-                       opts.sharding.threads = 2;
-                       opts.sharding.hot_classes = {"A"};
-                       return std::make_unique<ReteNetwork>(c, opts);
+                       MatcherSpec spec = NamedSpec("rete-shard4");
+                       spec.sharding.threads = 2;
+                       spec.sharding.hot_classes = {"A"};
+                       return MakeMatcher(spec, c);
                      })
                   .ok());
   h.wm->BeginBatch();
@@ -341,11 +338,9 @@ TEST(ShardedMatchTest, QueryMatcherShardStatsAndName) {
   MatcherHarness h;
   ASSERT_TRUE(h.Init(program,
                      [](Catalog* c) {
-                       ShardingOptions so;
-                       so.num_shards = 4;
-                       so.threads = 2;
-                       return std::make_unique<QueryMatcher>(
-                           c, ExecutorOptions{}, so);
+                       MatcherSpec spec = NamedSpec("query-shard4");
+                       spec.sharding.threads = 2;
+                       return MakeMatcher(spec, c);
                      })
                   .ok());
   EXPECT_EQ(h.matcher->ShardStatsSnapshot().size(), 4u);
@@ -375,11 +370,10 @@ TEST(ShardedMatchTest, ConcurrentEngineDrivesShardedRete) {
 (p ab (A ^id <i> ^n <x>) (B ^id <i> ^n <y>) --> (remove 1) (remove 2))
 )",
                      [](Catalog* c) {
-                       ReteOptions opts;
-                       opts.sharding.num_shards = 4;
-                       opts.sharding.threads = 2;
-                       opts.sharding.hot_classes = {"A", "B"};
-                       return std::make_unique<ReteNetwork>(c, opts);
+                       MatcherSpec spec = NamedSpec("rete-shard4");
+                       spec.sharding.threads = 2;
+                       spec.sharding.hot_classes = {"A", "B"};
+                       return MakeMatcher(spec, c);
                      })
                   .ok());
   LockManager locks;

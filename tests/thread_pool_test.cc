@@ -3,65 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <future>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace prodb {
 namespace {
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { ++count; });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ThrowingTaskSurfacesInWait) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { ++count; });
-  pool.Submit([] { throw std::runtime_error("task boom"); });
-  pool.Submit([&count] { ++count; });
-  // Without the catch in Run() the throw terminates the process; without
-  // the balanced decrement this Wait() hangs.
-  try {
-    pool.Wait();
-    FAIL() << "Wait() should rethrow the task's exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "task boom");
-  }
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPoolTest, OnlyFirstFailureRethrownAndStateResets) {
-  ThreadPool pool(1);  // single worker => deterministic task order
-  pool.Submit([] { throw std::runtime_error("first"); });
-  pool.Submit([] { throw std::runtime_error("second"); });
-  try {
-    pool.Wait();
-    FAIL() << "Wait() should rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "first");
-  }
-  // The failure slot was consumed: the pool is reusable and a clean
-  // round of work waits without throwing.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&count] { ++count; });
-  }
-  EXPECT_NO_THROW(pool.Wait());
-  EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPoolTest, WaitWithNothingPendingReturnsImmediately) {
-  ThreadPool pool(2);
-  EXPECT_NO_THROW(pool.Wait());
-}
 
 TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -95,33 +42,25 @@ TEST(ThreadPoolTest, ParallelForRethrowsAfterDrainingAllIndices) {
   // The barrier waits for every index before rethrowing — no task is
   // abandoned mid-flight.
   EXPECT_EQ(ran.load(), 16);
-  // The pool remains usable for both ParallelFor and plain Submit.
+  // The pool remains usable.
   std::atomic<int> count{0};
   pool.ParallelFor(8, [&](size_t) { ++count; });
-  pool.Submit([&count] { ++count; });
-  EXPECT_NO_THROW(pool.Wait());
-  EXPECT_EQ(count.load(), 9);
+  EXPECT_EQ(count.load(), 8);
 }
 
 TEST(ThreadPoolTest, ParallelForFromWorkerThreadDoesNotDeadlock) {
-  // Regression: ParallelFor called from a task running ON the pool used
-  // to enqueue its indices behind the caller and block on the latch —
-  // with a single worker that worker waits on tasks only it can run, a
-  // guaranteed deadlock. The fix runs the loop inline when the calling
-  // thread is one of the pool's own workers. Deadline-guarded so a
-  // regression fails the test instead of hanging the suite.
+  // Regression: ParallelFor called from an index running ON the pool
+  // used to enqueue its indices behind the caller and block on the latch
+  // — with a single worker that worker waits on tasks only it can run, a
+  // guaranteed deadlock (the test then hangs until ctest's timeout). The
+  // fix runs the loop inline when the calling thread is one of the
+  // pool's own workers.
   ThreadPool pool(1);
   std::atomic<int> inner{0};
-  std::promise<void> done;
-  pool.Submit([&] {
+  pool.ParallelFor(2, [&](size_t) {
     pool.ParallelFor(4, [&](size_t) { ++inner; });
-    done.set_value();
   });
-  auto status = done.get_future().wait_for(std::chrono::seconds(10));
-  ASSERT_EQ(status, std::future_status::ready)
-      << "re-entrant ParallelFor deadlocked the pool";
-  pool.Wait();
-  EXPECT_EQ(inner.load(), 4);
+  EXPECT_EQ(inner.load(), 8);
 
   // Nested fan-out on a multi-worker pool: outer ParallelFor indices run
   // on workers, each fans out again. Inline execution keeps every index
@@ -137,38 +76,19 @@ TEST(ThreadPoolTest, ParallelForFromWorkerThreadDoesNotDeadlock) {
 
   // The exception contract survives the inline path.
   ThreadPool one(1);
-  std::promise<std::string> caught;
-  one.Submit([&] {
+  std::vector<std::string> caught(2);
+  one.ParallelFor(2, [&](size_t outer) {
     try {
       one.ParallelFor(4, [&](size_t i) {
         if (i == 2) throw std::runtime_error("inline boom");
       });
-      caught.set_value("no throw");
+      caught[outer] = "no throw";
     } catch (const std::runtime_error& e) {
-      caught.set_value(e.what());
+      caught[outer] = e.what();
     }
   });
-  auto fut = caught.get_future();
-  ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
-  EXPECT_EQ(fut.get(), "inline boom");
-  one.Wait();
-}
-
-TEST(ThreadPoolTest, ParallelForComposesWithConcurrentSubmit) {
-  // A ParallelFor barrier must only cover its own indices: plain tasks
-  // submitted around it still run, and the barrier does not wait on
-  // them (it returns while the slow Submit task may still be pending).
-  ThreadPool pool(4);
-  std::atomic<int> plain{0};
-  std::atomic<int> indexed{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&plain] { ++plain; });
-  }
-  pool.ParallelFor(32, [&](size_t) { ++indexed; });
-  EXPECT_EQ(indexed.load(), 32);
-  pool.Wait();
-  EXPECT_EQ(plain.load(), 8);
+  EXPECT_EQ(caught[0], "inline boom");
+  EXPECT_EQ(caught[1], "inline boom");
 }
 
 }  // namespace

@@ -352,29 +352,40 @@ TEST(WalBufferPoolTest, StealWritesTxnDirtyPagesAfterLogForce) {
   Lsn lsn = wal->Append(rec, &start);
   SetPageLsn(f->data, lsn);
   pool.NoteLoggedUpdate(f, start, 7);
-  pool.NoteLoggedUpdate(f, start, 7);  // one mark per transaction and page
   ASSERT_TRUE(pool.UnpinPage(pa, /*dirty=*/true).ok());
-  EXPECT_EQ(pool.TxnDirtyPageCount(), 1u);
   // The first append of a fresh log starts at LSN 0 and must still count
   // as a redo constraint (not read as "clean").
   EXPECT_EQ(pool.MinDirtyRecLsn(), start);
 
   // Eviction pressure steals the page: with one frame and the log not
-  // yet flushed, NewPage must force the log and write the held page.
+  // yet flushed, NewPage must force the log and write the page txn 7
+  // dirtied before its commit record.
   EXPECT_EQ(wal->flushed_lsn(), 0u);
   uint32_t pb;
   ASSERT_TRUE(pool.NewPage(&pb, &f).ok());
   EXPECT_GE(wal->flushed_lsn(), lsn);
-  EXPECT_GE(pool.stats().pages_stolen, 1u);
+  EXPECT_EQ(pool.stats().pages_stolen, 1u);
   EXPECT_EQ(pool.MinDirtyRecLsn(), UINT64_MAX);  // stolen page is clean now
   char buf[kPageSize];
   ASSERT_TRUE(pool.disk()->ReadPage(pa, buf).ok());
   EXPECT_EQ(buf[100], 't');  // the uncommitted bytes reached disk
-  ASSERT_TRUE(pool.UnpinPage(pb, /*dirty=*/false).ok());
 
-  // Commit releases the steal-accounting hold.
-  pool.ReleaseTxnPages(7);
-  EXPECT_EQ(pool.TxnDirtyPageCount(), 0u);
+  // Txn 7 dirties the new page too, then its commit record is appended:
+  // evicting that page afterwards writes it back but steals nothing.
+  InitHeapPage(f->data);
+  rec.page_id = pb;
+  lsn = wal->Append(rec, &start);
+  SetPageLsn(f->data, lsn);
+  pool.NoteLoggedUpdate(f, start, 7);
+  ASSERT_TRUE(pool.UnpinPage(pb, /*dirty=*/true).ok());
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  commit.txn_id = 7;
+  wal->Append(commit);
+  ASSERT_TRUE(pool.FetchPage(pa, &f).ok());
+  EXPECT_EQ(pool.stats().dirty_writebacks, 2u);
+  EXPECT_EQ(pool.stats().pages_stolen, 1u);
+  ASSERT_TRUE(pool.UnpinPage(pa, /*dirty=*/false).ok());
 }
 
 TEST(WalRedoTest, PlaceRecordAtSlotGrowsDirectoryWithDeadSlots) {

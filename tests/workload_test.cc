@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "db/executor.h"
 
 namespace prodb {
@@ -107,26 +106,6 @@ TEST(WorkloadTest, ConsumingActionsRemoveFirstCe) {
     EXPECT_EQ(r.actions[0].kind, ActionKind::kRemove);
     EXPECT_EQ(r.actions[0].ce_index, 0);
   }
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-  // Reusable after Wait.
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 101);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();
-  SUCCEED();
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {

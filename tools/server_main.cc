@@ -50,7 +50,7 @@ int Usage(const char* argv0) {
       "          [--workers=1..%zu] [--frames=N>=1] [--no_load]\n"
       "  SPEC = ARCH[-plan][-shard<N>], ARCH = rete|rete-dbms|query|pattern,\n"
       "  2 <= N <= %zu; --planner is an alias for -plan; pattern takes\n"
-      "  neither\n",
+      "  neither; the ablation mods scan, nodisc and noshare are refused\n",
       argv0, prodb::kMaxThreads, prodb::kMaxThreads);
   return 2;
 }
@@ -87,10 +87,10 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(a, "rules", &v)) {
       rules_path = v;
     } else if (ParseFlag(a, "matcher", &v)) {
-      // The server's options carry no ablation switches: scan and nodisc
-      // are experiment configurations, not deployments.
+      // The server's options carry no ablation switches: scan, nodisc
+      // and noshare are experiment configurations, not deployments.
       if (!prodb::MatcherSpec::Parse(v, &spec).ok() || !spec.indexes ||
-          !spec.discriminate) {
+          !spec.discriminate || !spec.share) {
         return Usage(argv[0]);
       }
     } else if (ParseBoolFlag(a, "planner")) {
